@@ -14,8 +14,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .model import ProblemInstance
-from .optimizer import AllocationResult, Objective, solve_branch_bound, solve_bruteforce
-from .timing import Placement, flow_time, overall_time
+from .optimizer import (
+    AllocationResult,
+    Objective,
+    compile_instance,
+    solve_branch_bound,
+    solve_bruteforce,
+)
+from .timing import Placement
 
 _END_TIME = Objective(kind="min_time_max")
 
@@ -37,10 +43,4 @@ def baseline_overall(
 ) -> float:
     """What the baseline's choice actually costs the robot: per-flow end time
     plus the return hop, aggregated by max."""
-    from .lattice import all_flows
-
-    timings = [
-        flow_time(instance, flow, placement, delays=delays, include_return_hop=True)
-        for flow in all_flows(instance.graph)
-    ]
-    return overall_time(timings, "max_flow")
+    return compile_instance(instance).priced(delays).time_of(placement, "max_flow")

@@ -152,7 +152,7 @@ def cmd_memory(args) -> int:
     placement = _load_placement(instance, args.placement)
     evaluate(instance, placement)
     mode = "peak" if args.peak else "sum"
-    partition = step_partition(instance.graph, all_flows(instance.graph))
+    partition = step_partition(instance.graph, all_flows(instance.graph)) if args.peak else None
     lines = ["location,bytes"]
     for nid in sorted(instance.nodes):
         lines.append(f"{nid},{location_memory(instance, placement, nid, partition, mode)!r}")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     common.add_argument("--threads", type=_positive, default=1,
-                        help="worker threads for randomized subcommands")
+                        help="accepted for compatibility; trials run serially")
 
     parser = argparse.ArgumentParser(
         prog="allocflow",

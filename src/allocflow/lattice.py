@@ -195,20 +195,22 @@ def execution_flows(lattice: SemiLattice, cap: Optional[int] = None) -> List[Exe
     for vs in succs.values():
         vs.sort()
 
+    # depth-first with an explicit stack of successor iterators, so a deep
+    # graph cannot reach the recursion limit
     flows: List[ExecutionFlow] = []
     path: List[str] = []
-
-    def walk(v: str) -> None:
-        path.append(v)
-        if not succs[v]:
-            flows.append(tuple(path))
+    pending = [iter(lattice.sources)]
+    while pending:
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            if path:
+                path.pop()
+        elif succs[v]:
+            path.append(v)
+            pending.append(iter(succs[v]))
         else:
-            for w in succs[v]:
-                walk(w)
-        path.pop()
-
-    for s in lattice.sources:
-        walk(s)
+            flows.append((*path, v))
     return flows
 
 

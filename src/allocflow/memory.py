@@ -8,8 +8,10 @@ serial composition reuses processing space, so the larger-sized side wins.
 A location's footprint follows the step partition S_1..S_z of the flows: the
 region union ranges over every step while processing blocks are disjoint-
 unioned across steps (an upper bound; the "peak" mode takes the per-step max
-instead).  The robot additionally holds the outputs of *all* algorithms,
-wherever they run.
+instead).  Every algorithm lies in exactly one step, so the default "sum"
+mode does not depend on the partition and never builds it; only "peak" does.
+The robot additionally holds the outputs of *all* algorithms, wherever they
+run.
 """
 
 from __future__ import annotations
@@ -163,21 +165,25 @@ def _location_bits(
     instance: ProblemInstance,
     placement: Placement,
     location: str,
-    partition: Sequence[Tuple[str, ...]],
+    partition: Optional[Sequence[Tuple[str, ...]]],
     mode: str,
     extra_regions: FrozenSet[str] = frozenset(),
 ) -> int:
     if mode not in ("sum", "peak"):
         raise ValueError(f"unknown memory mode {mode!r}")
-    regions: FrozenSet[str] = frozenset(extra_regions)
+    if partition is None:
+        # one step holding every algorithm has the same resident sum
+        partition = default_partition(instance) if mode == "peak" else (tuple(instance.algorithms),)
+    regions = set(extra_regions)
     step_processing: List[int] = []
     for step in partition:
-        here = [aid for aid in step if placement.get(aid) == location]
         pr = 0
-        for aid in here:
-            profile = instance.algorithms[aid].memory
-            regions |= profile.inputs | profile.outputs
-            pr += profile.processing_bits
+        for aid in step:
+            if placement.get(aid) == location:
+                profile = instance.algorithms[aid].memory
+                regions.update(profile.inputs)
+                regions.update(profile.outputs)
+                pr += profile.processing_bits
         step_processing.append(pr)
     inou = region_bits(instance.regions, regions)
     if mode == "peak":
@@ -193,8 +199,6 @@ def location_memory(
     mode: str = "sum",
 ) -> float:
     """Bytes held at one location across the step partition."""
-    if partition is None:
-        partition = default_partition(instance)
     return _location_bits(instance, placement, location, partition, mode) / 8.0
 
 
@@ -215,10 +219,9 @@ def robot_memory_bits(
     partition: Optional[Sequence[Tuple[str, ...]]] = None,
     mode: str = "sum",
 ) -> int:
+    """Robot memory in bits; the solver's and evaluate's one memory measure."""
     if not instance.algorithms:
         return 0
-    if partition is None:
-        partition = default_partition(instance)
     all_outputs = frozenset().union(
         *(spec.memory.outputs for spec in instance.algorithms.values())
     )

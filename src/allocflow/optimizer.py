@@ -5,6 +5,11 @@ weighted Euclidean distance from the origin (memory in MB, time in seconds).
 Optima are exact; ties break first toward minimum robot memory, then toward
 the lexicographically smallest placement under the node order cloud nodes by
 id, fog nodes by id, edge node last (deepest offload wins a dead heat).
+
+One evaluator prices every placement: compile_instance builds an instance's
+delay-independent tables once, CompiledInstance.priced adds a hop table per
+delay realization, _flow_total times a flow in timing.flow_time's order, and
+memory.robot_memory_bits gives robot memory.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import all_flows, layer_index
-from .memory import robot_memory_bits, step_partition
+from .memory import robot_memory_bits
 from .model import (
     CapExceededError,
     InfeasibleError,
@@ -24,7 +29,7 @@ from .model import (
     effective_allowed,
     node_order,
 )
-from .timing import FlowTiming, Placement, flow_time, overall_time
+from .timing import FlowTiming, Placement
 
 MB_BITS = 8 * 1024 * 1024  # distance works in 2**20-byte megabytes
 
@@ -89,191 +94,117 @@ def primary_value(objective: Objective, cost: CostPoint):
 
 
 # ---------------------------------------------------------------------------
-# Shared solve context
+# Compiled instance: the one evaluator
 
 
 @dataclass
-class SolveContext:
-    """Everything a search needs, computed once per instance."""
+class CompiledInstance:
+    """The delay-independent tables of one instance, plus the hop table of one
+    delay realization: seconds per (src, dst, payload bits), filled on use."""
 
     instance: ProblemInstance
-    objective: Objective
-    include_return_hop: bool
     edge_id: str
-    order: List[str]  # branching order: (layer, id)
-    sorted_ids: List[str]  # tie-break order for LEX tuples
-    allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
-    node_rank: Dict[str, int]
     flows: List[Tuple[str, ...]]
-    partition: List[Tuple[str, ...]]
-    aggregate: str
     exec_s: Dict[Tuple[str, str], float]  # (alg, node) -> seconds
     input_bits: Dict[str, int]
     output_bits: Dict[str, int]
-    membership: Dict[str, List[Tuple[int, int]]]  # alg -> [(flow index, position)]
-    preds: Dict[str, Tuple[str, ...]]  # direct dependency-graph predecessors
-    # best_suffix[fi][pos][node] = cheapest way to finish flow fi (inbound hop,
-    # execs, inter-hops, return hop) given position pos-1 sits on node.  Exact
-    # per flow in isolation, hence an admissible joint bound.
-    best_suffix: List[List[Dict[str, float]]]
     all_output_regions: frozenset
+    include_return_hop: bool
     delays: Optional[Dict[Tuple[str, str], float]]
-    _hops: Dict[Tuple[str, str, int], float] = field(default_factory=dict)
+    hops: Dict[Tuple[str, str, int], float]
 
     def hop(self, src: str, dst: str, payload_bits: int) -> float:
         key = (src, dst, payload_bits)
-        cached = self._hops.get(key)
+        cached = self.hops.get(key)
         if cached is None:
             cached = self.instance.comm.resolve(src, dst, payload_bits, delays=self.delays)
-            self._hops[key] = cached
+            self.hops[key] = cached
         return cached
 
-    def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
-        return tuple(self.node_rank[placement[aid]] for aid in self.sorted_ids)
+    def priced(
+        self,
+        delays: Optional[Dict[Tuple[str, str], float]] = None,
+        include_return_hop: bool = True,
+    ) -> CompiledInstance:
+        """The same tables under another delay realization: a fresh hop table."""
+        return replace(self, include_return_hop=include_return_hop, delays=delays, hops={})
+
+    def time_of(self, placement: Placement, aggregate: str) -> float:
+        return _aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
+
+    def cost(self, placement: Placement, objective: Objective, memory_bits: int) -> CostPoint:
+        """CostPoint of a placement whose robot memory is known (delays never change it)."""
+        time_s = self.time_of(placement, _aggregate_for(self.instance, objective))
+        return make_cost(self.instance, objective, memory_bits, time_s)
 
 
-def build_context(
-    instance: ProblemInstance,
-    objective: Optional[Objective] = None,
-    include_return_hop: bool = True,
-    delays: Optional[Dict[Tuple[str, str], float]] = None,
-    flow_cap: Optional[int] = None,
-) -> SolveContext:
-    objective = objective or Objective()
-    levels = layer_index(instance.graph)
-    order = sorted(instance.algorithms, key=lambda aid: (levels[aid], aid))
-    allowed = effective_allowed(instance)
-    for aid, nodes in allowed.items():
-        if not nodes:
-            raise InfeasibleError(f"algorithm {aid} has no feasible location")
-    rank = {nid: i for i, nid in enumerate(node_order(instance))}
-    flows = all_flows(instance.graph, cap=flow_cap)
-    partition = step_partition(instance.graph, flows) if instance.algorithms else []
-
+def compile_instance(instance: ProblemInstance) -> CompiledInstance:
+    """Compile an instance once, priced at mean delays with the return hop."""
     exec_s: Dict[Tuple[str, str], float] = {}
     input_bits: Dict[str, int] = {}
     output_bits: Dict[str, int] = {}
     for aid, spec in instance.algorithms.items():
-        for nid in allowed[aid]:
-            exec_s[(aid, nid)] = spec.exec_time_at(instance.nodes[nid])
+        # every timed node, not only allowed ones: unchecked placements may use any
+        for nid, node in instance.nodes.items():
+            if nid in spec.node_overrides or node.tier in spec.exec_time:
+                exec_s[(aid, nid)] = spec.exec_time_at(node)
         input_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
         output_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
-
-    edge_id = instance.edge_node_id() if instance.algorithms else ""
-    hop_memo: Dict[Tuple[str, str, int], float] = {}
-
-    def hop(src: str, dst: str, payload_bits: int) -> float:
-        key = (src, dst, payload_bits)
-        cached = hop_memo.get(key)
-        if cached is None:
-            cached = instance.comm.resolve(src, dst, payload_bits, delays=delays)
-            hop_memo[key] = cached
-        return cached
-
-    membership: Dict[str, List[Tuple[int, int]]] = {aid: [] for aid in instance.algorithms}
-    best_suffix: List[List[Dict[str, float]]] = []
-    for fi, flow in enumerate(flows):
-        for pos, aid in enumerate(flow):
-            membership[aid].append((fi, pos))
-        suffix: List[Dict[str, float]] = [{} for _ in range(len(flow) + 1)]
-        if include_return_hop:
-            suffix[len(flow)] = {
-                nid: hop(nid, edge_id, output_bits[flow[-1]]) for nid in allowed[flow[-1]]
-            }
-        else:
-            suffix[len(flow)] = {nid: 0.0 for nid in allowed[flow[-1]]}
-        for pos in range(len(flow) - 1, -1, -1):
-            aid = flow[pos]
-            payload = input_bits[aid] if pos == 0 else output_bits[flow[pos - 1]]
-            sources = (edge_id,) if pos == 0 else allowed[flow[pos - 1]]
-            nxt = suffix[pos + 1]
-            suffix[pos] = {
-                src: min(
-                    hop(src, nid, payload) + exec_s[(aid, nid)] + nxt[nid]
-                    for nid in allowed[aid]
-                )
-                for src in sources
-            }
-        best_suffix.append(suffix)
-
-    all_outputs = frozenset().union(
-        frozenset(), *(spec.memory.outputs for spec in instance.algorithms.values())
-    )
-
-    pred_lists: Dict[str, List[str]] = {aid: [] for aid in instance.algorithms}
-    for u, v in instance.graph.edges:
-        pred_lists[v].append(u)
-    preds = {aid: tuple(sorted(us)) for aid, us in pred_lists.items()}
-
-    return SolveContext(
+    return CompiledInstance(
         instance=instance,
-        objective=objective,
-        include_return_hop=include_return_hop,
-        edge_id=edge_id,
-        order=order,
-        sorted_ids=sorted(instance.algorithms),
-        allowed=allowed,
-        node_rank=rank,
-        flows=flows,
-        partition=partition,
-        aggregate=_aggregate_for(instance, objective),
+        edge_id=instance.edge_node_id() if instance.algorithms else "",
+        flows=all_flows(instance.graph),
         exec_s=exec_s,
         input_bits=input_bits,
         output_bits=output_bits,
-        membership=membership,
-        preds=preds,
-        best_suffix=best_suffix,
-        all_output_regions=all_outputs,
-        delays=delays,
-        _hops=hop_memo,
+        all_output_regions=frozenset().union(*(s.memory.outputs for s in instance.algorithms.values())),
+        include_return_hop=True,
+        delays=None,
+        hops={},
     )
 
 
-def _flow_total(ctx: SolveContext, flow: Tuple[str, ...], placement: Placement) -> float:
-    """Same accumulation order as timing.flow_time, without the breakdown."""
+def _flow_total(
+    c: CompiledInstance,
+    flow: Tuple[str, ...],
+    placement: Placement,
+    segments: Optional[List[Tuple[str, float]]] = None,
+) -> float:
+    """Seconds of one flow, in timing.flow_time's accumulation order; appends
+    flow_time's (kind, seconds) breakdown to segments when given."""
+    hops, exec_s, output_bits = c.hops, c.exec_s, c.output_bits
     total = 0.0
-    prev = ctx.edge_id
-    for i, aid in enumerate(flow):
+    prev = c.edge_id
+    kind = "request-hop"
+    payload = c.input_bits[flow[0]] if flow else 0
+    for aid in flow:
         node = placement[aid]
-        if i == 0:
-            total += ctx.hop(prev, node, ctx.input_bits[aid])
-        else:
-            total += ctx.hop(prev, node, ctx.output_bits[flow[i - 1]])
-        total += ctx.exec_s[(aid, node)]
+        hop = hops.get((prev, node, payload))
+        if hop is None:
+            hop = c.hop(prev, node, payload)
+        total += hop
+        total += exec_s[(aid, node)]
+        if segments is not None:
+            segments += ((kind, hop), ("exec", exec_s[(aid, node)]))
+            kind = "inter-hop"
         prev = node
-    if flow and ctx.include_return_hop:
-        total += ctx.hop(prev, ctx.edge_id, ctx.output_bits[flow[-1]])
+        payload = output_bits[aid]
+    if flow and c.include_return_hop:
+        hop = c.hop(prev, c.edge_id, payload)
+        total += hop
+        if segments is not None:
+            segments.append(("return-hop", hop))
     return total
 
 
-def _robot_bits(ctx: SolveContext, placement: Placement) -> int:
-    regions = set(ctx.all_output_regions)
-    pr = 0
-    for aid in ctx.sorted_ids:
-        if placement[aid] == ctx.edge_id:
-            profile = ctx.instance.algorithms[aid].memory
-            regions.update(profile.inputs)
-            regions.update(profile.outputs)
-            pr += profile.processing_bits
-    return sum(ctx.instance.region_bits(r) for r in regions) + pr
-
-
-def _aggregate_times(ctx: SolveContext, totals: Sequence[float]) -> float:
+def _aggregate_times(aggregate: str, totals: Sequence[float]) -> float:
     if not totals:
         return 0.0
-    if ctx.aggregate == "max_flow":
+    if aggregate == "max_flow":
         return max(totals)
-    if ctx.aggregate == "total_flows":
+    if aggregate == "total_flows":
         return sum(totals)
     return sum(totals) / len(totals)
-
-
-def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple:
-    totals = [_flow_total(ctx, flow, placement) for flow in ctx.flows]
-    time_s = _aggregate_times(ctx, totals)
-    mem_bits = _robot_bits(ctx, placement)
-    cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
-    return (primary_value(ctx.objective, cost), mem_bits, ctx.lex_tuple(placement)), cost
 
 
 def evaluate(
@@ -298,13 +229,96 @@ def evaluate(
                     f"algorithm {aid} may not run on {placement[aid]!r} "
                     f"(allowed: {', '.join(allowed[aid])})"
                 )
-    timings = [
-        flow_time(instance, flow, placement, delays=delays, include_return_hop=include_return_hop)
-        for flow in all_flows(instance.graph)
-    ]
-    time_s = overall_time(timings, _aggregate_for(instance, objective))
-    mem_bits = robot_memory_bits(instance, placement)
-    return make_cost(instance, objective, mem_bits, time_s)
+    priced = compile_instance(instance).priced(delays, include_return_hop)
+    return priced.cost(placement, objective, robot_memory_bits(instance, placement))
+
+
+# ---------------------------------------------------------------------------
+# Shared solve context
+
+
+@dataclass
+class SolveContext(CompiledInstance):
+    """A compiled instance under one objective and delay realization, plus
+    the tables the searches need."""
+
+    objective: Objective
+    order: List[str]  # branching order: (layer, id)
+    sorted_ids: List[str]  # tie-break order for LEX tuples
+    allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
+    node_rank: Dict[str, int]
+    aggregate: str
+    membership: Dict[str, List[Tuple[int, int]]]  # alg -> [(flow index, position)]
+    # best_suffix[fi][pos][node] = cheapest way to finish flow fi (inbound hop,
+    # execs, inter-hops, return hop) given position pos-1 sits on node.  Exact
+    # per flow in isolation, hence an admissible joint bound.
+    best_suffix: List[List[Dict[str, float]]]
+
+    def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
+        return tuple(self.node_rank[placement[aid]] for aid in self.sorted_ids)
+
+
+def build_context(
+    instance: ProblemInstance,
+    objective: Optional[Objective] = None,
+    include_return_hop: bool = True,
+    delays: Optional[Dict[Tuple[str, str], float]] = None,
+) -> SolveContext:
+    objective = objective or Objective()
+    levels = layer_index(instance.graph)
+    order = sorted(instance.algorithms, key=lambda aid: (levels[aid], aid))
+    allowed = effective_allowed(instance)
+    for aid, nodes in allowed.items():
+        if not nodes:
+            raise InfeasibleError(f"algorithm {aid} has no feasible location")
+    rank = {nid: i for i, nid in enumerate(node_order(instance))}
+    priced = compile_instance(instance).priced(delays, include_return_hop)
+    hop, exec_s, edge_id = priced.hop, priced.exec_s, priced.edge_id
+    input_bits, output_bits = priced.input_bits, priced.output_bits
+
+    membership: Dict[str, List[Tuple[int, int]]] = {aid: [] for aid in instance.algorithms}
+    best_suffix: List[List[Dict[str, float]]] = []
+    for fi, flow in enumerate(priced.flows):
+        for pos, aid in enumerate(flow):
+            membership[aid].append((fi, pos))
+        suffix: List[Dict[str, float]] = [{} for _ in range(len(flow) + 1)]
+        if include_return_hop:
+            suffix[len(flow)] = {
+                nid: hop(nid, edge_id, output_bits[flow[-1]]) for nid in allowed[flow[-1]]
+            }
+        else:
+            suffix[len(flow)] = {nid: 0.0 for nid in allowed[flow[-1]]}
+        for pos in range(len(flow) - 1, -1, -1):
+            aid = flow[pos]
+            payload = input_bits[aid] if pos == 0 else output_bits[flow[pos - 1]]
+            sources = (edge_id,) if pos == 0 else allowed[flow[pos - 1]]
+            nxt = suffix[pos + 1]
+            suffix[pos] = {
+                src: min(
+                    hop(src, nid, payload) + exec_s[(aid, nid)] + nxt[nid]
+                    for nid in allowed[aid]
+                )
+                for src in sources
+            }
+        best_suffix.append(suffix)
+
+    return SolveContext(
+        **vars(priced),
+        objective=objective,
+        order=order,
+        sorted_ids=sorted(instance.algorithms),
+        allowed=allowed,
+        node_rank=rank,
+        aggregate=_aggregate_for(instance, objective),
+        membership=membership,
+        best_suffix=best_suffix,
+    )
+
+
+def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple:
+    mem_bits = robot_memory_bits(ctx.instance, placement)
+    cost = ctx.cost(placement, ctx.objective, mem_bits)
+    return (primary_value(ctx.objective, cost), mem_bits, ctx.lex_tuple(placement)), cost
 
 
 def _empty_result() -> AllocationResult:
@@ -312,18 +326,13 @@ def _empty_result() -> AllocationResult:
 
 
 def _finish(ctx: SolveContext, placement: Placement, explored: int) -> AllocationResult:
-    timings = [
-        flow_time(
-            ctx.instance,
-            flow,
-            placement,
-            delays=ctx.delays,
-            include_return_hop=ctx.include_return_hop,
-        )
-        for flow in ctx.flows
-    ]
-    time_s = _aggregate_times(ctx, [t.total for t in timings])
-    mem_bits = _robot_bits(ctx, placement)
+    timings = []
+    for flow in ctx.flows:
+        segments: List[Tuple[str, float]] = []
+        total = _flow_total(ctx, flow, placement, segments)
+        timings.append(FlowTiming(flow=flow, segments=tuple(segments), total=total))
+    time_s = _aggregate_times(ctx.aggregate, [t.total for t in timings])
+    mem_bits = robot_memory_bits(ctx.instance, placement)
     cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
     return AllocationResult(
         placement={aid: placement[aid] for aid in ctx.sorted_ids},
@@ -408,29 +417,11 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
     algorithm; memory follows via region refcounts, so a pass costs
     O(n * nodes * flows) comparisons instead of full re-evaluations.
     """
-    placement = dict(guess)
-    totals = [_flow_total(ctx, flow, placement) for flow in ctx.flows]
-    region_count: Dict[str, int] = {}
-    inou_bits = 0
-    pr_bits = 0
-    for region in sorted(ctx.all_output_regions):
-        region_count[region] = 1
-        inou_bits += ctx.instance.region_bits(region)
-    for aid in ctx.sorted_ids:
-        if placement[aid] == ctx.edge_id:
-            profile = ctx.instance.algorithms[aid].memory
-            for region in sorted(profile.inputs | profile.outputs):
-                count = region_count.get(region, 0)
-                if count == 0:
-                    inou_bits += ctx.instance.region_bits(region)
-                region_count[region] = count + 1
-            pr_bits += profile.processing_bits
-
     def edge_delta(aid: str, arriving: bool) -> int:
-        # mutates region_count; returns the inputs-union-outputs bit change
+        # mutates region_count; returns the robot memory change in bits
         profile = ctx.instance.algorithms[aid].memory
         step = 1 if arriving else -1
-        delta = 0
+        delta = profile.processing_bits
         for region in sorted(profile.inputs | profile.outputs):
             count = region_count.get(region, 0)
             if (arriving and count == 0) or (not arriving and count == 1):
@@ -438,10 +429,13 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
             region_count[region] = count + step
         return delta if arriving else -delta
 
-    mem_bits = inou_bits + pr_bits
-    time_s = _aggregate_times(ctx, totals)
-    cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
-    key = (primary_value(ctx.objective, cost), mem_bits, ctx.lex_tuple(placement))
+    placement = dict(guess)
+    totals = [_flow_total(ctx, flow, placement) for flow in ctx.flows]
+    region_count = dict.fromkeys(ctx.all_output_regions, 1)
+    for aid in ctx.sorted_ids:
+        if placement[aid] == ctx.edge_id:
+            edge_delta(aid, arriving=True)
+    key, _ = _placement_key(ctx, placement)
 
     improved = True
     while improved:
@@ -455,21 +449,16 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
                 stashed = [(fi, totals[fi]) for fi, _ in ctx.membership[aid]]
                 for fi, _ in stashed:
                     totals[fi] = _flow_total(ctx, ctx.flows[fi], placement)
-                new_inou = inou_bits
-                new_pr = pr_bits
+                new_mem = key[1]
                 if kept == ctx.edge_id:
-                    new_inou += edge_delta(aid, arriving=False)
-                    new_pr -= ctx.instance.algorithms[aid].memory.processing_bits
+                    new_mem += edge_delta(aid, arriving=False)
                 if nid == ctx.edge_id:
-                    new_inou += edge_delta(aid, arriving=True)
-                    new_pr += ctx.instance.algorithms[aid].memory.processing_bits
-                new_mem = new_inou + new_pr
-                new_time = _aggregate_times(ctx, totals)
+                    new_mem += edge_delta(aid, arriving=True)
+                new_time = _aggregate_times(ctx.aggregate, totals)
                 new_cost = make_cost(ctx.instance, ctx.objective, new_mem, new_time)
                 cand = (primary_value(ctx.objective, new_cost), new_mem, ctx.lex_tuple(placement))
                 if cand < key:
                     key = cand
-                    inou_bits, pr_bits = new_inou, new_pr
                     kept = nid
                     improved = True
                 else:
@@ -665,7 +654,7 @@ class _Search:
         ctx = self.ctx
         if depth == len(ctx.order):
             mem_bits = self.inou_bits + self.pr_bits
-            time_s = _aggregate_times(ctx, self.flow_bound)
+            time_s = _aggregate_times(ctx.aggregate, self.flow_bound)
             cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
             key = (primary_value(ctx.objective, cost), mem_bits, ctx.lex_tuple(self.assignment))
             if key < self.best_key:
@@ -770,10 +759,8 @@ def scatter(
             combo.append(ctx.allowed[aid][digit])
         combo.reverse()
         placement = dict(zip(ctx.sorted_ids, combo))
-        totals = [_flow_total(ctx, flow, placement) for flow in ctx.flows]
-        time_s = _aggregate_times(ctx, totals)
-        mem_bits = _robot_bits(ctx, placement)
-        points.append((index, tuple(combo), mem_bits, time_s))
+        mem_bits = robot_memory_bits(instance, placement)
+        points.append((index, tuple(combo), mem_bits, ctx.time_of(placement, ctx.aggregate)))
 
     # Non-dominated scan over (memory, time), both minimized.
     best_with_smaller_mem = math.inf

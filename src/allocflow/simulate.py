@@ -1,4 +1,7 @@
-"""Stochastic-delay simulation, random instances, and scaling benchmarks."""
+"""Stochastic-delay simulation, random instances, and scaling benchmarks.
+
+The Monte-Carlo comparison compiles its instance once and re-prices only hops
+per trial (see optimizer.compile_instance)."""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import math
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,7 +27,8 @@ from .model import (
     ProblemInstance,
     Tier,
 )
-from .optimizer import Objective, evaluate, solve_branch_bound
+from .memory import robot_memory_bits
+from .optimizer import Objective, compile_instance, evaluate, solve_branch_bound
 
 
 def sample_folded_normal(spec: DelaySpec, rng: random.Random) -> float:
@@ -34,8 +37,7 @@ def sample_folded_normal(spec: DelaySpec, rng: random.Random) -> float:
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:
-    # Independent per-trial streams keyed on (seed, trial), stable across runs
-    # and thread counts.
+    # Independent per-trial streams keyed on (seed, trial), stable across runs.
     return random.Random(seed * 1_000_003 + trial)
 
 
@@ -99,6 +101,11 @@ def monte_carlo_compare(
     same network realization for both methods) and re-evaluates both
     placements' cost points.  resolve_per_trial=True re-runs both solvers
     inside each trial instead, as a sensitivity check.
+
+    With fixed placements the instance is compiled once and each placement's
+    robot memory computed once, since delays never change it; a trial prices
+    only the hops its two placements use and re-sums their flows.  Trials run
+    serially: threads is accepted for compatibility and changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -109,28 +116,27 @@ def monte_carlo_compare(
     delayed_links = sorted(
         pair for pair, link in instance.comm.links.items() if link.delay is not None
     )
+    compiled = compile_instance(instance)
+    placements = (ours.placement, base.placement)
+    bits = [robot_memory_bits(instance, p) for p in placements]
 
-    def run_trial(trial: int):
+    outcomes = []
+    for trial in range(trials):
         rng = trial_rng(seed, trial)
         delays = {
             pair: sample_folded_normal(instance.comm.links[pair].delay, rng)
             for pair in delayed_links
         }
         if resolve_per_trial:
-            ours_placement = solve_branch_bound(instance, objective, delays=delays).placement
-            base_placement = solve_baseline(instance, delays=delays).placement
+            again = (
+                solve_branch_bound(instance, objective, delays=delays).placement,
+                solve_baseline(instance, delays=delays).placement,
+            )
+            costs = [evaluate(instance, p, objective, delays, check_feasible=False) for p in again]
         else:
-            ours_placement = ours.placement
-            base_placement = base.placement
-        ours_cost = evaluate(instance, ours_placement, objective, delays=delays, check_feasible=False)
-        base_cost = evaluate(instance, base_placement, objective, delays=delays, check_feasible=False)
-        return ours_cost, base_cost
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(trials)))
-    else:
-        outcomes = [run_trial(t) for t in range(trials)]
+            priced = compiled.priced(delays)
+            costs = [priced.cost(p, objective, b) for p, b in zip(placements, bits)]
+        outcomes.append(costs)
 
     ours_costs = [o for o, _ in outcomes]
     base_costs = [b for _, b in outcomes]

@@ -1,10 +1,14 @@
 """End-time comparator: optimum, hidden return cost, and oracle agreement."""
 
+import random
+
 from allocflow import fixtures
 from allocflow.baseline import baseline_overall, solve_baseline
-from allocflow.model import instance_from_dict
+from allocflow.lattice import all_flows
+from allocflow.model import effective_allowed, instance_from_dict
 from allocflow.optimizer import Objective, solve_branch_bound
 from allocflow.simulate import GenParams, random_instance
+from allocflow.timing import flow_time, overall_time
 
 
 def make_dataset(d):
@@ -105,3 +109,17 @@ def test_delays_only_apply_to_jittery_links(single_sort):
     result = solve_baseline(single_sort, delays={("e", "c"): 99.0})
     assert result.placement == {"sort": "c"}
     assert result.cost.time_seconds == 4.0
+
+
+def test_baseline_overall_matches_flow_time_reference():
+    rng = random.Random(41)
+    for seed in range(30):
+        params = GenParams(fog_nodes=rng.randint(0, 2), cloud_nodes=rng.randint(1, 2), delay_prob=0.5)
+        inst = random_instance(rng.randint(1, 9), params, seed=seed)
+        allowed = effective_allowed(inst)
+        placement = {aid: rng.choice(allowed[aid]) for aid in sorted(inst.algorithms)}
+        delays = None
+        if seed % 2:
+            delays = {pair: rng.uniform(0.0, 1.0) for pair in sorted(inst.comm.links)}
+        timings = [flow_time(inst, f, placement, delays=delays) for f in all_flows(inst.graph)]
+        assert baseline_overall(inst, placement, delays) == overall_time(timings, "max_flow")

@@ -23,6 +23,7 @@ from allocflow.model import (
     DependencyGraph,
     instance_from_dict,
 )
+from allocflow.simulate import GenParams, random_instance
 
 
 def graph_of(edges, n=None):
@@ -226,6 +227,33 @@ def wide_graph(k):
     for i in range(k):
         edges += [(f"s{i}", f"m{i}a"), (f"s{i}", f"m{i}b")]
     return graph_of(edges)
+
+
+def test_flows_match_recursive_walk_oracle():
+    rng = random.Random(31)
+    for _ in range(40):
+        graph = random_dag(rng, rng.randint(1, 12))
+        succs = {aid: sorted(v for u, v in graph.edges if u == aid) for aid in graph.algorithms}
+        expected = []
+
+        # oracle: the depth-first walk, one recursion level per path vertex
+        def walk(path):
+            if not succs[path[-1]]:
+                expected.append(tuple(path))
+            for w in succs[path[-1]]:
+                walk(path + [w])
+
+        for component in connected_components(graph):
+            for source in build_semilattice(component).sources:
+                walk([source])
+        assert all_flows(graph) == expected
+
+
+def test_deep_chain_does_not_hit_the_recursion_limit():
+    inst = random_instance(2000, GenParams(layers=2000, edge_prob=0.0), seed=0)
+    levels = layer_index(inst.graph)
+    chain = tuple(sorted(inst.algorithms, key=levels.__getitem__))
+    assert all_flows(inst.graph) == [chain]
 
 
 def test_cap_exceeded_raises_with_counts():

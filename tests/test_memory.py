@@ -284,3 +284,16 @@ def test_default_partition_matches_explicit(dataset_d2):
     assert robot_memory(dataset_d2, placement) == robot_memory(
         dataset_d2, placement, partition=explicit
     )
+
+
+def test_sum_mode_needs_no_partition():
+    rng = random.Random(37)
+    for seed in range(25):
+        inst = random_instance(rng.randint(1, 10), GenParams(fog_nodes=2), seed=seed)
+        explicit = step_partition(inst.graph, all_flows(inst.graph))
+        placement = {aid: rng.choice(sorted(inst.nodes)) for aid in inst.algorithms}
+        assert robot_memory_bits(inst, placement) == robot_memory_bits(inst, placement, explicit)
+        for nid in sorted(inst.nodes):
+            assert location_memory(inst, placement, nid) == location_memory(
+                inst, placement, nid, explicit
+            )

@@ -2,11 +2,24 @@
 
 import itertools
 import math
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocflow import fixtures
-from allocflow.model import CapExceededError, InfeasibleError, instance_from_dict
+from allocflow.baseline import solve_baseline
+from allocflow.lattice import all_flows
+from allocflow.memory import _location_bits, step_partition
+from allocflow.model import (
+    TIME_AGGREGATES,
+    CapExceededError,
+    InfeasibleError,
+    effective_allowed,
+    instance_from_dict,
+)
 from allocflow.optimizer import (
     CostPoint,
     Objective,
@@ -17,6 +30,7 @@ from allocflow.optimizer import (
     solve_bruteforce,
 )
 from allocflow.simulate import GenParams, random_instance
+from allocflow.timing import flow_time, overall_time
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -72,6 +86,83 @@ def test_evaluate_rejects_forbidden_node():
 def test_evaluate_empty_instance():
     inst = random_instance(0, GenParams(), seed=0)
     assert evaluate(inst, {}) == CostPoint(0.0, 0.0, 0.0)
+
+
+def reference_cost(inst, placement, delays, include_return_hop):
+    """evaluate's contract, built from the reference pieces: flow_time per
+    flow, overall_time, and the robot's _location_bits over an explicit step
+    partition."""
+    flows = all_flows(inst.graph)
+    timings = [
+        flow_time(inst, flow, placement, delays=delays, include_return_hop=include_return_hop)
+        for flow in flows
+    ]
+    time_s = overall_time(timings, inst.options.time_aggregate)
+    outputs = frozenset().union(*(spec.memory.outputs for spec in inst.algorithms.values()))
+    partition = step_partition(inst.graph, flows)
+    mem_bits = _location_bits(inst, placement, "e", partition, "sum", extra_regions=outputs)
+    distance = math.hypot(
+        inst.options.memory_weight * (mem_bits / (8 * 1024 * 1024)),
+        inst.options.time_weight * time_s,
+    )
+    return CostPoint(mem_bits / 8.0, time_s, distance)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 10),
+    fog=st.integers(0, 2),
+    cloud=st.integers(1, 2),
+    aggregate=st.sampled_from(TIME_AGGREGATES),
+    include_return_hop=st.booleans(),
+    with_delays=st.booleans(),
+)
+def test_evaluate_matches_flow_time_reference(
+    seed, n, fog, cloud, aggregate, include_return_hop, with_delays
+):
+    params = GenParams(fog_nodes=fog, cloud_nodes=cloud, delay_prob=0.6, unbounded_prob=0.2)
+    inst = random_instance(n, params, seed=seed)
+    inst = replace(inst, options=replace(inst.options, time_aggregate=aggregate))
+    rng = random.Random(seed)
+    allowed = effective_allowed(inst)
+    placement = {aid: rng.choice(allowed[aid]) for aid in sorted(inst.algorithms)}
+    delays = None
+    if with_delays:  # a partial realization: absent links fall back to their mean
+        delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
+    expected = reference_cost(inst, placement, delays, include_return_hop)
+    cost = evaluate(inst, placement, delays=delays, include_return_hop=include_return_hop)
+    assert cost == expected
+
+
+def test_solver_per_flow_matches_flow_time():
+    rng = random.Random(17)
+    for seed in range(30):
+        # unordered tiers and cheap links mix nodes along flows, so inter-hops are nonzero
+        params = GenParams(
+            fog_nodes=rng.randint(0, 2),
+            cloud_nodes=rng.randint(1, 2),
+            delay_prob=0.5,
+            tier_ordering=False,
+            link_seconds_range=(0.01, 0.5),
+        )
+        inst = random_instance(rng.randint(1, 8), params, seed=seed)
+        delays = {pair: rng.uniform(0.0, 0.2) for pair in sorted(inst.comm.links)}
+        objective = Objective(("min_distance", "min_time_total")[seed % 2])
+        ours = solve_branch_bound(inst, objective, delays=delays)
+        base = solve_baseline(inst, delays=delays)
+        flows = all_flows(inst.graph)
+        assert ours.per_flow == [flow_time(inst, f, ours.placement, delays=delays) for f in flows]
+        assert base.per_flow == [
+            flow_time(inst, f, base.placement, delays=delays, include_return_hop=False)
+            for f in flows
+        ]
+
+
+def test_evaluate_deep_chain():
+    inst = random_instance(2000, GenParams(layers=2000, edge_prob=0.0), seed=0)
+    placement = dict.fromkeys(inst.algorithms, "e")
+    assert evaluate(inst, placement) == reference_cost(inst, placement, None, True)
 
 
 def test_objective_rejects_unknown_kind():

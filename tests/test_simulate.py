@@ -3,10 +3,12 @@
 import hashlib
 import math
 import random
+import statistics
 from pathlib import Path
 
 import pytest
 
+from allocflow.baseline import solve_baseline
 from allocflow.lattice import all_flows, layer
 from allocflow.model import DelaySpec, Tier, serialize_problem, validate
 from allocflow.optimizer import Objective, evaluate, solve_branch_bound
@@ -129,6 +131,64 @@ def test_monte_carlo_resolve_per_trial():
     # re-solving inside a trial can only improve on the frozen placement
     frozen = monte_carlo_compare(inst, trials=4, seed=1)
     assert first.ours.mean_distance <= frozen.ours.mean_distance + 1e-12
+
+
+def reference_comparison(inst, trials, seed, resolve_per_trial):
+    """The comparison as plain per-trial re-evaluation: every trial draws its
+    delays from trial_rng and evaluates both placements in full."""
+    objective = Objective("min_distance")
+    ours = solve_branch_bound(inst, objective).placement
+    base = solve_baseline(inst).placement
+    links = sorted(pair for pair, link in inst.comm.links.items() if link.delay is not None)
+    costs = {"ours": [], "baseline": []}
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        delays = {pair: sample_folded_normal(inst.comm.links[pair].delay, rng) for pair in links}
+        placements = {"ours": ours, "baseline": base}
+        if resolve_per_trial:
+            placements = {
+                "ours": solve_branch_bound(inst, objective, delays=delays).placement,
+                "baseline": solve_baseline(inst, delays=delays).placement,
+            }
+        for name, placement in placements.items():
+            costs[name].append(evaluate(inst, placement, objective, delays=delays))
+
+    def stats(cs):
+        distances = [c.distance for c in cs]
+        return {
+            "mean_distance": statistics.mean(distances),
+            "std_distance": statistics.stdev(distances) if len(distances) > 1 else 0.0,
+            "mean_time": statistics.mean(c.time_seconds for c in cs),
+            "mean_memory": statistics.mean(c.memory_bytes for c in cs),
+        }
+
+    wins = sum(o.distance <= b.distance for o, b in zip(costs["ours"], costs["baseline"]))
+    return {
+        "trials": trials,
+        "seed": seed,
+        "win_rate": wins / trials,
+        "ours": dict(stats(costs["ours"]), placement=ours),
+        "baseline": dict(stats(costs["baseline"]), placement=base),
+    }
+
+
+@pytest.mark.parametrize(
+    "fog, cloud, aggregate, seed",
+    [(1, 1, "max_flow", 3), (2, 1, "total_flows", 8), (0, 2, "mean_flows", 5), (3, 2, "max_flow", 11)],
+)
+def test_monte_carlo_matches_per_trial_evaluate(fog, cloud, aggregate, seed):
+    params = GenParams(fog_nodes=fog, cloud_nodes=cloud, delay_prob=0.7)
+    inst = random_instance(9, params, seed=seed)
+    inst.options.time_aggregate = aggregate
+    assert any(link.delay is not None for link in inst.comm.links.values())
+    stats = monte_carlo_compare(inst, trials=15, seed=seed)
+    assert stats.to_dict() == reference_comparison(inst, 15, seed, resolve_per_trial=False)
+
+
+def test_monte_carlo_resolve_per_trial_matches_reference():
+    inst = random_instance(6, GenParams(fog_nodes=2, delay_prob=0.8, sigma_range=(0.5, 1.5)), seed=2)
+    stats = monte_carlo_compare(inst, trials=6, seed=4, resolve_per_trial=True)
+    assert stats.to_dict() == reference_comparison(inst, 6, 4, resolve_per_trial=True)
 
 
 # ---------------------------------------------------------------------------
