@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -482,12 +483,32 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
-def _time(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _object(value, ctx: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProblemFormatError(f"{ctx}: expected an object, got {value!r}")
+    return value
+
+
+def _array(value, ctx: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemFormatError(f"{ctx}: expected an array, got {value!r}")
+    return value
+
+
+def _number(value, ctx: str) -> float:
+    # the range test also rejects NaN, infinities and ints too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        -sys.float_info.max <= value <= sys.float_info.max
+    ):
         raise ProblemFormatError(f"{ctx}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _time(value, ctx: str) -> float:
+    value = _number(value, ctx)
     if value < 0:
         raise ProblemFormatError(f"{ctx}: negative time {value!r}")
-    return float(value)
+    return value
 
 
 def _bits(value, ctx: str) -> int:
@@ -501,7 +522,8 @@ def _bits(value, ctx: str) -> int:
 def _ident(value, ctx: str) -> str:
     if not isinstance(value, str) or not value:
         raise ProblemFormatError(f"{ctx}: expected a non-empty string id, got {value!r}")
-    return value
+    # one shared string per id across parsed instances, not a copy per document
+    return sys.intern(value)
 
 
 def parse_problem(text: str) -> ProblemInstance:
@@ -518,11 +540,11 @@ def parse_problem(text: str) -> ProblemInstance:
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
-    _reject_unknown(data, _TOP_KEYS, "instance")
+    _reject_unknown(_object(data, "instance"), _TOP_KEYS, "instance")
 
     nodes: Dict[str, LocationNode] = {}
-    for entry in data.get("nodes", []):
-        _reject_unknown(entry, {"id", "tier"}, "node")
+    for entry in _array(data.get("nodes", []), "nodes"):
+        _reject_unknown(_object(entry, "node"), {"id", "tier"}, "node")
         nid = _ident(_require(entry, "id", "node"), "node.id")
         if nid in nodes:
             raise ProblemFormatError(f"duplicate node id {nid!r}")
@@ -534,17 +556,17 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         nodes[nid] = LocationNode(nid, tier)
 
     regions: Dict[str, MemoryRegion] = {}
-    for entry in data.get("regions", []):
-        _reject_unknown(entry, {"id", "size_bits"}, "region")
+    for entry in _array(data.get("regions", []), "regions"):
+        _reject_unknown(_object(entry, "region"), {"id", "size_bits"}, "region")
         rid = _ident(_require(entry, "id", "region"), "region.id")
         if rid in regions:
             raise ProblemFormatError(f"duplicate region id {rid!r}")
         regions[rid] = MemoryRegion(rid, _bits(_require(entry, "size_bits", f"region {rid}"), f"region {rid}"))
 
     algorithms: Dict[str, AlgorithmSpec] = {}
-    for entry in data.get("algorithms", []):
+    for entry in _array(data.get("algorithms", []), "algorithms"):
         _reject_unknown(
-            entry,
+            _object(entry, "algorithm"),
             {"id", "exec_time", "memory", "space_rank", "space_label", "allowed_locations"},
             "algorithm",
         )
@@ -554,42 +576,52 @@ def instance_from_dict(data: dict) -> ProblemInstance:
 
         exec_time: Dict[Tier, float] = {}
         overrides: Dict[str, float] = {}
-        raw_exec = entry.get("exec_time", {})
+        raw_exec = _object(entry.get("exec_time", {}), f"algorithm {aid}.exec_time")
         _reject_unknown(raw_exec, {"edge", "fog", "cloud", "overrides"}, f"algorithm {aid}.exec_time")
         for tier in Tier:
             if tier.value in raw_exec:
                 exec_time[tier] = _time(raw_exec[tier.value], f"algorithm {aid}.exec_time.{tier.value}")
-        for nid, secs in raw_exec.get("overrides", {}).items():
+        raw_overrides = _object(raw_exec.get("overrides", {}), f"algorithm {aid}.exec_time.overrides")
+        for nid, secs in raw_overrides.items():
             if nid not in nodes:
                 raise ProblemFormatError(f"algorithm {aid}: exec override for unknown node {nid!r}")
-            overrides[nid] = _time(secs, f"algorithm {aid}.exec_time.overrides.{nid}")
+            overrides[sys.intern(nid)] = _time(secs, f"algorithm {aid}.exec_time.overrides.{nid}")
 
-        raw_mem = entry.get("memory", {})
+        raw_mem = _object(entry.get("memory", {}), f"algorithm {aid}.memory")
         _reject_unknown(
             raw_mem,
             {"inputs", "outputs", "processing_bits", "growth_per_step"},
             f"algorithm {aid}.memory",
         )
+        region_sets = {}
         for key in ("inputs", "outputs"):
-            for rid in raw_mem.get(key, []):
+            ids = [
+                _ident(rid, f"algorithm {aid}.memory.{key}")
+                for rid in _array(raw_mem.get(key, []), f"algorithm {aid}.memory.{key}")
+            ]
+            for rid in ids:
                 if rid not in regions:
                     raise ProblemFormatError(f"algorithm {aid}: unknown region {rid!r} in memory.{key}")
-        raw_growth = raw_mem.get("growth_per_step", {})
+            region_sets[key] = frozenset(ids)
+        raw_growth = _object(raw_mem.get("growth_per_step", {}), f"algorithm {aid}.memory.growth_per_step")
         _reject_unknown(raw_growth, {"inputs", "processing", "outputs"}, f"algorithm {aid}.growth_per_step")
         growth = tuple(
             _bits(raw_growth.get(key, 0), f"algorithm {aid}.growth_per_step.{key}")
             for key in ("inputs", "processing", "outputs")
         )
         profile = MemoryProfile(
-            inputs=frozenset(raw_mem.get("inputs", [])),
-            outputs=frozenset(raw_mem.get("outputs", [])),
+            inputs=region_sets["inputs"],
+            outputs=region_sets["outputs"],
             processing_bits=_bits(raw_mem.get("processing_bits", 0), f"algorithm {aid}.processing_bits"),
             growth_per_step=growth,
         )
 
         allowed = None
         if "allowed_locations" in entry:
-            allowed_list = entry["allowed_locations"]
+            allowed_list = [
+                _ident(nid, f"algorithm {aid}.allowed_locations")
+                for nid in _array(entry["allowed_locations"], f"algorithm {aid}.allowed_locations")
+            ]
             for nid in allowed_list:
                 if nid not in nodes:
                     raise ProblemFormatError(f"algorithm {aid}: unknown node {nid!r} in allowed_locations")
@@ -598,6 +630,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         rank = entry.get("space_rank", 0)
         if isinstance(rank, bool) or not isinstance(rank, int):
             raise ProblemFormatError(f"algorithm {aid}: space_rank must be an integer")
+        label = entry.get("space_label", "")
+        if not isinstance(label, str):
+            raise ProblemFormatError(f"algorithm {aid}: space_label must be a string")
 
         algorithms[aid] = AlgorithmSpec(
             id=aid,
@@ -605,16 +640,16 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             node_overrides=overrides,
             memory=profile,
             space_rank=rank,
-            space_label=entry.get("space_label", ""),
+            space_label=label,
             allowed_locations=allowed,
         )
 
     seen_edges = set()
     edges: List[Tuple[str, str]] = []
-    for entry in data.get("edges", []):
+    for entry in _array(data.get("edges", []), "edges"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ProblemFormatError(f"edge {entry!r}: expected a [from, to] pair")
-        u, v = entry
+        u, v = (_ident(endpoint, "edge endpoint") for endpoint in entry)
         for endpoint in (u, v):
             if endpoint not in algorithms:
                 raise ProblemFormatError(f"edge ({u!r}, {v!r}): unknown algorithm {endpoint!r}")
@@ -626,8 +661,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         edges.append((u, v))
 
     links: Dict[Tuple[str, str], CommLink] = {}
-    for entry in data.get("comm", []):
-        _reject_unknown(entry, {"from", "to", "base_seconds", "delay", "per_byte_seconds"}, "comm link")
+    for entry in _array(data.get("comm", []), "comm"):
+        _reject_unknown(_object(entry, "comm link"), {"from", "to", "base_seconds", "delay", "per_byte_seconds"}, "comm link")
         u = _ident(_require(entry, "from", "comm link"), "comm.from")
         v = _ident(_require(entry, "to", "comm link"), "comm.to")
         for endpoint in (u, v):
@@ -639,20 +674,18 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             raise ProblemFormatError(f"duplicate comm link ({u!r}, {v!r})")
         delay = None
         if "delay" in entry and entry["delay"] is not None:
-            raw_delay = entry["delay"]
+            raw_delay = _object(entry["delay"], f"comm link ({u}, {v}).delay")
             _reject_unknown(raw_delay, {"mu", "sigma"}, f"comm link ({u}, {v}).delay")
-            mu = _require(raw_delay, "mu", f"comm link ({u}, {v}).delay")
-            if isinstance(mu, bool) or not isinstance(mu, (int, float)):
-                raise ProblemFormatError(f"comm link ({u}, {v}).delay.mu: expected a number")
+            mu = _number(_require(raw_delay, "mu", f"comm link ({u}, {v}).delay"), f"comm link ({u}, {v}).delay.mu")
             sigma = _time(_require(raw_delay, "sigma", f"comm link ({u}, {v}).delay"), f"comm link ({u}, {v}).delay.sigma")
-            delay = DelaySpec(float(mu), sigma)
+            delay = DelaySpec(mu, sigma)
         links[(u, v)] = CommLink(
             base_seconds=_time(_require(entry, "base_seconds", f"comm link ({u}, {v})"), f"comm link ({u}, {v}).base_seconds"),
             delay=delay,
             per_byte_seconds=_time(entry.get("per_byte_seconds", 0.0), f"comm link ({u}, {v}).per_byte_seconds"),
         )
 
-    raw_opts = data.get("options", {})
+    raw_opts = _object(data.get("options", {}), "options")
     _reject_unknown(
         raw_opts,
         {"time_aggregate", "memory_weight", "time_weight", "boundedness_horizon"},

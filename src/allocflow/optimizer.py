@@ -6,6 +6,16 @@ Optima are exact; ties break first toward minimum robot memory, then toward
 the lexicographically smallest placement under the node order cloud nodes by
 id, fog nodes by id, edge node last (deepest offload wins a dead heat).
 
+Branch and bound orders placements by the key (primary objective, robot
+memory, lex tuple) and descends a child only if its bound on that key is
+strictly below the incumbent's.  The bound has three parts: each flow's
+cheapest completion (an admissible time bound), the robot memory already
+committed, and the lex tuple with every unassigned algorithm on its
+lowest-rank allowed node.  Flow times and robot memory only grow as
+algorithms are assigned, and no completion's lex tuple is lower entry by
+entry, so every completion's key is at least the bound and the search
+returns brute force's tie-broken optimum.
+
 One evaluator prices every placement: compile_instance builds an instance's
 delay-independent tables once, CompiledInstance.priced adds a hop table per
 delay realization, _flow_total times a flow in timing.flow_time's order, and
@@ -258,6 +268,14 @@ class SolveContext(CompiledInstance):
         return tuple(self.node_rank[placement[aid]] for aid in self.sorted_ids)
 
 
+def _checked_allowed(instance: ProblemInstance) -> Dict[str, Tuple[str, ...]]:
+    allowed = effective_allowed(instance)
+    for aid, nodes in allowed.items():
+        if not nodes:
+            raise InfeasibleError(f"algorithm {aid} has no feasible location")
+    return allowed
+
+
 def build_context(
     instance: ProblemInstance,
     objective: Optional[Objective] = None,
@@ -267,10 +285,7 @@ def build_context(
     objective = objective or Objective()
     levels = layer_index(instance.graph)
     order = sorted(instance.algorithms, key=lambda aid: (levels[aid], aid))
-    allowed = effective_allowed(instance)
-    for aid, nodes in allowed.items():
-        if not nodes:
-            raise InfeasibleError(f"algorithm {aid} has no feasible location")
+    allowed = _checked_allowed(instance)
     rank = {nid: i for i, nid in enumerate(node_order(instance))}
     priced = compile_instance(instance).priced(delays, include_return_hop)
     hop, exec_s, edge_id = priced.hop, priced.exec_s, priced.edge_id
@@ -507,6 +522,11 @@ class _Search:
             self.region_count[region] = 1
             self.inou_bits += ctx.instance.region_bits(region)
         self.assignment: Placement = {}
+        # lex_lb: the lex tuple with every unassigned algorithm on its
+        # lowest-rank allowed node (allowed is in tie-break order)
+        self.lex_lb = [ctx.node_rank[ctx.allowed[aid][0]] for aid in ctx.sorted_ids]
+        slot = {aid: i for i, aid in enumerate(ctx.sorted_ids)}
+        self.lex_slot = [slot[aid] for aid in ctx.order]
         self.explored = 0
         key, _ = _placement_key(ctx, incumbent)
         self.best_key = key
@@ -662,21 +682,34 @@ class _Search:
                 self.best_placement = dict(self.assignment)
             return
         aid = ctx.order[depth]
+        slot = self.lex_slot[depth]
+        lex_lb = self.lex_lb
+        floor = lex_lb[slot]
         probes = sorted(
             (*self.probe(aid, node), ctx.node_rank[node], node) for node in ctx.allowed[aid]
         )
-        for primary, mem_bits, _, node in probes:
-            # Admissible bound: descend unless no completion can beat or tie
-            # the incumbent, so tie-broken optima match brute force exactly.
-            # best_key only tightens between the probe and here, so the probe
-            # bounds stay valid.
-            if primary < self.best_key[0] or (
-                primary == self.best_key[0] and mem_bits <= self.best_key[1]
-            ):
-                undo = self._assign(aid, node)
-                self.explored += 1
-                self._descend(depth + 1)
-                self._unassign(aid, undo)
+        for primary, mem_bits, rank, node in probes:
+            # Descend only if the bound (primary, mem, lex_lb) beats the
+            # incumbent's key.  It is admissible: every completion of the
+            # child has primary and memory no lower (flow bounds and robot
+            # memory only grow) and a lex tuple no lower entry by entry, so
+            # tie-broken optima match brute force exactly.  best_key only
+            # tightens between the probe and here, so the probe bounds stay
+            # valid.  Probes ascend in (primary, mem, rank), and a higher rank
+            # here raises lex_lb, so once one child fails every later one does.
+            lex_lb[slot] = rank
+            best_primary, best_mem, best_lex = self.best_key
+            if (primary, mem_bits) == (best_primary, best_mem):
+                beats = tuple(lex_lb) < best_lex  # the O(n) compare, on exact ties only
+            else:
+                beats = (primary, mem_bits) < (best_primary, best_mem)
+            if not beats:
+                break
+            undo = self._assign(aid, node)
+            self.explored += 1
+            self._descend(depth + 1)
+            self._unassign(aid, undo)
+        lex_lb[slot] = floor
 
 
 def solve_branch_bound(
@@ -734,8 +767,12 @@ def scatter(
     """
     if not instance.algorithms:
         return []
-    ctx = build_context(instance, objective)
-    sizes = [len(ctx.allowed[aid]) for aid in ctx.sorted_ids]
+    objective = objective or Objective()
+    allowed = _checked_allowed(instance)
+    compiled = compile_instance(instance)
+    aggregate = _aggregate_for(instance, objective)
+    sorted_ids = sorted(instance.algorithms)
+    sizes = [len(allowed[aid]) for aid in sorted_ids]
     total = 1
     for s in sizes:
         total *= s
@@ -754,13 +791,13 @@ def scatter(
     for index in indices:
         combo: List[str] = []
         rem = index
-        for aid, size in zip(reversed(ctx.sorted_ids), reversed(sizes)):
+        for aid, size in zip(reversed(sorted_ids), reversed(sizes)):
             rem, digit = divmod(rem, size)
-            combo.append(ctx.allowed[aid][digit])
+            combo.append(allowed[aid][digit])
         combo.reverse()
-        placement = dict(zip(ctx.sorted_ids, combo))
+        placement = dict(zip(sorted_ids, combo))
         mem_bits = robot_memory_bits(instance, placement)
-        points.append((index, tuple(combo), mem_bits, ctx.time_of(placement, ctx.aggregate)))
+        points.append((index, tuple(combo), mem_bits, compiled.time_of(placement, aggregate)))
 
     # Non-dominated scan over (memory, time), both minimized.
     best_with_smaller_mem = math.inf
@@ -776,7 +813,7 @@ def scatter(
 
     result = []
     for index, combo, mem_bits, time_s in points:
-        cost = make_cost(instance, ctx.objective, mem_bits, time_s)
+        cost = make_cost(instance, objective, mem_bits, time_s)
         result.append(
             ScatterPoint(
                 index=index,

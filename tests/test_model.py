@@ -1,10 +1,11 @@
 """Parsing, validation, communication resolution, and delay specs."""
 
+import copy
 import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from allocflow import fixtures
 from allocflow.model import (
@@ -89,6 +90,86 @@ def test_malformed_instances_rejected(mutate, pattern):
     mutate(data)
     with pytest.raises(ProblemFormatError, match=pattern):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "text, pattern",
+    [
+        ('{"nodes": [5]}', "node: expected an object"),
+        ('{"edges": 5}', "edges: expected an array"),
+        ('{"options": []}', "options: expected an object"),
+        ('{"algorithms": [{"id": "a", "memory": []}]}', r"a\.memory: expected an object"),
+        (
+            '{"nodes": [{"id": "e", "tier": "edge"}],'
+            ' "algorithms": [{"id": "a", "exec_time": {"overrides": ["e"]}}]}',
+            r"exec_time\.overrides: expected an object",
+        ),
+    ],
+)
+def test_container_types_checked(text, pattern):
+    """Each of these used to escape as a raw TypeError or AttributeError."""
+    with pytest.raises(ProblemFormatError, match=pattern):
+        parse_problem(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, path + (index,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_fixtures_parse_or_raise_format_error(data):
+    """Replace or delete parts of a fixture, with random JSON values or with
+    other parts of the same document.  Parsing either raises
+    ProblemFormatError or returns an instance that validate() can report on
+    and that serializes and parses back to the same text."""
+    bundle = fixtures.bundled()
+    doc = copy.deepcopy(bundle[data.draw(st.sampled_from(sorted(bundle)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        path = data.draw(st.sampled_from(paths))
+        donor = copy.deepcopy(_at(doc, data.draw(st.sampled_from(paths))))
+        value = data.draw(JSON_VALUES | st.just(donor))
+        if not path:
+            doc = value
+            continue
+        parent = _at(doc, path[:-1])
+        if data.draw(st.booleans()):
+            parent[path[-1]] = value
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    try:
+        instance = instance_from_dict(doc)
+    except ProblemFormatError:
+        return
+    validate(instance)
+    text = serialize_problem(instance)
+    assert serialize_problem(parse_problem(text)) == text
 
 
 def test_duplicate_region_rejected():

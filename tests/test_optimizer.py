@@ -19,10 +19,15 @@ from allocflow.model import (
     InfeasibleError,
     effective_allowed,
     instance_from_dict,
+    instance_to_dict,
+    node_order,
 )
 from allocflow.optimizer import (
+    OBJECTIVES,
     CostPoint,
     Objective,
+    _Search,
+    build_context,
     evaluate,
     pareto_front,
     scatter,
@@ -248,7 +253,134 @@ def test_explored_node_accounting(dataset_d2):
     assert brute.explored_nodes == 3**4
     bnb = solve_branch_bound(dataset_d2)
     full_tree = sum(3**d for d in range(1, 5))
-    assert 4 <= bnb.explored_nodes <= full_tree
+    assert bnb.explored_nodes <= full_tree
+    assert (bnb.placement, bnb.cost) == (brute.placement, brute.cost)
+    # The warm start, all four algorithms on f, is the optimum: 500 MB and
+    # 8 s, lex tuple (1, 1, 1, 1) under the node ranks c=0, f=1, e=2.  At
+    # each depth the c child's bound is already worse (cloud takes 10 s);
+    # the e child either raises robot memory or, for `data` (whose output is
+    # held on the robot anyway), ties and has the lex bound (2, 0, 0, 0) >
+    # (1, 1, 1, 1).  The f child ties on (distance, memory) with lex bound
+    # (1, ..., 1, 0, ...) below the incumbent's at depths 0-2, so it is
+    # explored; at depth 3 its bound is (1, 1, 1, 1), equal to the
+    # incumbent's, and is pruned.  That leaves exactly 3 explored nodes.
+    assert bnb.explored_nodes == 3
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 5),
+    fog=st.integers(0, 2),
+    cloud=st.integers(1, 2),
+    kind=st.sampled_from(OBJECTIVES),
+    aggregate=st.sampled_from(TIME_AGGREGATES),
+    include_return_hop=st.booleans(),
+    zero_regions=st.booleans(),
+    flat_exec=st.booleans(),
+    same_links=st.booleans(),
+)
+def test_branch_bound_matches_bruteforce_under_ties(
+    seed, n, fog, cloud, kind, aggregate, include_return_hop, zero_regions, flat_exec, same_links
+):
+    """Ties on the primary objective and on memory are settled by the lex
+    tuple; the generators force them: zero-size regions and no processing
+    memory (every placement ties on memory), one execution time on every
+    tier, and one cost on every link."""
+    data = _relabelled(seed, n, fog, cloud)
+    data["options"]["time_aggregate"] = aggregate
+    if zero_regions:
+        for region in data["regions"]:
+            region["size_bits"] = 0
+        for alg in data["algorithms"]:
+            alg["memory"]["processing_bits"] = 0
+    if flat_exec:
+        for alg in data["algorithms"]:
+            alg["exec_time"] = dict.fromkeys(alg["exec_time"], 2.0)
+    if same_links:
+        for link in data["comm"]:
+            link["base_seconds"] = 1.0
+    inst = instance_from_dict(data)
+    objective = Objective(kind)
+    expect = solve_bruteforce(inst, objective, include_return_hop=include_return_hop)
+    got = solve_branch_bound(inst, objective, include_return_hop=include_return_hop)
+    assert got.placement == expect.placement
+    assert got.cost == expect.cost
+    assert got.per_flow == expect.per_flow
+    # the bound alone must be exact, whatever the incumbent: search from the
+    # lex-largest placement, without the warm start's polish
+    ctx = build_context(inst, objective, include_return_hop)
+    worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
+    placement, _ = _Search(ctx, worst).run()
+    assert placement == expect.placement
+
+
+def _relabelled(seed, n, fog, cloud):
+    """A random instance whose algorithm ids are shuffled, so that the lex
+    order (by id) differs from the branching order (by layer)."""
+    data = instance_to_dict(
+        random_instance(n, GenParams(fog_nodes=fog, cloud_nodes=cloud), seed=seed)
+    )
+    ids = [alg["id"] for alg in data["algorithms"]]
+    shuffled = random.Random(seed).sample(ids, len(ids))
+    rename = dict(zip(ids, shuffled))
+    for alg in data["algorithms"]:
+        alg["id"] = rename[alg["id"]]
+    data["edges"] = [[rename[u], rename[v]] for u, v in data["edges"]]
+    return data
+
+
+class _LexSpy(_Search):
+    """Checks on entry to every search node that lex_lb is the least lex
+    tuple over all completions of the partial assignment."""
+
+    def __init__(self, ctx, incumbent):
+        super().__init__(ctx, incumbent)
+        self.checked = 0
+
+    def _descend(self, depth):
+        ctx = self.ctx
+        choices = [
+            [self.assignment[aid]] if aid in self.assignment else ctx.allowed[aid]
+            for aid in ctx.sorted_ids
+        ]
+        least = min(
+            ctx.lex_tuple(dict(zip(ctx.sorted_ids, combo))) for combo in itertools.product(*choices)
+        )
+        assert tuple(self.lex_lb) == least
+        self.checked += 1
+        super()._descend(depth)
+
+
+def test_lex_bound_is_the_least_completion_lex():
+    checked = 0
+    for seed in range(30):
+        inst = instance_from_dict(_relabelled(seed, 3 + seed % 4, seed % 3, 1 + seed % 2))
+        unbounded = random_instance(4, GenParams(unbounded_prob=0.5), seed=seed)
+        for instance in (inst, unbounded):
+            for kind in OBJECTIVES:
+                ctx = build_context(instance, Objective(kind))
+                # the lex-largest incumbent leaves the search the most to do
+                worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
+                spy = _LexSpy(ctx, worst)
+                spy.run()
+                checked += spy.checked
+    assert checked > 1000
+
+
+def test_min_memory_ties_do_not_walk_the_tree():
+    """Under min_memory every placement that keeps the edge empty ties on
+    memory.  Pruning on (primary, memory) alone walked all
+    488,280 nodes of this 5^8 tree; the lex component of the bound proves the
+    warm start optimal without descending."""
+    inst = random_instance(8, GenParams(fog_nodes=3, cloud_nodes=2), seed=1)
+    result = solve_branch_bound(inst, Objective("min_memory"))
+    assert result.explored_nodes <= len(inst.algorithms) * len(inst.nodes)
+    # With the edge empty, robot memory is only the outputs it always holds,
+    # the least any placement reaches; the lex-smallest such placement puts
+    # every algorithm on the rank-0 node, the first cloud node.
+    first_cloud = node_order(inst)[0]
+    assert result.placement == dict.fromkeys(sorted(inst.algorithms), first_cloud)
 
 
 def test_enumeration_cap(dataset_d2):
