@@ -516,6 +516,9 @@ def _bits(value, ctx: str) -> int:
         raise ProblemFormatError(f"{ctx}: expected an integer bit count, got {value!r}")
     if value < 0:
         raise ProblemFormatError(f"{ctx}: negative size {value!r}")
+    # memory is priced in floats, which hold every count up to 2**53 exactly
+    if value > 2**53:
+        raise ProblemFormatError(f"{ctx}: size exceeds 2**53 bits")
     return value
 
 

@@ -16,6 +16,13 @@ algorithms are assigned, and no completion's lex tuple is lower entry by
 entry, so every completion's key is at least the bound and the search
 returns brute force's tie-broken optimum.
 
+The search keeps one incremental state: per flow its prefix time and bound,
+their running sum and maximum, and an _EdgeMemory refcount of the regions on
+the robot, which _polish_guess shares.  _Search._child prices a child once;
+_assign applies exactly those priced updates.  The walk keeps an explicit
+stack of per-depth child generators, so its depth is not bounded by the
+recursion limit.  _primary is the one primary-objective computation.
+
 One evaluator prices every placement: compile_instance builds an instance's
 delay-independent tables once, CompiledInstance.priced adds a hop table per
 delay realization, _flow_total times a flow in timing.flow_time's order, and
@@ -72,7 +79,6 @@ class AllocationResult:
     cost: CostPoint
     per_flow: List[FlowTiming]
     explored_nodes: int
-    optimal: bool = True
 
 
 def _weights(instance: ProblemInstance, objective: Objective) -> Tuple[float, float]:
@@ -330,14 +336,26 @@ def build_context(
     )
 
 
+def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
+    """The objective's value, the first component of the placement key; equal
+    to primary_value of make_cost's CostPoint."""
+    kind = ctx.objective.kind
+    if kind == "min_memory":
+        return mem_bits / 8.0
+    if kind in ("min_time_max", "min_time_total"):
+        return time_s
+    w_m, w_t = _weights(ctx.instance, ctx.objective)
+    return math.hypot(w_m * (mem_bits / MB_BITS), w_t * time_s)
+
+
 def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple:
     mem_bits = robot_memory_bits(ctx.instance, placement)
-    cost = ctx.cost(placement, ctx.objective, mem_bits)
-    return (primary_value(ctx.objective, cost), mem_bits, ctx.lex_tuple(placement)), cost
+    time_s = ctx.time_of(placement, ctx.aggregate)
+    return _primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)
 
 
 def _empty_result() -> AllocationResult:
-    return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), [], 0, True)
+    return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), [], 0)
 
 
 def _finish(ctx: SolveContext, placement: Placement, explored: int) -> AllocationResult:
@@ -354,7 +372,6 @@ def _finish(ctx: SolveContext, placement: Placement, explored: int) -> Allocatio
         cost=cost,
         per_flow=timings,
         explored_nodes=explored,
-        optimal=True,
     )
 
 
@@ -380,7 +397,7 @@ def solve_bruteforce(
     explored = 0
     for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.sorted_ids)):
         placement = dict(zip(ctx.sorted_ids, combo))
-        key, _ = _placement_key(ctx, placement)
+        key = _placement_key(ctx, placement)
         explored += 1
         if best_key is None or key < best_key:
             best_key = key
@@ -425,6 +442,47 @@ def _greedy_flow_guess(ctx: SolveContext) -> Placement:
     return guess
 
 
+class _EdgeMemory:
+    """Robot memory in bits as algorithms join and leave the edge: region
+    refcounts seeded with every algorithm's outputs (the robot holds them
+    wherever they run), plus the processing bits of each edge algorithm."""
+
+    def __init__(self, ctx: SolveContext):
+        instance = ctx.instance
+        self.count = dict.fromkeys(ctx.all_output_regions, 1)
+        self.bits = sum(instance.region_bits(r) for r in ctx.all_output_regions)
+        self.held = {}  # aid -> (processing bits, ((region, bits), ...))
+        for aid, spec in instance.algorithms.items():
+            m = spec.memory
+            self.held[aid] = (m.processing_bits, tuple((r, instance.region_bits(r)) for r in m.inputs | m.outputs))
+
+    def gain(self, aid: str) -> int:
+        """Bits that adding aid to the edge would add."""
+        processing, regions = self.held[aid]
+        count = self.count
+        return processing + sum(bits for r, bits in regions if not count.get(r, 0))
+
+    def add(self, aid: str) -> None:
+        processing, regions = self.held[aid]
+        count = self.count
+        self.bits += processing
+        for r, bits in regions:
+            held = count.get(r, 0)
+            if not held:
+                self.bits += bits
+            count[r] = held + 1
+
+    def remove(self, aid: str) -> None:
+        processing, regions = self.held[aid]
+        count = self.count
+        self.bits -= processing
+        for r, bits in regions:
+            held = count[r] - 1
+            if not held:
+                self.bits -= bits
+            count[r] = held
+
+
 def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
     """Deterministic single-move descent on the exact placement key.
 
@@ -432,25 +490,22 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
     algorithm; memory follows via region refcounts, so a pass costs
     O(n * nodes * flows) comparisons instead of full re-evaluations.
     """
-    def edge_delta(aid: str, arriving: bool) -> int:
-        # mutates region_count; returns the robot memory change in bits
-        profile = ctx.instance.algorithms[aid].memory
-        step = 1 if arriving else -1
-        delta = profile.processing_bits
-        for region in sorted(profile.inputs | profile.outputs):
-            count = region_count.get(region, 0)
-            if (arriving and count == 0) or (not arriving and count == 1):
-                delta += ctx.instance.region_bits(region)
-            region_count[region] = count + step
-        return delta if arriving else -delta
+    edge = ctx.edge_id
+    memory = _EdgeMemory(ctx)
+
+    def move(aid: str, src: str, dst: str) -> None:
+        if src == edge:
+            memory.remove(aid)
+        if dst == edge:
+            memory.add(aid)
 
     placement = dict(guess)
     totals = [_flow_total(ctx, flow, placement) for flow in ctx.flows]
-    region_count = dict.fromkeys(ctx.all_output_regions, 1)
     for aid in ctx.sorted_ids:
-        if placement[aid] == ctx.edge_id:
-            edge_delta(aid, arriving=True)
-    key, _ = _placement_key(ctx, placement)
+        if placement[aid] == edge:
+            memory.add(aid)
+    time_s = _aggregate_times(ctx.aggregate, totals)
+    key = (_primary(ctx, time_s, memory.bits), memory.bits, ctx.lex_tuple(placement))
 
     improved = True
     while improved:
@@ -464,24 +519,16 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
                 stashed = [(fi, totals[fi]) for fi, _ in ctx.membership[aid]]
                 for fi, _ in stashed:
                     totals[fi] = _flow_total(ctx, ctx.flows[fi], placement)
-                new_mem = key[1]
-                if kept == ctx.edge_id:
-                    new_mem += edge_delta(aid, arriving=False)
-                if nid == ctx.edge_id:
-                    new_mem += edge_delta(aid, arriving=True)
-                new_time = _aggregate_times(ctx.aggregate, totals)
-                new_cost = make_cost(ctx.instance, ctx.objective, new_mem, new_time)
-                cand = (primary_value(ctx.objective, new_cost), new_mem, ctx.lex_tuple(placement))
+                move(aid, kept, nid)
+                time_s = _aggregate_times(ctx.aggregate, totals)
+                cand = (_primary(ctx, time_s, memory.bits), memory.bits, ctx.lex_tuple(placement))
                 if cand < key:
                     key = cand
                     kept = nid
                     improved = True
                 else:
                     # roll back the refcounts and stashed flow totals
-                    if nid == ctx.edge_id:
-                        edge_delta(aid, arriving=False)
-                    if kept == ctx.edge_id:
-                        edge_delta(aid, arriving=True)
+                    move(aid, nid, kept)
                     placement[aid] = kept
                     for fi, t in stashed:
                         totals[fi] = t
@@ -500,7 +547,7 @@ def warm_start(ctx: SolveContext, seed: Optional[Placement] = None) -> Placement
             if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
                 candidates.append({aid: nid for aid in ctx.sorted_ids})
         candidates.append(_greedy_flow_guess(ctx))
-    best = min(candidates, key=lambda p: _placement_key(ctx, p)[0])
+    best = min(candidates, key=lambda p: _placement_key(ctx, p))
     return _polish_guess(ctx, best)
 
 
@@ -509,18 +556,12 @@ class _Search:
         self.ctx = ctx
         n_flows = len(ctx.flows)
         self.prefix_time = [0.0] * n_flows
-        self.prefix_len = [0] * n_flows
         self.flow_bound = [ctx.best_suffix[f][0][ctx.edge_id] for f in range(n_flows)]
-        # running aggregate of flow_bound, so bound() is O(1); flow bounds only
-        # grow under _assign, so the max needs no rescan
+        # running aggregates of flow_bound, so a child's bound is O(its flows);
+        # flow bounds only grow under _assign, so the max needs no rescan
         self.agg_sum = sum(self.flow_bound)
         self.agg_max = max(self.flow_bound, default=0.0)
-        self.region_count: Dict[str, int] = {}
-        self.inou_bits = 0
-        self.pr_bits = 0
-        for region in sorted(ctx.all_output_regions):
-            self.region_count[region] = 1
-            self.inou_bits += ctx.instance.region_bits(region)
+        self.memory = _EdgeMemory(ctx)
         self.assignment: Placement = {}
         # lex_lb: the lex tuple with every unassigned algorithm on its
         # lowest-rank allowed node (allowed is in tie-break order)
@@ -528,98 +569,18 @@ class _Search:
         slot = {aid: i for i, aid in enumerate(ctx.sorted_ids)}
         self.lex_slot = [slot[aid] for aid in ctx.order]
         self.explored = 0
-        key, _ = _placement_key(ctx, incumbent)
-        self.best_key = key
+        self.best_key = _placement_key(ctx, incumbent)
         self.best_placement = dict(incumbent)
 
     # -- incremental state -------------------------------------------------
 
-    def _assign(self, aid: str, node: str):
-        ctx = self.ctx
-        undo_flows = []
-        undo_agg = (self.agg_sum, self.agg_max)
-        hop = ctx.hop
-        flows = ctx.flows
-        suffixes = ctx.best_suffix
-        output_bits = ctx.output_bits
-        assignment = self.assignment
-        prefix_time = self.prefix_time
-        prefix_len = self.prefix_len
-        flow_bound = self.flow_bound
-        exec_here = ctx.exec_s[(aid, node)]
-        agg_sum = self.agg_sum
-        agg_max = self.agg_max
-        for fi, pos in ctx.membership[aid]:
-            old_bound = flow_bound[fi]
-            t = prefix_time[fi]
-            undo_flows.append((fi, t, old_bound))
-            flow = flows[fi]
-            if pos == 0:
-                t += hop(ctx.edge_id, node, ctx.input_bits[aid])
-            else:
-                prev = assignment[flow[pos - 1]]
-                t += hop(prev, node, output_bits[flow[pos - 1]])
-            t += exec_here
-            prefix_time[fi] = t
-            prefix_len[fi] = pos + 1
-            if pos + 1 == len(flow):
-                if ctx.include_return_hop:
-                    t += hop(node, ctx.edge_id, output_bits[aid])
-            else:
-                t += suffixes[fi][pos + 1][node]
-            flow_bound[fi] = t
-            agg_sum += t - old_bound
-            if t > agg_max:
-                agg_max = t
-        self.agg_sum = agg_sum
-        self.agg_max = agg_max
+    def _child(self, aid: str, node: str) -> Tuple:
+        """Price assigning aid to node without applying it.
 
-        undo_regions = []
-        undo_pr = 0
-        if node == ctx.edge_id:
-            profile = ctx.instance.algorithms[aid].memory
-            for region in sorted(profile.inputs | profile.outputs):
-                count = self.region_count.get(region, 0)
-                if count == 0:
-                    self.inou_bits += ctx.instance.region_bits(region)
-                self.region_count[region] = count + 1
-                undo_regions.append(region)
-            undo_pr = profile.processing_bits
-            self.pr_bits += undo_pr
-
-        self.assignment[aid] = node
-        return undo_flows, undo_regions, undo_pr, undo_agg
-
-    def _unassign(self, aid: str, undo):
-        undo_flows, undo_regions, undo_pr, undo_agg = undo
-        self.agg_sum, self.agg_max = undo_agg
-        for fi, t, bound in undo_flows:
-            self.prefix_time[fi] = t
-            self.flow_bound[fi] = bound
-            self.prefix_len[fi] -= 1
-        for region in undo_regions:
-            self.region_count[region] -= 1
-            if self.region_count[region] == 0:
-                self.inou_bits -= self.ctx.instance.region_bits(region)
-        self.pr_bits -= undo_pr
-        del self.assignment[aid]
-
-    # -- bounding ----------------------------------------------------------
-
-    def _primary_of(self, time_bound: float, mem_bits: int) -> float:
-        ctx = self.ctx
-        if ctx.objective.kind == "min_memory":
-            return mem_bits / 8.0
-        if ctx.objective.kind in ("min_time_max", "min_time_total"):
-            return time_bound
-        w_m, w_t = _weights(ctx.instance, ctx.objective)
-        return math.hypot(w_m * (mem_bits / MB_BITS), w_t * time_bound)
-
-    def probe(self, aid: str, node: str) -> Tuple[float, int]:
-        """Child bound of assigning aid->node, computed without mutating.
-
-        Flow bounds only grow under assignment, so max(agg_max, new values)
-        is exactly the updated maximum.
+        Returns (primary, memory, rank, node, updates, (agg_sum, agg_max)):
+        the child's bound, then what _assign writes, with one (flow, prefix
+        time, flow bound) entry per flow through aid.  Flow bounds only grow
+        under assignment, so max(agg_max, new bounds) is the new maximum.
         """
         ctx = self.ctx
         agg_sum = self.agg_sum
@@ -632,6 +593,7 @@ class _Search:
         prefix_time = self.prefix_time
         flow_bound = self.flow_bound
         exec_here = ctx.exec_s[(aid, node)]
+        updates = []
         for fi, pos in ctx.membership[aid]:
             t = prefix_time[fi]
             flow = flows[fi]
@@ -641,22 +603,20 @@ class _Search:
                 prev = assignment[flow[pos - 1]]
                 t += hop(prev, node, output_bits[flow[pos - 1]])
             t += exec_here
+            prefix = t
             if pos + 1 == len(flow):
                 if ctx.include_return_hop:
                     t += hop(node, ctx.edge_id, output_bits[aid])
             else:
                 t += suffixes[fi][pos + 1][node]
+            updates.append((fi, prefix, t))
             agg_sum += t - flow_bound[fi]
             if t > agg_max:
                 agg_max = t
 
-        mem_bits = self.inou_bits + self.pr_bits
+        mem_bits = self.memory.bits
         if node == ctx.edge_id:
-            profile = ctx.instance.algorithms[aid].memory
-            for region in profile.inputs | profile.outputs:
-                if self.region_count.get(region, 0) == 0:
-                    mem_bits += ctx.instance.region_bits(region)
-            mem_bits += profile.processing_bits
+            mem_bits += self.memory.gain(aid)
 
         if ctx.aggregate == "max_flow":
             time_bound = agg_max
@@ -664,19 +624,48 @@ class _Search:
             time_bound = agg_sum
         else:
             time_bound = agg_sum / len(ctx.flows) if ctx.flows else 0.0
-        return self._primary_of(time_bound, mem_bits), mem_bits
+        primary = _primary(ctx, time_bound, mem_bits)
+        return primary, mem_bits, ctx.node_rank[node], node, updates, (agg_sum, agg_max)
+
+    def _assign(self, aid: str, node: str, updates: List[Tuple[int, float, float]], agg: Tuple) -> None:
+        """Apply a child priced by _child."""
+        for fi, prefix, bound in updates:
+            self.prefix_time[fi] = prefix
+            self.flow_bound[fi] = bound
+        self.agg_sum, self.agg_max = agg
+        if node == self.ctx.edge_id:
+            self.memory.add(aid)
+        self.assignment[aid] = node
+
+    def _unassign(self, aid: str, parent: Tuple) -> None:
+        """Undo _assign; parent holds the overwritten entries in _child's form."""
+        updates, (self.agg_sum, self.agg_max) = parent
+        for fi, prefix, bound in updates:
+            self.prefix_time[fi] = prefix
+            self.flow_bound[fi] = bound
+        if self.assignment.pop(aid) == self.ctx.edge_id:
+            self.memory.remove(aid)
+
+    # -- search ------------------------------------------------------------
 
     def run(self) -> Tuple[Placement, int]:
-        self._descend(0)
+        stack = [self._children(0)]
+        while stack:
+            if next(stack[-1], False):
+                stack.append(self._children(len(stack)))
+            else:
+                stack.pop()
         return self.best_placement, self.explored
 
-    def _descend(self, depth: int):
+    def _children(self, depth: int):
+        """Enter the search node at depth: a leaf is scored at once; an inner
+        node yields True with each surviving child assigned in turn, and
+        undoes it when resumed."""
         ctx = self.ctx
         if depth == len(ctx.order):
-            mem_bits = self.inou_bits + self.pr_bits
+            mem_bits = self.memory.bits
             time_s = _aggregate_times(ctx.aggregate, self.flow_bound)
-            cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
-            key = (primary_value(ctx.objective, cost), mem_bits, ctx.lex_tuple(self.assignment))
+            key = (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
             if key < self.best_key:
                 self.best_key = key
                 self.best_placement = dict(self.assignment)
@@ -685,18 +674,23 @@ class _Search:
         slot = self.lex_slot[depth]
         lex_lb = self.lex_lb
         floor = lex_lb[slot]
-        probes = sorted(
-            (*self.probe(aid, node), ctx.node_rank[node], node) for node in ctx.allowed[aid]
+        # rank is unique per node, so the sort never compares past it
+        children = sorted(self._child(aid, node) for node in ctx.allowed[aid])
+        # every child rewrites the same flows: the ones through aid
+        parent = (
+            [(fi, self.prefix_time[fi], self.flow_bound[fi]) for fi, _ in ctx.membership[aid]],
+            (self.agg_sum, self.agg_max),
         )
-        for primary, mem_bits, rank, node in probes:
+        for primary, mem_bits, rank, node, updates, agg in children:
             # Descend only if the bound (primary, mem, lex_lb) beats the
             # incumbent's key.  It is admissible: every completion of the
             # child has primary and memory no lower (flow bounds and robot
             # memory only grow) and a lex tuple no lower entry by entry, so
             # tie-broken optima match brute force exactly.  best_key only
-            # tightens between the probe and here, so the probe bounds stay
-            # valid.  Probes ascend in (primary, mem, rank), and a higher rank
-            # here raises lex_lb, so once one child fails every later one does.
+            # tightens between pricing and here, so the child bounds stay
+            # valid.  Children ascend in (primary, mem, rank), and a higher
+            # rank here raises lex_lb, so once one child fails every later
+            # one does.
             lex_lb[slot] = rank
             best_primary, best_mem, best_lex = self.best_key
             if (primary, mem_bits) == (best_primary, best_mem):
@@ -705,10 +699,10 @@ class _Search:
                 beats = (primary, mem_bits) < (best_primary, best_mem)
             if not beats:
                 break
-            undo = self._assign(aid, node)
+            self._assign(aid, node, updates, agg)
             self.explored += 1
-            self._descend(depth + 1)
-            self._unassign(aid, undo)
+            yield True
+            self._unassign(aid, parent)
         lex_lb[slot] = floor
 
 

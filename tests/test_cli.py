@@ -57,6 +57,16 @@ def test_validate_writes_out_file(tmp_path, capsys):
     assert target.read_text() == "ok\n"
 
 
+def test_oversized_region_is_one_error_line(tmp_path, capsys):
+    data = fixtures.single_sort()
+    data["regions"] = [{"id": "huge", "size_bits": 10**400}]
+    data["algorithms"][0]["memory"]["outputs"] = ["huge"]
+    rc, out, err = run(capsys, "solve", write_instance(tmp_path, data))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "exceeds 2**53 bits" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "flows", str(tmp_path / "absent.json"))
     assert rc == 1

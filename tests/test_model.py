@@ -112,6 +112,31 @@ def test_container_types_checked(text, pattern):
         parse_problem(text)
 
 
+def _oversized_region(data):
+    data["regions"] = [{"id": "r", "size_bits": 2**53 + 1}]
+
+
+def _oversized_processing(data):
+    data["algorithms"][0]["memory"]["processing_bits"] = 10**400
+
+
+def _oversized_growth(data):
+    data["algorithms"][0]["memory"]["growth_per_step"] = {"outputs": 2**53 + 1}
+
+
+@pytest.mark.parametrize("mutate", [_oversized_region, _oversized_processing, _oversized_growth])
+def test_bit_counts_capped_at_2_53(mutate):
+    """Larger counts used to parse and then overflow in the float cost."""
+    data = minimal()
+    mutate(data)
+    with pytest.raises(ProblemFormatError, match=r"exceeds 2\*\*53 bits"):
+        instance_from_dict(data)
+    data = minimal()
+    data["regions"] = [{"id": "r", "size_bits": 2**53}]
+    data["algorithms"][0]["memory"] = {"outputs": ["r"], "processing_bits": 2**53}
+    assert instance_from_dict(data).regions["r"].size_bits == 2**53
+
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
