@@ -6,7 +6,7 @@ robot.  Memory is absent from its objective, but it keeps the solver's
 tie-break: among placements with the same end time it takes the one with
 lower robot memory, then the lexicographically smallest.  Its true cost to
 the robot is that end time plus the forgotten return hop, which
-baseline_overall restores per flow.
+baseline_overall restores at every sink.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def baseline_overall(
     placement: Placement,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> float:
-    """What the baseline's choice actually costs the robot: per-flow end time
-    plus the return hop, aggregated by max."""
+    """What the baseline's choice actually costs the robot: the largest over
+    flows of end time plus return hop.  The max_flow longest-path pass prices
+    it, adding the return hop at each sink; it equals the maximum of the
+    per-flow totals bit for bit."""
     return compile_instance(instance).priced(delays).time_of(placement, "max_flow")

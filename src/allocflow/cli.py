@@ -28,7 +28,7 @@ from .model import (
     parse_problem,
     validate,
 )
-from .optimizer import Objective, evaluate, scatter, solve_branch_bound, solve_bruteforce
+from .optimizer import Objective, check_placement, scatter, solve_branch_bound, solve_bruteforce
 from .simulate import GenParams, monte_carlo_compare, scaling_benchmark
 from .timing import flow_time, overall_time
 from . import fixtures
@@ -52,7 +52,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(obj, out: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # JSON has no inf or nan: a time or memory sum overflowed
+        raise ProblemFormatError("result is not finite: a time or memory sum overflows") from None
+    _emit(text + "\n", out)
 
 
 def _load(path: str) -> ProblemInstance:
@@ -129,7 +133,7 @@ def cmd_time(args) -> int:
     instance = _load(args.file)
     _check_valid(instance)
     placement = _load_placement(instance, args.placement)
-    evaluate(instance, placement)  # placement feasibility check
+    check_placement(instance, placement)
     aggregate = AGGREGATE_NAMES[args.aggregate] if args.aggregate else instance.options.time_aggregate
     timings = [
         flow_time(instance, flow, placement) for flow in all_flows(instance.graph)
@@ -150,7 +154,7 @@ def cmd_memory(args) -> int:
     instance = _load(args.file)
     _check_valid(instance)
     placement = _load_placement(instance, args.placement)
-    evaluate(instance, placement)
+    check_placement(instance, placement)
     mode = "peak" if args.peak else "sum"
     partition = step_partition(instance.graph, all_flows(instance.graph)) if args.peak else None
     lines = ["location,bytes"]

@@ -25,8 +25,13 @@ recursion limit.  _primary is the one primary-objective computation.
 
 One evaluator prices every placement: compile_instance builds an instance's
 delay-independent tables once, CompiledInstance.priced adds a hop table per
-delay realization, _flow_total times a flow in timing.flow_time's order, and
-memory.robot_memory_bits gives robot memory.
+delay realization, and memory.robot_memory_bits gives robot memory.  Under
+max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
+topological order, touching each dependency edge once instead of each flow
+position; it equals the maximum over flows bit for bit, because the flows are
+the source-to-sink paths and rounded addition is monotone.  total_flows and
+mean_flows add per-flow totals, which _flow_total times in timing.flow_time's
+order; so do the search, the polish and the reported per_flow.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import all_flows, layer_index
+from .lattice import all_flows, layer
 from .memory import robot_memory_bits
 from .model import (
     CapExceededError,
@@ -121,6 +126,9 @@ class CompiledInstance:
     instance: ProblemInstance
     edge_id: str
     flows: List[Tuple[str, ...]]
+    order: List[str]  # topological: (layer, id), also the branching order
+    preds: Dict[str, Tuple[str, ...]]
+    is_sink: Dict[str, bool]
     exec_s: Dict[Tuple[str, str], float]  # (alg, node) -> seconds
     input_bits: Dict[str, int]
     output_bits: Dict[str, int]
@@ -146,7 +154,56 @@ class CompiledInstance:
         return replace(self, include_return_hop=include_return_hop, delays=delays, hops={})
 
     def time_of(self, placement: Placement, aggregate: str) -> float:
+        """Overall seconds of a placement under an aggregate of its flows.
+
+        max_flow is one longest-path pass over the DAG in topological order
+        instead of one walk per flow: P(v) is the maximum over predecessors u
+        of P(u) plus the hop from u's node to v's, or the request hop at a
+        source, then plus v's execution; a sink adds its return hop, and the
+        result is the largest sink's.  The flows are exactly the
+        source-to-sink paths, each sum is kept in _flow_total's left-to-right
+        order, and rounded addition is monotone (x <= y gives x + c <= y + c),
+        so the maximum commutes with every addition and the pass equals
+        max(_flow_total(f)) bit for bit.  total_flows and mean_flows add the
+        per-flow totals, whose order fixes their floats.
+        """
+        if aggregate == "max_flow":
+            return self._longest_path(placement)
         return _aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
+
+    def _longest_path(self, placement: Placement) -> float:
+        hops, hop, exec_s, output_bits = self.hops, self.hop, self.exec_s, self.output_bits
+        edge, preds, is_sink = self.edge_id, self.preds, self.is_sink
+        finish: Dict[str, float] = {}
+        longest = 0.0  # every sum starts at 0.0, so no flow ends below it
+        for aid in self.order:
+            node = placement[aid]
+            if preds[aid]:
+                t = -math.inf
+                for u in preds[aid]:
+                    src = placement[u]
+                    h = hops.get((src, node, output_bits[u]))
+                    if h is None:
+                        h = hop(src, node, output_bits[u])
+                    s = finish[u] + h
+                    if s > t:
+                        t = s
+            else:
+                h = hops.get((edge, node, self.input_bits[aid]))
+                if h is None:
+                    h = hop(edge, node, self.input_bits[aid])
+                t = 0.0 + h  # _flow_total's start: 0.0, never -0.0
+            t += exec_s[(aid, node)]
+            finish[aid] = t
+            if is_sink[aid]:
+                if self.include_return_hop:
+                    h = hops.get((node, edge, output_bits[aid]))
+                    if h is None:
+                        h = hop(node, edge, output_bits[aid])
+                    t += h
+                if t > longest:
+                    longest = t
+        return longest
 
     def cost(self, placement: Placement, objective: Objective, memory_bits: int) -> CostPoint:
         """CostPoint of a placement whose robot memory is known (delays never change it)."""
@@ -166,10 +223,18 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
                 exec_s[(aid, nid)] = spec.exec_time_at(node)
         input_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
         output_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
+    graph = instance.graph
+    preds: Dict[str, List[str]] = {aid: [] for aid in instance.algorithms}
+    for u, v in graph.edges:
+        preds[v].append(u)
+    has_succ = {u for u, _ in graph.edges}
     return CompiledInstance(
         instance=instance,
         edge_id=instance.edge_node_id() if instance.algorithms else "",
-        flows=all_flows(instance.graph),
+        order=[aid for bucket in layer(graph) for aid in bucket],
+        flows=all_flows(graph),
+        preds={aid: tuple(us) for aid, us in preds.items()},
+        is_sink={aid: aid not in has_succ for aid in instance.algorithms},
         exec_s=exec_s,
         input_bits=input_bits,
         output_bits=output_bits,
@@ -206,7 +271,9 @@ def _flow_total(
         prev = node
         payload = output_bits[aid]
     if flow and c.include_return_hop:
-        hop = c.hop(prev, c.edge_id, payload)
+        hop = hops.get((prev, c.edge_id, payload))
+        if hop is None:
+            hop = c.hop(prev, c.edge_id, payload)
         total += hop
         if segments is not None:
             segments.append(("return-hop", hop))
@@ -223,6 +290,20 @@ def _aggregate_times(aggregate: str, totals: Sequence[float]) -> float:
     return sum(totals) / len(totals)
 
 
+def check_placement(instance: ProblemInstance, placement: Placement) -> None:
+    """Raise InfeasibleError unless placement puts every algorithm on one of
+    its allowed nodes."""
+    allowed = effective_allowed(instance)
+    for aid in instance.algorithms:
+        if aid not in placement:
+            raise InfeasibleError(f"placement misses algorithm {aid}")
+        if placement[aid] not in allowed[aid]:
+            raise InfeasibleError(
+                f"algorithm {aid} may not run on {placement[aid]!r} "
+                f"(allowed: {', '.join(allowed[aid])})"
+            )
+
+
 def evaluate(
     instance: ProblemInstance,
     placement: Placement,
@@ -236,15 +317,7 @@ def evaluate(
     if not instance.algorithms:
         return CostPoint(0.0, 0.0, 0.0)
     if check_feasible:
-        allowed = effective_allowed(instance)
-        for aid in instance.algorithms:
-            if aid not in placement:
-                raise InfeasibleError(f"placement misses algorithm {aid}")
-            if placement[aid] not in allowed[aid]:
-                raise InfeasibleError(
-                    f"algorithm {aid} may not run on {placement[aid]!r} "
-                    f"(allowed: {', '.join(allowed[aid])})"
-                )
+        check_placement(instance, placement)
     priced = compile_instance(instance).priced(delays, include_return_hop)
     return priced.cost(placement, objective, robot_memory_bits(instance, placement))
 
@@ -259,7 +332,6 @@ class SolveContext(CompiledInstance):
     the tables the searches need."""
 
     objective: Objective
-    order: List[str]  # branching order: (layer, id)
     sorted_ids: List[str]  # tie-break order for LEX tuples
     allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
     node_rank: Dict[str, int]
@@ -289,8 +361,6 @@ def build_context(
     delays: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> SolveContext:
     objective = objective or Objective()
-    levels = layer_index(instance.graph)
-    order = sorted(instance.algorithms, key=lambda aid: (levels[aid], aid))
     allowed = _checked_allowed(instance)
     rank = {nid: i for i, nid in enumerate(node_order(instance))}
     priced = compile_instance(instance).priced(delays, include_return_hop)
@@ -326,7 +396,6 @@ def build_context(
     return SolveContext(
         **vars(priced),
         objective=objective,
-        order=order,
         sorted_ids=sorted(instance.algorithms),
         allowed=allowed,
         node_rank=rank,

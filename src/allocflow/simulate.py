@@ -1,7 +1,8 @@
 """Stochastic-delay simulation, random instances, and scaling benchmarks.
 
 The Monte-Carlo comparison compiles its instance once and re-prices only hops
-per trial (see optimizer.compile_instance)."""
+per trial (see optimizer.compile_instance); under max_flow a trial times each
+placement in one longest-path pass over the dependency graph."""
 
 from __future__ import annotations
 
@@ -104,8 +105,11 @@ def monte_carlo_compare(
 
     With fixed placements the instance is compiled once and each placement's
     robot memory computed once, since delays never change it; a trial prices
-    only the hops its two placements use and re-sums their flows.  Trials run
-    serially: threads is accepted for compatibility and changes nothing.
+    only the hops its two placements use.  Under max_flow it times each
+    placement in one longest-path pass over the graph, one hop per dependency
+    edge, with the same floats as the maximum over flows; under total_flows
+    and mean_flows it re-sums the flows.  Trials run serially: threads is
+    accepted for compatibility and changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -135,6 +135,18 @@ def test_time_rejects_infeasible_placement(tmp_path, capsys):
     assert "misses algorithm" in err
 
 
+@pytest.mark.parametrize("command", ["time", "memory"])
+def test_placement_on_a_forbidden_node_is_one_error_line(tmp_path, capsys, command):
+    data = fixtures.dataset_pipeline(2.0)
+    data["algorithms"][1]["allowed_locations"] = ["c", "f"]
+    path = write_instance(tmp_path, data)
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps(dict.fromkeys(("data", "stage_a", "stage_b", "stage_c"), "e")))
+    rc, out, err = run(capsys, command, path, "--placement", str(placement))
+    assert (rc, out) == (1, "")
+    assert err == "error: algorithm stage_a may not run on 'e' (allowed: c, f)\n"
+
+
 def test_time_rejects_non_mapping_placement(tmp_path, capsys):
     path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
     placement = tmp_path / "list.json"
@@ -234,6 +246,23 @@ def test_solve_out_reruns_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     rc, out, _ = run(capsys, "solve", path)
     assert out == first.read_text()
+
+
+@pytest.mark.parametrize("method", ["bnb", "baseline"])
+def test_solve_non_finite_result_is_one_error_line(tmp_path, capsys, method):
+    """Times of 1e308 pass the parser one by one, but their sums overflow to
+    inf, which JSON cannot carry: the CLI reports that instead of printing
+    Infinity."""
+    data = fixtures.dataset_pipeline(2.0)
+    for spec in data["algorithms"]:
+        spec["exec_time"] = dict.fromkeys(spec["exec_time"], 1e308)
+    target = tmp_path / "result.json"
+    argv = ("solve", write_instance(tmp_path, data), "--method", method, "--out", str(target))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "not finite" in err
+    assert err.count("\n") == 1
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

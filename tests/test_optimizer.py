@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocflow import fixtures
@@ -28,7 +28,9 @@ from allocflow.optimizer import (
     CostPoint,
     Objective,
     _Search,
+    _flow_total,
     build_context,
+    compile_instance,
     evaluate,
     pareto_front,
     scatter,
@@ -139,6 +141,68 @@ def test_evaluate_matches_flow_time_reference(
     expected = reference_cost(inst, placement, delays, include_return_hop)
     cost = evaluate(inst, placement, delays=delays, include_return_hop=include_return_hop)
     assert cost == expected
+
+
+SHAPES = {  # (layers, edge_prob) for random_instance
+    "edge-free": (1, None),  # one layer: isolated vertices, n components
+    "forest": (None, 0.0),  # one predecessor each: a component per root
+    "default": (None, None),
+    "dense": (None, 0.8),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(0, 14),
+    fog=st.integers(0, 3),
+    cloud=st.integers(1, 2),
+    shape=st.sampled_from(sorted(SHAPES)),
+    include_return_hop=st.booleans(),
+    with_delays=st.booleans(),
+)
+@example(seed=0, n=0, fog=1, cloud=1, shape="default", include_return_hop=True, with_delays=False)
+@example(seed=0, n=1, fog=1, cloud=1, shape="default", include_return_hop=True, with_delays=True)
+@example(seed=0, n=1, fog=0, cloud=1, shape="edge-free", include_return_hop=False, with_delays=False)
+def test_max_flow_pass_equals_the_walk_per_flow(
+    seed, n, fog, cloud, shape, include_return_hop, with_delays
+):
+    """time_of's longest-path pass under max_flow reproduces the maximum of
+    the per-flow sums bit for bit (compared by repr), and the flow_time +
+    overall_time reference.  Exec times spanning 1e-9 to 1e3 make rounding
+    show if the pass groups an addition differently."""
+    layers, edge_prob = SHAPES[shape]
+    params = GenParams(
+        fog_nodes=fog,
+        cloud_nodes=cloud,
+        layers=layers,
+        edge_prob=edge_prob,
+        exec_range=(1e-9, 1e3),
+        delay_prob=0.6,
+        tier_ordering=False,
+    )
+    inst = random_instance(n, params, seed=seed)
+    rng = random.Random(seed)
+    # a per-byte cost makes hops depend on payload and puts them on the scale
+    # of exec times, so a vertex's return hop can outweigh every flow's rest
+    for pair, link in sorted(inst.comm.links.items()):
+        inst.comm.links[pair] = replace(link, per_byte_seconds=rng.uniform(0.0, 0.1))
+    allowed = effective_allowed(inst)
+    placement = {aid: rng.choice(allowed[aid]) for aid in sorted(inst.algorithms)}
+    delays = None
+    if with_delays:  # a partial realization: absent links fall back to their mean
+        delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
+    priced = compile_instance(inst).priced(delays, include_return_hop)
+    walked = max((_flow_total(priced, f, placement) for f in priced.flows), default=0.0)
+    reference = overall_time(
+        [
+            flow_time(inst, f, placement, delays=delays, include_return_hop=include_return_hop)
+            for f in all_flows(inst.graph)
+        ],
+        "max_flow",
+    )
+    passed = priced.time_of(placement, "max_flow")
+    assert repr(passed) == repr(walked) == repr(reference)
 
 
 def test_solver_per_flow_matches_flow_time():

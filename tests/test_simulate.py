@@ -1,6 +1,7 @@
 """Delay sampling, Monte-Carlo comparison, instance generation, scaling fits."""
 
 import hashlib
+import json
 import math
 import random
 import statistics
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from allocflow.baseline import solve_baseline
+from allocflow.baseline import baseline_overall, solve_baseline
 from allocflow.lattice import all_flows, layer
 from allocflow.model import DelaySpec, Tier, serialize_problem, validate
 from allocflow.optimizer import Objective, evaluate, solve_branch_bound
@@ -189,6 +190,23 @@ def test_monte_carlo_resolve_per_trial_matches_reference():
     inst = random_instance(6, GenParams(fog_nodes=2, delay_prob=0.8, sigma_range=(0.5, 1.5)), seed=2)
     stats = monte_carlo_compare(inst, trials=6, seed=4, resolve_per_trial=True)
     assert stats.to_dict() == reference_comparison(inst, 6, 4, resolve_per_trial=True)
+
+
+def test_monte_carlo_answers_are_pinned():
+    """Golden comparisons and baseline overall times.  The per-trial reference
+    above prices through evaluate, the same evaluator as monte_carlo_compare,
+    so only pinned digits catch a change to how that evaluator sums time."""
+    digest = hashlib.sha256()
+    for n in (6, 8, 10, 12):
+        for seed in (1, 2, 3):
+            inst = random_instance(n, GenParams(delay_prob=0.8), seed=seed)
+            stats = monte_carlo_compare(inst, trials=30, seed=seed)
+            digest.update(json.dumps(stats.to_dict(), sort_keys=True).encode())
+            rng = trial_rng(seed, 0)
+            delays = {pair: rng.uniform(0.0, 1.0) for pair in sorted(inst.comm.links) if rng.random() < 0.5}
+            for d in (None, delays):
+                digest.update(repr(baseline_overall(inst, stats.baseline_placement, d)).encode())
+    assert digest.hexdigest() == "1bb01bbafd610c68a8fcdd1f4b48ed6e0107ab9ed795d7d03cbf3e1c1a3aa1b1"
 
 
 # ---------------------------------------------------------------------------
