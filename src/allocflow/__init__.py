@@ -11,21 +11,17 @@ link delays round out the toolkit.
 
 from .baseline import baseline_overall, solve_baseline
 from .lattice import (
-    BOTTOM,
     DEFAULT_FLOW_CAP,
     FLOW_CAP_ENV,
-    TOP,
     all_flows,
     build_semilattice,
     connected_components,
     count_flows,
     execution_flows,
     layer,
-    layer_index,
 )
 from .memory import (
     MemoryTriple,
-    classify_boundedness,
     combine_memory,
     location_memory,
     robot_memory,
@@ -73,14 +69,13 @@ from .simulate import (
     random_instance,
     scaling_benchmark,
 )
-from .timing import combine_time, flow_time, overall_time, response_time
+from .timing import combine_time, flow_time, overall_time
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmSpec",
     "AllocationResult",
-    "BOTTOM",
     "CapExceededError",
     "CommLink",
     "CommModel",
@@ -102,12 +97,10 @@ __all__ = [
     "ProblemFormatError",
     "ProblemInstance",
     "ScalingResult",
-    "TOP",
     "Tier",
     "all_flows",
     "baseline_overall",
     "build_semilattice",
-    "classify_boundedness",
     "combine_memory",
     "combine_time",
     "connected_components",
@@ -119,14 +112,12 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "layer",
-    "layer_index",
     "location_memory",
     "monte_carlo_compare",
     "overall_time",
     "pareto_front",
     "parse_problem",
     "random_instance",
-    "response_time",
     "robot_memory",
     "robot_memory_bits",
     "scaling_benchmark",

@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 invalid or infeasible input, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -51,12 +54,33 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+NOT_FINITE = "result is not finite: a time or memory sum overflows"
+
+
 def _emit_json(obj, out: Optional[str]) -> None:
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # JSON has no inf or nan: a time or memory sum overflowed
-        raise ProblemFormatError("result is not finite: a time or memory sum overflows") from None
+        raise ProblemFormatError(NOT_FINITE) from None
     _emit(text + "\n", out)
+
+
+def _csv_number(value: float) -> str:
+    """A CSV cell for a number: its repr, or ProblemFormatError if it is inf
+    or nan, as _emit_json does for JSON."""
+    if not math.isfinite(value):
+        raise ProblemFormatError(NOT_FINITE)
+    return repr(value)
+
+
+def _emit_csv(rows, out: Optional[str]) -> None:
+    """Rows as CSV, floats through _csv_number; an id that holds a comma, a
+    quote or a line break is quoted, so it stays in its cell."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for row in rows:
+        writer.writerow([_csv_number(v) if isinstance(v, float) else v for v in row])
+    _emit(text.getvalue(), out)
 
 
 def _load(path: str) -> ProblemInstance:
@@ -124,8 +148,7 @@ def cmd_flows(args) -> int:
         )
         _emit(f"{total}\n", args.out)
         return 0
-    flows = all_flows(instance.graph)
-    _emit("".join(",".join(flow) + "\n" for flow in flows), args.out)
+    _emit_csv(all_flows(instance.graph), args.out)
     return 0
 
 
@@ -138,15 +161,13 @@ def cmd_time(args) -> int:
     timings = [
         flow_time(instance, flow, placement) for flow in all_flows(instance.graph)
     ]
-    lines = ["flow,request_s,exec_s,inter_s,return_s,total_s"]
+    rows = [("flow", "request_s", "exec_s", "inter_s", "return_s", "total_s")]
     for t in timings:
-        lines.append(
-            ";".join(t.flow)
-            + f",{t.segment_sum('request-hop')!r},{t.segment_sum('exec')!r}"
-            + f",{t.segment_sum('inter-hop')!r},{t.segment_sum('return-hop')!r},{t.total!r}"
-        )
-    lines.append(f"# aggregate={aggregate} overall_seconds={overall_time(timings, aggregate)!r}")
-    _emit("".join(f"{line}\n" for line in lines), args.out)
+        seconds = [t.segment_sum(kind) for kind in ("request-hop", "exec", "inter-hop", "return-hop")]
+        rows.append([";".join(t.flow), *seconds, t.total])
+    overall = _csv_number(overall_time(timings, aggregate))
+    rows.append([f"# aggregate={aggregate} overall_seconds={overall}"])
+    _emit_csv(rows, args.out)
     return 0
 
 
@@ -157,11 +178,11 @@ def cmd_memory(args) -> int:
     check_placement(instance, placement)
     mode = "peak" if args.peak else "sum"
     partition = step_partition(instance.graph, all_flows(instance.graph)) if args.peak else None
-    lines = ["location,bytes"]
+    rows = [("location", "bytes")]
     for nid in sorted(instance.nodes):
-        lines.append(f"{nid},{location_memory(instance, placement, nid, partition, mode)!r}")
-    lines.append(f"robot,{robot_memory(instance, placement, partition, mode)!r}")
-    _emit("".join(f"{line}\n" for line in lines), args.out)
+        rows.append((nid, location_memory(instance, placement, nid, partition, mode)))
+    rows.append(("robot", robot_memory(instance, placement, partition, mode)))
+    _emit_csv(rows, args.out)
     return 0
 
 
@@ -194,13 +215,11 @@ def cmd_pareto(args) -> int:
     instance = _load(args.file)
     _check_valid(instance)
     points = scatter(instance, _objective(args), max_points=args.max_points)
-    lines = ["placement_lex_index,memory_mb,time_s,distance,on_front"]
+    rows = [("placement_lex_index", "memory_mb", "time_s", "distance", "on_front")]
     for p in points:
         mb = p.cost.memory_bytes / (1024 * 1024)
-        lines.append(
-            f"{p.index},{mb!r},{p.cost.time_seconds!r},{p.cost.distance!r},{int(p.on_front)}"
-        )
-    _emit("".join(f"{line}\n" for line in lines), args.out)
+        rows.append((p.index, mb, p.cost.time_seconds, p.cost.distance, int(p.on_front)))
+    _emit_csv(rows, args.out)
     return 0
 
 
@@ -221,13 +240,11 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     params = GenParams(fog_nodes=args.fog, cloud_nodes=args.cloud)
     result = scaling_benchmark(args.sizes, reps=args.reps, seed=args.seed, params=params)
-    lines = ["n,mean_seconds"]
-    lines += [f"{n},{s!r}" for n, s in result.points]
+    rows = [("n", "mean_seconds"), *result.points]
     if result.slope is not None:
-        lines.append(
-            f"# slope={result.slope!r} intercept={result.intercept!r} r2={result.r_squared!r}"
-        )
-    _emit("".join(f"{line}\n" for line in lines), args.out)
+        fit = map(_csv_number, (result.slope, result.intercept, result.r_squared))
+        rows.append(["# slope={} intercept={} r2={}".format(*fit)])
+    _emit_csv(rows, args.out)
     return 0
 
 
@@ -331,17 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    """Report exc on one stderr line, even where it quotes an id that holds a
+    line break, and return the exit code."""
+    print("error:", "\\n".join(str(exc).splitlines()), file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except (ProblemFormatError, InfeasibleError, CommUnreachableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Layer 1 holds the in-degree-0 vertices; a vertex sits in layer k when all of
 its predecessors sit in layers below k and at least one sits in layer k-1.
-Each weakly-connected component is augmented with a virtual TOP above its
-sources and a virtual BOTTOM below its sinks (both pinned to the edge node),
-and an execution flow is one maximal TOP-to-BOTTOM path with the virtual
-endpoints stripped.
+Each weakly-connected component is bounded by a virtual top above its sources
+and a virtual bottom below its sinks (both pinned to the edge node), and an
+execution flow is one maximal top-to-bottom path with the virtual endpoints
+stripped: a path from a source to a sink.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .model import CapExceededError, DependencyGraph
-
-TOP = "<top>"
-BOTTOM = "<bottom>"
 
 DEFAULT_FLOW_CAP = 10**6
 FLOW_CAP_ENV = "ALLOCFLOW_FLOW_CAP"
@@ -72,11 +69,6 @@ def layer(graph: DependencyGraph) -> List[List[str]]:
     return layers
 
 
-def layer_index(graph: DependencyGraph) -> Dict[str, int]:
-    """Map algorithm id -> 1-based layer number."""
-    return {aid: k + 1 for k, bucket in enumerate(layer(graph)) for aid in bucket}
-
-
 def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
     """Weakly-connected components, ordered by smallest member id."""
     parent: Dict[str, str] = {aid: aid for aid in graph.algorithms}
@@ -110,23 +102,12 @@ def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
 
 @dataclass
 class SemiLattice:
-    """One component plus its virtual TOP/BOTTOM bounds (pinned to the edge)."""
+    """One component plus the vertices its virtual top and bottom attach to."""
 
     vertices: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
-    sources: Tuple[str, ...]  # successors of TOP
-    sinks: Tuple[str, ...]  # predecessors of BOTTOM
-
-    @property
-    def component_id(self) -> str:
-        return min(self.vertices)
-
-    def augmented_edges(self) -> Tuple[Tuple[str, str], ...]:
-        return (
-            tuple((TOP, s) for s in self.sources)
-            + self.edges
-            + tuple((t, BOTTOM) for t in self.sinks)
-        )
+    sources: Tuple[str, ...]  # successors of the virtual top
+    sinks: Tuple[str, ...]  # predecessors of the virtual bottom
 
 
 def build_semilattice(component: DependencyGraph) -> SemiLattice:

@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .model import (
-    AlgorithmSpec,
-    DependencyGraph,
-    MemoryRegion,
-    ProblemInstance,
-    unbounded_restrictions,
-)
+from .model import DependencyGraph, MemoryRegion, ProblemInstance
 from .timing import Placement
 
 
@@ -38,11 +32,6 @@ class MemoryTriple:
     @property
     def processing_bits(self) -> int:
         return sum(self.processing)
-
-
-def triple_of(spec: AlgorithmSpec) -> MemoryTriple:
-    pr = (spec.memory.processing_bits,) if spec.memory.processing_bits else ()
-    return MemoryTriple(inputs=spec.memory.inputs, processing=pr, outputs=spec.memory.outputs)
 
 
 def combine_memory(m1: MemoryTriple, m2: MemoryTriple, relation: str) -> MemoryTriple:
@@ -63,50 +52,6 @@ def combine_memory(m1: MemoryTriple, m2: MemoryTriple, relation: str) -> MemoryT
 
 def region_bits(regions: Dict[str, MemoryRegion], ids: FrozenSet[str]) -> int:
     return sum(regions[r].size_bits for r in ids)
-
-
-# ---------------------------------------------------------------------------
-# Boundedness
-
-
-@dataclass(frozen=True)
-class BoundednessVerdict:
-    algorithm_id: str
-    bounded: bool
-    restriction: Optional[str] = None  # first growing component, if any
-
-
-def memory_at_step(spec: AlgorithmSpec, regions: Dict[str, MemoryRegion], step: int) -> Tuple[int, int, int]:
-    """(inputs, processing, outputs) sizes in bits at execution step >= 1."""
-    if step < 1:
-        raise ValueError("steps are 1-based")
-    g_in, g_pr, g_ou = spec.memory.growth_per_step
-    return (
-        region_bits(regions, spec.memory.inputs) + (step - 1) * g_in,
-        spec.memory.processing_bits + (step - 1) * g_pr,
-        region_bits(regions, spec.memory.outputs) + (step - 1) * g_ou,
-    )
-
-
-def classify_boundedness(
-    spec: AlgorithmSpec, regions: Dict[str, MemoryRegion], horizon: int = 16
-) -> BoundednessVerdict:
-    """Evaluate the footprint over steps 1..horizon; any growth is unbounded."""
-    names = ("inputs", "processing", "outputs")
-    previous = memory_at_step(spec, regions, 1)
-    growing = [False, False, False]
-    for step in range(2, horizon + 1):
-        current = memory_at_step(spec, regions, step)
-        for i in range(3):
-            if current[i] > previous[i]:
-                growing[i] = True
-        previous = current
-    for name, grew in zip(names, growing):
-        if grew:
-            return BoundednessVerdict(spec.id, bounded=False, restriction=name)
-    # Sanity: the fast growth test used for location narrowing must agree.
-    assert not unbounded_restrictions(spec.memory, horizon)
-    return BoundednessVerdict(spec.id, bounded=True)
 
 
 # ---------------------------------------------------------------------------

@@ -124,15 +124,12 @@ class CommModel:
         src: str,
         dst: str,
         payload_bits: int = 0,
-        mode: str = "mean",
-        rng=None,
         delays: Optional[Dict[Tuple[str, str], float]] = None,
     ) -> float:
         """Seconds to ship payload_bits from src to dst.
 
-        mode="mean" uses analytic folded-normal means; mode="sample" draws one
-        delay per hop from rng.  A delays dict freezes per-link realizations
-        (links absent from it fall back to their mean).
+        A delayed link costs its analytic folded-normal mean, unless a delays
+        dict holds a realization for it (links absent from it keep their mean).
         """
         if src == dst:
             return 0.0
@@ -143,10 +140,6 @@ class CommModel:
             if link.delay is not None:
                 if delays is not None:
                     total += delays.get(hop, link.delay.mean())
-                elif mode == "sample":
-                    if rng is None:
-                        raise ValueError("mode='sample' requires rng")
-                    total += link.delay.sample(rng)
                 else:
                     total += link.delay.mean()
         return total
@@ -194,12 +187,6 @@ class DependencyGraph:
 
     algorithms: Dict[str, "AlgorithmSpec"] = field(default_factory=dict)
     edges: Tuple[Tuple[str, str], ...] = ()
-
-    def predecessors(self, alg_id: str) -> List[str]:
-        return sorted(u for (u, v) in self.edges if v == alg_id)
-
-    def successors(self, alg_id: str) -> List[str]:
-        return sorted(v for (u, v) in self.edges if u == alg_id)
 
 
 @dataclass(frozen=True)

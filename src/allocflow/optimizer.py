@@ -310,14 +310,12 @@ def evaluate(
     objective: Optional[Objective] = None,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
     include_return_hop: bool = True,
-    check_feasible: bool = True,
 ) -> CostPoint:
     """CostPoint of one placement (robot memory, overall time, distance)."""
     objective = objective or Objective()
     if not instance.algorithms:
         return CostPoint(0.0, 0.0, 0.0)
-    if check_feasible:
-        check_placement(instance, placement)
+    check_placement(instance, placement)
     priced = compile_instance(instance).priced(delays, include_return_hop)
     return priced.cost(placement, objective, robot_memory_bits(instance, placement))
 
@@ -605,17 +603,16 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
     return placement
 
 
-def warm_start(ctx: SolveContext, seed: Optional[Placement] = None) -> Placement:
-    """Best incumbent among the seed, uniform placements, and a greedy walk,
-    then single-move polished.  Only the search effort depends on it; the
-    optimum and its tie-break never do."""
-    candidates = [seed if seed is not None else default_guess(ctx)]
-    if seed is None:
-        by_rank = sorted(ctx.node_rank, key=ctx.node_rank.__getitem__)
-        for nid in by_rank:
-            if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
-                candidates.append({aid: nid for aid in ctx.sorted_ids})
-        candidates.append(_greedy_flow_guess(ctx))
+def warm_start(ctx: SolveContext) -> Placement:
+    """Best incumbent among the all-edge start, the uniform placements, and a
+    greedy walk, then single-move polished.  Only the search effort depends on
+    it; the optimum and its tie-break never do."""
+    candidates = [default_guess(ctx)]
+    by_rank = sorted(ctx.node_rank, key=ctx.node_rank.__getitem__)
+    for nid in by_rank:
+        if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
+            candidates.append({aid: nid for aid in ctx.sorted_ids})
+    candidates.append(_greedy_flow_guess(ctx))
     best = min(candidates, key=lambda p: _placement_key(ctx, p))
     return _polish_guess(ctx, best)
 
@@ -778,11 +775,11 @@ class _Search:
 def solve_branch_bound(
     instance: ProblemInstance,
     objective: Optional[Objective] = None,
-    initial_guess: Optional[Placement] = None,
     include_return_hop: bool = True,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> AllocationResult:
-    """Exact search over placements, branching in layering order.
+    """Exact search over placements, branching in layering order, from the
+    warm start's incumbent.
 
     Returns the same optimum and the same tie-broken placement as
     solve_bruteforce, usually after exploring far fewer nodes.
@@ -790,18 +787,7 @@ def solve_branch_bound(
     if not instance.algorithms:
         return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
-    if initial_guess is not None:
-        for aid in ctx.sorted_ids:
-            if aid not in initial_guess:
-                raise InfeasibleError(f"initial guess misses algorithm {aid}")
-            if initial_guess[aid] not in ctx.allowed[aid]:
-                raise InfeasibleError(
-                    f"initial guess places {aid} on forbidden node {initial_guess[aid]!r}"
-                )
-        guess = warm_start(ctx, {aid: initial_guess[aid] for aid in ctx.sorted_ids})
-    else:
-        guess = warm_start(ctx)
-    search = _Search(ctx, guess)
+    search = _Search(ctx, warm_start(ctx))
     placement, explored = search.run()
     return _finish(ctx, placement, explored)
 

@@ -25,16 +25,12 @@ from .model import (
     MemoryProfile,
     MemoryRegion,
     Options,
+    ProblemFormatError,
     ProblemInstance,
     Tier,
 )
 from .memory import robot_memory_bits
 from .optimizer import Objective, compile_instance, evaluate, solve_branch_bound
-
-
-def sample_folded_normal(spec: DelaySpec, rng: random.Random) -> float:
-    """One |N(mu, sigma)| draw; sigma = 0 degenerates to exactly |mu|."""
-    return spec.sample(rng)
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:
@@ -80,6 +76,10 @@ class ComparisonStats:
 
 def _method_stats(costs) -> MethodStats:
     distances = [c.distance for c in costs]
+    # statistics fails on inf or nan with an AttributeError; an overflowing
+    # time sum comes from the input, so it is a ProblemFormatError instead
+    if not all(map(math.isfinite, distances)):
+        raise ProblemFormatError("result is not finite: a time or memory sum overflows")
     return MethodStats(
         mean_distance=statistics.mean(distances),
         std_distance=statistics.stdev(distances) if len(distances) > 1 else 0.0,
@@ -128,7 +128,7 @@ def monte_carlo_compare(
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         delays = {
-            pair: sample_folded_normal(instance.comm.links[pair].delay, rng)
+            pair: instance.comm.links[pair].delay.sample(rng)
             for pair in delayed_links
         }
         if resolve_per_trial:
@@ -136,7 +136,7 @@ def monte_carlo_compare(
                 solve_branch_bound(instance, objective, delays=delays).placement,
                 solve_baseline(instance, delays=delays).placement,
             )
-            costs = [evaluate(instance, p, objective, delays, check_feasible=False) for p in again]
+            costs = [evaluate(instance, p, objective, delays) for p in again]
         else:
             priced = compiled.priced(delays)
             costs = [priced.cost(p, objective, b) for p, b in zip(placements, bits)]

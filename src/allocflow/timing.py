@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import AlgorithmSpec, CommModel, ProblemInstance
+from .model import ProblemInstance
 
 Placement = Dict[str, str]  # algorithm id -> node id
 
@@ -37,40 +37,10 @@ class FlowTiming:
         return sum(s for k, s in self.segments if k == kind)
 
 
-def _input_bits(instance: ProblemInstance, spec: AlgorithmSpec) -> int:
-    return sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
-
-
-def _output_bits(instance: ProblemInstance, spec: AlgorithmSpec) -> int:
-    return sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
-
-
-def response_time(
-    instance: ProblemInstance,
-    alg_id: str,
-    at: str,
-    requester: Optional[str] = None,
-    mode: str = "mean",
-    rng=None,
-    delays: Optional[Dict[Tuple[str, str], float]] = None,
-) -> float:
-    """Round-trip time for one algorithm: request hop, execution, result hop."""
-    spec = instance.algorithms[alg_id]
-    if requester is None:
-        requester = instance.edge_node_id()
-    comm = instance.comm
-    total = comm.resolve(requester, at, _input_bits(instance, spec), mode, rng, delays)
-    total += spec.exec_time_at(instance.nodes[at])
-    total += comm.resolve(at, requester, _output_bits(instance, spec), mode, rng, delays)
-    return total
-
-
 def flow_time(
     instance: ProblemInstance,
     flow: Sequence[str],
     placement: Placement,
-    mode: str = "mean",
-    rng=None,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
     include_return_hop: bool = True,
 ) -> FlowTiming:
@@ -89,21 +59,22 @@ def flow_time(
         spec = instance.algorithms[aid]
         node_id = placement[aid]
         if i == 0:
-            hop = comm.resolve(edge, node_id, _input_bits(instance, spec), mode, rng, delays)
+            payload = sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
+            hop = comm.resolve(edge, node_id, payload, delays=delays)
             segments.append(("request-hop", hop))
         else:
-            payload = _output_bits(instance, instance.algorithms[flow[i - 1]])
-            hop = comm.resolve(prev_node, node_id, payload, mode, rng, delays)
+            hop = comm.resolve(prev_node, node_id, payload, delays=delays)
             segments.append(("inter-hop", hop))
         total += hop
         exec_s = spec.exec_time_at(instance.nodes[node_id])
         segments.append(("exec", exec_s))
         total += exec_s
         prev_node = node_id
+        # the next hop, inter or return, carries this algorithm's outputs
+        payload = sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
 
     if flow and include_return_hop:
-        payload = _output_bits(instance, instance.algorithms[flow[-1]])
-        hop = comm.resolve(prev_node, edge, payload, mode, rng, delays)
+        hop = comm.resolve(prev_node, edge, payload, delays=delays)
         segments.append(("return-hop", hop))
         total += hop
 

@@ -1,12 +1,18 @@
 """End-to-end subcommand behaviour: output bytes, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from allocflow import fixtures
 from allocflow.cli import main
+from test_model import mutated_fixtures
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -248,17 +254,22 @@ def test_solve_out_reruns_byte_identical(tmp_path, capsys):
     assert out == first.read_text()
 
 
-@pytest.mark.parametrize("method", ["bnb", "baseline"])
-def test_solve_non_finite_result_is_one_error_line(tmp_path, capsys, method):
-    """Times of 1e308 pass the parser one by one, but their sums overflow to
-    inf, which JSON cannot carry: the CLI reports that instead of printing
-    Infinity."""
+def overflowing_instance():
+    """Exec times of 1e308 pass the parser one by one, but the time sums
+    overflow to inf."""
     data = fixtures.dataset_pipeline(2.0)
     for spec in data["algorithms"]:
         spec["exec_time"] = dict.fromkeys(spec["exec_time"], 1e308)
+    return data
+
+
+@pytest.mark.parametrize("method", ["bnb", "baseline"])
+def test_solve_non_finite_result_is_one_error_line(tmp_path, capsys, method):
+    """JSON cannot carry inf: the CLI reports that instead of printing
+    Infinity."""
     target = tmp_path / "result.json"
-    argv = ("solve", write_instance(tmp_path, data), "--method", method, "--out", str(target))
-    rc, out, err = run(capsys, *argv)
+    path = write_instance(tmp_path, overflowing_instance())
+    rc, out, err = run(capsys, "solve", path, "--method", method, "--out", str(target))
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and "not finite" in err
     assert err.count("\n") == 1
@@ -315,6 +326,20 @@ def test_simulate_resolve_per_trial_flag(tmp_path, capsys):
     assert json.loads(out)["trials"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [("time",), ("pareto",), ("simulate", "--trials", "3")], ids=lambda argv: argv[0]
+)
+def test_non_finite_result_is_one_error_line(tmp_path, capsys, argv):
+    """Without the check, time and pareto printed inf into their CSV with
+    exit 0, and simulate died in statistics.stdev with an AttributeError."""
+    target = tmp_path / "result.out"
+    path = write_instance(tmp_path, overflowing_instance())
+    rc, out, err = run(capsys, argv[0], path, *argv[1:], "--out", str(target))
+    assert (rc, out) == (1, "")
+    assert err == "error: result is not finite: a time or memory sum overflows\n"
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -358,3 +383,94 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["conquer"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# every output parses, or is one error line
+
+
+@pytest.mark.parametrize("aid", ["so,rt", 'so"rt', "so\nrt"])
+@pytest.mark.parametrize("command", ["flows", "time"])
+def test_an_id_with_a_separator_stays_in_its_csv_cell(tmp_path, capsys, command, aid):
+    """Ids are free text; written unquoted, a comma or a line break in one
+    split its CSV row."""
+    data = fixtures.single_sort()
+    data["algorithms"][0]["id"] = aid
+    rc, out, _ = run(capsys, command, write_instance(tmp_path, data))
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ([aid] if command == "flows" else CSV_HEADER["time"])
+    if command == "time":
+        assert rows[1] == [aid, "0.0", "5.0", "0", "0.0", "5.0"]
+
+
+def test_an_error_naming_an_id_with_a_line_break_is_one_line(tmp_path, capsys):
+    data = fixtures.single_sort()
+    data["nodes"].append({"id": "x\ny", "tier": "fog"})  # no link reaches it
+    rc, out, err = run(capsys, "solve", write_instance(tmp_path, data))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: unreachable-pair: no communication path from c to x\\ny;")
+    assert err.count("\n") == 1
+
+
+FUZZED = [
+    ("flows",),
+    ("time",),
+    ("memory",),
+    ("solve",),
+    ("pareto",),
+    ("simulate", "--trials", "3"),
+]
+
+CSV_HEADER = {
+    "time": ["flow", "request_s", "exec_s", "inter_s", "return_s", "total_s"],
+    "memory": ["location", "bytes"],
+    "pareto": ["placement_lex_index", "memory_mb", "time_s", "distance", "on_front"],
+}
+
+
+def check_csv(command, out):
+    """Every row has the header's columns, and every number is finite."""
+    rows = list(csv.reader(io.StringIO(out)))
+    if command == "flows":
+        assert all(rows)
+        return
+    header, *body = rows
+    assert header == CSV_HEADER[command]
+    if command == "time":
+        (comment,) = body.pop()
+        assert math.isfinite(float(comment.split("overall_seconds=")[1]))
+    for row in body:
+        assert len(row) == len(header), row
+        numbers = row[1:] if command != "pareto" else row
+        assert all(math.isfinite(float(cell)) for cell in numbers), row
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_fixtures_give_output_or_one_error_line(mutated):
+    """Each subcommand on a mutated bundled fixture exits 0 with output that
+    parses, or exits 1 or 3 with one error line.  pareto prices every
+    placement, so it skips vision_pipeline (6**7 of them)."""
+    name, doc = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/problem.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command, *options in FUZZED:
+            if command == "pareto" and name == "vision_pipeline":
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([command, path, *options])
+            out, err = out.getvalue(), err.getvalue()
+            if rc == 0:
+                assert err == ""
+                if command in ("solve", "simulate"):
+                    json.loads(out)
+                else:
+                    check_csv(command, out)
+            else:
+                assert rc in (1, 3), (command, rc)
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, err)

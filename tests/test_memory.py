@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from allocflow.lattice import all_flows
 from allocflow.memory import (
     MemoryTriple,
-    classify_boundedness,
     combine_memory,
     default_partition,
     location_memory,
-    memory_at_step,
     region_bits,
     robot_memory,
     robot_memory_bits,
     step_partition,
-    triple_of,
 )
-from allocflow.model import AlgorithmSpec, MemoryProfile, MemoryRegion
+from allocflow.model import MemoryProfile, MemoryRegion, unbounded_restrictions
 from allocflow.simulate import GenParams, random_instance
 
 MB = 8 * 1024 * 1024
@@ -96,43 +93,17 @@ def test_region_bits_subadditive(a, b):
         assert union == region_bits(REGIONS, a) + region_bits(REGIONS, b)
 
 
-def test_triple_of_drops_zero_processing():
-    idle = AlgorithmSpec(id="a", exec_time={}, memory=MemoryProfile(processing_bits=0))
-    busy = AlgorithmSpec(id="b", exec_time={}, memory=MemoryProfile(processing_bits=5))
-    assert triple_of(idle).processing == ()
-    assert triple_of(busy).processing == (5,)
-
-
 # ---------------------------------------------------------------------------
-# Boundedness
+# Boundedness: model.unbounded_restrictions decides it, and effective_allowed
+# moves every algorithm it flags to the cloud
 
 
-def spec_with_growth(growth):
-    return AlgorithmSpec(
-        id="g",
-        exec_time={},
-        memory=MemoryProfile(
-            inputs=frozenset({"p"}), processing_bits=40, growth_per_step=growth
-        ),
-    )
-
-
-def test_memory_at_step_applies_growth():
-    spec = spec_with_growth((8, 0, 0))
-    base = region_bits(REGIONS, frozenset({"p"}))
-    assert memory_at_step(spec, REGIONS, 1) == (base, 40, 0)
-    assert memory_at_step(spec, REGIONS, 16) == (base + 120, 40, 0)
-
-
-def test_memory_at_step_rejects_step_zero():
-    with pytest.raises(ValueError, match="1-based"):
-        memory_at_step(spec_with_growth((0, 0, 0)), REGIONS, 0)
+def profile_with_growth(growth):
+    return MemoryProfile(processing_bits=40, growth_per_step=growth)
 
 
 def test_constant_footprint_is_bounded():
-    verdict = classify_boundedness(spec_with_growth((0, 0, 0)), REGIONS)
-    assert verdict.bounded
-    assert verdict.restriction is None
+    assert unbounded_restrictions(profile_with_growth((0, 0, 0)), 16) == ()
 
 
 @pytest.mark.parametrize(
@@ -140,15 +111,11 @@ def test_constant_footprint_is_bounded():
     [((8, 0, 0), "inputs"), ((0, 8, 0), "processing"), ((0, 0, 8), "outputs")],
 )
 def test_growth_is_flagged_with_component(growth, component):
-    verdict = classify_boundedness(spec_with_growth(growth), REGIONS)
-    assert not verdict.bounded
-    assert verdict.restriction == component
-    assert verdict.algorithm_id == "g"
+    assert unbounded_restrictions(profile_with_growth(growth), 16) == (component,)
 
 
 def test_horizon_one_sees_no_growth():
-    verdict = classify_boundedness(spec_with_growth((8, 8, 8)), REGIONS, horizon=1)
-    assert verdict.bounded
+    assert unbounded_restrictions(profile_with_growth((8, 8, 8)), 1) == ()
 
 
 # ---------------------------------------------------------------------------

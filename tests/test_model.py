@@ -164,30 +164,39 @@ def _at(doc, path):
     return doc
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_mutated_fixtures_parse_or_raise_format_error(data):
-    """Replace or delete parts of a fixture, with random JSON values or with
-    other parts of the same document.  Parsing either raises
-    ProblemFormatError or returns an instance that validate() can report on
-    and that serializes and parses back to the same text."""
+@st.composite
+def mutated_fixtures(draw):
+    """(name, document): a bundled fixture with one to three parts replaced
+    or deleted, with random JSON values or with other parts of the same
+    document."""
     bundle = fixtures.bundled()
-    doc = copy.deepcopy(bundle[data.draw(st.sampled_from(sorted(bundle)))])
-    for _ in range(data.draw(st.integers(1, 3))):
+    name = draw(st.sampled_from(sorted(bundle)))
+    doc = copy.deepcopy(bundle[name])
+    for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
-        path = data.draw(st.sampled_from(paths))
-        donor = copy.deepcopy(_at(doc, data.draw(st.sampled_from(paths))))
-        value = data.draw(JSON_VALUES | st.just(donor))
+        path = draw(st.sampled_from(paths))
+        donor = copy.deepcopy(_at(doc, draw(st.sampled_from(paths))))
+        value = draw(JSON_VALUES | st.just(donor))
         if not path:
             doc = value
             continue
         parent = _at(doc, path[:-1])
-        if data.draw(st.booleans()):
+        if draw(st.booleans()):
             parent[path[-1]] = value
         elif isinstance(parent, dict):
             del parent[path[-1]]
         else:
             parent.pop(path[-1])
+    return name, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_fixtures_parse_or_raise_format_error(mutated):
+    """Parsing a mutated fixture either raises ProblemFormatError or returns
+    an instance that validate() can report on and that serializes and parses
+    back to the same text."""
+    _, doc = mutated
     try:
         instance = instance_from_dict(doc)
     except ProblemFormatError:
@@ -444,13 +453,6 @@ def test_delay_mean_added_and_override_respected():
     assert comm.resolve("u", "v", 0, delays={("u", "v"): 0.25}) == 1.25
     # links absent from the dict fall back to their mean
     assert comm.resolve("u", "v", 0, delays={}) == pytest.approx(expected)
-
-
-def test_sample_mode_requires_rng():
-    link = CommLink(base_seconds=1.0, delay=DelaySpec(0.0, 1.0))
-    comm = CommModel(links={("u", "v"): link})
-    with pytest.raises(ValueError, match="requires rng"):
-        comm.resolve("u", "v", 0, mode="sample")
 
 
 def test_route_choice_prefers_cheaper_two_hop():

@@ -295,23 +295,6 @@ def test_branch_bound_matches_without_return_hop():
         assert got.cost == expect.cost
 
 
-def test_initial_guess_must_be_feasible(dataset_d2):
-    with pytest.raises(InfeasibleError, match="initial guess misses"):
-        solve_branch_bound(dataset_d2, initial_guess={"data": "e"})
-    bad = {aid: "e" for aid in dataset_d2.algorithms}
-    bad["data"] = "nowhere"
-    with pytest.raises(InfeasibleError, match="forbidden node"):
-        solve_branch_bound(dataset_d2, initial_guess=bad)
-
-
-def test_initial_guess_does_not_change_optimum(dataset_d2):
-    base = solve_branch_bound(dataset_d2)
-    guess = {aid: "e" for aid in dataset_d2.algorithms}
-    seeded = solve_branch_bound(dataset_d2, initial_guess=guess)
-    assert seeded.placement == base.placement
-    assert seeded.cost == base.cost
-
-
 def test_explored_node_accounting(dataset_d2):
     brute = solve_bruteforce(dataset_d2)
     assert brute.explored_nodes == 3**4

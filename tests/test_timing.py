@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from allocflow import fixtures
 from allocflow.model import instance_from_dict
-from allocflow.timing import FlowTiming, combine_time, flow_time, overall_time, response_time
+from allocflow.timing import FlowTiming, combine_time, flow_time, overall_time
 
 # dyadic values: sums stay exactly representable, so algebra laws hold with ==
 seconds = st.integers(0, 2**20).map(lambda k: k / 1024)
@@ -59,29 +59,34 @@ def test_unknown_relation_rejected():
 
 
 # ---------------------------------------------------------------------------
-# response_time
+# response time of one algorithm: the flow that holds only it
 
 
 def test_response_time_per_tier(single_sort):
-    assert response_time(single_sort, "sort", at="e") == 5.0
-    assert response_time(single_sort, "sort", at="f") == 1.5 + 5.0 / 1.5 + 1.5
-    assert response_time(single_sort, "sort", at="c") == 7.0
+    def response_time(at):
+        return flow_time(single_sort, ("sort",), {"sort": at}).total
 
-
-def test_response_time_requester_override(single_sort):
-    # robot on the fog node: offloading to the edge now costs two hops
-    assert response_time(single_sort, "sort", at="e", requester="f") == 1.5 + 5.0 + 1.5
-    assert response_time(single_sort, "sort", at="f", requester="f") == 5.0 / 1.5
+    assert response_time("e") == 5.0
+    assert response_time("f") == 1.5 + 5.0 / 1.5 + 1.5
+    assert response_time("c") == 7.0
 
 
 def test_response_time_charges_payload_bytes():
     data = fixtures.single_sort()
     data["regions"] = [{"id": "buf", "size_bits": 16}]
     data["algorithms"][0]["memory"]["inputs"] = ["buf"]
+    data["algorithms"][0]["memory"]["outputs"] = ["buf"]
     data["comm"][0]["per_byte_seconds"] = 0.5  # e -> f only
+    data["comm"][1]["per_byte_seconds"] = 0.25  # f -> e only
     inst = instance_from_dict(data)
-    # request hop carries 2 bytes at 0.5 s/byte; the empty result rides free
-    assert response_time(inst, "sort", at="f") == (1.5 + 2 * 0.5) + 5.0 / 1.5 + 1.5
+    # the request hop carries the 2 input bytes, the return hop the 2 output bytes
+    timing = flow_time(inst, ("sort",), {"sort": "f"})
+    assert timing.segments == (
+        ("request-hop", 1.5 + 2 * 0.5),
+        ("exec", 5.0 / 1.5),
+        ("return-hop", 1.5 + 2 * 0.25),
+    )
+    assert timing.total == (1.5 + 2 * 0.5) + 5.0 / 1.5 + (1.5 + 2 * 0.25)
 
 
 # ---------------------------------------------------------------------------
