@@ -129,13 +129,13 @@ def cmd_validate(args) -> int:
     try:
         instance = _load(args.file)
     except ProblemFormatError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
+        print(f"invalid: {_one_line(str(exc))}", file=sys.stderr)
         return 1
     report = validate(instance)
     if report.ok:
         _emit("ok\n", args.out)
         return 0
-    _emit("".join(f"{line}\n" for line in report.lines()), args.out)
+    _emit("".join(f"{_one_line(line)}\n" for line in report.lines()), args.out)
     return 1
 
 
@@ -348,10 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(text: str) -> str:
+    """text with each line break written as a literal \\n, so that a message
+    quoting an id that holds one stays on one output line."""
+    return "\\n".join(text.splitlines())
+
+
 def _error(exc: Exception, code: int) -> int:
-    """Report exc on one stderr line, even where it quotes an id that holds a
-    line break, and return the exit code."""
-    print("error:", "\\n".join(str(exc).splitlines()), file=sys.stderr)
+    """Report exc on one stderr line and return the exit code."""
+    print("error:", _one_line(str(exc)), file=sys.stderr)
     return code
 
 

@@ -18,10 +18,17 @@ returns brute force's tie-broken optimum.
 
 The search keeps one incremental state: per flow its prefix time and bound,
 their running sum and maximum, and an _EdgeMemory refcount of the regions on
-the robot, which _polish_guess shares.  _Search._child prices a child once;
+the robot, which _polish_guess shares.  _Search._child prices a child once,
+resolving its inbound hop once per predecessor rather than once per flow;
 _assign applies exactly those priced updates.  The walk keeps an explicit
 stack of per-depth child generators, so its depth is not bounded by the
 recursion limit.  _primary is the one primary-objective computation.
+
+A flow's completion bound reads a best_suffix table, which depends only on
+the flow's tail from the position before it on.  build_context builds one
+table per tail and shares it among the flows ending in that tail, and prices
+the hop + exec term of each table entry once per dependency edge; that is
+the sum Python adds first in hop + exec + rest, so the floats are unchanged.
 
 One evaluator prices every placement: compile_instance builds an instance's
 delay-independent tables once, CompiledInstance.priced adds a hop table per
@@ -31,7 +38,10 @@ topological order, touching each dependency edge once instead of each flow
 position; it equals the maximum over flows bit for bit, because the flows are
 the source-to-sink paths and rounded addition is monotone.  total_flows and
 mean_flows add per-flow totals, which _flow_total times in timing.flow_time's
-order; so do the search, the polish and the reported per_flow.
+order; so do the search, the polish and the reported per_flow.  Both timing
+loops can resume part way from the partial sums before that point, which
+gives the same floats; _polish_guess uses that to re-time a move only from
+the moved algorithm on.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import all_flows, layer
@@ -171,12 +182,28 @@ class CompiledInstance:
             return self._longest_path(placement)
         return _aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
 
-    def _longest_path(self, placement: Placement) -> float:
+    def _longest_path(
+        self,
+        placement: Placement,
+        start: int = 0,
+        finish: Optional[Dict[str, float]] = None,
+        before: Optional[List[float]] = None,
+    ) -> float:
+        """The max_flow pass.  _polish_guess resumes it at order[start]:
+        finish holds P of every earlier algorithm and before[start] the
+        largest sink total among them; the pass writes P of each later
+        algorithm into finish and the largest sink total before it into
+        before."""
         hops, hop, exec_s, output_bits = self.hops, self.hop, self.exec_s, self.output_bits
         edge, preds, is_sink = self.edge_id, self.preds, self.is_sink
-        finish: Dict[str, float] = {}
-        longest = 0.0  # every sum starts at 0.0, so no flow ends below it
-        for aid in self.order:
+        if finish is None:
+            finish = {}
+        # every sum starts at 0.0, so no flow ends below it
+        longest = before[start] if start else 0.0
+        for i in range(start, len(self.order)):
+            aid = self.order[i]
+            if before is not None:
+                before[i] = longest
             node = placement[aid]
             if preds[aid]:
                 t = -math.inf
@@ -250,15 +277,30 @@ def _flow_total(
     flow: Tuple[str, ...],
     placement: Placement,
     segments: Optional[List[Tuple[str, float]]] = None,
+    start: int = 0,
+    total: float = 0.0,
+    marks: Optional[List[float]] = None,
 ) -> float:
     """Seconds of one flow, in timing.flow_time's accumulation order; appends
-    flow_time's (kind, seconds) breakdown to segments when given."""
+    flow_time's (kind, seconds) breakdown to segments when given.
+
+    Timing may resume at position start from total, the partial sum before
+    it, which gives the same float as timing from the start; marks[pos] is
+    set to the partial sum before each position timed.
+    """
     hops, exec_s, output_bits = c.hops, c.exec_s, c.output_bits
-    total = 0.0
-    prev = c.edge_id
-    kind = "request-hop"
-    payload = c.input_bits[flow[0]] if flow else 0
-    for aid in flow:
+    if start:
+        prev = placement[flow[start - 1]]
+        payload = output_bits[flow[start - 1]]
+        kind = "inter-hop"
+    else:
+        prev = c.edge_id
+        payload = c.input_bits[flow[0]] if flow else 0
+        kind = "request-hop"
+    for pos in range(start, len(flow)):
+        aid = flow[pos]
+        if marks is not None:
+            marks[pos] = total
         node = placement[aid]
         hop = hops.get((prev, node, payload))
         if hop is None:
@@ -334,10 +376,14 @@ class SolveContext(CompiledInstance):
     allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
     node_rank: Dict[str, int]
     aggregate: str
-    membership: Dict[str, List[Tuple[int, int]]]  # alg -> [(flow index, position)]
+    # alg -> [(flow index, position, previous algorithm or None at a source,
+    # best_suffix[flow index][position + 1])], by flow index
+    membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]]
     # best_suffix[fi][pos][node] = cheapest way to finish flow fi (inbound hop,
     # execs, inter-hops, return hop) given position pos-1 sits on node.  Exact
-    # per flow in isolation, hence an admissible joint bound.
+    # per flow in isolation, hence an admissible joint bound.  A table depends
+    # only on the flow's tail from pos-1 on, so flows with one tail share one
+    # dict, and its hop + exec terms are priced once per dependency edge.
     best_suffix: List[List[Dict[str, float]]]
 
     def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
@@ -365,30 +411,43 @@ def build_context(
     hop, exec_s, edge_id = priced.hop, priced.exec_s, priced.edge_id
     input_bits, output_bits = priced.input_bits, priced.output_bits
 
-    membership: Dict[str, List[Tuple[int, int]]] = {aid: [] for aid in instance.algorithms}
+    # One table per (previous algorithm or None at a source, algorithm, next
+    # table); keys hold the next table's id(), so every table stays alive here.
+    ends: Dict[str, Dict[str, float]] = {}  # sink -> return-hop table
+    tails: Dict[Tuple[Optional[str], str, int], Dict[str, float]] = {}
+    # (previous, alg) -> {src: [hop(src, nid) + exec(alg, nid) per allowed nid]}
+    steps: Dict[Tuple[Optional[str], str], Dict[str, List[float]]] = {}
+    membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]] = {
+        aid: [] for aid in instance.algorithms
+    }
     best_suffix: List[List[Dict[str, float]]] = []
     for fi, flow in enumerate(priced.flows):
-        for pos, aid in enumerate(flow):
-            membership[aid].append((fi, pos))
-        suffix: List[Dict[str, float]] = [{} for _ in range(len(flow) + 1)]
-        if include_return_hop:
-            suffix[len(flow)] = {
-                nid: hop(nid, edge_id, output_bits[flow[-1]]) for nid in allowed[flow[-1]]
+        sink = flow[-1]
+        nxt = ends.get(sink)
+        if nxt is None:
+            payload = output_bits[sink]
+            nxt = ends[sink] = {
+                nid: hop(nid, edge_id, payload) if include_return_hop else 0.0 for nid in allowed[sink]
             }
-        else:
-            suffix[len(flow)] = {nid: 0.0 for nid in allowed[flow[-1]]}
+        suffix = [nxt] * (len(flow) + 1)
         for pos in range(len(flow) - 1, -1, -1):
             aid = flow[pos]
-            payload = input_bits[aid] if pos == 0 else output_bits[flow[pos - 1]]
-            sources = (edge_id,) if pos == 0 else allowed[flow[pos - 1]]
-            nxt = suffix[pos + 1]
-            suffix[pos] = {
-                src: min(
-                    hop(src, nid, payload) + exec_s[(aid, nid)] + nxt[nid]
-                    for nid in allowed[aid]
-                )
-                for src in sources
-            }
+            prev = flow[pos - 1] if pos else None
+            membership[aid].append((fi, pos, prev, nxt))  # fi ascends: one entry per flow
+            key = (prev, aid, id(nxt))
+            table = tails.get(key)
+            if table is None:
+                step = steps.get((prev, aid))
+                if step is None:
+                    payload = input_bits[aid] if prev is None else output_bits[prev]
+                    sources = (edge_id,) if prev is None else allowed[prev]
+                    step = steps[(prev, aid)] = {
+                        src: [hop(src, nid, payload) + exec_s[(aid, nid)] for nid in allowed[aid]]
+                        for src in sources
+                    }
+                later = tuple(nxt.values())  # keyed by allowed[aid], in its order
+                table = tails[key] = {src: min(map(add, row, later)) for src, row in step.items()}
+            suffix[pos] = nxt = table
         best_suffix.append(suffix)
 
     return SolveContext(
@@ -553,12 +612,40 @@ class _EdgeMemory:
 def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
     """Deterministic single-move descent on the exact placement key.
 
-    Each candidate move re-times only the flows containing the moved
-    algorithm; memory follows via region refcounts, so a pass costs
-    O(n * nodes * flows) comparisons instead of full re-evaluations.
+    retime(i) times the placement from ctx.order[i] on, resuming from the
+    partial sums before that algorithm, and writes the partial sums from it
+    on in place.  Under max_flow it resumes the longest-path pass (finish: P
+    per algorithm; before: the largest sink total before each place in
+    ctx.order); otherwise it resumes each flow through the algorithm at its
+    position (totals; marks: each flow's partial sums).  A candidate move
+    reads only partial sums before the moved algorithm, so a rejected one
+    needs no rollback until the algorithm's last candidate: then re-timing
+    the kept node restores the sums after it.  Memory follows via region
+    refcounts.
     """
     edge = ctx.edge_id
+    flows = ctx.flows
     memory = _EdgeMemory(ctx)
+    placement = dict(guess)
+
+    if ctx.aggregate == "max_flow":
+        finish: Dict[str, float] = {}
+        before = [0.0] * len(ctx.order)
+
+        def retime(i: int) -> float:
+            return ctx._longest_path(placement, i, finish, before)
+
+        time_s = retime(0)
+    else:
+        marks = [[0.0] * len(flow) for flow in flows]
+        totals = [_flow_total(ctx, flow, placement, None, 0, 0.0, m) for flow, m in zip(flows, marks)]
+
+        def retime(i: int) -> float:
+            for fi, pos, _, _ in ctx.membership[ctx.order[i]]:
+                totals[fi] = _flow_total(ctx, flows[fi], placement, None, pos, marks[fi][pos], marks[fi])
+            return _aggregate_times(ctx.aggregate, totals)
+
+        time_s = _aggregate_times(ctx.aggregate, totals)
 
     def move(aid: str, src: str, dst: str) -> None:
         if src == edge:
@@ -566,40 +653,33 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
         if dst == edge:
             memory.add(aid)
 
-    placement = dict(guess)
-    totals = [_flow_total(ctx, flow, placement) for flow in ctx.flows]
     for aid in ctx.sorted_ids:
         if placement[aid] == edge:
             memory.add(aid)
-    time_s = _aggregate_times(ctx.aggregate, totals)
-    key = (_primary(ctx, time_s, memory.bits), memory.bits, ctx.lex_tuple(placement))
+    # placement's key without its lex tuple: a move changes only the moved
+    # algorithm's lex entry, so comparing ranks there decides a tie
+    key = (_primary(ctx, time_s, memory.bits), memory.bits)
+    rank = ctx.node_rank
 
     improved = True
     while improved:
         improved = False
-        for aid in ctx.order:
-            kept = placement[aid]
+        for i, aid in enumerate(ctx.order):
+            kept = timed = placement[aid]
             for nid in ctx.allowed[aid]:
                 if nid == kept:
                     continue
-                placement[aid] = nid
-                stashed = [(fi, totals[fi]) for fi, _ in ctx.membership[aid]]
-                for fi, _ in stashed:
-                    totals[fi] = _flow_total(ctx, ctx.flows[fi], placement)
+                placement[aid] = timed = nid
                 move(aid, kept, nid)
-                time_s = _aggregate_times(ctx.aggregate, totals)
-                cand = (_primary(ctx, time_s, memory.bits), memory.bits, ctx.lex_tuple(placement))
-                if cand < key:
-                    key = cand
-                    kept = nid
+                cand = (_primary(ctx, retime(i), memory.bits), memory.bits)
+                if cand < key or (cand == key and rank[nid] < rank[kept]):
+                    key, kept = cand, nid
                     improved = True
                 else:
-                    # roll back the refcounts and stashed flow totals
                     move(aid, nid, kept)
-                    placement[aid] = kept
-                    for fi, t in stashed:
-                        totals[fi] = t
             placement[aid] = kept
+            if timed != kept:
+                retime(i)
     return placement
 
 
@@ -652,29 +732,25 @@ class _Search:
         agg_sum = self.agg_sum
         agg_max = self.agg_max
         hop = ctx.hop
-        flows = ctx.flows
-        suffixes = ctx.best_suffix
-        output_bits = ctx.output_bits
         assignment = self.assignment
         prefix_time = self.prefix_time
         flow_bound = self.flow_bound
         exec_here = ctx.exec_s[(aid, node)]
+        # one inbound hop per predecessor (the request hop at a source), which
+        # every flow through aid after that predecessor shares
+        preds = ctx.preds[aid]
+        if preds:
+            inbound = {u: hop(assignment[u], node, ctx.output_bits[u]) for u in preds}
+        else:
+            inbound = {None: hop(ctx.edge_id, node, ctx.input_bits[aid])}
         updates = []
-        for fi, pos in ctx.membership[aid]:
-            t = prefix_time[fi]
-            flow = flows[fi]
-            if pos == 0:
-                t += hop(ctx.edge_id, node, ctx.input_bits[aid])
-            else:
-                prev = assignment[flow[pos - 1]]
-                t += hop(prev, node, output_bits[flow[pos - 1]])
+        for fi, _, prev, tail in ctx.membership[aid]:
+            t = prefix_time[fi] + inbound[prev]
             t += exec_here
             prefix = t
-            if pos + 1 == len(flow):
-                if ctx.include_return_hop:
-                    t += hop(node, ctx.edge_id, output_bits[aid])
-            else:
-                t += suffixes[fi][pos + 1][node]
+            # the rest's bound; at a sink, its return hop (0.0 without one:
+            # t is never -0.0, so adding 0.0 leaves it unchanged)
+            t += tail[node]
             updates.append((fi, prefix, t))
             agg_sum += t - flow_bound[fi]
             if t > agg_max:
@@ -744,7 +820,7 @@ class _Search:
         children = sorted(self._child(aid, node) for node in ctx.allowed[aid])
         # every child rewrites the same flows: the ones through aid
         parent = (
-            [(fi, self.prefix_time[fi], self.flow_bound[fi]) for fi, _ in ctx.membership[aid]],
+            [(fi, self.prefix_time[fi], self.flow_bound[fi]) for fi, *_ in ctx.membership[aid]],
             (self.agg_sum, self.agg_max),
         )
         for primary, mem_bits, rank, node, updates, agg in children:

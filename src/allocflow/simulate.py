@@ -311,8 +311,9 @@ class ScalingResult:
 
 
 def loglog_fit(points: Sequence[Tuple[int, float]]) -> Tuple[Optional[float], Optional[float], Optional[float]]:
-    """OLS fit of log(seconds) against log(n); (None, None, None) below 2 points."""
-    if len(points) < 2:
+    """OLS fit of log(seconds) against log(n); (None, None, None) below 2
+    distinct sizes, where no line is determined."""
+    if len({n for n, _ in points}) < 2:
         return None, None, None
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(max(s, 1e-9)) for _, s in points]

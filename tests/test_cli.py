@@ -63,6 +63,27 @@ def test_validate_writes_out_file(tmp_path, capsys):
     assert target.read_text() == "ok\n"
 
 
+def test_validate_prints_one_line_per_violation(tmp_path, capsys):
+    """A violation naming an id that holds a line break stays on its line."""
+    data = fixtures.single_sort()
+    data["nodes"].append({"id": "x\ny", "tier": "fog"})  # no link reaches it
+    rc, out, _ = run(capsys, "validate", write_instance(tmp_path, data))
+    assert rc == 1
+    assert out.splitlines() == [
+        f"unreachable-pair: no communication path from {pair}"
+        for pair in ("c to x\\ny", "e to x\\ny", "f to x\\ny", "x\\ny to c", "x\\ny to e", "x\\ny to f")
+    ]
+
+
+def test_validate_names_a_malformed_id_on_one_line(tmp_path, capsys):
+    data = fixtures.single_sort()
+    data["algorithms"][0]["id"] = "so\nrt"
+    data["algorithms"][0]["space_rank"] = "high"
+    rc, out, err = run(capsys, "validate", write_instance(tmp_path, data))
+    assert (rc, out) == (1, "")
+    assert err == "invalid: algorithm so\\nrt: space_rank must be an integer\n"
+
+
 def test_oversized_region_is_one_error_line(tmp_path, capsys):
     data = fixtures.single_sort()
     data["regions"] = [{"id": "huge", "size_bits": 10**400}]
@@ -351,6 +372,15 @@ def test_bench_csv_shape(capsys):
     assert lines[0] == "n,mean_seconds"
     assert lines[1].startswith("3,") and lines[2].startswith("5,")
     assert lines[3].startswith("# slope=") and " r2=" in lines[3]
+
+
+def test_bench_with_a_repeated_size_prints_no_fit(capsys):
+    """One distinct size determines no line; the fit is left out."""
+    rc, out, _ = run(capsys, "bench", "--sizes", "3,3", "--reps", "1", "--seed", "0")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,mean_seconds"
+    assert len(lines) == 3 and lines[1] == lines[2] and lines[1].startswith("3,")
 
 
 def test_bench_rejects_bad_sizes(capsys):

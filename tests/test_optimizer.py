@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from allocflow import fixtures
 from allocflow.baseline import solve_baseline
 from allocflow.lattice import all_flows
-from allocflow.memory import _location_bits, step_partition
+from allocflow.memory import _location_bits, robot_memory_bits, step_partition
 from allocflow.model import (
     TIME_AGGREGATES,
     CapExceededError,
@@ -28,14 +28,20 @@ from allocflow.optimizer import (
     CostPoint,
     Objective,
     _Search,
+    _aggregate_times,
     _flow_total,
+    _greedy_flow_guess,
+    _polish_guess,
+    _primary,
     build_context,
     compile_instance,
+    default_guess,
     evaluate,
     pareto_front,
     scatter,
     solve_branch_bound,
     solve_bruteforce,
+    warm_start,
 )
 from allocflow.simulate import GenParams, random_instance
 from allocflow.timing import flow_time, overall_time
@@ -446,6 +452,107 @@ def test_branch_bound_answers_are_pinned():
                     explored += r.explored_nodes
     assert digest.hexdigest() == "5d769fdb10c126fdc46761b77cfce62b977114938660a1d530beaede4f3b428a"
     assert explored == 588
+
+
+def _per_flow_best_suffix(ctx):
+    """best_suffix built afresh at every position of every flow."""
+    tables = []
+    for flow in ctx.flows:
+        suffix = [{} for _ in range(len(flow) + 1)]
+        last = flow[-1]
+        suffix[-1] = {
+            nid: ctx.hop(nid, ctx.edge_id, ctx.output_bits[last]) if ctx.include_return_hop else 0.0
+            for nid in ctx.allowed[last]
+        }
+        for pos in range(len(flow) - 1, -1, -1):
+            aid = flow[pos]
+            payload = ctx.input_bits[aid] if pos == 0 else ctx.output_bits[flow[pos - 1]]
+            sources = (ctx.edge_id,) if pos == 0 else ctx.allowed[flow[pos - 1]]
+            nxt = suffix[pos + 1]
+            suffix[pos] = {
+                src: min(
+                    ctx.hop(src, nid, payload) + ctx.exec_s[(aid, nid)] + nxt[nid]
+                    for nid in ctx.allowed[aid]
+                )
+                for src in sources
+            }
+        tables.append(suffix)
+    return tables
+
+
+def _whole_flow_key(ctx, placement):
+    """The placement key, every flow timed from its start."""
+    mem_bits = robot_memory_bits(ctx.instance, placement)
+    time_s = _aggregate_times(ctx.aggregate, [_flow_total(ctx, f, placement) for f in ctx.flows])
+    return _primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)
+
+
+def _whole_flow_polish(ctx, guess):
+    """Single-move descent that prices every candidate in full."""
+    placement = dict(guess)
+    key = _whole_flow_key(ctx, placement)
+    improved = True
+    while improved:
+        improved = False
+        for aid in ctx.order:
+            kept = placement[aid]
+            for nid in ctx.allowed[aid]:
+                placement[aid] = nid
+                cand = _whole_flow_key(ctx, placement)
+                if cand < key:
+                    key, kept, improved = cand, nid, True
+            placement[aid] = kept
+    return placement
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(10, 16),
+    fog=st.integers(1, 3),
+    cloud=st.integers(1, 2),
+    kind=st.sampled_from(OBJECTIVES),
+    aggregate=st.sampled_from(TIME_AGGREGATES),
+    include_return_hop=st.booleans(),
+)
+def test_shared_tables_and_polish_match_the_per_flow_reference(
+    seed, n, fog, cloud, kind, aggregate, include_return_hop
+):
+    """best_suffix, built once per tail from per-edge hop + exec rows, equals
+    the per-position build entry by entry (compared by repr), and flows with
+    one tail hold one dict.  The warm start, whose polish resumes timing at
+    the moved algorithm, returns what a polish that re-times whole flows does.
+    Exec times spanning 1e-9 to 1e3 and jittered links make rounding show if
+    a sum is grouped differently."""
+    params = GenParams(
+        fog_nodes=fog, cloud_nodes=cloud, exec_range=(1e-9, 1e3), delay_prob=0.6, tier_ordering=False
+    )
+    inst = random_instance(n, params, seed=seed)
+    inst.options.time_aggregate = aggregate
+    rng = random.Random(seed)
+    delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
+    ctx = build_context(inst, Objective(kind), include_return_hop, delays)
+
+    reference = _per_flow_best_suffix(ctx)
+    assert len(ctx.best_suffix) == len(reference)
+    for got, want in zip(ctx.best_suffix, reference):
+        assert [repr(table) for table in got] == [repr(table) for table in want]
+    by_tail = {}
+    for flow, suffix in zip(ctx.flows, ctx.best_suffix):
+        for pos, table in enumerate(suffix):
+            by_tail.setdefault(flow[pos - 1 :] if pos else (None,) + flow, set()).add(id(table))
+    assert all(len(ids) == 1 for ids in by_tail.values())
+
+    greedy = _greedy_flow_guess(ctx)
+    for guess in (default_guess(ctx), greedy):
+        assert _polish_guess(ctx, guess) == _whole_flow_polish(ctx, guess)
+    candidates = [default_guess(ctx)]
+    for nid in sorted(ctx.node_rank, key=ctx.node_rank.__getitem__):
+        if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
+            candidates.append(dict.fromkeys(ctx.sorted_ids, nid))
+    candidates.append(greedy)
+    best = min(candidates, key=lambda p: _whole_flow_key(ctx, p))
+    assert warm_start(ctx) == _whole_flow_polish(ctx, best)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():

@@ -353,6 +353,12 @@ def test_loglog_fit_needs_two_points():
     assert loglog_fit([(4, 0.1)]) == (None, None, None)
 
 
+def test_loglog_fit_needs_two_distinct_sizes():
+    assert loglog_fit([(3, 0.1), (3, 0.2)]) == (None, None, None)
+    slope, _, _ = loglog_fit([(3, 0.1), (3, 0.2), (9, 0.9)])
+    assert slope > 0
+
+
 def test_benchmark_rejects_zero_reps():
     with pytest.raises(ValueError, match="reps"):
         scaling_benchmark([4], reps=0)
