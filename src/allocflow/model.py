@@ -112,12 +112,35 @@ class CommModel:
     """Directed link set; missing pairs are composed by cheapest declared path.
 
     Routes are chosen by expected total time and cached; same-node cost is 0.
+    The links are read once, at the first route: its adjacency lists and
+    whether any link charges per byte are kept with the routes.
     """
 
     links: Dict[Tuple[str, str], CommLink] = field(default_factory=dict)
     _routes: Dict[Tuple[str, str, int], Tuple[Tuple[str, str], ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # node -> its link targets, sorted; built with _per_byte on first use
+    _out: Optional[Dict[str, List[str]]] = field(default=None, compare=False, repr=False)
+    _per_byte: bool = field(default=False, compare=False, repr=False)
+
+    def payload_key(self, payload_bits: int) -> int:
+        """The payload a hop's route and seconds depend on: payload_bits if
+        some link charges per byte, else 0.  Without such a link every
+        payload prices base + 0.0 * bytes, so its routes and seconds are the
+        same floats as payload 0's."""
+        if self._out is None:
+            self._index()
+        return payload_bits if self._per_byte else 0
+
+    def _index(self) -> None:
+        out: Dict[str, List[str]] = {}
+        for (u, v) in self.links:
+            out.setdefault(u, []).append(v)
+        for vs in out.values():
+            vs.sort()
+        self._out = out
+        self._per_byte = any(link.per_byte_seconds for link in self.links.values())
 
     def resolve(
         self,
@@ -138,13 +161,13 @@ class CommModel:
             link = self.links[hop]
             total += link.base_seconds + link.per_byte_seconds * _payload_bytes(payload_bits)
             if link.delay is not None:
-                if delays is not None:
-                    total += delays.get(hop, link.delay.mean())
-                else:
-                    total += link.delay.mean()
+                # the mean only on a miss: it costs a sqrt, an exp and an erf
+                delay = delays.get(hop) if delays is not None else None
+                total += link.delay.mean() if delay is None else delay
         return total
 
     def _route(self, src: str, dst: str, payload_bits: int) -> Tuple[Tuple[str, str], ...]:
+        payload_bits = self.payload_key(payload_bits)
         key = (src, dst, payload_bits)
         cached = self._routes.get(key)
         if cached is not None:
@@ -159,11 +182,7 @@ class CommModel:
 
         # Path tuples in the heap give a deterministic lexicographic tie-break
         # between equal-cost routes.
-        out: Dict[str, List[str]] = {}
-        for (u, v) in self.links:
-            out.setdefault(u, []).append(v)
-        for vs in out.values():
-            vs.sort()
+        out = self._out
         heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (src,))]
         done = set()
         while heap:

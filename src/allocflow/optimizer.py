@@ -16,32 +16,51 @@ algorithms are assigned, and no completion's lex tuple is lower entry by
 entry, so every completion's key is at least the bound and the search
 returns brute force's tie-broken optimum.
 
-The search keeps one incremental state: per flow its prefix time and bound,
-their running sum and maximum, and an _EdgeMemory refcount of the regions on
-the robot, which _polish_guess shares.  _Search._child prices a child once,
-resolving its inbound hop once per predecessor rather than once per flow;
-_assign applies exactly those priced updates.  The walk keeps an explicit
-stack of per-depth child generators, so its depth is not bounded by the
-recursion limit.  _primary is the one primary-objective computation.
+The search keeps one incremental state, plus an _EdgeMemory refcount of the
+regions on the robot, which _polish_guess shares.  Under max_flow it is the
+longest-path state of time_of: P(v) for each assigned algorithm (the largest
+P(u) + hop over its predecessors u, or 0.0 + the request hop at a source,
+then + exec) and agg_max, the running maximum of the flow bounds.  A child
+for v on node y is bounded by max(agg_max, P(v) + T(v, y)), where T(v, y) is
+the largest tail[y] over v's distinct suffix tables (at a sink, its return-hop
+table), built once per solve.  That equals the maximum over the flows through
+v of prefix + tail[y], bit for bit: those flows are every prefix path times
+every suffix path, and rounded addition is monotone in each operand, so the
+maximum over p, q of fl(a_p + b_q) is fl(max a_p + max b_q).  So a child
+costs its in-degree, not its flow count, and a leaf's time is the maximum
+over sinks of P(s) + T(s, y).  total_flows and mean_flows keep per flow its
+prefix time and bound and their running sum, since those sums need every
+flow.  _Search._child prices a child once; _assign applies exactly what it
+priced.  The walk keeps an explicit stack of per-depth child generators, so
+its depth is not bounded by the recursion limit.  _primary is the one
+primary-objective computation.
 
 A flow's completion bound reads a best_suffix table, which depends only on
-the flow's tail from the position before it on.  build_context builds one
-table per tail and shares it among the flows ending in that tail, and prices
-the hop + exec term of each table entry once per dependency edge; that is
-the sum Python adds first in hop + exec + rest, so the floats are unchanged.
+its source nodes, the payload of its inbound hop, its algorithm and the
+next table.  build_context builds one table per such key and shares it among
+the flows that read it, and prices the hop + exec term of each table entry
+once per (source nodes, payload, algorithm); that is the sum Python adds
+first in hop + exec + rest, so the floats are unchanged.
+
+Hops are read from rows: one per (payload, source node) and delay
+realization, mapping a destination node to seconds and resolving a missing
+one on first use, so a pair no placement uses is never resolved.  A hop
+depends on its payload only through per-byte link costs; with no such link,
+CommModel.payload_key keys every payload as 0, and routes and rows are
+shared by all payloads.  The rule is read from the links.
 
 One evaluator prices every placement: compile_instance builds an instance's
-delay-independent tables once, CompiledInstance.priced adds a hop table per
+delay-independent tables once, CompiledInstance.priced adds hop rows per
 delay realization, and memory.robot_memory_bits gives robot memory.  Under
 max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
 topological order, touching each dependency edge once instead of each flow
 position; it equals the maximum over flows bit for bit, because the flows are
 the source-to-sink paths and rounded addition is monotone.  total_flows and
 mean_flows add per-flow totals, which _flow_total times in timing.flow_time's
-order; so do the search, the polish and the reported per_flow.  Both timing
-loops can resume part way from the partial sums before that point, which
-gives the same floats; _polish_guess uses that to re-time a move only from
-the moved algorithm on.
+order; so do their search, their polish and the reported per_flow.  Both
+timing loops can resume part way from the partial sums before that point,
+which gives the same floats; _polish_guess uses that to re-time a move only
+from the moved algorithm on.
 """
 
 from __future__ import annotations
@@ -129,10 +148,24 @@ def primary_value(objective: Objective, cost: CostPoint):
 # Compiled instance: the one evaluator
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with make(key) on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass
 class CompiledInstance:
-    """The delay-independent tables of one instance, plus the hop table of one
-    delay realization: seconds per (src, dst, payload bits), filled on use."""
+    """The delay-independent tables of one instance, plus the hop rows of one
+    delay realization (see priced)."""
 
     instance: ProblemInstance
     edge_id: str
@@ -145,24 +178,35 @@ class CompiledInstance:
     output_bits: Dict[str, int]
     all_output_regions: frozenset
     include_return_hop: bool
-    delays: Optional[Dict[Tuple[str, str], float]]
-    hops: Dict[Tuple[str, str, int], float]
+    rows: Dict[int, Dict[str, Dict[str, float]]]  # payload key -> src -> dst -> seconds
+    in_rows: Dict[str, Dict[str, float]]  # alg -> its request-hop row
+    out_rows: Dict[str, Dict[str, Dict[str, float]]]  # alg -> the rows of its output payload
 
     def hop(self, src: str, dst: str, payload_bits: int) -> float:
-        key = (src, dst, payload_bits)
-        cached = self.hops.get(key)
-        if cached is None:
-            cached = self.instance.comm.resolve(src, dst, payload_bits, delays=self.delays)
-            self.hops[key] = cached
-        return cached
+        return self.rows[self.instance.comm.payload_key(payload_bits)][src][dst]
 
     def priced(
         self,
         delays: Optional[Dict[Tuple[str, str], float]] = None,
         include_return_hop: bool = True,
     ) -> CompiledInstance:
-        """The same tables under another delay realization: a fresh hop table."""
-        return replace(self, include_return_hop=include_return_hop, delays=delays, hops={})
+        """The same tables under another delay realization, with fresh hop rows.
+
+        rows[payload key][src][dst] is the seconds of one hop, resolved on
+        first use, so a pair no placement reaches is never resolved (nor
+        raises CommUnreachableError).  out_rows[u] holds the rows of u's
+        output payload and in_rows[v] the request-hop row of v's input payload.
+        """
+        comm = self.instance.comm
+        key = comm.payload_key
+        rows = _Lazy(lambda bits: _Lazy(lambda src: _Lazy(lambda dst: comm.resolve(src, dst, bits, delays))))
+        return replace(
+            self,
+            include_return_hop=include_return_hop,
+            rows=rows,
+            in_rows={aid: rows[key(bits)][self.edge_id] for aid, bits in self.input_bits.items()},
+            out_rows={aid: rows[key(bits)] for aid, bits in self.output_bits.items()},
+        )
 
     def time_of(self, placement: Placement, aggregate: str) -> float:
         """Overall seconds of a placement under an aggregate of its flows.
@@ -194,8 +238,7 @@ class CompiledInstance:
         largest sink total among them; the pass writes P of each later
         algorithm into finish and the largest sink total before it into
         before."""
-        hops, hop, exec_s, output_bits = self.hops, self.hop, self.exec_s, self.output_bits
-        edge, preds, is_sink = self.edge_id, self.preds, self.is_sink
+        out_rows, edge, is_sink = self.out_rows, self.edge_id, self.is_sink
         if finish is None:
             finish = {}
         # every sum starts at 0.0, so no flow ends below it
@@ -205,32 +248,29 @@ class CompiledInstance:
             if before is not None:
                 before[i] = longest
             node = placement[aid]
-            if preds[aid]:
-                t = -math.inf
-                for u in preds[aid]:
-                    src = placement[u]
-                    h = hops.get((src, node, output_bits[u]))
-                    if h is None:
-                        h = hop(src, node, output_bits[u])
-                    s = finish[u] + h
-                    if s > t:
-                        t = s
-            else:
-                h = hops.get((edge, node, self.input_bits[aid]))
-                if h is None:
-                    h = hop(edge, node, self.input_bits[aid])
-                t = 0.0 + h  # _flow_total's start: 0.0, never -0.0
-            t += exec_s[(aid, node)]
-            finish[aid] = t
+            finish[aid] = t = self._finish_at(aid, node, placement, finish)
             if is_sink[aid]:
                 if self.include_return_hop:
-                    h = hops.get((node, edge, output_bits[aid]))
-                    if h is None:
-                        h = hop(node, edge, output_bits[aid])
-                    t += h
+                    t += out_rows[aid][node][edge]
                 if t > longest:
                     longest = t
         return longest
+
+    def _finish_at(self, aid: str, node: str, placement: Placement, finish: Dict[str, float]) -> float:
+        """P(aid) with aid on node: the largest P(u) + hop over its
+        predecessors u, placed by placement, or the request hop at a source;
+        then plus aid's execution."""
+        preds = self.preds[aid]
+        if preds:
+            out_rows = self.out_rows
+            t = -math.inf
+            for u in preds:
+                s = finish[u] + out_rows[u][placement[u]][node]
+                if s > t:
+                    t = s
+        else:
+            t = 0.0 + self.in_rows[aid][node]  # _flow_total's start: 0.0, never -0.0
+        return t + self.exec_s[(aid, node)]
 
     def cost(self, placement: Placement, objective: Objective, memory_bits: int) -> CostPoint:
         """CostPoint of a placement whose robot memory is known (delays never change it)."""
@@ -267,9 +307,10 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         output_bits=output_bits,
         all_output_regions=frozenset().union(*(s.memory.outputs for s in instance.algorithms.values())),
         include_return_hop=True,
-        delays=None,
-        hops={},
-    )
+        rows={},
+        in_rows={},
+        out_rows={},
+    ).priced()
 
 
 def _flow_total(
@@ -288,34 +329,27 @@ def _flow_total(
     it, which gives the same float as timing from the start; marks[pos] is
     set to the partial sum before each position timed.
     """
-    hops, exec_s, output_bits = c.hops, c.exec_s, c.output_bits
+    out_rows, exec_s = c.out_rows, c.exec_s
     if start:
-        prev = placement[flow[start - 1]]
-        payload = output_bits[flow[start - 1]]
+        row = out_rows[flow[start - 1]][placement[flow[start - 1]]]
         kind = "inter-hop"
     else:
-        prev = c.edge_id
-        payload = c.input_bits[flow[0]] if flow else 0
+        row = c.in_rows[flow[0]]
         kind = "request-hop"
     for pos in range(start, len(flow)):
         aid = flow[pos]
         if marks is not None:
             marks[pos] = total
         node = placement[aid]
-        hop = hops.get((prev, node, payload))
-        if hop is None:
-            hop = c.hop(prev, node, payload)
+        hop = row[node]
         total += hop
         total += exec_s[(aid, node)]
         if segments is not None:
             segments += ((kind, hop), ("exec", exec_s[(aid, node)]))
             kind = "inter-hop"
-        prev = node
-        payload = output_bits[aid]
-    if flow and c.include_return_hop:
-        hop = hops.get((prev, c.edge_id, payload))
-        if hop is None:
-            hop = c.hop(prev, c.edge_id, payload)
+        row = out_rows[aid][node]
+    if c.include_return_hop:
+        hop = row[c.edge_id]
         total += hop
         if segments is not None:
             segments.append(("return-hop", hop))
@@ -377,13 +411,16 @@ class SolveContext(CompiledInstance):
     node_rank: Dict[str, int]
     aggregate: str
     # alg -> [(flow index, position, previous algorithm or None at a source,
-    # best_suffix[flow index][position + 1])], by flow index
+    # best_suffix[flow index][position + 1])], by flow index.  The per-flow
+    # search state reads it under total_flows and mean_flows; under max_flow
+    # the search reads only its distinct tail tables, for T(alg, node).
     membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]]
     # best_suffix[fi][pos][node] = cheapest way to finish flow fi (inbound hop,
     # execs, inter-hops, return hop) given position pos-1 sits on node.  Exact
     # per flow in isolation, hence an admissible joint bound.  A table depends
-    # only on the flow's tail from pos-1 on, so flows with one tail share one
-    # dict, and its hop + exec terms are priced once per dependency edge.
+    # only on its source nodes, inbound payload, algorithm and next table, so
+    # the flows that read one share one dict, and its hop + exec terms are
+    # priced once per (source nodes, payload, algorithm).
     best_suffix: List[List[Dict[str, float]]]
 
     def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
@@ -408,41 +445,45 @@ def build_context(
     allowed = _checked_allowed(instance)
     rank = {nid: i for i, nid in enumerate(node_order(instance))}
     priced = compile_instance(instance).priced(delays, include_return_hop)
-    hop, exec_s, edge_id = priced.hop, priced.exec_s, priced.edge_id
+    rows, exec_s, edge_id = priced.rows, priced.exec_s, priced.edge_id
     input_bits, output_bits = priced.input_bits, priced.output_bits
-
-    # One table per (previous algorithm or None at a source, algorithm, next
-    # table); keys hold the next table's id(), so every table stays alive here.
-    ends: Dict[str, Dict[str, float]] = {}  # sink -> return-hop table
-    tails: Dict[Tuple[Optional[str], str, int], Dict[str, float]] = {}
-    # (previous, alg) -> {src: [hop(src, nid) + exec(alg, nid) per allowed nid]}
-    steps: Dict[Tuple[Optional[str], str], Dict[str, List[float]]] = {}
+    payload_key = instance.comm.payload_key
+    # A table is keyed by what it reads: its source nodes and the payload key
+    # of its inbound hop (from the previous algorithm, or the edge at a
+    # source), its algorithm and the next table.  Keys hold the next table's
+    # id(), so every table stays alive here.
+    after = {aid: (allowed[aid], payload_key(bits)) for aid, bits in output_bits.items()}
+    start = {aid: ((edge_id,), payload_key(bits)) for aid, bits in input_bits.items()}
+    ends: Dict[Tuple[Tuple[str, ...], int], Dict[str, float]] = {}  # return-hop tables
+    tails: Dict[Tuple[Tuple[str, ...], int, str, int], Dict[str, float]] = {}
+    # (sources, payload key, alg) -> {src: [hop(src, nid) + exec(alg, nid) per allowed nid]}
+    steps: Dict[Tuple[Tuple[str, ...], int, str], Dict[str, List[float]]] = {}
     membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]] = {
         aid: [] for aid in instance.algorithms
     }
     best_suffix: List[List[Dict[str, float]]] = []
     for fi, flow in enumerate(priced.flows):
-        sink = flow[-1]
-        nxt = ends.get(sink)
+        nodes, payload = after[flow[-1]]
+        nxt = ends.get((nodes, payload))
         if nxt is None:
-            payload = output_bits[sink]
-            nxt = ends[sink] = {
-                nid: hop(nid, edge_id, payload) if include_return_hop else 0.0 for nid in allowed[sink]
+            back = rows[payload]
+            nxt = ends[nodes, payload] = {
+                nid: back[nid][edge_id] if include_return_hop else 0.0 for nid in nodes
             }
         suffix = [nxt] * (len(flow) + 1)
         for pos in range(len(flow) - 1, -1, -1):
             aid = flow[pos]
             prev = flow[pos - 1] if pos else None
             membership[aid].append((fi, pos, prev, nxt))  # fi ascends: one entry per flow
-            key = (prev, aid, id(nxt))
+            sources, payload = start[aid] if prev is None else after[prev]
+            key = (sources, payload, aid, id(nxt))
             table = tails.get(key)
             if table is None:
-                step = steps.get((prev, aid))
+                step = steps.get(key[:3])
                 if step is None:
-                    payload = input_bits[aid] if prev is None else output_bits[prev]
-                    sources = (edge_id,) if prev is None else allowed[prev]
-                    step = steps[(prev, aid)] = {
-                        src: [hop(src, nid, payload) + exec_s[(aid, nid)] for nid in allowed[aid]]
+                    inbound = rows[payload]
+                    step = steps[key[:3]] = {
+                        src: [inbound[src][nid] + exec_s[(aid, nid)] for nid in allowed[aid]]
                         for src in sources
                     }
                 later = tuple(nxt.values())  # keyed by allowed[aid], in its order
@@ -549,22 +590,15 @@ def _greedy_flow_guess(ctx: SolveContext) -> Placement:
     """Walk each flow along its cheapest completion; first writer wins."""
     guess: Placement = {}
     for fi, flow in enumerate(ctx.flows):
-        prev = ctx.edge_id
+        row = ctx.in_rows[flow[0]]
         for pos, aid in enumerate(flow):
-            if aid in guess:
-                prev = guess[aid]
-                continue
-            payload = ctx.input_bits[aid] if pos == 0 else ctx.output_bits[flow[pos - 1]]
-            nxt = ctx.best_suffix[fi][pos + 1]
-            best = min(
-                ctx.allowed[aid],
-                key=lambda nid: (
-                    ctx.hop(prev, nid, payload) + ctx.exec_s[(aid, nid)] + nxt[nid],
-                    ctx.node_rank[nid],
-                ),
-            )
-            guess[aid] = best
-            prev = best
+            if aid not in guess:
+                nxt = ctx.best_suffix[fi][pos + 1]
+                guess[aid] = min(
+                    ctx.allowed[aid],
+                    key=lambda nid: (row[nid] + ctx.exec_s[(aid, nid)] + nxt[nid], ctx.node_rank[nid]),
+                )
+            row = ctx.out_rows[aid][guess[aid]]
     return guess
 
 
@@ -700,13 +734,25 @@ def warm_start(ctx: SolveContext) -> Placement:
 class _Search:
     def __init__(self, ctx: SolveContext, incumbent: Placement):
         self.ctx = ctx
-        n_flows = len(ctx.flows)
-        self.prefix_time = [0.0] * n_flows
-        self.flow_bound = [ctx.best_suffix[f][0][ctx.edge_id] for f in range(n_flows)]
-        # running aggregates of flow_bound, so a child's bound is O(its flows);
-        # flow bounds only grow under _assign, so the max needs no rescan
-        self.agg_sum = sum(self.flow_bound)
-        self.agg_max = max(self.flow_bound, default=0.0)
+        # each flow's bound before any assignment: its cheapest completion
+        bounds = [suffix[0][ctx.edge_id] for suffix in ctx.best_suffix]
+        self.longest = ctx.aggregate == "max_flow"
+        if self.longest:
+            # the running maximum of the flow bounds; they only grow under
+            # _assign, so it needs no rescan
+            self.agg_max = max(bounds, default=0.0)
+            self.finish: Dict[str, float] = {}  # P(v) per assigned algorithm
+            self.sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
+            # T(v, y): the largest bound on the rest of a flow after v on y,
+            # over v's distinct tail tables; at a sink, the return-hop table
+            self.reach: Dict[str, Dict[str, float]] = {}
+            for aid, entries in ctx.membership.items():
+                tails = {id(tail): tail for _, _, _, tail in entries}.values()
+                self.reach[aid] = {nid: max([tail[nid] for tail in tails]) for nid in ctx.allowed[aid]}
+        else:
+            self.prefix_time = [0.0] * len(bounds)
+            self.flow_bound = bounds
+            self.agg_sum = sum(bounds)
         self.memory = _EdgeMemory(ctx)
         self.assignment: Placement = {}
         # lex_lb: the lex tuple with every unassigned algorithm on its
@@ -723,70 +769,85 @@ class _Search:
     def _child(self, aid: str, node: str) -> Tuple:
         """Price assigning aid to node without applying it.
 
-        Returns (primary, memory, rank, node, updates, (agg_sum, agg_max)):
-        the child's bound, then what _assign writes, with one (flow, prefix
-        time, flow bound) entry per flow through aid.  Flow bounds only grow
-        under assignment, so max(agg_max, new bounds) is the new maximum.
+        Returns (primary, memory, rank, node, state): the child's bound, then
+        what _assign writes.  Under max_flow the state is (P(aid), agg_max):
+        P is the longest-path pass's sum at aid, one term per predecessor,
+        and P + T(aid, node) is the largest bound of a flow through aid (see
+        the module docstring).  Otherwise it is (updates, agg_sum), with one
+        (flow, prefix time, flow bound) entry per flow through aid.
         """
         ctx = self.ctx
-        agg_sum = self.agg_sum
-        agg_max = self.agg_max
-        hop = ctx.hop
         assignment = self.assignment
-        prefix_time = self.prefix_time
-        flow_bound = self.flow_bound
-        exec_here = ctx.exec_s[(aid, node)]
-        # one inbound hop per predecessor (the request hop at a source), which
-        # every flow through aid after that predecessor shares
-        preds = ctx.preds[aid]
-        if preds:
-            inbound = {u: hop(assignment[u], node, ctx.output_bits[u]) for u in preds}
+        if self.longest:
+            t = ctx._finish_at(aid, node, assignment, self.finish)
+            bound = t + self.reach[aid][node]
+            time_bound = bound if bound > self.agg_max else self.agg_max
+            state = (t, time_bound)
         else:
-            inbound = {None: hop(ctx.edge_id, node, ctx.input_bits[aid])}
-        updates = []
-        for fi, _, prev, tail in ctx.membership[aid]:
-            t = prefix_time[fi] + inbound[prev]
-            t += exec_here
-            prefix = t
-            # the rest's bound; at a sink, its return hop (0.0 without one:
-            # t is never -0.0, so adding 0.0 leaves it unchanged)
-            t += tail[node]
-            updates.append((fi, prefix, t))
-            agg_sum += t - flow_bound[fi]
-            if t > agg_max:
-                agg_max = t
+            # one inbound hop per predecessor (the request hop at a source),
+            # which every flow through aid after that predecessor shares
+            preds = ctx.preds[aid]
+            if preds:
+                inbound = {u: ctx.out_rows[u][assignment[u]][node] for u in preds}
+            else:
+                inbound = {None: ctx.in_rows[aid][node]}
+            exec_here = ctx.exec_s[(aid, node)]
+            prefix_time = self.prefix_time
+            flow_bound = self.flow_bound
+            agg_sum = self.agg_sum
+            updates = []
+            for fi, _, prev, tail in ctx.membership[aid]:
+                t = prefix_time[fi] + inbound[prev]
+                t += exec_here
+                prefix = t
+                # the rest's bound; at a sink, its return hop (0.0 without one:
+                # t is never -0.0, so adding 0.0 leaves it unchanged)
+                t += tail[node]
+                updates.append((fi, prefix, t))
+                agg_sum += t - flow_bound[fi]
+            time_bound = agg_sum if ctx.aggregate == "total_flows" else agg_sum / len(ctx.flows)
+            state = (updates, agg_sum)
 
         mem_bits = self.memory.bits
         if node == ctx.edge_id:
             mem_bits += self.memory.gain(aid)
-
-        if ctx.aggregate == "max_flow":
-            time_bound = agg_max
-        elif ctx.aggregate == "total_flows":
-            time_bound = agg_sum
-        else:
-            time_bound = agg_sum / len(ctx.flows) if ctx.flows else 0.0
         primary = _primary(ctx, time_bound, mem_bits)
-        return primary, mem_bits, ctx.node_rank[node], node, updates, (agg_sum, agg_max)
+        return primary, mem_bits, ctx.node_rank[node], node, state
 
-    def _assign(self, aid: str, node: str, updates: List[Tuple[int, float, float]], agg: Tuple) -> None:
+    def _assign(self, aid: str, node: str, state: Tuple) -> None:
         """Apply a child priced by _child."""
-        for fi, prefix, bound in updates:
-            self.prefix_time[fi] = prefix
-            self.flow_bound[fi] = bound
-        self.agg_sum, self.agg_max = agg
+        if self.longest:
+            self.finish[aid], self.agg_max = state
+        else:
+            self._write(state)
         if node == self.ctx.edge_id:
             self.memory.add(aid)
         self.assignment[aid] = node
 
     def _unassign(self, aid: str, parent: Tuple) -> None:
-        """Undo _assign; parent holds the overwritten entries in _child's form."""
-        updates, (self.agg_sum, self.agg_max) = parent
+        """Undo _assign; parent holds what it overwrote, in _child's state
+        form (under max_flow only agg_max: P of an unassigned algorithm is
+        never read)."""
+        if self.longest:
+            self.agg_max = parent[1]
+        else:
+            self._write(parent)
+        if self.assignment.pop(aid) == self.ctx.edge_id:
+            self.memory.remove(aid)
+
+    def _write(self, state: Tuple) -> None:
+        updates, self.agg_sum = state
         for fi, prefix, bound in updates:
             self.prefix_time[fi] = prefix
             self.flow_bound[fi] = bound
-        if self.assignment.pop(aid) == self.ctx.edge_id:
-            self.memory.remove(aid)
+
+    def _leaf_time(self) -> float:
+        """The time of the placement once every algorithm is assigned."""
+        if self.longest:
+            # every flow ends at a sink s, whose T(s, y) is its return hop
+            assignment = self.assignment
+            return max(self.finish[s] + self.reach[s][assignment[s]] for s in self.sinks)
+        return _aggregate_times(self.ctx.aggregate, self.flow_bound)
 
     # -- search ------------------------------------------------------------
 
@@ -806,8 +867,7 @@ class _Search:
         ctx = self.ctx
         if depth == len(ctx.order):
             mem_bits = self.memory.bits
-            time_s = _aggregate_times(ctx.aggregate, self.flow_bound)
-            key = (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
+            key = (_primary(ctx, self._leaf_time(), mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
             if key < self.best_key:
                 self.best_key = key
                 self.best_placement = dict(self.assignment)
@@ -818,12 +878,14 @@ class _Search:
         floor = lex_lb[slot]
         # rank is unique per node, so the sort never compares past it
         children = sorted(self._child(aid, node) for node in ctx.allowed[aid])
-        # every child rewrites the same flows: the ones through aid
-        parent = (
-            [(fi, self.prefix_time[fi], self.flow_bound[fi]) for fi, *_ in ctx.membership[aid]],
-            (self.agg_sum, self.agg_max),
-        )
-        for primary, mem_bits, rank, node, updates, agg in children:
+        if self.longest:
+            parent = (None, self.agg_max)
+        else:  # every child rewrites the same flows: the ones through aid
+            parent = (
+                [(fi, self.prefix_time[fi], self.flow_bound[fi]) for fi, *_ in ctx.membership[aid]],
+                self.agg_sum,
+            )
+        for primary, mem_bits, rank, node, state in children:
             # Descend only if the bound (primary, mem, lex_lb) beats the
             # incumbent's key.  It is admissible: every completion of the
             # child has primary and memory no lower (flow bounds and robot
@@ -841,7 +903,7 @@ class _Search:
                 beats = (primary, mem_bits) < (best_primary, best_mem)
             if not beats:
                 break
-            self._assign(aid, node, updates, agg)
+            self._assign(aid, node, state)
             self.explored += 1
             yield True
             self._unassign(aid, parent)

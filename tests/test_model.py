@@ -466,6 +466,51 @@ def test_route_choice_prefers_cheaper_two_hop():
     assert comm.resolve("a", "b", 0) == 2.0
 
 
+def test_a_per_byte_link_makes_the_route_depend_on_the_payload():
+    """The direct link charges per byte, the detour does not: small payloads
+    take the direct link, large ones the detour.  Routes are then keyed by
+    the true payload bits, not by payload_key's 0."""
+    comm = CommModel(
+        links={
+            ("a", "b"): CommLink(1.0, per_byte_seconds=0.1),
+            ("a", "m"): CommLink(0.625),
+            ("m", "b"): CommLink(0.625),
+        }
+    )
+    assert comm.payload_key(24) == 24
+    assert comm.resolve("a", "b", 8) == 1.1  # one byte: direct, 1.1 < 1.25
+    assert comm.resolve("a", "b", 24) == 1.25  # three bytes: 1.3 direct, so the detour
+    assert comm.resolve("a", "b", 0) == 1.0
+
+
+def test_without_per_byte_links_every_payload_shares_one_route():
+    comm = CommModel(links={("a", "b"): CommLink(1.0, delay=DelaySpec(0.5, 0.25))})
+    assert comm.payload_key(10**6) == 0
+    delays = {("a", "b"): 0.75}
+    assert [repr(comm.resolve("a", "b", bits, delays)) for bits in (0, 9, 10**6)] == ["1.75"] * 3
+    assert list(comm._routes) == [("a", "a", 0), ("a", "b", 0)]
+
+
+@pytest.mark.parametrize("per_byte", [0.0, 1e-3])
+def test_equal_cost_routes_keep_the_lexicographic_tie_break(per_byte):
+    """Both detours cost 2.0 s expected, so the lexicographically smaller
+    path (via m1) wins.  Only a delay realization on a->m2 tells the routes
+    apart.  An unrelated per-byte link switches to true-bit keys and must
+    not change the choice."""
+    comm = CommModel(
+        links={
+            ("a", "m2"): CommLink(0.5, delay=DelaySpec(0.5, 0.0)),
+            ("m2", "b"): CommLink(1.0),
+            ("a", "m1"): CommLink(1.0),
+            ("m1", "b"): CommLink(1.0),
+            ("x", "y"): CommLink(1.0, per_byte_seconds=per_byte),
+        }
+    )
+    delays = {("a", "m2"): 5.0}
+    for bits in (0, 800):
+        assert comm.resolve("a", "b", bits, delays) == 2.0
+
+
 def test_tier_enum_round_trip():
     assert Tier("edge") is Tier.EDGE
     assert {t.value for t in Tier} == {"edge", "fog", "cloud"}

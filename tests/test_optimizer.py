@@ -211,6 +211,29 @@ def test_max_flow_pass_equals_the_walk_per_flow(
     assert repr(passed) == repr(walked) == repr(reference)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_hops_equal_resolve_with_the_true_payload(seed):
+    """Without a per-byte link the hop rows are keyed by payload 0; every
+    compiled hop still equals CommModel.resolve with the true payload bits
+    (by repr), on a fresh model, under a partial delay realization."""
+    params = GenParams(fog_nodes=1 + seed % 3, cloud_nodes=1 + seed % 2, delay_prob=0.6)
+    inst = random_instance(8, params, seed=seed)
+    rng = random.Random(seed)
+    delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
+    priced = compile_instance(inst).priced(delays)
+    fresh = instance_from_dict(instance_to_dict(inst)).comm
+    for aid in sorted(inst.algorithms):
+        for src in sorted(inst.nodes):
+            for dst in sorted(inst.nodes):
+                want = fresh.resolve(src, dst, priced.output_bits[aid], delays)
+                assert repr(priced.out_rows[aid][src][dst]) == repr(want)
+                assert repr(priced.hop(src, dst, priced.output_bits[aid])) == repr(want)
+        for dst in sorted(inst.nodes):
+            want = fresh.resolve(priced.edge_id, dst, priced.input_bits[aid], delays)
+            assert repr(priced.in_rows[aid][dst]) == repr(want)
+    assert list(priced.rows) == [0]
+
+
 def test_solver_per_flow_matches_flow_time():
     rng = random.Random(17)
     for seed in range(30):
@@ -332,14 +355,16 @@ def test_explored_node_accounting(dataset_d2):
     zero_regions=st.booleans(),
     flat_exec=st.booleans(),
     same_links=st.booleans(),
+    per_byte=st.booleans(),
 )
 def test_branch_bound_matches_bruteforce_under_ties(
-    seed, n, fog, cloud, kind, aggregate, include_return_hop, zero_regions, flat_exec, same_links
+    seed, n, fog, cloud, kind, aggregate, include_return_hop, zero_regions, flat_exec, same_links, per_byte
 ):
     """Ties on the primary objective and on memory are settled by the lex
     tuple; the generators force them: zero-size regions and no processing
     memory (every placement ties on memory), one execution time on every
-    tier, and one cost on every link."""
+    tier, and one cost on every link.  per_byte charges most links per
+    byte, so hops and routes depend on the payload and are keyed by it."""
     data = _relabelled(seed, n, fog, cloud)
     data["options"]["time_aggregate"] = aggregate
     if zero_regions:
@@ -353,6 +378,10 @@ def test_branch_bound_matches_bruteforce_under_ties(
     if same_links:
         for link in data["comm"]:
             link["base_seconds"] = 1.0
+    if per_byte:
+        rng = random.Random(seed)
+        for link in data["comm"]:
+            link["per_byte_seconds"] = rng.choice((0.0, 1e-6, 1e-5))
     inst = instance_from_dict(data)
     objective = Objective(kind)
     expect = solve_bruteforce(inst, objective, include_return_hop=include_return_hop)
@@ -419,6 +448,114 @@ def test_lex_bound_is_the_least_completion_lex():
                 spy.run()
                 checked += spy.checked
     assert checked > 1000
+
+
+class _Checked(Exception):
+    """Ends a spied search once its budget of checks is spent."""
+
+
+class _BoundSpy(_Search):
+    """Checks every max_flow child bound and leaf time against the flows
+    through the child, each timed on its own: a child's time bound must be
+    the larger of its parent's and the largest prefix + tail[node] over the
+    flows through its algorithm, compared by repr."""
+
+    def __init__(self, ctx, incumbent, resolve, budget):
+        super().__init__(ctx, incumbent)
+        self.resolve = resolve
+        self.budget = budget
+        self.children = self.leaves = 0
+
+    def _prefix(self, flow, pos, placement):
+        """The flow's partial sum through position pos, in _flow_total's order."""
+        ctx = self.ctx
+        total, prev, payload = 0.0, ctx.edge_id, ctx.input_bits[flow[0]]
+        for aid in flow[: pos + 1]:
+            node = placement[aid]
+            total += self.resolve(prev, node, payload)
+            total += ctx.exec_s[(aid, node)]
+            prev, payload = node, ctx.output_bits[aid]
+        return total
+
+    def _spend(self):
+        if self.children + self.leaves >= self.budget:
+            raise _Checked
+
+    def _child(self, aid, node):
+        self._spend()
+        ctx = self.ctx
+        primary, mem_bits, _, _, (_, time_bound) = child = super()._child(aid, node)
+        placement = {**self.assignment, aid: node}
+        through = max(
+            self._prefix(ctx.flows[fi], pos, placement) + ctx.best_suffix[fi][pos + 1][node]
+            for fi, pos, _, _ in ctx.membership[aid]
+        )
+        want = max(self.agg_max, through)
+        assert repr(time_bound) == repr(want)
+        assert repr(primary) == repr(_primary(ctx, want, mem_bits))
+        self.children += 1
+        return child
+
+    def _leaf_time(self):
+        self._spend()
+        ctx = self.ctx
+        got = super()._leaf_time()
+        totals = []
+        for flow in ctx.flows:
+            total = self._prefix(flow, len(flow) - 1, self.assignment)
+            if ctx.include_return_hop:
+                total += self.resolve(self.assignment[flow[-1]], ctx.edge_id, ctx.output_bits[flow[-1]])
+            totals.append(total)
+        assert repr(got) == repr(max(totals))
+        self.leaves += 1
+        return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(10, 18),
+    dense=st.booleans(),
+    kind=st.sampled_from(("min_distance", "min_time_max")),
+    include_return_hop=st.booleans(),
+)
+# a leaf whose time differs from the running maximum of its bounds by rounding
+@example(seed=6, n=14, dense=True, kind="min_time_max", include_return_hop=True)
+@example(seed=2, n=14, dense=True, kind="min_distance", include_return_hop=False)
+def test_max_flow_child_bound_equals_the_max_over_its_flows(seed, n, dense, kind, include_return_hop):
+    """Under max_flow the search keeps one longest-path sum P(v) per
+    algorithm and prices a child as P(v) + T(v, node), T the largest tail
+    bound after v.  That equals the per-flow bound's maximum over the flows
+    through v bit for bit: the flows are every prefix path times every
+    suffix path, and rounded addition is monotone in each operand.  Dense
+    graphs give hundreds of flows; exec times spanning 1e-9 to 1e3 and a
+    partial delay realization make a regrouped sum show.  Unordered tiers
+    make some of these searches long, so each checks its first 400 steps."""
+    params = GenParams(
+        fog_nodes=2,
+        edge_prob=0.6 if dense else None,
+        exec_range=(1e-9, 1e3),
+        delay_prob=0.6,
+        tier_ordering=False,
+    )
+    inst = random_instance(n, params, seed=seed)
+    rng = random.Random(seed)
+    delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
+    ctx = build_context(inst, Objective(kind), include_return_hop, delays)
+    assert ctx.aggregate == "max_flow"
+    hops = {}
+
+    def resolve(src, dst, payload):
+        if (src, dst, payload) not in hops:
+            hops[src, dst, payload] = inst.comm.resolve(src, dst, payload, delays)
+        return hops[src, dst, payload]
+
+    spy = _BoundSpy(ctx, warm_start(ctx), resolve, budget=400)
+    try:
+        spy.run()
+    except _Checked:
+        pass
+    assert spy.children >= len(ctx.allowed[ctx.order[0]])
 
 
 def test_min_memory_ties_do_not_walk_the_tree():
