@@ -14,10 +14,8 @@ from .lattice import (
     DEFAULT_FLOW_CAP,
     FLOW_CAP_ENV,
     all_flows,
-    build_semilattice,
     connected_components,
     count_flows,
-    execution_flows,
     layer,
 )
 from .memory import (
@@ -100,14 +98,12 @@ __all__ = [
     "Tier",
     "all_flows",
     "baseline_overall",
-    "build_semilattice",
     "combine_memory",
     "combine_time",
     "connected_components",
     "count_flows",
     "effective_allowed",
     "evaluate",
-    "execution_flows",
     "flow_time",
     "instance_from_dict",
     "instance_to_dict",

@@ -1,4 +1,4 @@
-"""Dependency-graph structure: layering, components, semi-lattices, flows.
+"""Dependency-graph structure: layering, components, flows.
 
 Layer 1 holds the in-degree-0 vertices; a vertex sits in layer k when all of
 its predecessors sit in layers below k and at least one sits in layer k-1.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .model import CapExceededError, DependencyGraph
@@ -36,15 +35,23 @@ def flow_cap() -> int:
     return value
 
 
-def layer(graph: DependencyGraph) -> List[List[str]]:
-    """Layers as sorted id lists; raises on cycles (validate reports them first)."""
-    preds: Dict[str, List[str]] = {aid: [] for aid in graph.algorithms}
+def _successors(graph: DependencyGraph) -> Dict[str, List[str]]:
+    """Each vertex's successors, sorted."""
     succs: Dict[str, List[str]] = {aid: [] for aid in graph.algorithms}
     for u, v in graph.edges:
-        preds[v].append(u)
         succs[u].append(v)
+    for vs in succs.values():
+        vs.sort()
+    return succs
 
-    indegree = {aid: len(ps) for aid, ps in preds.items()}
+
+def layer(graph: DependencyGraph) -> List[List[str]]:
+    """Layers as sorted id lists; raises on cycles (validate reports them first)."""
+    succs = _successors(graph)
+    indegree = dict.fromkeys(graph.algorithms, 0)
+    for _, v in graph.edges:
+        indegree[v] += 1
+
     level: Dict[str, int] = {}
     queue = deque(sorted(aid for aid, d in indegree.items() if d == 0))
     for aid in queue:
@@ -100,87 +107,38 @@ def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
     return components
 
 
-@dataclass
-class SemiLattice:
-    """One component plus the vertices its virtual top and bottom attach to."""
-
-    vertices: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str], ...]
-    sources: Tuple[str, ...]  # successors of the virtual top
-    sinks: Tuple[str, ...]  # predecessors of the virtual bottom
-
-
-def build_semilattice(component: DependencyGraph) -> SemiLattice:
-    if not component.algorithms:
-        raise ValueError("cannot build a semi-lattice over an empty component")
-    has_pred = {v for (_, v) in component.edges}
-    has_succ = {u for (u, _) in component.edges}
-    return SemiLattice(
-        vertices=tuple(sorted(component.algorithms)),
-        edges=component.edges,
-        sources=tuple(sorted(set(component.algorithms) - has_pred)),
-        sinks=tuple(sorted(set(component.algorithms) - has_succ)),
-    )
+def count_flows(graph: DependencyGraph) -> int:
+    """Number of source-to-sink paths over every component (DP, no enumeration)."""
+    succs = _successors(graph)
+    layers = layer(graph)
+    paths: Dict[str, int] = {}
+    for bucket in reversed(layers):  # every successor sits in a later layer
+        for v in bucket:
+            paths[v] = sum(paths[w] for w in succs[v]) if succs[v] else 1
+    return sum(paths[v] for v in layers[0]) if layers else 0
 
 
-def count_flows(lattice: SemiLattice) -> int:
-    """Number of maximal source-to-sink paths (DP, no enumeration)."""
-    succs: Dict[str, List[str]] = {v: [] for v in lattice.vertices}
-    for u, v in lattice.edges:
-        succs[u].append(v)
-    counts: Dict[str, int] = {}
+def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
+    """All flows: components in connected_components order, each in
+    lexicographic order, virtual endpoints stripped.
 
-    order = _topological(lattice)
-    for v in reversed(order):
-        if not succs[v]:
-            counts[v] = 1
-        else:
-            counts[v] = sum(counts[w] for w in succs[v])
-    return sum(counts[s] for s in lattice.sources)
-
-
-def _topological(lattice: SemiLattice) -> List[str]:
-    indeg = {v: 0 for v in lattice.vertices}
-    succs: Dict[str, List[str]] = {v: [] for v in lattice.vertices}
-    for u, v in lattice.edges:
-        indeg[v] += 1
-        succs[u].append(v)
-    queue = deque(sorted(v for v, d in indeg.items() if d == 0))
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(succs[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(lattice.vertices):
-        raise ValueError("component contains a cycle; flows undefined")
-    return order
-
-
-def execution_flows(lattice: SemiLattice, cap: Optional[int] = None) -> List[ExecutionFlow]:
-    """All maximal paths in lexicographic order, virtual endpoints stripped.
-
-    Raises CapExceededError("flow explosion") when the DP count exceeds cap.
+    Raises CapExceededError("flow explosion") when the DP count over the
+    whole graph exceeds cap.
     """
     if cap is None:
         cap = flow_cap()
-    total = count_flows(lattice)
+    total = count_flows(graph)
     if total > cap:
         raise CapExceededError("flow explosion", total, cap)
 
-    succs: Dict[str, List[str]] = {v: [] for v in lattice.vertices}
-    for u, v in lattice.edges:
-        succs[u].append(v)
-    for vs in succs.values():
-        vs.sort()
-
+    succs = _successors(graph)
+    has_pred = {v for _, v in graph.edges}
+    sources = [v for c in connected_components(graph) for v in c.algorithms if v not in has_pred]
     # depth-first with an explicit stack of successor iterators, so a deep
     # graph cannot reach the recursion limit
     flows: List[ExecutionFlow] = []
     path: List[str] = []
-    pending = [iter(lattice.sources)]
+    pending = [iter(sources)]
     while pending:
         v = next(pending[-1], None)
         if v is None:
@@ -192,12 +150,4 @@ def execution_flows(lattice: SemiLattice, cap: Optional[int] = None) -> List[Exe
             pending.append(iter(succs[v]))
         else:
             flows.append((*path, v))
-    return flows
-
-
-def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
-    """Flows pooled over every component (component order, lexicographic within)."""
-    flows: List[ExecutionFlow] = []
-    for component in connected_components(graph):
-        flows.extend(execution_flows(build_semilattice(component), cap=cap))
     return flows

@@ -226,28 +226,7 @@ class AlgorithmSpec:
         except KeyError:
             raise KeyError(f"algorithm {self.id!r} has no execution time for node {node.id!r}")
 
-    def __eq__(self, other):  # dict fields block the generated frozen eq/hash
-        if not isinstance(other, AlgorithmSpec):
-            return NotImplemented
-        return (
-            self.id,
-            self.exec_time,
-            self.node_overrides,
-            self.memory,
-            self.space_rank,
-            self.space_label,
-            self.allowed_locations,
-        ) == (
-            other.id,
-            other.exec_time,
-            other.node_overrides,
-            other.memory,
-            other.space_rank,
-            other.space_label,
-            other.allowed_locations,
-        )
-
-    __hash__ = None
+    __hash__ = None  # the generated hash would fail on the dict fields; the generated eq is kept
 
 
 @dataclass

@@ -22,7 +22,7 @@ longest-path state of time_of: P(v) for each assigned algorithm (the largest
 P(u) + hop over its predecessors u, or 0.0 + the request hop at a source,
 then + exec) and agg_max, the running maximum of the flow bounds.  A child
 for v on node y is bounded by max(agg_max, P(v) + T(v, y)), where T(v, y) is
-the largest tail[y] over v's distinct suffix tables (at a sink, its return-hop
+the largest tail[y] over v's distinct tail tables (at a sink, its return-hop
 table), built once per solve.  That equals the maximum over the flows through
 v of prefix + tail[y], bit for bit: those flows are every prefix path times
 every suffix path, and rounded addition is monotone in each operand, so the
@@ -35,12 +35,14 @@ priced.  The walk keeps an explicit stack of per-depth child generators, so
 its depth is not bounded by the recursion limit.  _primary is the one
 primary-objective computation.
 
-A flow's completion bound reads a best_suffix table, which depends only on
-its source nodes, the payload of its inbound hop, its algorithm and the
-next table.  build_context builds one table per such key and shares it among
-the flows that read it, and prices the hop + exec term of each table entry
-once per (source nodes, payload, algorithm); that is the sum Python adds
-first in hop + exec + rest, so the floats are unchanged.
+A flow's completion bound after an algorithm reads the tail table of its
+membership entry, which depends only on its source nodes, the payload of
+its inbound hop, its algorithm and the next table.  build_context builds one
+table per such key and shares it among the flows that read it, and prices
+the hop + exec term of each table entry once per (source nodes, payload,
+algorithm); that is the sum Python adds first in hop + exec + rest, so the
+floats are unchanged.  Of each flow's first table it keeps only the entry
+the request reads, start_bound: the flow's bound before any assignment.
 
 Hops are read from rows: one per (payload, source node) and delay
 realization, mapping a destination node to seconds and resolving a missing
@@ -70,7 +72,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lattice import all_flows, layer
 from .memory import robot_memory_bits
@@ -81,7 +83,7 @@ from .model import (
     effective_allowed,
     node_order,
 )
-from .timing import FlowTiming, Placement
+from .timing import FlowTiming, Placement, aggregate_times
 
 MB_BITS = 8 * 1024 * 1024  # distance works in 2**20-byte megabytes
 
@@ -224,7 +226,7 @@ class CompiledInstance:
         """
         if aggregate == "max_flow":
             return self._longest_path(placement)
-        return _aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
+        return aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
 
     def _longest_path(
         self,
@@ -356,16 +358,6 @@ def _flow_total(
     return total
 
 
-def _aggregate_times(aggregate: str, totals: Sequence[float]) -> float:
-    if not totals:
-        return 0.0
-    if aggregate == "max_flow":
-        return max(totals)
-    if aggregate == "total_flows":
-        return sum(totals)
-    return sum(totals) / len(totals)
-
-
 def check_placement(instance: ProblemInstance, placement: Placement) -> None:
     """Raise InfeasibleError unless placement puts every algorithm on one of
     its allowed nodes."""
@@ -411,17 +403,19 @@ class SolveContext(CompiledInstance):
     node_rank: Dict[str, int]
     aggregate: str
     # alg -> [(flow index, position, previous algorithm or None at a source,
-    # best_suffix[flow index][position + 1])], by flow index.  The per-flow
-    # search state reads it under total_flows and mean_flows; under max_flow
-    # the search reads only its distinct tail tables, for T(alg, node).
+    # tail)], by flow index.  tail[node] = cheapest way to finish the flow
+    # after alg runs on node (execs, inter-hops, return hop; at a sink, its
+    # return hop or 0.0).  Exact per flow in isolation, hence an admissible
+    # joint bound.  A tail depends only on its source nodes, inbound payload,
+    # algorithm and next tail, so the flows that read one share one dict, and
+    # its hop + exec terms are priced once per (source nodes, payload,
+    # algorithm).  The per-flow search state reads every entry under
+    # total_flows and mean_flows; under max_flow the search reads only the
+    # distinct tails, for T(alg, node).
     membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]]
-    # best_suffix[fi][pos][node] = cheapest way to finish flow fi (inbound hop,
-    # execs, inter-hops, return hop) given position pos-1 sits on node.  Exact
-    # per flow in isolation, hence an admissible joint bound.  A table depends
-    # only on its source nodes, inbound payload, algorithm and next table, so
-    # the flows that read one share one dict, and its hop + exec terms are
-    # priced once per (source nodes, payload, algorithm).
-    best_suffix: List[List[Dict[str, float]]]
+    # start_bound[fi]: flow fi's cheapest completion from the robot's request
+    # (request hop included), its bound before any assignment
+    start_bound: List[float]
 
     def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
         return tuple(self.node_rank[placement[aid]] for aid in self.sorted_ids)
@@ -461,7 +455,7 @@ def build_context(
     membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]] = {
         aid: [] for aid in instance.algorithms
     }
-    best_suffix: List[List[Dict[str, float]]] = []
+    start_bound: List[float] = []
     for fi, flow in enumerate(priced.flows):
         nodes, payload = after[flow[-1]]
         nxt = ends.get((nodes, payload))
@@ -470,7 +464,6 @@ def build_context(
             nxt = ends[nodes, payload] = {
                 nid: back[nid][edge_id] if include_return_hop else 0.0 for nid in nodes
             }
-        suffix = [nxt] * (len(flow) + 1)
         for pos in range(len(flow) - 1, -1, -1):
             aid = flow[pos]
             prev = flow[pos - 1] if pos else None
@@ -488,8 +481,8 @@ def build_context(
                     }
                 later = tuple(nxt.values())  # keyed by allowed[aid], in its order
                 table = tails[key] = {src: min(map(add, row, later)) for src, row in step.items()}
-            suffix[pos] = nxt = table
-        best_suffix.append(suffix)
+            nxt = table
+        start_bound.append(nxt[edge_id])
 
     return SolveContext(
         **vars(priced),
@@ -499,7 +492,7 @@ def build_context(
         node_rank=rank,
         aggregate=_aggregate_for(instance, objective),
         membership=membership,
-        best_suffix=best_suffix,
+        start_bound=start_bound,
     )
 
 
@@ -531,7 +524,7 @@ def _finish(ctx: SolveContext, placement: Placement, explored: int) -> Allocatio
         segments: List[Tuple[str, float]] = []
         total = _flow_total(ctx, flow, placement, segments)
         timings.append(FlowTiming(flow=flow, segments=tuple(segments), total=total))
-    time_s = _aggregate_times(ctx.aggregate, [t.total for t in timings])
+    time_s = aggregate_times(ctx.aggregate, [t.total for t in timings])
     mem_bits = robot_memory_bits(ctx.instance, placement)
     cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
     return AllocationResult(
@@ -587,18 +580,18 @@ def default_guess(ctx: SolveContext) -> Placement:
 
 
 def _greedy_flow_guess(ctx: SolveContext) -> Placement:
-    """Walk each flow along its cheapest completion; first writer wins."""
+    """Walk each flow along its cheapest completion; first writer wins.
+
+    Each algorithm is placed by its first flow, after the previous algorithm
+    in that flow, which comes earlier in topological order."""
     guess: Placement = {}
-    for fi, flow in enumerate(ctx.flows):
-        row = ctx.in_rows[flow[0]]
-        for pos, aid in enumerate(flow):
-            if aid not in guess:
-                nxt = ctx.best_suffix[fi][pos + 1]
-                guess[aid] = min(
-                    ctx.allowed[aid],
-                    key=lambda nid: (row[nid] + ctx.exec_s[(aid, nid)] + nxt[nid], ctx.node_rank[nid]),
-                )
-            row = ctx.out_rows[aid][guess[aid]]
+    for aid in ctx.order:
+        _, _, prev, nxt = ctx.membership[aid][0]
+        row = ctx.in_rows[aid] if prev is None else ctx.out_rows[prev][guess[prev]]
+        guess[aid] = min(
+            ctx.allowed[aid],
+            key=lambda nid: (row[nid] + ctx.exec_s[(aid, nid)] + nxt[nid], ctx.node_rank[nid]),
+        )
     return guess
 
 
@@ -677,9 +670,9 @@ def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
         def retime(i: int) -> float:
             for fi, pos, _, _ in ctx.membership[ctx.order[i]]:
                 totals[fi] = _flow_total(ctx, flows[fi], placement, None, pos, marks[fi][pos], marks[fi])
-            return _aggregate_times(ctx.aggregate, totals)
+            return aggregate_times(ctx.aggregate, totals)
 
-        time_s = _aggregate_times(ctx.aggregate, totals)
+        time_s = aggregate_times(ctx.aggregate, totals)
 
     def move(aid: str, src: str, dst: str) -> None:
         if src == edge:
@@ -735,7 +728,7 @@ class _Search:
     def __init__(self, ctx: SolveContext, incumbent: Placement):
         self.ctx = ctx
         # each flow's bound before any assignment: its cheapest completion
-        bounds = [suffix[0][ctx.edge_id] for suffix in ctx.best_suffix]
+        bounds = list(ctx.start_bound)
         self.longest = ctx.aggregate == "max_flow"
         if self.longest:
             # the running maximum of the flow bounds; they only grow under
@@ -847,7 +840,7 @@ class _Search:
             # every flow ends at a sink s, whose T(s, y) is its return hop
             assignment = self.assignment
             return max(self.finish[s] + self.reach[s][assignment[s]] for s in self.sinks)
-        return _aggregate_times(self.ctx.aggregate, self.flow_bound)
+        return aggregate_times(self.ctx.aggregate, self.flow_bound)
 
     # -- search ------------------------------------------------------------
 

@@ -81,11 +81,10 @@ def flow_time(
     return FlowTiming(flow=tuple(flow), segments=tuple(segments), total=total)
 
 
-def overall_time(timings: Sequence[FlowTiming], aggregate: str = "max_flow") -> float:
+def aggregate_times(aggregate: str, totals: Sequence[float]) -> float:
     """Aggregate per-flow totals; an empty flow set takes 0 time."""
-    if not timings:
+    if not totals:
         return 0.0
-    totals = [t.total for t in timings]
     if aggregate == "max_flow":
         return max(totals)
     if aggregate == "total_flows":
@@ -93,3 +92,8 @@ def overall_time(timings: Sequence[FlowTiming], aggregate: str = "max_flow") -> 
     if aggregate == "mean_flows":
         return sum(totals) / len(totals)
     raise ValueError(f"unknown aggregate {aggregate!r}")
+
+
+def overall_time(timings: Sequence[FlowTiming], aggregate: str = "max_flow") -> float:
+    """Aggregate the flows' totals (see aggregate_times)."""
+    return aggregate_times(aggregate, [t.total for t in timings])

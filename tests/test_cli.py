@@ -125,6 +125,31 @@ def test_flow_cap_env(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: flow explosion")
 
 
+def two_fans():
+    """Two components, s -> a, b and t -> x, y: two flows each."""
+    data = fixtures.single_sort()
+    sort = data["algorithms"][0]
+    data["algorithms"] = [{**sort, "id": aid} for aid in ("a", "b", "s", "t", "x", "y")]
+    data["edges"] = [["s", "a"], ["s", "b"], ["t", "x"], ["t", "y"]]
+    return data
+
+
+def test_flows_count_only_counts_every_component(tmp_path, capsys):
+    path = write_instance(tmp_path, two_fans())
+    rc, out, _ = run(capsys, "flows", path)
+    assert (rc, out) == (0, "s,a\ns,b\nt,x\nt,y\n")
+    rc, count, _ = run(capsys, "flows", path, "--count-only")
+    assert (rc, count) == (0, f"{len(out.splitlines())}\n")
+
+
+def test_flow_cap_bounds_the_pooled_count(tmp_path, capsys, monkeypatch):
+    """Each component's two flows fit under the cap; all four do not."""
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", "3")
+    rc, out, err = run(capsys, "flows", write_instance(tmp_path, two_fans()))
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: flow explosion")
+
+
 # ---------------------------------------------------------------------------
 # time
 

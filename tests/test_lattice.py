@@ -1,4 +1,4 @@
-"""Layering, components, semi-lattices, and execution-flow enumeration."""
+"""Layering, components, flow counting, and execution-flow enumeration."""
 
 import random
 
@@ -7,10 +7,8 @@ import pytest
 from allocflow import fixtures
 from allocflow.lattice import (
     all_flows,
-    build_semilattice,
     connected_components,
     count_flows,
-    execution_flows,
     flow_cap,
     layer,
 )
@@ -133,29 +131,18 @@ def test_components_match_bfs_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Semi-lattice
-
-
-def test_semilattice_bounds(dataset_d2):
-    lattice = build_semilattice(dataset_d2.graph)
-    assert lattice.sources == ("data",)
-    assert lattice.sinks == ("stage_b", "stage_c")
-
-
-def test_semilattice_rejects_empty_component():
-    with pytest.raises(ValueError, match="empty"):
-        build_semilattice(DependencyGraph())
+# Flows
 
 
 def test_single_vertex_is_source_and_sink():
-    lattice = build_semilattice(graph_of([], n=1))
-    assert lattice.sources == lattice.sinks == ("v0",)
-    assert count_flows(lattice) == 1
-    assert execution_flows(lattice) == [("v0",)]
+    graph = graph_of([], n=1)
+    assert count_flows(graph) == 1
+    assert all_flows(graph) == [("v0",)]
 
 
-# ---------------------------------------------------------------------------
-# Flows
+def test_empty_graph_has_no_flows():
+    assert count_flows(DependencyGraph()) == 0
+    assert all_flows(DependencyGraph()) == []
 
 
 def test_dataset_flows(dataset_d2):
@@ -180,16 +167,17 @@ def test_flows_are_lexicographic_and_maximal():
 
 
 def test_count_matches_enumeration():
+    """The pooled DP count equals the enumeration, over the whole graph and
+    over each component on its own."""
     rng = random.Random(3)
+    split = 0
     for _ in range(30):
         graph = random_dag(rng, rng.randint(1, 10))
-        total = 0
-        for component in connected_components(graph):
-            lattice = build_semilattice(component)
-            flows = execution_flows(lattice, cap=10**9)
-            assert count_flows(lattice) == len(flows)
-            total += len(flows)
-        assert len(all_flows(graph, cap=10**9)) == total
+        components = connected_components(graph)
+        split += len(components) > 1
+        assert count_flows(graph) == len(all_flows(graph, cap=10**9))
+        assert count_flows(graph) == sum(len(all_flows(c, cap=10**9)) for c in components)
+    assert split >= 10
 
 
 def test_every_flow_is_a_real_path():
@@ -231,8 +219,9 @@ def test_flows_match_recursive_walk_oracle():
             for w in succs[path[-1]]:
                 walk(path + [w])
 
+        has_pred = {v for _, v in graph.edges}
         for component in connected_components(graph):
-            for source in build_semilattice(component).sources:
+            for source in sorted(set(component.algorithms) - has_pred):
                 walk([source])
         assert all_flows(graph) == expected
 
@@ -245,11 +234,21 @@ def test_deep_chain_does_not_hit_the_recursion_limit():
 
 def test_cap_exceeded_raises_with_counts():
     graph = graph_of([("s", "a"), ("s", "b"), ("s", "c")])
-    lattice = build_semilattice(graph)
     with pytest.raises(CapExceededError) as exc:
-        execution_flows(lattice, cap=2)
+        all_flows(graph, cap=2)
     assert exc.value.count == 3
     assert exc.value.cap == 2
+
+
+def test_cap_bounds_the_flows_pooled_over_components():
+    """Two components of two flows each: every component fits under cap 3,
+    their four flows do not."""
+    graph = graph_of([("s", "a"), ("s", "b"), ("t", "c"), ("t", "d")])
+    assert len(all_flows(graph, cap=4)) == 4
+    with pytest.raises(CapExceededError) as exc:
+        all_flows(graph, cap=3)
+    assert exc.value.count == 4
+    assert exc.value.cap == 3
 
 
 def test_flow_cap_env_override(monkeypatch):

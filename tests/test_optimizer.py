@@ -28,7 +28,6 @@ from allocflow.optimizer import (
     CostPoint,
     Objective,
     _Search,
-    _aggregate_times,
     _flow_total,
     _greedy_flow_guess,
     _polish_guess,
@@ -44,7 +43,7 @@ from allocflow.optimizer import (
     warm_start,
 )
 from allocflow.simulate import GenParams, random_instance
-from allocflow.timing import flow_time, overall_time
+from allocflow.timing import aggregate_times, flow_time, overall_time
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -487,8 +486,8 @@ class _BoundSpy(_Search):
         primary, mem_bits, _, _, (_, time_bound) = child = super()._child(aid, node)
         placement = {**self.assignment, aid: node}
         through = max(
-            self._prefix(ctx.flows[fi], pos, placement) + ctx.best_suffix[fi][pos + 1][node]
-            for fi, pos, _, _ in ctx.membership[aid]
+            self._prefix(ctx.flows[fi], pos, placement) + tail[node]
+            for fi, pos, _, tail in ctx.membership[aid]
         )
         want = max(self.agg_max, through)
         assert repr(time_bound) == repr(want)
@@ -591,8 +590,10 @@ def test_branch_bound_answers_are_pinned():
     assert explored == 588
 
 
-def _per_flow_best_suffix(ctx):
-    """best_suffix built afresh at every position of every flow."""
+def _per_flow_tails(ctx):
+    """Per flow fi, table[pos][node] = the cheapest way to finish flow fi
+    (inbound hop, execs, inter-hops, return hop) given position pos-1 sits
+    on node, built afresh at every position of every flow."""
     tables = []
     for flow in ctx.flows:
         suffix = [{} for _ in range(len(flow) + 1)]
@@ -620,7 +621,7 @@ def _per_flow_best_suffix(ctx):
 def _whole_flow_key(ctx, placement):
     """The placement key, every flow timed from its start."""
     mem_bits = robot_memory_bits(ctx.instance, placement)
-    time_s = _aggregate_times(ctx.aggregate, [_flow_total(ctx, f, placement) for f in ctx.flows])
+    time_s = aggregate_times(ctx.aggregate, [_flow_total(ctx, f, placement) for f in ctx.flows])
     return _primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)
 
 
@@ -655,9 +656,9 @@ def _whole_flow_polish(ctx, guess):
 def test_shared_tables_and_polish_match_the_per_flow_reference(
     seed, n, fog, cloud, kind, aggregate, include_return_hop
 ):
-    """best_suffix, built once per tail from per-edge hop + exec rows, equals
-    the per-position build entry by entry (compared by repr), and flows with
-    one tail hold one dict.  The warm start, whose polish resumes timing at
+    """The tail tables, built once per tail from per-edge hop + exec rows,
+    equal the per-position build entry by entry, and so does start_bound
+    (compared by repr); flows with one tail hold one dict.  The warm start, whose polish resumes timing at
     the moved algorithm, returns what a polish that re-times whole flows does.
     Exec times spanning 1e-9 to 1e3 and jittered links make rounding show if
     a sum is grouped differently."""
@@ -670,14 +671,19 @@ def test_shared_tables_and_polish_match_the_per_flow_reference(
     delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
     ctx = build_context(inst, Objective(kind), include_return_hop, delays)
 
-    reference = _per_flow_best_suffix(ctx)
-    assert len(ctx.best_suffix) == len(reference)
-    for got, want in zip(ctx.best_suffix, reference):
-        assert [repr(table) for table in got] == [repr(table) for table in want]
+    reference = _per_flow_tails(ctx)
+    assert len(ctx.start_bound) == len(reference)
+    for got, want in zip(ctx.start_bound, reference):
+        assert repr(got) == repr(want[0][ctx.edge_id])
     by_tail = {}
-    for flow, suffix in zip(ctx.flows, ctx.best_suffix):
-        for pos, table in enumerate(suffix):
-            by_tail.setdefault(flow[pos - 1 :] if pos else (None,) + flow, set()).add(id(table))
+    seen = []
+    for aid, entries in ctx.membership.items():
+        for fi, pos, _, tail in entries:
+            assert ctx.flows[fi][pos] == aid
+            assert repr(tail) == repr(reference[fi][pos + 1])
+            by_tail.setdefault(ctx.flows[fi][pos:], set()).add(id(tail))
+            seen.append((fi, pos))
+    assert sorted(seen) == [(fi, pos) for fi, flow in enumerate(ctx.flows) for pos in range(len(flow))]
     assert all(len(ids) == 1 for ids in by_tail.values())
 
     greedy = _greedy_flow_guess(ctx)
