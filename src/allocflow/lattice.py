@@ -76,8 +76,9 @@ def layer(graph: DependencyGraph) -> List[List[str]]:
     return layers
 
 
-def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
-    """Weakly-connected components, ordered by smallest member id."""
+def _groups(graph: DependencyGraph) -> List[List[str]]:
+    """Weakly-connected components as sorted member lists, ordered by
+    smallest member id (union-find over the edges)."""
     parent: Dict[str, str] = {aid: aid for aid in graph.algorithms}
 
     def find(x: str) -> str:
@@ -94,28 +95,48 @@ def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
     groups: Dict[str, List[str]] = {}
     for aid in graph.algorithms:
         groups.setdefault(find(aid), []).append(aid)
+    return sorted(map(sorted, groups.values()), key=lambda members: members[0])
 
+
+def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
+    """Weakly-connected components, ordered by smallest member id."""
     components = []
-    for members in sorted(groups.values(), key=min):
+    for members in _groups(graph):
         member_set = set(members)
         components.append(
             DependencyGraph(
-                algorithms={aid: graph.algorithms[aid] for aid in sorted(members)},
+                algorithms={aid: graph.algorithms[aid] for aid in members},
                 edges=tuple(e for e in graph.edges if e[0] in member_set),
             )
         )
     return components
 
 
+def _path_count(graph: DependencyGraph, succs: Dict[str, List[str]]) -> int:
+    """Number of source-to-sink paths: a DP over a topological order of the
+    successor index (Kahn's); raises ValueError on a cycle."""
+    indegree = dict.fromkeys(graph.algorithms, 0)
+    for _, v in graph.edges:
+        indegree[v] += 1
+    order = [aid for aid, d in indegree.items() if not d]
+    sources = len(order)
+    for aid in order:  # grows as vertices lose their last predecessor
+        for nxt in succs[aid]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) != len(indegree):
+        raise ValueError("graph contains a cycle; flows undefined")
+    paths: Dict[str, int] = {}
+    for aid in reversed(order):  # every successor comes later in order
+        nxts = succs[aid]
+        paths[aid] = sum(paths[w] for w in nxts) if nxts else 1
+    return sum(paths[aid] for aid in order[:sources])
+
+
 def count_flows(graph: DependencyGraph) -> int:
     """Number of source-to-sink paths over every component (DP, no enumeration)."""
-    succs = _successors(graph)
-    layers = layer(graph)
-    paths: Dict[str, int] = {}
-    for bucket in reversed(layers):  # every successor sits in a later layer
-        for v in bucket:
-            paths[v] = sum(paths[w] for w in succs[v]) if succs[v] else 1
-    return sum(paths[v] for v in layers[0]) if layers else 0
+    return _path_count(graph, _successors(graph))
 
 
 def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
@@ -127,13 +148,13 @@ def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[Executi
     """
     if cap is None:
         cap = flow_cap()
-    total = count_flows(graph)
+    succs = _successors(graph)
+    total = _path_count(graph, succs)
     if total > cap:
         raise CapExceededError("flow explosion", total, cap)
 
-    succs = _successors(graph)
     has_pred = {v for _, v in graph.edges}
-    sources = [v for c in connected_components(graph) for v in c.algorithms if v not in has_pred]
+    sources = [v for members in _groups(graph) for v in members if v not in has_pred]
     # depth-first with an explicit stack of successor iterators, so a deep
     # graph cannot reach the recursion limit
     flows: List[ExecutionFlow] = []

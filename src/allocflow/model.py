@@ -673,6 +673,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             per_byte_seconds=_time(entry.get("per_byte_seconds", 0.0), f"comm link ({u}, {v}).per_byte_seconds"),
         )
 
+    _check_time_sums(len(nodes), algorithms, regions, links)
+
     raw_opts = _object(data.get("options", {}), "options")
     _reject_unknown(
         raw_opts,
@@ -702,6 +704,44 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             boundedness_horizon=horizon,
         ),
     )
+
+
+def _check_time_sums(
+    n_nodes: int,
+    algorithms: Dict[str, AlgorithmSpec],
+    regions: Dict[str, MemoryRegion],
+    links: Dict[Tuple[str, str], CommLink],
+) -> None:
+    """Raise ProblemFormatError unless every flow's time is finite at mean
+    delays.  A flow has at most n executions and n + 1 hops, and a hop is a
+    route of at most n_nodes - 1 links, each priced by CommModel.resolve as
+    one base + per-byte term, then its mean delay.  The largest of each
+    term, added in that shape and order, bounds every flow's sum, since
+    rounded addition is monotone in each operand."""
+    specs = algorithms.values()
+    size = 0  # the largest payload in bytes, which only a per-byte link reads
+    if any(link.per_byte_seconds for link in links.values()):
+        held = [region_set for s in specs for region_set in (s.memory.inputs, s.memory.outputs)]
+        size = _payload_bytes(max((sum(regions[r].size_bits for r in rs) for rs in held), default=0))
+    term = max((link.base_seconds + link.per_byte_seconds * size for link in links.values()), default=0.0)
+    delay = max((link.delay.mean() for link in links.values() if link.delay is not None), default=0.0)
+    exec_max = max(
+        (max(times.values(), default=0.0) for s in specs for times in (s.exec_time, s.node_overrides)),
+        default=0.0,
+    )
+    hop = 0.0
+    for _ in range(n_nodes - 1):
+        hop += term
+        hop += delay
+    total = hop
+    for _ in algorithms:
+        total += exec_max
+        total += hop
+    if not math.isfinite(total):
+        raise ProblemFormatError(
+            f"time sums overflow: {len(algorithms)} executions of up to {exec_max!r} s and "
+            f"{len(algorithms) + 1} hops of up to {hop!r} s exceed the float range"
+        )
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

@@ -8,8 +8,9 @@ id, fog nodes by id, edge node last (deepest offload wins a dead heat).
 
 Branch and bound orders placements by the key (primary objective, robot
 memory, lex tuple) and descends a child only if its bound on that key is
-strictly below the incumbent's.  The bound has three parts: each flow's
-cheapest completion (an admissible time bound), the robot memory already
+strictly below the incumbent's.  The bound has three parts: an admissible
+time bound (under max_flow the longest path so far plus the completion
+bound B; otherwise each flow's cheapest completion), the robot memory already
 committed, and the lex tuple with every unassigned algorithm on its
 lowest-rank allowed node.  Flow times and robot memory only grow as
 algorithms are assigned, and no completion's lex tuple is lower entry by
@@ -20,29 +21,26 @@ The search keeps one incremental state, plus an _EdgeMemory refcount of the
 regions on the robot, which _polish_guess shares.  Under max_flow it is the
 longest-path state of time_of: P(v) for each assigned algorithm (the largest
 P(u) + hop over its predecessors u, or 0.0 + the request hop at a source,
-then + exec) and agg_max, the running maximum of the flow bounds.  A child
-for v on node y is bounded by max(agg_max, P(v) + T(v, y)), where T(v, y) is
-the largest tail[y] over v's distinct tail tables (at a sink, its return-hop
-table), built once per solve.  That equals the maximum over the flows through
-v of prefix + tail[y], bit for bit: those flows are every prefix path times
-every suffix path, and rounded addition is monotone in each operand, so the
-maximum over p, q of fl(a_p + b_q) is fl(max a_p + max b_q).  So a child
-costs its in-degree, not its flow count, and a leaf's time is the maximum
-over sinks of P(s) + T(s, y).  total_flows and mean_flows keep per flow its
-prefix time and bound and their running sum, since those sums need every
-flow.  _Search._child prices a child once; _assign applies exactly what it
-priced.  The walk keeps an explicit stack of per-depth child generators, so
-its depth is not bounded by the recursion limit.  _primary is the one
-primary-objective computation.
+then + exec) and agg_max, the running maximum of the bounds, which starts at
+the largest source bound.  A child for v on node y is bounded by
+max(agg_max, P(v) + B(v, y)), B the completion bound of one backward pass
+per solve (SolveContext.completion); a stale bound stays a valid lower
+bound, so agg_max needs no rescan.  A child costs its in-degree, and a
+leaf's time is the maximum over sinks of P(s) + B(s, y).  total_flows and
+mean_flows keep per flow its prefix time and bound and their running sum,
+since those sums need every flow.  _Search._child prices a child once;
+_assign applies exactly what it priced.  The walk keeps an explicit stack of
+per-depth child generators, so its depth is not bounded by the recursion
+limit.  _primary is the one primary-objective computation.
 
-A flow's completion bound after an algorithm reads the tail table of its
+Only total_flows and mean_flows build per-flow tables (_flow_tails): a
+flow's completion bound after an algorithm reads the tail table of its
 membership entry, which depends only on its source nodes, the payload of
-its inbound hop, its algorithm and the next table.  build_context builds one
-table per such key and shares it among the flows that read it, and prices
-the hop + exec term of each table entry once per (source nodes, payload,
-algorithm); that is the sum Python adds first in hop + exec + rest, so the
-floats are unchanged.  Of each flow's first table it keeps only the entry
-the request reads, start_bound: the flow's bound before any assignment.
+its inbound hop, its algorithm and the next table, so flows share it, and
+the hop + exec term of its entries is priced once per (source nodes,
+payload, algorithm); that is the sum Python adds first in hop + exec +
+rest, so the floats are unchanged.  Under max_flow only _finish (for
+per_flow) walks the flows of a solve.
 
 Hops are read from rows: one per (payload, source node) and delay
 realization, mapping a destination node to seconds and resolving a missing
@@ -62,7 +60,9 @@ mean_flows add per-flow totals, which _flow_total times in timing.flow_time's
 order; so do their search, their polish and the reported per_flow.  Both
 timing loops can resume part way from the partial sums before that point,
 which gives the same floats; _polish_guess uses that to re-time a move only
-from the moved algorithm on.
+from the moved algorithm on.  CompiledInstance.priced_over holds each hop as
+a list over many delay realizations, and times_of runs time_of's pass once
+over all of them, every sum a list added entry by entry in time_of's order.
 """
 
 from __future__ import annotations
@@ -200,8 +200,27 @@ class CompiledInstance:
         output payload and in_rows[v] the request-hop row of v's input payload.
         """
         comm = self.instance.comm
-        key = comm.payload_key
-        rows = _Lazy(lambda bits: _Lazy(lambda src: _Lazy(lambda dst: comm.resolve(src, dst, bits, delays))))
+        return self._with_hops(lambda src, dst, bits: comm.resolve(src, dst, bits, delays), include_return_hop)
+
+    def priced_over(
+        self,
+        realizations: List[Dict[Tuple[str, str], float]],
+        include_return_hop: bool = True,
+    ) -> CompiledInstance:
+        """The same tables with each hop a list: its seconds under each delay
+        realization, in order, for times_of.  Every placement priced on the
+        result shares these lists."""
+        comm = self.instance.comm
+        zeros = [0.0] * len(realizations)  # resolve's same-node cost, never written to
+
+        def hops(src: str, dst: str, bits: int) -> List[float]:
+            return zeros if src == dst else [comm.resolve(src, dst, bits, d) for d in realizations]
+
+        return self._with_hops(hops, include_return_hop)
+
+    def _with_hops(self, hop, include_return_hop: bool) -> CompiledInstance:
+        key = self.instance.comm.payload_key
+        rows = _Lazy(lambda bits: _Lazy(lambda src: _Lazy(lambda dst: hop(src, dst, bits))))
         return replace(
             self,
             include_return_hop=include_return_hop,
@@ -227,6 +246,48 @@ class CompiledInstance:
         if aggregate == "max_flow":
             return self._longest_path(placement)
         return aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
+
+    def times_of(self, placement: Placement, aggregate: str, trials: int) -> List[float]:
+        """time_of under each of the trials realizations of priced_over, in
+        one pass: every sum is a list over the realizations, added and
+        maximized entry by entry in time_of's order, so entry i equals
+        time_of on priced(realizations[i]) bit for bit."""
+        out_rows, exec_s, edge = self.out_rows, self.exec_s, self.edge_id
+        if aggregate == "max_flow":
+            finish: Dict[str, List[float]] = {}
+            longest = [0.0] * trials
+            for aid in self.order:
+                node = placement[aid]
+                preds = self.preds[aid]
+                if preds:
+                    u, *rest = preds
+                    t = map(add, finish[u], out_rows[u][placement[u]][node])
+                    for u in rest:  # max(t, s) keeps t unless s > t
+                        t = map(max, t, map(add, finish[u], out_rows[u][placement[u]][node]))
+                else:
+                    t = [0.0 + h for h in self.in_rows[aid][node]]
+                e = exec_s[(aid, node)]
+                finish[aid] = t = [x + e for x in t]
+                if self.is_sink[aid]:
+                    if self.include_return_hop:
+                        t = map(add, t, out_rows[aid][node][edge])
+                    longest = list(map(max, longest, t))
+            return longest
+        totals = []
+        for flow in self.flows:
+            total = [0.0] * trials
+            row = self.in_rows[flow[0]]
+            for aid in flow:
+                node = placement[aid]
+                e = exec_s[(aid, node)]
+                total = [x + e for x in map(add, total, row[node])]
+                row = out_rows[aid][node]
+            if self.include_return_hop:
+                total = list(map(add, total, row[edge]))
+            totals.append(total)
+        if not totals:
+            return [0.0] * trials
+        return [aggregate_times(aggregate, column) for column in zip(*totals)]
 
     def _longest_path(
         self,
@@ -278,6 +339,11 @@ class CompiledInstance:
         """CostPoint of a placement whose robot memory is known (delays never change it)."""
         time_s = self.time_of(placement, _aggregate_for(self.instance, objective))
         return make_cost(self.instance, objective, memory_bits, time_s)
+
+    def costs(self, placement: Placement, objective: Objective, memory_bits: int, trials: int) -> List[CostPoint]:
+        """cost under each of the trials realizations of priced_over."""
+        times = self.times_of(placement, _aggregate_for(self.instance, objective), trials)
+        return [make_cost(self.instance, objective, memory_bits, t) for t in times]
 
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
@@ -402,6 +468,14 @@ class SolveContext(CompiledInstance):
     allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
     node_rank: Dict[str, int]
     aggregate: str
+    # completion[alg][node], B: a bound on the rest of the longest path
+    # through alg once alg has run on node.  B(v, y) is the largest over v's
+    # successors s of the least over nodes z of (hop(y -> z) + exec(s, z)) +
+    # B(s, z); at a sink, its return hop (0.0 without one).  Every
+    # completion's longest path runs through each successor on some node,
+    # and B is at least each flow's own cheapest completion (_completion).
+    completion: Dict[str, Dict[str, float]]
+    # total_flows and mean_flows only (empty under max_flow):
     # alg -> [(flow index, position, previous algorithm or None at a source,
     # tail)], by flow index.  tail[node] = cheapest way to finish the flow
     # after alg runs on node (execs, inter-hops, return hop; at a sink, its
@@ -409,12 +483,11 @@ class SolveContext(CompiledInstance):
     # joint bound.  A tail depends only on its source nodes, inbound payload,
     # algorithm and next tail, so the flows that read one share one dict, and
     # its hop + exec terms are priced once per (source nodes, payload,
-    # algorithm).  The per-flow search state reads every entry under
-    # total_flows and mean_flows; under max_flow the search reads only the
-    # distinct tails, for T(alg, node).
+    # algorithm).
     membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]]
-    # start_bound[fi]: flow fi's cheapest completion from the robot's request
-    # (request hop included), its bound before any assignment
+    # the bounds before any assignment, whose aggregate starts the search:
+    # under max_flow one per source (its least request hop + exec + B), else
+    # one per flow (its cheapest completion from the robot's request)
     start_bound: List[float]
 
     def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
@@ -439,30 +512,96 @@ def build_context(
     allowed = _checked_allowed(instance)
     rank = {nid: i for i, nid in enumerate(node_order(instance))}
     priced = compile_instance(instance).priced(delays, include_return_hop)
-    rows, exec_s, edge_id = priced.rows, priced.exec_s, priced.edge_id
-    input_bits, output_bits = priced.input_bits, priced.output_bits
-    payload_key = instance.comm.payload_key
+    aggregate = _aggregate_for(instance, objective)
+    completion, source_bounds = _completion(priced, allowed)
+    if aggregate == "max_flow":
+        membership, start_bound = {}, source_bounds
+    else:
+        membership, start_bound = _flow_tails(priced, allowed)
+    return SolveContext(
+        **vars(priced),
+        objective=objective,
+        sorted_ids=sorted(instance.algorithms),
+        allowed=allowed,
+        node_rank=rank,
+        aggregate=aggregate,
+        completion=completion,
+        membership=membership,
+        start_bound=start_bound,
+    )
+
+
+def _completion(
+    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]]
+) -> Tuple[Dict[str, Dict[str, float]], List[float]]:
+    """B (see SolveContext.completion) and each source's bound before any
+    assignment, the least (request hop + exec) + B over its nodes.
+
+    Each sum keeps the tail tables' association, hop + exec first.  By
+    induction from the sinks, B(v, y) is at least every tail table after v
+    at y, since rounded addition, min and max are monotone.  In exact
+    arithmetic P(v) + B(v, y) is at most the longest path of any completion,
+    which runs through each successor on some node; in floats B adds a
+    path's terms from its end and time_of from its start, so the two can
+    differ by rounding, as the per-flow tails always could.
+    """
+    succs: Dict[str, List[str]] = {aid: [] for aid in c.order}
+    for v in c.order:
+        for u in c.preds[v]:
+            succs[u].append(v)
+    exec_s, edge = c.exec_s, c.edge_id
+    completion: Dict[str, Dict[str, float]] = {}
+    for v in reversed(c.order):
+        rows = c.out_rows[v]
+        if c.is_sink[v]:
+            completion[v] = {y: rows[y][edge] if c.include_return_hop else 0.0 for y in allowed[v]}
+            continue
+        best = dict.fromkeys(allowed[v], -math.inf)
+        for s in succs[v]:
+            later = tuple(completion[s].values())  # keyed by allowed[s], in its order
+            execs = [(z, exec_s[(s, z)]) for z in allowed[s]]
+            for y in best:
+                row = rows[y]
+                t = min(map(add, [row[z] + e for z, e in execs], later))
+                if t > best[y]:
+                    best[y] = t
+        completion[v] = best
+    source_bounds = []
+    for v in c.order:
+        if not c.preds[v]:
+            row = c.in_rows[v]
+            steps = [row[z] + exec_s[(v, z)] for z in allowed[v]]
+            source_bounds.append(min(map(add, steps, completion[v].values())))
+    return completion, source_bounds
+
+
+def _flow_tails(
+    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]]
+) -> Tuple[Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]], List[float]]:
+    """SolveContext.membership and each flow's start bound."""
+    rows, exec_s, edge_id = c.rows, c.exec_s, c.edge_id
+    payload_key = c.instance.comm.payload_key
     # A table is keyed by what it reads: its source nodes and the payload key
     # of its inbound hop (from the previous algorithm, or the edge at a
     # source), its algorithm and the next table.  Keys hold the next table's
     # id(), so every table stays alive here.
-    after = {aid: (allowed[aid], payload_key(bits)) for aid, bits in output_bits.items()}
-    start = {aid: ((edge_id,), payload_key(bits)) for aid, bits in input_bits.items()}
+    after = {aid: (allowed[aid], payload_key(bits)) for aid, bits in c.output_bits.items()}
+    start = {aid: ((edge_id,), payload_key(bits)) for aid, bits in c.input_bits.items()}
     ends: Dict[Tuple[Tuple[str, ...], int], Dict[str, float]] = {}  # return-hop tables
     tails: Dict[Tuple[Tuple[str, ...], int, str, int], Dict[str, float]] = {}
     # (sources, payload key, alg) -> {src: [hop(src, nid) + exec(alg, nid) per allowed nid]}
     steps: Dict[Tuple[Tuple[str, ...], int, str], Dict[str, List[float]]] = {}
     membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]] = {
-        aid: [] for aid in instance.algorithms
+        aid: [] for aid in c.order
     }
     start_bound: List[float] = []
-    for fi, flow in enumerate(priced.flows):
+    for fi, flow in enumerate(c.flows):
         nodes, payload = after[flow[-1]]
         nxt = ends.get((nodes, payload))
         if nxt is None:
             back = rows[payload]
             nxt = ends[nodes, payload] = {
-                nid: back[nid][edge_id] if include_return_hop else 0.0 for nid in nodes
+                nid: back[nid][edge_id] if c.include_return_hop else 0.0 for nid in nodes
             }
         for pos in range(len(flow) - 1, -1, -1):
             aid = flow[pos]
@@ -483,17 +622,7 @@ def build_context(
                 table = tails[key] = {src: min(map(add, row, later)) for src, row in step.items()}
             nxt = table
         start_bound.append(nxt[edge_id])
-
-    return SolveContext(
-        **vars(priced),
-        objective=objective,
-        sorted_ids=sorted(instance.algorithms),
-        allowed=allowed,
-        node_rank=rank,
-        aggregate=_aggregate_for(instance, objective),
-        membership=membership,
-        start_bound=start_bound,
-    )
+    return membership, start_bound
 
 
 def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
@@ -579,19 +708,22 @@ def default_guess(ctx: SolveContext) -> Placement:
     return guess
 
 
-def _greedy_flow_guess(ctx: SolveContext) -> Placement:
-    """Walk each flow along its cheapest completion; first writer wins.
-
-    Each algorithm is placed by its first flow, after the previous algorithm
-    in that flow, which comes earlier in topological order."""
+def _greedy_guess(ctx: SolveContext) -> Placement:
+    """Place each algorithm, in topological order, on the node with the least
+    P + B: its longest-path sum given the earlier choices (_finish_at) plus
+    its completion bound; rank breaks a tie."""
     guess: Placement = {}
+    finish: Dict[str, float] = {}
+    rank = ctx.node_rank
     for aid in ctx.order:
-        _, _, prev, nxt = ctx.membership[aid][0]
-        row = ctx.in_rows[aid] if prev is None else ctx.out_rows[prev][guess[prev]]
-        guess[aid] = min(
-            ctx.allowed[aid],
-            key=lambda nid: (row[nid] + ctx.exec_s[(aid, nid)] + nxt[nid], ctx.node_rank[nid]),
-        )
+        bound = ctx.completion[aid]
+        best = None
+        for nid in ctx.allowed[aid]:
+            t = ctx._finish_at(aid, nid, guess, finish)
+            key = (t + bound[nid], rank[nid])
+            if best is None or key < best[0]:
+                best = (key, nid, t)
+        _, guess[aid], finish[aid] = best
     return guess
 
 
@@ -719,7 +851,7 @@ def warm_start(ctx: SolveContext) -> Placement:
     for nid in by_rank:
         if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
             candidates.append({aid: nid for aid in ctx.sorted_ids})
-    candidates.append(_greedy_flow_guess(ctx))
+    candidates.append(_greedy_guess(ctx))
     best = min(candidates, key=lambda p: _placement_key(ctx, p))
     return _polish_guess(ctx, best)
 
@@ -727,21 +859,15 @@ def warm_start(ctx: SolveContext) -> Placement:
 class _Search:
     def __init__(self, ctx: SolveContext, incumbent: Placement):
         self.ctx = ctx
-        # each flow's bound before any assignment: its cheapest completion
+        # the bounds before any assignment (see SolveContext.start_bound)
         bounds = list(ctx.start_bound)
         self.longest = ctx.aggregate == "max_flow"
         if self.longest:
-            # the running maximum of the flow bounds; they only grow under
+            # the running maximum of the bounds; they only grow under
             # _assign, so it needs no rescan
             self.agg_max = max(bounds, default=0.0)
             self.finish: Dict[str, float] = {}  # P(v) per assigned algorithm
             self.sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
-            # T(v, y): the largest bound on the rest of a flow after v on y,
-            # over v's distinct tail tables; at a sink, the return-hop table
-            self.reach: Dict[str, Dict[str, float]] = {}
-            for aid, entries in ctx.membership.items():
-                tails = {id(tail): tail for _, _, _, tail in entries}.values()
-                self.reach[aid] = {nid: max([tail[nid] for tail in tails]) for nid in ctx.allowed[aid]}
         else:
             self.prefix_time = [0.0] * len(bounds)
             self.flow_bound = bounds
@@ -765,15 +891,15 @@ class _Search:
         Returns (primary, memory, rank, node, state): the child's bound, then
         what _assign writes.  Under max_flow the state is (P(aid), agg_max):
         P is the longest-path pass's sum at aid, one term per predecessor,
-        and P + T(aid, node) is the largest bound of a flow through aid (see
-        the module docstring).  Otherwise it is (updates, agg_sum), with one
+        and P + B(aid, node) bounds every flow through aid (see the module
+        docstring).  Otherwise it is (updates, agg_sum), with one
         (flow, prefix time, flow bound) entry per flow through aid.
         """
         ctx = self.ctx
         assignment = self.assignment
         if self.longest:
             t = ctx._finish_at(aid, node, assignment, self.finish)
-            bound = t + self.reach[aid][node]
+            bound = t + ctx.completion[aid][node]
             time_bound = bound if bound > self.agg_max else self.agg_max
             state = (t, time_bound)
         else:
@@ -837,9 +963,9 @@ class _Search:
     def _leaf_time(self) -> float:
         """The time of the placement once every algorithm is assigned."""
         if self.longest:
-            # every flow ends at a sink s, whose T(s, y) is its return hop
-            assignment = self.assignment
-            return max(self.finish[s] + self.reach[s][assignment[s]] for s in self.sinks)
+            # every flow ends at a sink s, whose B(s, y) is its return hop
+            assignment, completion = self.assignment, self.ctx.completion
+            return max(self.finish[s] + completion[s][assignment[s]] for s in self.sinks)
         return aggregate_times(self.ctx.aggregate, self.flow_bound)
 
     # -- search ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Stochastic-delay simulation, random instances, and scaling benchmarks.
 
-The Monte-Carlo comparison compiles its instance once and re-prices only hops
-per trial (see optimizer.compile_instance); under max_flow a trial times each
-placement in one longest-path pass over the dependency graph."""
+The Monte-Carlo comparison compiles its instance once, resolves each hop
+once per trial, and times each placement over all trials in one pass (see
+optimizer.CompiledInstance.times_of); under max_flow that pass is one
+longest path over the dependency graph."""
 
 from __future__ import annotations
 
@@ -103,13 +104,17 @@ def monte_carlo_compare(
     placements' cost points.  resolve_per_trial=True re-runs both solvers
     inside each trial instead, as a sensitivity check.
 
-    With fixed placements the instance is compiled once and each placement's
-    robot memory computed once, since delays never change it; a trial prices
-    only the hops its two placements use.  Under max_flow it times each
-    placement in one longest-path pass over the graph, one hop per dependency
-    edge, with the same floats as the maximum over flows; under total_flows
-    and mean_flows it re-sums the flows.  Trials run serially: threads is
-    accepted for compatibility and changes nothing.
+    Every trial's delays are drawn first, each from its own trial_rng.  With
+    fixed placements the instance is compiled once, each placement's robot
+    memory computed once (delays never change it), and each hop either
+    placement uses resolved once per realization into a list that both
+    share (CompiledInstance.priced_over).  Each placement is then timed over
+    all trials in one pass (times_of): under max_flow one longest-path pass
+    over the graph, one hop per dependency edge; under total_flows and
+    mean_flows one walk per flow, each trial aggregated as time_of does.
+    Every sum is a list over trials in time_of's order, so each trial's
+    floats equal a pass over that trial alone.  Trials run serially: threads
+    is accepted for compatibility and changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -120,27 +125,24 @@ def monte_carlo_compare(
     delayed_links = sorted(
         pair for pair, link in instance.comm.links.items() if link.delay is not None
     )
-    compiled = compile_instance(instance)
-    placements = (ours.placement, base.placement)
-    bits = [robot_memory_bits(instance, p) for p in placements]
-
-    outcomes = []
+    realizations = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
-        delays = {
-            pair: instance.comm.links[pair].delay.sample(rng)
-            for pair in delayed_links
-        }
-        if resolve_per_trial:
+        realizations.append({pair: instance.comm.links[pair].delay.sample(rng) for pair in delayed_links})
+
+    if resolve_per_trial:
+        outcomes = []
+        for delays in realizations:
             again = (
                 solve_branch_bound(instance, objective, delays=delays).placement,
                 solve_baseline(instance, delays=delays).placement,
             )
-            costs = [evaluate(instance, p, objective, delays) for p in again]
-        else:
-            priced = compiled.priced(delays)
-            costs = [priced.cost(p, objective, b) for p, b in zip(placements, bits)]
-        outcomes.append(costs)
+            outcomes.append([evaluate(instance, p, objective, delays) for p in again])
+    else:
+        over = compile_instance(instance).priced_over(realizations)
+        placements = (ours.placement, base.placement)
+        costs = [over.costs(p, objective, robot_memory_bits(instance, p), trials) for p in placements]
+        outcomes = list(zip(*costs))
 
     ours_costs = [o for o, _ in outcomes]
     base_costs = [b for _, b in outcomes]

@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,12 +303,29 @@ def test_solve_out_reruns_byte_identical(tmp_path, capsys):
 
 
 def overflowing_instance():
-    """Exec times of 1e308 pass the parser one by one, but the time sums
-    overflow to inf."""
+    """Every flow's time passes the parser's overflow check (4 execs of
+    4e307 s fit in a float), but the total over both flows (5 execs)
+    overflows to inf, and so does any distance under a time weight of 1e308."""
     data = fixtures.dataset_pipeline(2.0)
     for spec in data["algorithms"]:
-        spec["exec_time"] = dict.fromkeys(spec["exec_time"], 1e308)
+        spec["exec_time"] = dict.fromkeys(spec["exec_time"], 4e307)
+    data["options"] = {"time_aggregate": "total_flows", "time_weight": 1e308}
     return data
+
+
+def test_a_flow_whose_time_overflows_is_rejected_at_parse(tmp_path, capsys):
+    """Two exec times of 1e308 on one flow used to pass the parser and solve
+    to time_seconds=inf; the boundary now rejects them in one line."""
+    data = fixtures.dataset_pipeline(2.0)
+    for spec in data["algorithms"][:2]:  # data -> stage_a, one flow
+        spec["exec_time"] = dict.fromkeys(spec["exec_time"], 1e308)
+    path = write_instance(tmp_path, data)
+    rc, out, err = run(capsys, "validate", path)
+    assert (rc, out) == (1, "")
+    assert err.startswith("invalid: time sums overflow") and err.count("\n") == 1
+    rc, out, err = run(capsys, "solve", path)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: time sums overflow") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("method", ["bnb", "baseline"])
@@ -529,3 +548,52 @@ def test_mutated_fixtures_give_output_or_one_error_line(mutated):
                 assert rc in (1, 3), (command, rc)
                 assert out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+# ---------------------------------------------------------------------------
+# golden output
+
+GOLDEN = str(Path(__file__).parent / "data" / "random_n12_seed7.json")
+
+# sha256 of stdout per command on GOLDEN (531,441 placements), then per
+# command on the small dataset_pipeline fixture for the enumerating ones
+GOLDEN_STDOUT = {
+    "solve --objective distance": "b1c059a9dd7413ea44a8702f9ffde4a04fced077f7e08c4bd4b7bbbde73aa7a0",
+    "solve --objective memory": "719c880b4d6783d6598bdce8f91fd7404559b3ec990a3171c500fad9d2166d63",
+    "solve --objective time-max": "19f9331f0d23414a5bae3f958420ba088d7e317bfd1ac1b0c2ed83d2af384d1c",
+    "solve --objective time-total": "a50578c263de9704010c666691ac06ab9e23a93b5cedfc300ddc691c330ea62f",
+    "solve --method baseline": "4738098d1a8e2390e1e708301fb21fca9f18c959b239a3dd6ba3b8a4d5c1a7a1",
+    "time --aggregate max": "1a6847b1ef8a1c0ac548ec2fd9198d96b7682587bce6b6a98bb75e494b33e5c8",
+    "time --aggregate mean": "35c3677a09956c4e9c9a65a1a2b5eecf27e9e7654310acd095d87438fbc54d5a",
+    "time --aggregate total": "47a28fc7cb75ba8c6ff4e97f1f55f30b9627a5966af15a300912cfc73b31b4c1",
+    "memory": "37110f23830b0a3b816c44a9cdccf3a8528f53d22d7a5f39a89d2893ef94f28f",
+    "memory --peak": "0409781f6d72feee5bbe3adb475fdec63f4f0430d778ea7822b23fdd2dac44e1",
+    "flows": "252a0d68e2dad8327578a692e921346286b93756f06e738a82577723135bb234",
+    "validate": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+    "simulate --trials 20 --seed 3": "15bd9cabcb60304ec05e2d92e90053e77630ad77fddb30d20bc537212d71747d",
+    "simulate --trials 5 --seed 3 --resolve-per-trial": "d0af8e12d354dbf94f8ec770c76b57b0a1a134509c1931004aa3ad603760b49f",
+}
+GOLDEN_SMALL_STDOUT = {
+    "solve --oracle": "7aca18d6701ac179f0c916a0e06ac1f6e115ca086c39ba2295e629f19daf0223",
+    "solve --oracle --objective time-total": "2c8113dfdee0504bf5ed73ed23dc7046a43c699da7e3efba4bf73c1d3da12664",
+    "pareto": "1c5f5f49a5fd945f1267c1afa863f33aee49704863e3c975a528e48032b594b7",
+    "pareto --wt 2.5": "8e88323f3bed5ec0bb4e7f48f9ef6892cce2d03afb855fb30164fabddff008d8",
+}
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    """Golden stdout: any change to an answer, a float's accumulation order
+    or the output format shows here as a different digest."""
+
+    def digests(path, commands):
+        got = {}
+        for command in commands:
+            name, *flags = command.split()
+            rc, out, _ = run(capsys, name, path, *flags)
+            assert rc == 0, command
+            got[command] = hashlib.sha256(out.encode()).hexdigest()
+        return got
+
+    assert digests(GOLDEN, GOLDEN_STDOUT) == GOLDEN_STDOUT
+    small = write_instance(tmp_path, fixtures.dataset_pipeline(2.0, jitter_sigma=1.0))
+    assert digests(small, GOLDEN_SMALL_STDOUT) == GOLDEN_SMALL_STDOUT

@@ -24,6 +24,7 @@ from allocflow.model import (
     unbounded_restrictions,
     validate,
 )
+from allocflow.optimizer import evaluate
 
 
 def minimal() -> dict:
@@ -135,6 +136,44 @@ def test_bit_counts_capped_at_2_53(mutate):
     data["regions"] = [{"id": "r", "size_bits": 2**53}]
     data["algorithms"][0]["memory"] = {"outputs": ["r"], "processing_bits": 2**53}
     assert instance_from_dict(data).regions["r"].size_bits == 2**53
+
+
+def line_instance(execs, link_seconds):
+    """A chain of algorithms with the given exec time on every node, over
+    nodes e - f - c joined by links of link_seconds both ways, so that the
+    edge reaches the cloud over a two-link route."""
+    pairs = (("e", "f"), ("f", "e"), ("f", "c"), ("c", "f"))
+    return {
+        "nodes": [{"id": "e", "tier": "edge"}, {"id": "f", "tier": "fog"}, {"id": "c", "tier": "cloud"}],
+        "algorithms": [
+            {"id": f"a{i}", "exec_time": dict.fromkeys(("edge", "fog", "cloud"), t)} for i, t in enumerate(execs)
+        ],
+        "edges": [[f"a{i}", f"a{i + 1}"] for i in range(len(execs) - 1)],
+        "comm": [{"from": u, "to": v, "base_seconds": link_seconds} for u, v in pairs],
+    }
+
+
+@pytest.mark.parametrize(
+    "execs, link_seconds, overflows",
+    [
+        ((1e308, 1e308), 1.0, True),  # two exec times on one flow
+        ((8e307, 8e307), 1.0, False),
+        ((0.0,), 5e307, True),  # request and return hop over two links each: 2e308
+        ((0.0,), 4e307, False),
+    ],
+)
+def test_time_sums_that_can_overflow_are_rejected(execs, link_seconds, overflows):
+    """The cap comes from a flow's shape: n executions and n + 1 hops, each a
+    route of up to (#nodes - 1) links.  Before it, the overflowing cases
+    parsed and solved to time_seconds=inf; an accepted one solves finite."""
+    data = line_instance(execs, link_seconds)
+    if overflows:
+        with pytest.raises(ProblemFormatError, match="time sums overflow"):
+            instance_from_dict(data)
+        return
+    instance = instance_from_dict(data)
+    farthest = dict.fromkeys(instance.algorithms, "c")
+    assert math.isfinite(evaluate(instance, farthest).time_seconds)
 
 
 JSON_VALUES = st.recursive(

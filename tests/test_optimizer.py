@@ -5,12 +5,13 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allocflow import fixtures
+from allocflow import fixtures, optimizer
 from allocflow.baseline import solve_baseline
 from allocflow.lattice import all_flows
 from allocflow.memory import _location_bits, robot_memory_bits, step_partition
@@ -29,7 +30,7 @@ from allocflow.optimizer import (
     Objective,
     _Search,
     _flow_total,
-    _greedy_flow_guess,
+    _greedy_guess,
     _polish_guess,
     _primary,
     build_context,
@@ -453,28 +454,62 @@ class _Checked(Exception):
     """Ends a spied search once its budget of checks is spent."""
 
 
-class _BoundSpy(_Search):
-    """Checks every max_flow child bound and leaf time against the flows
-    through the child, each timed on its own: a child's time bound must be
-    the larger of its parent's and the largest prefix + tail[node] over the
-    flows through its algorithm, compared by repr."""
+def _reference_completion(ctx, resolve, exec_s=None):
+    """B built afresh from resolve and exec_s (by default ctx.exec_s), per
+    algorithm in reverse topological order: the largest over successors s
+    of the least over nodes z of (hop + exec(s, z)) + B(s, z); at a sink,
+    its return hop or a zero hop."""
+    exec_s = exec_s or ctx.exec_s
+    succs = {aid: [v for u, v in ctx.instance.graph.edges if u == aid] for aid in ctx.order}
+    completion = {}
+    for v in reversed(ctx.order):
+        payload = ctx.output_bits[v]
+        if not succs[v]:
+            completion[v] = {
+                y: resolve(y, ctx.edge_id if ctx.include_return_hop else y, payload) for y in ctx.allowed[v]
+            }
+            continue
+        completion[v] = {
+            y: max(
+                min((resolve(y, z, payload) + exec_s[(s, z)]) + completion[s][z] for z in ctx.allowed[s])
+                for s in succs[v]
+            )
+            for y in ctx.allowed[v]
+        }
+    return completion
 
-    def __init__(self, ctx, incumbent, resolve, budget):
+
+def _reference_finish(ctx, placement, resolve, exec_s=None):
+    """P(v) of every placed algorithm: the largest prefix sum, in
+    _flow_total's order, over the paths from a source to v."""
+    exec_s = exec_s or ctx.exec_s
+    finish = {}
+    for v in ctx.order:
+        if v not in placement:
+            break
+        node = placement[v]
+        preds = ctx.preds[v]
+        if preds:
+            t = max(finish[u] + resolve(placement[u], node, ctx.output_bits[u]) for u in preds)
+        else:
+            t = resolve(ctx.edge_id, node, ctx.input_bits[v])  # never -0.0, so 0.0 + t is t
+        finish[v] = t + exec_s[(v, node)]
+    return finish
+
+
+class _BoundSpy(_Search):
+    """Checks every max_flow child bound and leaf time against references
+    built from resolve: a child's time bound must be the larger of its
+    parent's and P(v) + B(v, node), and a leaf's time the largest flow
+    total, compared by repr."""
+
+    def __init__(self, ctx, incumbent, resolve, delays, budget):
         super().__init__(ctx, incumbent)
         self.resolve = resolve
+        self.delays = delays
         self.budget = budget
+        self.completion = _reference_completion(ctx, resolve)
         self.children = self.leaves = 0
-
-    def _prefix(self, flow, pos, placement):
-        """The flow's partial sum through position pos, in _flow_total's order."""
-        ctx = self.ctx
-        total, prev, payload = 0.0, ctx.edge_id, ctx.input_bits[flow[0]]
-        for aid in flow[: pos + 1]:
-            node = placement[aid]
-            total += self.resolve(prev, node, payload)
-            total += ctx.exec_s[(aid, node)]
-            prev, payload = node, ctx.output_bits[aid]
-        return total
 
     def _spend(self):
         if self.children + self.leaves >= self.budget:
@@ -484,12 +519,8 @@ class _BoundSpy(_Search):
         self._spend()
         ctx = self.ctx
         primary, mem_bits, _, _, (_, time_bound) = child = super()._child(aid, node)
-        placement = {**self.assignment, aid: node}
-        through = max(
-            self._prefix(ctx.flows[fi], pos, placement) + tail[node]
-            for fi, pos, _, tail in ctx.membership[aid]
-        )
-        want = max(self.agg_max, through)
+        finish = _reference_finish(ctx, {**self.assignment, aid: node}, self.resolve)
+        want = max(self.agg_max, finish[aid] + self.completion[aid][node])
         assert repr(time_bound) == repr(want)
         assert repr(primary) == repr(_primary(ctx, want, mem_bits))
         self.children += 1
@@ -499,44 +530,16 @@ class _BoundSpy(_Search):
         self._spend()
         ctx = self.ctx
         got = super()._leaf_time()
-        totals = []
-        for flow in ctx.flows:
-            total = self._prefix(flow, len(flow) - 1, self.assignment)
-            if ctx.include_return_hop:
-                total += self.resolve(self.assignment[flow[-1]], ctx.edge_id, ctx.output_bits[flow[-1]])
-            totals.append(total)
+        totals = [flow_time(ctx.instance, f, self.assignment, self.delays, ctx.include_return_hop).total
+                  for f in ctx.flows]
         assert repr(got) == repr(max(totals))
         self.leaves += 1
         return got
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10**6),
-    n=st.integers(10, 18),
-    dense=st.booleans(),
-    kind=st.sampled_from(("min_distance", "min_time_max")),
-    include_return_hop=st.booleans(),
-)
-# a leaf whose time differs from the running maximum of its bounds by rounding
-@example(seed=6, n=14, dense=True, kind="min_time_max", include_return_hop=True)
-@example(seed=2, n=14, dense=True, kind="min_distance", include_return_hop=False)
-def test_max_flow_child_bound_equals_the_max_over_its_flows(seed, n, dense, kind, include_return_hop):
-    """Under max_flow the search keeps one longest-path sum P(v) per
-    algorithm and prices a child as P(v) + T(v, node), T the largest tail
-    bound after v.  That equals the per-flow bound's maximum over the flows
-    through v bit for bit: the flows are every prefix path times every
-    suffix path, and rounded addition is monotone in each operand.  Dense
-    graphs give hundreds of flows; exec times spanning 1e-9 to 1e3 and a
-    partial delay realization make a regrouped sum show.  Unordered tiers
-    make some of these searches long, so each checks its first 400 steps."""
-    params = GenParams(
-        fog_nodes=2,
-        edge_prob=0.6 if dense else None,
-        exec_range=(1e-9, 1e3),
-        delay_prob=0.6,
-        tier_ordering=False,
-    )
+def _jittered(seed, n, params, kind, include_return_hop):
+    """A max_flow context over random_instance(n, params, seed) under a
+    partial delay realization, with a memoized resolve under it."""
     inst = random_instance(n, params, seed=seed)
     rng = random.Random(seed)
     delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
@@ -549,12 +552,77 @@ def test_max_flow_child_bound_equals_the_max_over_its_flows(seed, n, dense, kind
             hops[src, dst, payload] = inst.comm.resolve(src, dst, payload, delays)
         return hops[src, dst, payload]
 
-    spy = _BoundSpy(ctx, warm_start(ctx), resolve, budget=400)
+    return ctx, delays, resolve
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(10, 18),
+    dense=st.booleans(),
+    kind=st.sampled_from(("min_distance", "min_time_max")),
+    include_return_hop=st.booleans(),
+)
+@example(seed=6, n=14, dense=True, kind="min_time_max", include_return_hop=True)
+@example(seed=2, n=14, dense=True, kind="min_distance", include_return_hop=False)
+def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
+    seed, n, dense, kind, include_return_hop
+):
+    """Under max_flow the search keeps one longest-path sum P(v) per
+    algorithm and prices a child as max(agg_max, P(v) + B(v, node)), B the
+    completion bound of one backward pass.  Dense graphs give hundreds of
+    flows; exec times spanning 1e-9 to 1e3 and a partial delay realization
+    make a regrouped sum show.  Unordered tiers make some of these searches
+    long, so each checks its first 400 steps."""
+    params = GenParams(
+        fog_nodes=2,
+        edge_prob=0.6 if dense else None,
+        exec_range=(1e-9, 1e3),
+        delay_prob=0.6,
+        tier_ordering=False,
+    )
+    ctx, delays, resolve = _jittered(seed, n, params, kind, include_return_hop)
+    reference = _reference_completion(ctx, resolve)
+    assert repr(ctx.completion) == repr(reference)
+    spy = _BoundSpy(ctx, warm_start(ctx), resolve, delays, budget=400)
     try:
         spy.run()
     except _Checked:
         pass
     assert spy.children >= len(ctx.allowed[ctx.order[0]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 7),
+    include_return_hop=st.booleans(),
+)
+def test_max_flow_completion_bound_is_admissible(seed, n, include_return_hop):
+    """P(v) + B(v, y) is at most the max_flow time of every completion that
+    puts v on y, and the largest source start bound at most every
+    placement's time: every placement enumerated.  The sums are exact
+    (Fractions of the same hop and exec floats), since B adds a path's terms
+    from its end and time_of from its start, and the two roundings differ
+    by an ulp either way."""
+    params = GenParams(edge_prob=0.6, delay_prob=0.6)
+    ctx, _, resolve = _jittered(seed, n, params, "min_distance", include_return_hop)
+    exact = lambda src, dst, payload: Fraction(resolve(src, dst, payload))
+    exec_s = {key: Fraction(t) for key, t in ctx.exec_s.items()}
+    completion = _reference_completion(ctx, exact, exec_s)
+    lowest = max(
+        min((exact(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[(v, z)]) + completion[v][z] for z in ctx.allowed[v])
+        for v in ctx.order
+        if not ctx.preds[v]
+    )
+    sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
+    for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.order)):
+        placement = dict(zip(ctx.order, combo))
+        finish = _reference_finish(ctx, placement, exact, exec_s)
+        time_s = max(finish[s] + completion[s][placement[s]] for s in sinks)
+        assert lowest <= time_s
+        for aid, p in finish.items():
+            assert p + completion[aid][placement[aid]] <= time_s
 
 
 def test_min_memory_ties_do_not_walk_the_tree():
@@ -656,9 +724,11 @@ def _whole_flow_polish(ctx, guess):
 def test_shared_tables_and_polish_match_the_per_flow_reference(
     seed, n, fog, cloud, kind, aggregate, include_return_hop
 ):
-    """The tail tables, built once per tail from per-edge hop + exec rows,
-    equal the per-position build entry by entry, and so does start_bound
-    (compared by repr); flows with one tail hold one dict.  The warm start, whose polish resumes timing at
+    """Under total_flows and mean_flows the tail tables, built once per tail
+    from per-edge hop + exec rows, equal the per-position build entry by
+    entry, and so does start_bound (compared by repr); flows with one tail
+    hold one dict.  Under max_flow there are none, and the completion bound
+    is at least each of them.  The warm start, whose polish resumes timing at
     the moved algorithm, returns what a polish that re-times whole flows does.
     Exec times spanning 1e-9 to 1e3 and jittered links make rounding show if
     a sum is grouped differently."""
@@ -672,21 +742,35 @@ def test_shared_tables_and_polish_match_the_per_flow_reference(
     ctx = build_context(inst, Objective(kind), include_return_hop, delays)
 
     reference = _per_flow_tails(ctx)
-    assert len(ctx.start_bound) == len(reference)
-    for got, want in zip(ctx.start_bound, reference):
-        assert repr(got) == repr(want[0][ctx.edge_id])
-    by_tail = {}
-    seen = []
-    for aid, entries in ctx.membership.items():
-        for fi, pos, _, tail in entries:
-            assert ctx.flows[fi][pos] == aid
-            assert repr(tail) == repr(reference[fi][pos + 1])
-            by_tail.setdefault(ctx.flows[fi][pos:], set()).add(id(tail))
-            seen.append((fi, pos))
-    assert sorted(seen) == [(fi, pos) for fi, flow in enumerate(ctx.flows) for pos in range(len(flow))]
-    assert all(len(ids) == 1 for ids in by_tail.values())
+    if ctx.aggregate == "max_flow":
+        # no per-flow tables: B bounds every flow's tail table from above,
+        # entry by entry, and each source's start bound every flow from it
+        assert ctx.membership == {}
+        for fi, flow in enumerate(ctx.flows):
+            for pos, aid in enumerate(flow):
+                for nid, tail in reference[fi][pos + 1].items():
+                    assert ctx.completion[aid][nid] >= tail
+        sources = [aid for aid in ctx.order if not ctx.preds[aid]]
+        assert len(ctx.start_bound) == len(sources)
+        start = dict(zip(sources, ctx.start_bound))
+        for fi, flow in enumerate(ctx.flows):
+            assert start[flow[0]] >= reference[fi][0][ctx.edge_id]
+    else:
+        assert len(ctx.start_bound) == len(reference)
+        for got, want in zip(ctx.start_bound, reference):
+            assert repr(got) == repr(want[0][ctx.edge_id])
+        by_tail = {}
+        seen = []
+        for aid, entries in ctx.membership.items():
+            for fi, pos, _, tail in entries:
+                assert ctx.flows[fi][pos] == aid
+                assert repr(tail) == repr(reference[fi][pos + 1])
+                by_tail.setdefault(ctx.flows[fi][pos:], set()).add(id(tail))
+                seen.append((fi, pos))
+        assert sorted(seen) == [(fi, pos) for fi, flow in enumerate(ctx.flows) for pos in range(len(flow))]
+        assert all(len(ids) == 1 for ids in by_tail.values())
 
-    greedy = _greedy_flow_guess(ctx)
+    greedy = _greedy_guess(ctx)
     for guess in (default_guess(ctx), greedy):
         assert _polish_guess(ctx, guess) == _whole_flow_polish(ctx, guess)
     candidates = [default_guess(ctx)]
@@ -696,6 +780,28 @@ def test_shared_tables_and_polish_match_the_per_flow_reference(
     candidates.append(greedy)
     best = min(candidates, key=lambda p: _whole_flow_key(ctx, p))
     assert warm_start(ctx) == _whole_flow_polish(ctx, best)
+
+
+@pytest.mark.parametrize("kind", ["min_distance", "min_time_total"])
+def test_only_sum_aggregates_build_per_flow_state(kind, monkeypatch):
+    """Under max_flow a solve builds no tail table or membership entry, and
+    only _finish times flows one by one (once each, for per_flow)."""
+    calls = {"_flow_total": 0, "_flow_tails": 0}
+    for name in calls:
+        original = getattr(optimizer, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    inst = random_instance(14, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)
+    result = solve_branch_bound(inst, Objective(kind))
+    if kind == "min_distance":
+        assert build_context(inst).membership == {}
+        assert calls == {"_flow_total": len(result.per_flow), "_flow_tails": 0}
+    else:
+        assert calls["_flow_tails"] == 1 and calls["_flow_total"] > len(result.per_flow)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():

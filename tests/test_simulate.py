@@ -8,11 +8,13 @@ import statistics
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocflow.baseline import baseline_overall, solve_baseline
 from allocflow.lattice import all_flows, layer
-from allocflow.model import DelaySpec, Tier, serialize_problem, validate
-from allocflow.optimizer import Objective, evaluate, solve_branch_bound
+from allocflow.model import TIME_AGGREGATES, DelaySpec, Tier, effective_allowed, serialize_problem, validate
+from allocflow.optimizer import Objective, compile_instance, evaluate, solve_branch_bound
 from allocflow.simulate import (
     GenParams,
     ScalingResult,
@@ -189,6 +191,37 @@ def test_monte_carlo_resolve_per_trial_matches_reference():
     inst = random_instance(6, GenParams(fog_nodes=2, delay_prob=0.8, sigma_range=(0.5, 1.5)), seed=2)
     stats = monte_carlo_compare(inst, trials=6, seed=4, resolve_per_trial=True)
     assert stats.to_dict() == reference_comparison(inst, 6, 4, resolve_per_trial=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 12),
+    aggregate=st.sampled_from(TIME_AGGREGATES),
+    include_return_hop=st.booleans(),
+    delay_prob=st.sampled_from((0.0, 0.7)),
+    trials=st.integers(1, 6),
+)
+def test_batched_trials_equal_one_pass_per_realization(seed, n, aggregate, include_return_hop, delay_prob, trials):
+    """times_of prices a placement under every realization at once; entry i
+    equals time_of under realization i alone, by repr.  Exec times spanning
+    1e-9 to 1e3 make a regrouped sum show.  Realizations are empty, partial
+    or full over the delayed links, and some instances have none."""
+    params = GenParams(fog_nodes=2, exec_range=(1e-9, 1e3), delay_prob=delay_prob, tier_ordering=False)
+    inst = random_instance(n, params, seed=seed)
+    rng = random.Random(seed)
+    delayed = sorted(pair for pair, link in inst.comm.links.items() if link.delay is not None)
+    realizations = []
+    for _ in range(trials):
+        share = rng.choice((0.0, 0.5, 1.0))
+        realizations.append({pair: rng.uniform(0.0, 2.0) for pair in delayed if rng.random() < share})
+    allowed = effective_allowed(inst)
+    compiled = compile_instance(inst)
+    over = compiled.priced_over(realizations, include_return_hop)
+    for _ in range(2):  # the second placement reads the hop lists the first resolved
+        placement = {aid: rng.choice(nodes) for aid, nodes in allowed.items()}
+        want = [compiled.priced(d, include_return_hop).time_of(placement, aggregate) for d in realizations]
+        assert repr(over.times_of(placement, aggregate, trials)) == repr(want)
 
 
 def test_monte_carlo_answers_are_pinned():
