@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .baseline import baseline_overall, solve_baseline
-from .lattice import all_flows, count_flows
+from .lattice import all_flows, count_flows, flow_cap
 from .memory import location_memory, robot_memory, step_partition
 from .model import (
     CapExceededError,
@@ -360,6 +360,10 @@ def _error(exc: Exception, code: int) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        flow_cap()  # a malformed cap is a bad command line, checked up front
+    except ValueError as exc:
+        return _error(exc, 2)
     try:
         return args.func(args)
     except CapExceededError as exc:

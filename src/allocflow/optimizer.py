@@ -8,30 +8,34 @@ id, fog nodes by id, edge node last (deepest offload wins a dead heat).
 
 Branch and bound orders placements by the key (primary objective, robot
 memory, lex tuple) and descends a child only if its bound on that key is
-strictly below the incumbent's.  The bound has three parts: an admissible
-time bound (under max_flow the longest path so far plus the completion
-bound B; otherwise each flow's cheapest completion), the robot memory already
-committed, and the lex tuple with every unassigned algorithm on its
-lowest-rank allowed node.  Flow times and robot memory only grow as
-algorithms are assigned, and no completion's lex tuple is lower entry by
-entry, so every completion's key is at least the bound and the search
-returns brute force's tie-broken optimum.
+below the incumbent's.  The bound has three parts: a time bound (under
+max_flow the longest path so far plus the completion bound B; otherwise each
+flow's cheapest completion), the robot memory already committed, and the lex
+tuple with every unassigned algorithm on its lowest-rank allowed node.  Flow
+times and robot memory only grow as algorithms are assigned, and no
+completion's lex tuple is lower entry by entry.  The time bound is
+admissible in exact arithmetic only: it adds terms in another order than a
+completion's time, so in floats it may exceed it by a few ulps.  The search
+therefore treats a primary bound within a rounding slack above the
+incumbent's as a tie (see _Search._children), which makes its answer brute
+force's tie-broken optimum whatever the incumbent, but for a completion
+faster than the incumbent by less than the slack that loses on (memory, lex).
 
 The search keeps one incremental state, plus an _EdgeMemory refcount of the
-regions on the robot, which _polish_guess shares.  Under max_flow it is the
-longest-path state of time_of: P(v) for each assigned algorithm (the largest
-P(u) + hop over its predecessors u, or 0.0 + the request hop at a source,
-then + exec) and agg_max, the running maximum of the bounds, which starts at
-the largest source bound.  A child for v on node y is bounded by
-max(agg_max, P(v) + B(v, y)), B the completion bound of one backward pass
-per solve (SolveContext.completion); a stale bound stays a valid lower
-bound, so agg_max needs no rescan.  A child costs its in-degree, and a
-leaf's time is the maximum over sinks of P(s) + B(s, y).  total_flows and
-mean_flows keep per flow its prefix time and bound and their running sum,
-since those sums need every flow.  _Search._child prices a child once;
-_assign applies exactly what it priced.  The walk keeps an explicit stack of
-per-depth child generators, so its depth is not bounded by the recursion
-limit.  _primary is the one primary-objective computation.
+regions on the robot.  Under max_flow it is the longest-path state of
+time_of: P(v) for each assigned algorithm (the largest P(u) + hop over its
+predecessors u, or 0.0 + the request hop at a source, then + exec) and
+agg_max, the running maximum of the bounds, which starts at the largest
+source bound.  A child for v on node y is bounded by max(agg_max, P(v) +
+B(v, y)), B the completion bound of one backward pass per solve
+(SolveContext.completion); a stale bound stays a valid lower bound, so
+agg_max needs no rescan.  A child costs its in-degree, and a leaf's time is
+the maximum over sinks of P(s) + B(s, y).  total_flows and mean_flows keep
+per flow its prefix time and bound and their running sum, since those sums
+need every flow.  _Search._child prices a child once; _assign applies
+exactly what it priced.  The walk keeps an explicit stack of per-depth child
+generators, so its depth is not bounded by the recursion limit.  _primary is
+the one primary-objective computation.
 
 Only total_flows and mean_flows build per-flow tables (_flow_tails): a
 flow's completion bound after an algorithm reads the tail table of its
@@ -54,15 +58,13 @@ delay-independent tables once, CompiledInstance.priced adds hop rows per
 delay realization, and memory.robot_memory_bits gives robot memory.  Under
 max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
 topological order, touching each dependency edge once instead of each flow
-position; it equals the maximum over flows bit for bit, because the flows are
-the source-to-sink paths and rounded addition is monotone.  total_flows and
-mean_flows add per-flow totals, which _flow_total times in timing.flow_time's
-order; so do their search, their polish and the reported per_flow.  Both
-timing loops can resume part way from the partial sums before that point,
-which gives the same floats; _polish_guess uses that to re-time a move only
-from the moved algorithm on.  CompiledInstance.priced_over holds each hop as
-a list over many delay realizations, and times_of runs time_of's pass once
-over all of them, every sum a list added entry by entry in time_of's order.
+position; it equals the maximum over flows bit for bit, because the flows
+are the source-to-sink paths and rounded addition is monotone.  total_flows
+and mean_flows add per-flow totals, which _flow_total times in
+timing.flow_time's order; so do their search and the reported per_flow.
+CompiledInstance.priced_over holds each hop as a list over many delay
+realizations, and times_of runs time_of's pass once over all of them, every
+sum a list added entry by entry in time_of's order.
 """
 
 from __future__ import annotations
@@ -244,7 +246,18 @@ class CompiledInstance:
         per-flow totals, whose order fixes their floats.
         """
         if aggregate == "max_flow":
-            return self._longest_path(placement)
+            out_rows, edge, is_sink = self.out_rows, self.edge_id, self.is_sink
+            finish: Dict[str, float] = {}
+            longest = 0.0  # every sum starts at 0.0, so no flow ends below it
+            for aid in self.order:
+                node = placement[aid]
+                finish[aid] = t = self._finish_at(aid, node, placement, finish)
+                if is_sink[aid]:
+                    if self.include_return_hop:
+                        t += out_rows[aid][node][edge]
+                    if t > longest:
+                        longest = t
+            return longest
         return aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
 
     def times_of(self, placement: Placement, aggregate: str, trials: int) -> List[float]:
@@ -288,36 +301,6 @@ class CompiledInstance:
         if not totals:
             return [0.0] * trials
         return [aggregate_times(aggregate, column) for column in zip(*totals)]
-
-    def _longest_path(
-        self,
-        placement: Placement,
-        start: int = 0,
-        finish: Optional[Dict[str, float]] = None,
-        before: Optional[List[float]] = None,
-    ) -> float:
-        """The max_flow pass.  _polish_guess resumes it at order[start]:
-        finish holds P of every earlier algorithm and before[start] the
-        largest sink total among them; the pass writes P of each later
-        algorithm into finish and the largest sink total before it into
-        before."""
-        out_rows, edge, is_sink = self.out_rows, self.edge_id, self.is_sink
-        if finish is None:
-            finish = {}
-        # every sum starts at 0.0, so no flow ends below it
-        longest = before[start] if start else 0.0
-        for i in range(start, len(self.order)):
-            aid = self.order[i]
-            if before is not None:
-                before[i] = longest
-            node = placement[aid]
-            finish[aid] = t = self._finish_at(aid, node, placement, finish)
-            if is_sink[aid]:
-                if self.include_return_hop:
-                    t += out_rows[aid][node][edge]
-                if t > longest:
-                    longest = t
-        return longest
 
     def _finish_at(self, aid: str, node: str, placement: Placement, finish: Dict[str, float]) -> float:
         """P(aid) with aid on node: the largest P(u) + hop over its
@@ -386,34 +369,21 @@ def _flow_total(
     flow: Tuple[str, ...],
     placement: Placement,
     segments: Optional[List[Tuple[str, float]]] = None,
-    start: int = 0,
-    total: float = 0.0,
-    marks: Optional[List[float]] = None,
 ) -> float:
     """Seconds of one flow, in timing.flow_time's accumulation order; appends
-    flow_time's (kind, seconds) breakdown to segments when given.
-
-    Timing may resume at position start from total, the partial sum before
-    it, which gives the same float as timing from the start; marks[pos] is
-    set to the partial sum before each position timed.
-    """
+    flow_time's (kind, seconds) breakdown to segments when given."""
     out_rows, exec_s = c.out_rows, c.exec_s
-    if start:
-        row = out_rows[flow[start - 1]][placement[flow[start - 1]]]
-        kind = "inter-hop"
-    else:
-        row = c.in_rows[flow[0]]
-        kind = "request-hop"
-    for pos in range(start, len(flow)):
-        aid = flow[pos]
-        if marks is not None:
-            marks[pos] = total
+    row = c.in_rows[flow[0]]
+    kind = "request-hop"
+    total = 0.0
+    for aid in flow:
         node = placement[aid]
         hop = row[node]
+        e = exec_s[(aid, node)]
         total += hop
-        total += exec_s[(aid, node)]
+        total += e
         if segments is not None:
-            segments += ((kind, hop), ("exec", exec_s[(aid, node)]))
+            segments += ((kind, hop), ("exec", e))
             kind = "inter-hop"
         row = out_rows[aid][node]
     if c.include_return_hop:
@@ -476,15 +446,15 @@ class SolveContext(CompiledInstance):
     # and B is at least each flow's own cheapest completion (_completion).
     completion: Dict[str, Dict[str, float]]
     # total_flows and mean_flows only (empty under max_flow):
-    # alg -> [(flow index, position, previous algorithm or None at a source,
-    # tail)], by flow index.  tail[node] = cheapest way to finish the flow
-    # after alg runs on node (execs, inter-hops, return hop; at a sink, its
-    # return hop or 0.0).  Exact per flow in isolation, hence an admissible
+    # alg -> [(flow index, previous algorithm or None at a source, tail)], by
+    # flow index.  tail[node] = cheapest way to finish the flow after alg
+    # runs on node (execs, inter-hops, return hop; at a sink, its return hop
+    # or 0.0).  Exact per flow in isolation, hence an admissible
     # joint bound.  A tail depends only on its source nodes, inbound payload,
     # algorithm and next tail, so the flows that read one share one dict, and
     # its hop + exec terms are priced once per (source nodes, payload,
     # algorithm).
-    membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]]
+    membership: Dict[str, List[Tuple[int, Optional[str], Dict[str, float]]]]
     # the bounds before any assignment, whose aggregate starts the search:
     # under max_flow one per source (its least request hop + exec + B), else
     # one per flow (its cheapest completion from the robot's request)
@@ -577,7 +547,7 @@ def _completion(
 
 def _flow_tails(
     c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]]
-) -> Tuple[Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]], List[float]]:
+) -> Tuple[Dict[str, List[Tuple[int, Optional[str], Dict[str, float]]]], List[float]]:
     """SolveContext.membership and each flow's start bound."""
     rows, exec_s, edge_id = c.rows, c.exec_s, c.edge_id
     payload_key = c.instance.comm.payload_key
@@ -591,7 +561,7 @@ def _flow_tails(
     tails: Dict[Tuple[Tuple[str, ...], int, str, int], Dict[str, float]] = {}
     # (sources, payload key, alg) -> {src: [hop(src, nid) + exec(alg, nid) per allowed nid]}
     steps: Dict[Tuple[Tuple[str, ...], int, str], Dict[str, List[float]]] = {}
-    membership: Dict[str, List[Tuple[int, int, Optional[str], Dict[str, float]]]] = {
+    membership: Dict[str, List[Tuple[int, Optional[str], Dict[str, float]]]] = {
         aid: [] for aid in c.order
     }
     start_bound: List[float] = []
@@ -606,7 +576,7 @@ def _flow_tails(
         for pos in range(len(flow) - 1, -1, -1):
             aid = flow[pos]
             prev = flow[pos - 1] if pos else None
-            membership[aid].append((fi, pos, prev, nxt))  # fi ascends: one entry per flow
+            membership[aid].append((fi, prev, nxt))  # fi ascends: one entry per flow
             sources, payload = start[aid] if prev is None else after[prev]
             key = (sources, payload, aid, id(nxt))
             table = tails.get(key)
@@ -768,92 +738,19 @@ class _EdgeMemory:
             count[r] = held
 
 
-def _polish_guess(ctx: SolveContext, guess: Placement) -> Placement:
-    """Deterministic single-move descent on the exact placement key.
-
-    retime(i) times the placement from ctx.order[i] on, resuming from the
-    partial sums before that algorithm, and writes the partial sums from it
-    on in place.  Under max_flow it resumes the longest-path pass (finish: P
-    per algorithm; before: the largest sink total before each place in
-    ctx.order); otherwise it resumes each flow through the algorithm at its
-    position (totals; marks: each flow's partial sums).  A candidate move
-    reads only partial sums before the moved algorithm, so a rejected one
-    needs no rollback until the algorithm's last candidate: then re-timing
-    the kept node restores the sums after it.  Memory follows via region
-    refcounts.
-    """
-    edge = ctx.edge_id
-    flows = ctx.flows
-    memory = _EdgeMemory(ctx)
-    placement = dict(guess)
-
-    if ctx.aggregate == "max_flow":
-        finish: Dict[str, float] = {}
-        before = [0.0] * len(ctx.order)
-
-        def retime(i: int) -> float:
-            return ctx._longest_path(placement, i, finish, before)
-
-        time_s = retime(0)
-    else:
-        marks = [[0.0] * len(flow) for flow in flows]
-        totals = [_flow_total(ctx, flow, placement, None, 0, 0.0, m) for flow, m in zip(flows, marks)]
-
-        def retime(i: int) -> float:
-            for fi, pos, _, _ in ctx.membership[ctx.order[i]]:
-                totals[fi] = _flow_total(ctx, flows[fi], placement, None, pos, marks[fi][pos], marks[fi])
-            return aggregate_times(ctx.aggregate, totals)
-
-        time_s = aggregate_times(ctx.aggregate, totals)
-
-    def move(aid: str, src: str, dst: str) -> None:
-        if src == edge:
-            memory.remove(aid)
-        if dst == edge:
-            memory.add(aid)
-
-    for aid in ctx.sorted_ids:
-        if placement[aid] == edge:
-            memory.add(aid)
-    # placement's key without its lex tuple: a move changes only the moved
-    # algorithm's lex entry, so comparing ranks there decides a tie
-    key = (_primary(ctx, time_s, memory.bits), memory.bits)
-    rank = ctx.node_rank
-
-    improved = True
-    while improved:
-        improved = False
-        for i, aid in enumerate(ctx.order):
-            kept = timed = placement[aid]
-            for nid in ctx.allowed[aid]:
-                if nid == kept:
-                    continue
-                placement[aid] = timed = nid
-                move(aid, kept, nid)
-                cand = (_primary(ctx, retime(i), memory.bits), memory.bits)
-                if cand < key or (cand == key and rank[nid] < rank[kept]):
-                    key, kept = cand, nid
-                    improved = True
-                else:
-                    move(aid, nid, kept)
-            placement[aid] = kept
-            if timed != kept:
-                retime(i)
-    return placement
-
-
 def warm_start(ctx: SolveContext) -> Placement:
-    """Best incumbent among the all-edge start, the uniform placements, and a
-    greedy walk, then single-move polished.  Only the search effort depends on
-    it; the optimum and its tie-break never do."""
+    """The incumbent with the least placement key among the all-edge start,
+    the uniform placements and a greedy walk.  Only the search effort depends
+    on it: _Search returns brute force's optimum and tie-break from any
+    incumbent, but can miss a completion faster than the incumbent by less
+    than the search's rounding slack that loses to it on memory or lex."""
     candidates = [default_guess(ctx)]
     by_rank = sorted(ctx.node_rank, key=ctx.node_rank.__getitem__)
     for nid in by_rank:
         if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
             candidates.append({aid: nid for aid in ctx.sorted_ids})
     candidates.append(_greedy_guess(ctx))
-    best = min(candidates, key=lambda p: _placement_key(ctx, p))
-    return _polish_guess(ctx, best)
+    return min(candidates, key=lambda p: _placement_key(ctx, p))
 
 
 class _Search:
@@ -880,6 +777,20 @@ class _Search:
         slot = {aid: i for i, aid in enumerate(ctx.sorted_ids)}
         self.lex_slot = [slot[aid] for aid in ctx.order]
         self.explored = 0
+        # The rounding slack of _children: a float primary bound exceeds the
+        # float primary of any completion by at most this factor.  With u =
+        # 2**-53, a sum of m nonnegative floats lies within (m - 1)u of its
+        # exact value, relatively, to first order.  A flow adds its n + 1
+        # hops and n execs to 0.0 from its start, within (2n + 2)u; the time
+        # bound adds terms of the same kind in another order (B and the tail
+        # tables from the path's end), another (2n + 2)u, and is at most the
+        # completion's time in exact arithmetic.  Under total_flows and
+        # mean_flows the running sum agg_sum starts as a sum over the flows
+        # and takes one update per flow position, a subtraction and an
+        # addition, each within u of the final sum.  Four more ulps cover
+        # hypot, the weights' products and the mean's division.
+        n_terms = 4 * len(ctx.order) + 8 + 2 * sum(map(len, ctx.flows)) + len(ctx.flows)
+        self.slack = 1.0 + n_terms * 2.0**-53
         self.best_key = _placement_key(ctx, incumbent)
         self.best_placement = dict(incumbent)
 
@@ -915,7 +826,7 @@ class _Search:
             flow_bound = self.flow_bound
             agg_sum = self.agg_sum
             updates = []
-            for fi, _, prev, tail in ctx.membership[aid]:
+            for fi, prev, tail in ctx.membership[aid]:
                 t = prefix_time[fi] + inbound[prev]
                 t += exec_here
                 prefix = t
@@ -1006,22 +917,28 @@ class _Search:
             )
         for primary, mem_bits, rank, node, state in children:
             # Descend only if the bound (primary, mem, lex_lb) beats the
-            # incumbent's key.  It is admissible: every completion of the
-            # child has primary and memory no lower (flow bounds and robot
-            # memory only grow) and a lex tuple no lower entry by entry, so
-            # tie-broken optima match brute force exactly.  best_key only
-            # tightens between pricing and here, so the child bounds stay
-            # valid.  Children ascend in (primary, mem, rank), and a higher
-            # rank here raises lex_lb, so once one child fails every later
-            # one does.
-            lex_lb[slot] = rank
+            # incumbent's key.  Every completion of the child has memory no
+            # lower (robot memory only grows) and a lex tuple no lower entry
+            # by entry, and primary no lower in exact arithmetic; in floats
+            # the primary bound may exceed a completion's by rounding, up to
+            # the factor slack.  So a bound above best_primary * slack proves
+            # every completion slower than the incumbent, and as children
+            # ascend in primary, every later child's too: stop.  A bound
+            # above best_primary but within the slack may hide a tie, so it
+            # counts as equal to best_primary and (memory, lex_lb) decide;
+            # those children no longer ascend in memory, so a loser moves on
+            # to the next child.  Leaves compare exact keys.  This misses only
+            # a completion faster than the incumbent by less than the slack
+            # that loses on (memory, lex).  best_key only tightens between
+            # pricing and here, so the child bounds stay valid.
             best_primary, best_mem, best_lex = self.best_key
-            if (primary, mem_bits) == (best_primary, best_mem):
-                beats = tuple(lex_lb) < best_lex  # the O(n) compare, on exact ties only
-            else:
-                beats = (primary, mem_bits) < (best_primary, best_mem)
-            if not beats:
+            if primary > best_primary * self.slack:
                 break
+            lex_lb[slot] = rank
+            if primary >= best_primary and (
+                mem_bits > best_mem or (mem_bits == best_mem and tuple(lex_lb) >= best_lex)
+            ):
+                continue
             self._assign(aid, node, state)
             self.explored += 1
             yield True

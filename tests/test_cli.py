@@ -127,6 +127,15 @@ def test_flow_cap_env(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: flow explosion")
 
 
+@pytest.mark.parametrize("command, value", [("flows", "abc"), ("solve", "0")])
+def test_malformed_flow_cap_is_one_error_line(tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", value)
+    rc, out, err = run(capsys, command, write_instance(tmp_path, fixtures.dataset_pipeline(2.0)))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ALLOCFLOW_FLOW_CAP must be")
+    assert err.count("\n") == 1
+
+
 def two_fans():
     """Two components, s -> a, b and t -> x, y: two flows each."""
     data = fixtures.single_sort()
