@@ -14,22 +14,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+from allocflow.cli import _positive, _size_list
 from allocflow.simulate import GenParams, scaling_benchmark
-
-
-def int_list(raw: str) -> List[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int_list, default=[4, 6, 8, 10, 12, 16, 20])
-    parser.add_argument("--reps", type=int, default=10, help="instances per size")
+    parser.add_argument("--sizes", type=_size_list, default=[4, 6, 8, 10, 12, 16, 20])
+    parser.add_argument("--reps", type=_positive, default=10, help="instances per size")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fog", type=int, default=1, help="fog nodes per instance")
     parser.add_argument("--cloud", type=int, default=1, help="cloud nodes per instance")

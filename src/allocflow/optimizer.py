@@ -33,17 +33,20 @@ agg_max needs no rescan.  A child costs its in-degree, and a leaf's time is
 the maximum over sinks of P(s) + B(s, y).  total_flows and mean_flows keep
 per flow its prefix time and bound and their running sum, since those sums
 need every flow.  _Search._child prices a child once; _assign applies
-exactly what it priced.  The walk keeps an explicit stack of per-depth child
-generators, so its depth is not bounded by the recursion limit.  _primary is
-the one primary-objective computation.
+exactly what it priced.  The incumbent the search starts from, warm_start,
+is its own first dive: the least child at every depth, priced by _child.
+The walk keeps an explicit stack of per-depth child generators, so its
+depth is not bounded by the recursion limit.  _primary is the one
+primary-objective computation.
 
-Only total_flows and mean_flows build per-flow tables (_flow_tails): a
-flow's completion bound after an algorithm reads the tail table of its
-membership entry, which depends only on its source nodes, the payload of
-its inbound hop, its algorithm and the next table, so flows share it, and
-the hop + exec term of its entries is priced once per (source nodes,
-payload, algorithm); that is the sum Python adds first in hop + exec +
-rest, so the floats are unchanged.  Under max_flow only _finish (for
+Each aggregate builds one bound per solve: only max_flow builds B
+(_completion), and only total_flows and mean_flows build per-flow tables
+(_flow_tails).  A flow's completion bound after an algorithm reads the tail
+table of its membership entry, which depends only on its source nodes, the
+payload of its inbound hop, its algorithm and the next table, so flows
+share it, and the hop + exec term of its entries is priced once per (source
+nodes, payload, algorithm); that is the sum Python adds first in hop + exec
++ rest, so the floats are unchanged.  Under max_flow only _finish (for
 per_flow) walks the flows of a solve.
 
 Hops are read from rows: one per (payload, source node) and delay
@@ -396,7 +399,10 @@ def _flow_total(
 
 def check_placement(instance: ProblemInstance, placement: Placement) -> None:
     """Raise InfeasibleError unless placement puts every algorithm on one of
-    its allowed nodes."""
+    its allowed nodes and names no other algorithm."""
+    for aid in placement:
+        if aid not in instance.algorithms:
+            raise InfeasibleError(f"placement names unknown algorithm {aid!r}")
     allowed = effective_allowed(instance)
     for aid in instance.algorithms:
         if aid not in placement:
@@ -417,9 +423,9 @@ def evaluate(
 ) -> CostPoint:
     """CostPoint of one placement (robot memory, overall time, distance)."""
     objective = objective or Objective()
+    check_placement(instance, placement)
     if not instance.algorithms:
         return CostPoint(0.0, 0.0, 0.0)
-    check_placement(instance, placement)
     priced = compile_instance(instance).priced(delays, include_return_hop)
     return priced.cost(placement, objective, robot_memory_bits(instance, placement))
 
@@ -438,6 +444,7 @@ class SolveContext(CompiledInstance):
     allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
     node_rank: Dict[str, int]
     aggregate: str
+    # max_flow only (empty otherwise):
     # completion[alg][node], B: a bound on the rest of the longest path
     # through alg once alg has run on node.  B(v, y) is the largest over v's
     # successors s of the least over nodes z of (hop(y -> z) + exec(s, z)) +
@@ -483,11 +490,12 @@ def build_context(
     rank = {nid: i for i, nid in enumerate(node_order(instance))}
     priced = compile_instance(instance).priced(delays, include_return_hop)
     aggregate = _aggregate_for(instance, objective)
-    completion, source_bounds = _completion(priced, allowed)
     if aggregate == "max_flow":
-        membership, start_bound = {}, source_bounds
+        completion, start_bound = _completion(priced, allowed)
+        membership = {}
     else:
         membership, start_bound = _flow_tails(priced, allowed)
+        completion = {}
     return SolveContext(
         **vars(priced),
         objective=objective,
@@ -668,35 +676,6 @@ def solve_bruteforce(
 # Branch and bound
 
 
-def default_guess(ctx: SolveContext) -> Placement:
-    """All-edge start; algorithms barred from the edge take their first
-    allowed node in tie-break order (unbounded ones thus the first cloud)."""
-    guess = {}
-    for aid in ctx.sorted_ids:
-        nodes = ctx.allowed[aid]
-        guess[aid] = ctx.edge_id if ctx.edge_id in nodes else nodes[0]
-    return guess
-
-
-def _greedy_guess(ctx: SolveContext) -> Placement:
-    """Place each algorithm, in topological order, on the node with the least
-    P + B: its longest-path sum given the earlier choices (_finish_at) plus
-    its completion bound; rank breaks a tie."""
-    guess: Placement = {}
-    finish: Dict[str, float] = {}
-    rank = ctx.node_rank
-    for aid in ctx.order:
-        bound = ctx.completion[aid]
-        best = None
-        for nid in ctx.allowed[aid]:
-            t = ctx._finish_at(aid, nid, guess, finish)
-            key = (t + bound[nid], rank[nid])
-            if best is None or key < best[0]:
-                best = (key, nid, t)
-        _, guess[aid], finish[aid] = best
-    return guess
-
-
 class _EdgeMemory:
     """Robot memory in bits as algorithms join and leave the edge: region
     refcounts seeded with every algorithm's outputs (the robot holds them
@@ -738,23 +717,8 @@ class _EdgeMemory:
             count[r] = held
 
 
-def warm_start(ctx: SolveContext) -> Placement:
-    """The incumbent with the least placement key among the all-edge start,
-    the uniform placements and a greedy walk.  Only the search effort depends
-    on it: _Search returns brute force's optimum and tie-break from any
-    incumbent, but can miss a completion faster than the incumbent by less
-    than the search's rounding slack that loses to it on memory or lex."""
-    candidates = [default_guess(ctx)]
-    by_rank = sorted(ctx.node_rank, key=ctx.node_rank.__getitem__)
-    for nid in by_rank:
-        if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
-            candidates.append({aid: nid for aid in ctx.sorted_ids})
-    candidates.append(_greedy_guess(ctx))
-    return min(candidates, key=lambda p: _placement_key(ctx, p))
-
-
 class _Search:
-    def __init__(self, ctx: SolveContext, incumbent: Placement):
+    def __init__(self, ctx: SolveContext):
         self.ctx = ctx
         # the bounds before any assignment (see SolveContext.start_bound)
         bounds = list(ctx.start_bound)
@@ -791,8 +755,6 @@ class _Search:
         # hypot, the weights' products and the mean's division.
         n_terms = 4 * len(ctx.order) + 8 + 2 * sum(map(len, ctx.flows)) + len(ctx.flows)
         self.slack = 1.0 + n_terms * 2.0**-53
-        self.best_key = _placement_key(ctx, incumbent)
-        self.best_placement = dict(incumbent)
 
     # -- incremental state -------------------------------------------------
 
@@ -881,7 +843,11 @@ class _Search:
 
     # -- search ------------------------------------------------------------
 
-    def run(self) -> Tuple[Placement, int]:
+    def run(self, incumbent: Placement) -> Tuple[Placement, int]:
+        """Search from incumbent, priced exactly; return the optimum and the
+        number of search nodes explored."""
+        self.best_key = _placement_key(self.ctx, incumbent)
+        self.best_placement = dict(incumbent)
         stack = [self._children(0)]
         while stack:
             if next(stack[-1], False):
@@ -946,6 +912,21 @@ class _Search:
         lex_lb[slot] = floor
 
 
+def warm_start(ctx: SolveContext) -> Placement:
+    """The search's first dive: in branching order, assign each algorithm
+    its least child by _Search._child's key (bound, memory, rank).  Only the
+    search effort depends on it: _Search returns brute force's optimum and
+    tie-break from any incumbent, but can miss a completion faster than the
+    incumbent by less than the search's rounding slack that loses to it on
+    memory or lex."""
+    search = _Search(ctx)
+    for aid in ctx.order:
+        # rank is unique per node, so min never compares past it
+        _, _, _, node, state = min(search._child(aid, nid) for nid in ctx.allowed[aid])
+        search._assign(aid, node, state)
+    return search.assignment
+
+
 def solve_branch_bound(
     instance: ProblemInstance,
     objective: Optional[Objective] = None,
@@ -961,8 +942,7 @@ def solve_branch_bound(
     if not instance.algorithms:
         return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
-    search = _Search(ctx, warm_start(ctx))
-    placement, explored = search.run()
+    placement, explored = _Search(ctx).run(warm_start(ctx))
     return _finish(ctx, placement, explored)
 
 

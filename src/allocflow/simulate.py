@@ -334,6 +334,8 @@ def scaling_benchmark(
     least-squares fit (slope, intercept, r^2) over the size/time points."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if any(n < 1 for n in sizes):
+        raise ValueError("sizes must be >= 1")
     if not sizes:
         return ScalingResult([], *loglog_fit([]))
     instances = {

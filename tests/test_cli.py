@@ -210,6 +210,17 @@ def test_placement_on_a_forbidden_node_is_one_error_line(tmp_path, capsys, comma
     assert err == "error: algorithm stage_a may not run on 'e' (allowed: c, f)\n"
 
 
+@pytest.mark.parametrize("command", ["time", "memory"])
+def test_placement_naming_an_unknown_algorithm_is_one_error_line(tmp_path, capsys, command):
+    path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
+    placement = tmp_path / "placement.json"
+    mapping = dict.fromkeys(("data", "stage_a", "stage_b", "stage_c"), "e")
+    placement.write_text(json.dumps({**mapping, "stage_x": "nowhere"}))
+    rc, out, err = run(capsys, command, path, "--placement", str(placement))
+    assert (rc, out) == (1, "")
+    assert err == "error: placement names unknown algorithm 'stage_x'\n"
+
+
 def test_time_rejects_non_mapping_placement(tmp_path, capsys):
     path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
     placement = tmp_path / "list.json"

@@ -30,12 +30,10 @@ from allocflow.optimizer import (
     Objective,
     _Search,
     _flow_total,
-    _greedy_guess,
     _placement_key,
     _primary,
     build_context,
     compile_instance,
-    default_guess,
     evaluate,
     pareto_front,
     scatter,
@@ -44,7 +42,7 @@ from allocflow.optimizer import (
     warm_start,
 )
 from allocflow.simulate import GenParams, random_instance
-from allocflow.timing import aggregate_times, flow_time, overall_time
+from allocflow.timing import flow_time, overall_time
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -87,6 +85,15 @@ def test_evaluate_delay_overrides():
 def test_evaluate_rejects_incomplete_placement(dataset_d2):
     with pytest.raises(InfeasibleError, match="misses algorithm"):
         evaluate(dataset_d2, {"data": "e"})
+
+
+def test_evaluate_rejects_an_unknown_algorithm(dataset_d2):
+    placement = dict.fromkeys(dataset_d2.algorithms, "e")
+    with pytest.raises(InfeasibleError, match="unknown algorithm 'stage_x'"):
+        evaluate(dataset_d2, {**placement, "stage_x": "nowhere"})
+    empty = random_instance(0, GenParams(), seed=0)
+    with pytest.raises(InfeasibleError, match="unknown algorithm 'stage_x'"):
+        evaluate(empty, {"stage_x": "e"})
 
 
 def test_evaluate_rejects_forbidden_node():
@@ -393,7 +400,7 @@ def test_branch_bound_matches_bruteforce_under_ties(
     # lex-largest placement
     ctx = build_context(inst, objective, include_return_hop)
     worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
-    placement, _ = _Search(ctx, worst).run()
+    placement, _ = _Search(ctx).run(worst)
     assert placement == expect.placement
 
 
@@ -446,7 +453,7 @@ def test_search_answer_is_independent_of_its_incumbent(seed, n, kind, aggregate,
     starts = [p for p, key in zip(placements, keys) if key[:2] == best[:2]]
     starts += random.Random(seed).sample(placements, min(4, len(placements)))
     for start in starts:
-        placement, _ = _Search(ctx, start).run()
+        placement, _ = _Search(ctx).run(start)
         assert placement == expect.placement, start
 
 
@@ -461,9 +468,9 @@ def test_an_incumbent_one_ulp_under_the_root_bound_does_not_stop_the_search():
     start = {"a01": "e", "a02": "e", "a03": "c1", "a04": "c1", "a05": "e", "a06": "f1"}
     assert start != expect.placement
     assert _placement_key(ctx, start)[:2] == _placement_key(ctx, expect.placement)[:2]
-    search = _Search(ctx, start)
+    search = _Search(ctx)
     assert search.agg_max == math.nextafter(expect.cost.time_seconds, math.inf)
-    placement, explored = search.run()
+    placement, explored = search.run(start)
     assert placement == expect.placement
     assert explored > 0
 
@@ -485,8 +492,8 @@ def _twin_clouds(seed, n, aggregate):
 def test_exact_time_ties_do_not_multiply_the_search():
     """Twin clouds make exact time ties common; a bound snapped within the
     rounding slack must still prune them, so the explored total is pinned.
-    Comparing bounds exactly explores 270 nodes here; dividing every bound by
-    the slack, to make it strictly admissible, explores 30,338.  Seeds 0-119
+    Comparing bounds exactly explores 341 nodes here; dividing every bound by
+    the slack, to make it strictly admissible, explores 30,398.  Seeds 0-119
     cover every (n in 3-7, objective, aggregate) twice."""
     explored = 0
     for seed in range(120):
@@ -496,15 +503,15 @@ def test_exact_time_ties_do_not_multiply_the_search():
         expect = solve_bruteforce(inst, objective)
         assert (got.placement, got.cost) == (expect.placement, expect.cost)
         explored += got.explored_nodes
-    assert explored == 287
+    assert explored == 352
 
 
 class _LexSpy(_Search):
     """Checks on entry to every search node that lex_lb is the least lex
     tuple over all completions of the partial assignment."""
 
-    def __init__(self, ctx, incumbent):
-        super().__init__(ctx, incumbent)
+    def __init__(self, ctx):
+        super().__init__(ctx)
         self.checked = 0
 
     def _children(self, depth):
@@ -531,8 +538,8 @@ def test_lex_bound_is_the_least_completion_lex():
                 ctx = build_context(instance, Objective(kind))
                 # the lex-largest incumbent leaves the search the most to do
                 worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
-                spy = _LexSpy(ctx, worst)
-                spy.run()
+                spy = _LexSpy(ctx)
+                spy.run(worst)
                 checked += spy.checked
     assert checked > 1000
 
@@ -590,8 +597,8 @@ class _BoundSpy(_Search):
     parent's and P(v) + B(v, node), and a leaf's time the largest flow
     total, compared by repr."""
 
-    def __init__(self, ctx, incumbent, resolve, delays, budget):
-        super().__init__(ctx, incumbent)
+    def __init__(self, ctx, resolve, delays, budget):
+        super().__init__(ctx)
         self.resolve = resolve
         self.delays = delays
         self.budget = budget
@@ -671,9 +678,9 @@ def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
     ctx, delays, resolve = _jittered(seed, n, params, kind, include_return_hop)
     reference = _reference_completion(ctx, resolve)
     assert repr(ctx.completion) == repr(reference)
-    spy = _BoundSpy(ctx, warm_start(ctx), resolve, delays, budget=400)
+    spy = _BoundSpy(ctx, resolve, delays, budget=400)
     try:
-        spy.run()
+        spy.run(warm_start(ctx))
     except _Checked:
         pass
     assert spy.children >= len(ctx.allowed[ctx.order[0]])
@@ -742,7 +749,7 @@ def test_branch_bound_answers_are_pinned():
                     digest.update(repr((sorted(r.placement.items()), r.cost, r.per_flow)).encode())
                     explored += r.explored_nodes
     assert digest.hexdigest() == "5d769fdb10c126fdc46761b77cfce62b977114938660a1d530beaede4f3b428a"
-    assert explored == 649
+    assert explored == 758
 
 
 def _per_flow_tails(ctx):
@@ -773,11 +780,64 @@ def _per_flow_tails(ctx):
     return tables
 
 
-def _whole_flow_key(ctx, placement):
-    """The placement key, every flow timed from its start."""
-    mem_bits = robot_memory_bits(ctx.instance, placement)
-    time_s = aggregate_times(ctx.aggregate, [_flow_total(ctx, f, placement) for f in ctx.flows])
-    return _primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)
+def _reference_dive(ctx, tails):
+    """The warm start rebuilt from reference pieces: in branching order, each
+    algorithm goes to the node with the least (primary of the time bound,
+    robot memory of the partial placement, rank).  Under max_flow the time
+    bound is the largest of the source start bounds and of P(v) + B(v, y)
+    over the placed algorithms, from _reference_finish and
+    _reference_completion.  Otherwise it is the sum of the per-flow bounds,
+    each a flow's prefix time from its start plus its reference tail table
+    (tails, from _per_flow_tails), kept as a running sum that starts at the
+    flows' start bounds and takes one update per flow through the placed
+    algorithm, in flow order, as the search's does."""
+    placement = {}
+    edge = ctx.edge_id
+    if ctx.aggregate == "max_flow":
+        completion = _reference_completion(ctx, ctx.hop)
+        agg = max(
+            min(
+                (ctx.hop(edge, z, ctx.input_bits[v]) + ctx.exec_s[(v, z)]) + completion[v][z]
+                for z in ctx.allowed[v]
+            )
+            for v in ctx.order
+            if not ctx.preds[v]
+        )
+    else:
+        flow_bound = [table[0][edge] for table in tails]
+        agg = sum(flow_bound)
+
+    def prefix(flow, trial):
+        total, src, bits = 0.0, edge, ctx.input_bits[flow[0]]
+        for aid in flow:
+            total += ctx.hop(src, trial[aid], bits)
+            total += ctx.exec_s[(aid, trial[aid])]
+            src, bits = trial[aid], ctx.output_bits[aid]
+        return total
+
+    for aid in ctx.order:
+        children = []
+        for node in ctx.allowed[aid]:
+            trial = {**placement, aid: node}
+            if ctx.aggregate == "max_flow":
+                bound = _reference_finish(ctx, trial, ctx.hop)[aid] + completion[aid][node]
+                child_agg = time_bound = max(agg, bound)
+                updates = {}
+            else:
+                child_agg, updates = agg, {}
+                for fi, flow in enumerate(ctx.flows):
+                    if aid in flow:
+                        pos = flow.index(aid)
+                        updates[fi] = prefix(flow[: pos + 1], trial) + tails[fi][pos + 1][node]
+                        child_agg += updates[fi] - flow_bound[fi]
+                time_bound = child_agg if ctx.aggregate == "total_flows" else child_agg / len(ctx.flows)
+            mem_bits = robot_memory_bits(ctx.instance, trial)
+            key = (_primary(ctx, time_bound, mem_bits), mem_bits, ctx.node_rank[node])
+            children.append((key, node, child_agg, updates))
+        _, placement[aid], agg, updates = min(children)
+        for fi, bound in updates.items():
+            flow_bound[fi] = bound
+    return placement
 
 
 @settings(max_examples=40, deadline=None)
@@ -797,9 +857,9 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
     from per-edge hop + exec rows, equal the per-position build entry by
     entry, and so does start_bound (compared by repr); flows with one tail
     hold one dict.  Under max_flow there are none, and the completion bound
-    is at least each of them.  The warm start returns the candidate whose
-    key, every flow timed from its start, is least.  Exec times spanning 1e-9 to 1e3 and jittered links make rounding show if
-    a sum is grouped differently."""
+    is at least each of them.  The warm start is the dive a reference
+    rebuilds from these tables.  Exec times spanning 1e-9 to 1e3 and
+    jittered links make rounding show if a sum is grouped differently."""
     params = GenParams(
         fog_nodes=fog, cloud_nodes=cloud, exec_range=(1e-9, 1e3), delay_prob=0.6, tier_ordering=False
     )
@@ -839,19 +899,16 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
         assert sorted(seen) == [(fi, pos) for fi, flow in enumerate(ctx.flows) for pos in range(len(flow))]
         assert all(len(ids) == 1 for ids in by_tail.values())
 
-    candidates = [default_guess(ctx)]
-    for nid in sorted(ctx.node_rank, key=ctx.node_rank.__getitem__):
-        if all(nid in ctx.allowed[aid] for aid in ctx.sorted_ids):
-            candidates.append(dict.fromkeys(ctx.sorted_ids, nid))
-    candidates.append(_greedy_guess(ctx))
-    assert warm_start(ctx) == min(candidates, key=lambda p: _whole_flow_key(ctx, p))
+    assert warm_start(ctx) == _reference_dive(ctx, reference)
 
 
 @pytest.mark.parametrize("kind", ["min_distance", "min_time_total"])
 def test_only_sum_aggregates_build_per_flow_state(kind, monkeypatch):
-    """Under max_flow a solve builds no tail table or membership entry, and
-    only _finish times flows one by one (once each, for per_flow)."""
-    calls = {"_flow_total": 0, "_flow_tails": 0}
+    """Each aggregate builds one bound.  Under max_flow a solve builds B once
+    and no tail table or membership entry, and only _finish times flows one
+    by one (once each, for per_flow).  Under total_flows it builds the tail
+    tables once and no B."""
+    calls = {"_flow_total": 0, "_flow_tails": 0, "_completion": 0}
     for name in calls:
         original = getattr(optimizer, name)
 
@@ -862,11 +919,15 @@ def test_only_sum_aggregates_build_per_flow_state(kind, monkeypatch):
         monkeypatch.setattr(optimizer, name, counted)
     inst = random_instance(14, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)
     result = solve_branch_bound(inst, Objective(kind))
+    solved = dict(calls)
+    ctx = build_context(inst, Objective(kind))
     if kind == "min_distance":
-        assert build_context(inst).membership == {}
-        assert calls == {"_flow_total": len(result.per_flow), "_flow_tails": 0}
+        assert ctx.membership == {}
+        assert solved == {"_flow_total": len(result.per_flow), "_flow_tails": 0, "_completion": 1}
     else:
-        assert calls["_flow_tails"] == 1 and calls["_flow_total"] > len(result.per_flow)
+        assert ctx.completion == {}
+        assert solved["_flow_tails"] == 1 and solved["_completion"] == 0
+        assert solved["_flow_total"] > len(result.per_flow)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -875,7 +936,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     inst = random_instance(1200, GenParams(layers=1200, edge_prob=0.0), seed=1)
     ctx = build_context(inst)
     worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
-    placement, explored = _Search(ctx, worst).run()
+    placement, explored = _Search(ctx).run(worst)
     assert explored >= 1200
     assert placement == solve_branch_bound(inst).placement
 

@@ -1,6 +1,7 @@
 """Delay sampling, Monte-Carlo comparison, instance generation, scaling fits."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import random
@@ -395,6 +396,28 @@ def test_loglog_fit_needs_two_distinct_sizes():
 def test_benchmark_rejects_zero_reps():
     with pytest.raises(ValueError, match="reps"):
         scaling_benchmark([4], reps=0)
+
+
+@pytest.mark.parametrize("sizes", [[0, 4], [4, -1]])
+def test_benchmark_rejects_a_size_below_one(sizes):
+    with pytest.raises(ValueError, match="sizes"):
+        scaling_benchmark(sizes, reps=1)
+
+
+def _scaling_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "scaling_bench.py"
+    spec = importlib.util.spec_from_file_location("scaling_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "0,4"], ["--sizes", "4,-1"], ["--reps", "0"]])
+def test_scaling_script_rejects_non_positive_inputs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _scaling_script().main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 def test_benchmark_empty_sizes():
