@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from allocflow.cli import _positive, _size_list
+from allocflow.cli import _non_negative, _positive, _size_list
 from allocflow.simulate import GenParams, scaling_benchmark
 
 
@@ -25,8 +25,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--sizes", type=_size_list, default=[4, 6, 8, 10, 12, 16, 20])
     parser.add_argument("--reps", type=_positive, default=10, help="instances per size")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fog", type=int, default=1, help="fog nodes per instance")
-    parser.add_argument("--cloud", type=int, default=1, help="cloud nodes per instance")
+    parser.add_argument("--fog", type=_non_negative, default=1, help="fog nodes per instance")
+    parser.add_argument("--cloud", type=_non_negative, default=1, help="cloud nodes per instance")
     parser.add_argument("--out", help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 

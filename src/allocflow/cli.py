@@ -48,10 +48,18 @@ AGGREGATE_NAMES = {"max": "max_flow", "total": "total_flows", "mean": "mean_flow
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _cannot_write(out, exc) from exc
     else:
         sys.stdout.write(text)
+
+
+def _cannot_write(path: str, exc: OSError) -> ProblemFormatError:
+    """The one-line error for a failed write, as _load reports a failed read."""
+    return ProblemFormatError(f"cannot write {exc.filename or path}: {exc.strerror}")
 
 
 NOT_FINITE = "result is not finite: a time or memory sum overflows"
@@ -246,7 +254,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    paths = fixtures.write_examples(args.directory)
+    try:
+        paths = fixtures.write_examples(args.directory)
+    except OSError as exc:
+        raise _cannot_write(args.directory, exc) from exc
     _emit("".join(f"{p}\n" for p in paths), args.out)
     return 0
 
@@ -265,6 +276,13 @@ def _positive(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _non_negative(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -336,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bench", cmd_bench, "solver scaling on random instances", needs_file=False)
     p.add_argument("--sizes", type=_size_list, default=[4, 6, 8, 10])
     p.add_argument("--reps", type=_positive, default=3)
-    p.add_argument("--fog", type=_positive, default=1, help="fog nodes per instance")
-    p.add_argument("--cloud", type=_positive, default=1, help="cloud nodes per instance")
+    p.add_argument("--fog", type=_non_negative, default=1, help="fog nodes per instance")
+    p.add_argument("--cloud", type=_non_negative, default=1, help="cloud nodes per instance")
 
     p = add("examples", cmd_examples, "write the bundled instances", needs_file=False)
     p.add_argument("directory", nargs="?", default="fixtures", help="target directory")

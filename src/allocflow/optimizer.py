@@ -8,46 +8,46 @@ id, fog nodes by id, edge node last (deepest offload wins a dead heat).
 
 Branch and bound orders placements by the key (primary objective, robot
 memory, lex tuple) and descends a child only if its bound on that key is
-below the incumbent's.  The bound has three parts: a time bound (under
-max_flow the longest path so far plus the completion bound B; otherwise each
-flow's cheapest completion), the robot memory already committed, and the lex
-tuple with every unassigned algorithm on its lowest-rank allowed node.  Flow
-times and robot memory only grow as algorithms are assigned, and no
-completion's lex tuple is lower entry by entry.  The time bound is
-admissible in exact arithmetic only: it adds terms in another order than a
-completion's time, so in floats it may exceed it by a few ulps.  The search
-therefore treats a primary bound within a rounding slack above the
-incumbent's as a tie (see _Search._children), which makes its answer brute
-force's tie-broken optimum whatever the incumbent, but for a completion
-faster than the incumbent by less than the slack that loses on (memory, lex).
+below the incumbent's.  The bound has three parts: a time bound (the time so
+far plus the completion bound C, see below), the robot memory already
+committed, and the lex tuple with every unassigned algorithm on its
+lowest-rank allowed node.  Flow times and robot memory only grow as
+algorithms are assigned, and no completion's lex tuple is lower entry by
+entry.  The time bound is admissible in exact arithmetic only: it adds terms
+in another order than a completion's time, so in floats it may exceed it by
+a few ulps.  The search therefore treats a primary bound within a rounding
+slack above the incumbent's as a tie (see _Search._children), which makes
+its answer brute force's tie-broken optimum whatever the incumbent, but for
+a completion faster than the incumbent by less than the slack that loses on
+(memory, lex).
 
-The search keeps one incremental state, plus an _EdgeMemory refcount of the
-regions on the robot.  Under max_flow it is the longest-path state of
-time_of: P(v) for each assigned algorithm (the largest P(u) + hop over its
-predecessors u, or 0.0 + the request hop at a source, then + exec) and
-agg_max, the running maximum of the bounds, which starts at the largest
-source bound.  A child for v on node y is bounded by max(agg_max, P(v) +
-B(v, y)), B the completion bound of one backward pass per solve
-(SolveContext.completion); a stale bound stays a valid lower bound, so
-agg_max needs no rescan.  A child costs its in-degree, and a leaf's time is
-the maximum over sinks of P(s) + B(s, y).  total_flows and mean_flows keep
-per flow its prefix time and bound and their running sum, since those sums
-need every flow.  _Search._child prices a child once; _assign applies
-exactly what it priced.  The incumbent the search starts from, warm_start,
-is its own first dive: the least child at every depth, priced by _child.
-The walk keeps an explicit stack of per-depth child generators, so its
-depth is not bounded by the recursion limit.  _primary is the one
-primary-objective computation.
+The search keeps one incremental state under every aggregate, plus an
+_EdgeMemory refcount of the regions on the robot: one float per assigned
+algorithm and agg, one running aggregate of the bounds, which starts at the
+sources' start bounds.  A child costs its in-degree, never its flow count.
+Under max_flow it is the longest-path state of time_of: P(v) (the largest
+P(u) + hop over v's predecessors u, or 0.0 + the request hop at a source,
+then + exec), and agg the running maximum.  A child for v on node y is
+bounded by max(agg, P(v) + B(v, y)); a stale bound stays a valid lower
+bound, so agg needs no rescan, and a leaf's time is the maximum over sinks
+of P(s) + B(s, y).  Under total_flows and mean_flows it is F(v), the sum over
+the paths from a source to v of their time through v's exec, and agg the
+running sum: assigning v trades the bound term of each edge into v for v's
+own (see _Search._child), and a leaf takes its exact time from time_of.
+_Search._child prices a child once; _assign applies exactly what it priced.
+The incumbent the search starts from, warm_start, is its own first dive: the
+least child at every depth, priced by _child.  The walk keeps an explicit
+stack of per-depth child generators, so its depth is not bounded by the
+recursion limit.  _primary is the one primary-objective computation.
 
-Each aggregate builds one bound per solve: only max_flow builds B
-(_completion), and only total_flows and mean_flows build per-flow tables
-(_flow_tails).  A flow's completion bound after an algorithm reads the tail
-table of its membership entry, which depends only on its source nodes, the
-payload of its inbound hop, its algorithm and the next table, so flows
-share it, and the hop + exec term of its entries is priced once per (source
-nodes, payload, algorithm); that is the sum Python adds first in hop + exec
-+ rest, so the floats are unchanged.  Under max_flow only _finish (for
-per_flow) walks the flows of a solve.
+One backward pass per solve (_completion) builds the bound for every
+aggregate, per dependency edge (v, s) and node y of v: E(v, y, s), the least
+over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
+combining v's edges.  Under max_flow w = 1 and C = max_s E = B, and nothing
+per edge is kept.  Under the sum aggregates w is the number of paths from s
+to a sink, C = sum_s E, and E is kept for the trades.  Flows are walked one
+by one only to time a whole placement: in _finish (for per_flow) and, under
+the sum aggregates, in time_of.
 
 Hops are read from rows: one per (payload, source node) and delay
 realization, mapping a destination node to seconds and resolving a missing
@@ -444,28 +444,21 @@ class SolveContext(CompiledInstance):
     allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
     node_rank: Dict[str, int]
     aggregate: str
-    # max_flow only (empty otherwise):
-    # completion[alg][node], B: a bound on the rest of the longest path
-    # through alg once alg has run on node.  B(v, y) is the largest over v's
-    # successors s of the least over nodes z of (hop(y -> z) + exec(s, z)) +
-    # B(s, z); at a sink, its return hop (0.0 without one).  Every
-    # completion's longest path runs through each successor on some node,
-    # and B is at least each flow's own cheapest completion (_completion).
+    # completion[alg][node], C: a bound on the rest of the paths from alg to
+    # a sink once alg has run on node (_completion).  Under max_flow it is B,
+    # the rest of the longest one; under total_flows and mean_flows the sum
+    # over them, each counted once.  At a sink, its return hop (0.0 without).
     completion: Dict[str, Dict[str, float]]
     # total_flows and mean_flows only (empty under max_flow):
-    # alg -> [(flow index, previous algorithm or None at a source, tail)], by
-    # flow index.  tail[node] = cheapest way to finish the flow after alg
-    # runs on node (execs, inter-hops, return hop; at a sink, its return hop
-    # or 0.0).  Exact per flow in isolation, hence an admissible
-    # joint bound.  A tail depends only on its source nodes, inbound payload,
-    # algorithm and next tail, so the flows that read one share one dict, and
-    # its hop + exec terms are priced once per (source nodes, payload,
-    # algorithm).
-    membership: Dict[str, List[Tuple[int, Optional[str], Dict[str, float]]]]
-    # the bounds before any assignment, whose aggregate starts the search:
-    # under max_flow one per source (its least request hop + exec + B), else
-    # one per flow (its cheapest completion from the robot's request)
-    start_bound: List[float]
+    # edge_bound[s][u][y] = E(u, y, s), the share of C(u, y) that the paths
+    # through the dependency edge (u, s) carry; paths_in[v] and paths_out[v]
+    # count the paths from a source to v and from v to a sink (1 at each end)
+    edge_bound: Dict[str, Dict[str, Dict[str, float]]]
+    paths_in: Dict[str, int]
+    paths_out: Dict[str, int]
+    # per source, its bound before any assignment: the least over its nodes
+    # of (request hop + exec) times paths_out (1 under max_flow) + C
+    start_bound: Dict[str, float]
 
     def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
         return tuple(self.node_rank[placement[aid]] for aid in self.sorted_ids)
@@ -490,12 +483,8 @@ def build_context(
     rank = {nid: i for i, nid in enumerate(node_order(instance))}
     priced = compile_instance(instance).priced(delays, include_return_hop)
     aggregate = _aggregate_for(instance, objective)
-    if aggregate == "max_flow":
-        completion, start_bound = _completion(priced, allowed)
-        membership = {}
-    else:
-        membership, start_bound = _flow_tails(priced, allowed)
-        completion = {}
+    paths_in, paths_out = ({}, {}) if aggregate == "max_flow" else _path_counts(priced)
+    completion, edge_bound, start_bound = _completion(priced, allowed, paths_out)
     return SolveContext(
         **vars(priced),
         objective=objective,
@@ -504,103 +493,86 @@ def build_context(
         node_rank=rank,
         aggregate=aggregate,
         completion=completion,
-        membership=membership,
+        edge_bound=edge_bound,
+        paths_in=paths_in,
+        paths_out=paths_out,
         start_bound=start_bound,
     )
 
 
-def _completion(
-    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]]
-) -> Tuple[Dict[str, Dict[str, float]], List[float]]:
-    """B (see SolveContext.completion) and each source's bound before any
-    assignment, the least (request hop + exec) + B over its nodes.
+def _path_counts(c: CompiledInstance) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """paths_in and paths_out of SolveContext: per algorithm, the number of
+    paths from a source to it and from it to a sink."""
+    paths_in: Dict[str, int] = {}
+    for v in c.order:
+        paths_in[v] = sum(paths_in[u] for u in c.preds[v]) or 1
+    paths_out = dict.fromkeys(c.order, 0)
+    for v in reversed(c.order):  # v's successors have added their counts
+        if c.is_sink[v]:
+            paths_out[v] = 1
+        for u in c.preds[v]:
+            paths_out[u] += paths_out[v]
+    return paths_in, paths_out
 
-    Each sum keeps the tail tables' association, hop + exec first.  By
-    induction from the sinks, B(v, y) is at least every tail table after v
-    at y, since rounded addition, min and max are monotone.  In exact
-    arithmetic P(v) + B(v, y) is at most the longest path of any completion,
-    which runs through each successor on some node; in floats B adds a
-    path's terms from its end and time_of from its start, so the two can
-    differ by rounding, as the per-flow tails always could.
+
+def _completion(
+    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]], paths_out: Dict[str, int]
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, Dict[str, float]]], Dict[str, float]]:
+    """C, E and the start bounds of SolveContext, in one backward pass; under
+    max_flow paths_out is empty and no E is kept.
+
+    For each dependency edge (v, s) and node y of v, E(v, y, s) is the least
+    over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
+    combines v's edges: under max_flow w = 1 and C = max_s E, which is B;
+    under the sum aggregates w = paths_out[s], the number of paths that take
+    the hop and the exec, and C = sum_s E.  A source's start bound is the
+    least over its nodes z of w * (request hop + exec(v, z)) + C(v, z), w =
+    paths_out[v] or 1.
+
+    Every completion's paths run through each successor on some node, so in
+    exact arithmetic C(v, y) is at most the rest of every completion that
+    puts v on y: the longest path's under max_flow, the paths' sum
+    otherwise.  In floats C adds a path's terms from its end and time_of
+    from its start, so the two can differ by rounding (see _Search.__init__).
     """
+    longest = not paths_out
     succs: Dict[str, List[str]] = {aid: [] for aid in c.order}
     for v in c.order:
         for u in c.preds[v]:
             succs[u].append(v)
     exec_s, edge = c.exec_s, c.edge_id
     completion: Dict[str, Dict[str, float]] = {}
+    edge_bound: Dict[str, Dict[str, Dict[str, float]]] = {} if longest else {aid: {} for aid in c.order}
     for v in reversed(c.order):
         rows = c.out_rows[v]
         if c.is_sink[v]:
             completion[v] = {y: rows[y][edge] if c.include_return_hop else 0.0 for y in allowed[v]}
             continue
-        best = dict.fromkeys(allowed[v], -math.inf)
+        best = dict.fromkeys(allowed[v], -math.inf if longest else 0.0)
         for s in succs[v]:
             later = tuple(completion[s].values())  # keyed by allowed[s], in its order
             execs = [(z, exec_s[(s, z)]) for z in allowed[s]]
-            for y in best:
-                row = rows[y]
-                t = min(map(add, [row[z] + e for z, e in execs], later))
-                if t > best[y]:
-                    best[y] = t
+            if longest:
+                for y in best:
+                    row = rows[y]
+                    t = min(map(add, [row[z] + e for z, e in execs], later))
+                    if t > best[y]:
+                        best[y] = t
+            else:
+                w = paths_out[s]
+                share = edge_bound[s][v] = {}
+                for y in best:
+                    row = rows[y]
+                    share[y] = t = min(map(add, [w * (row[z] + e) for z, e in execs], later))
+                    best[y] += t
         completion[v] = best
-    source_bounds = []
+    start_bound = {}
     for v in c.order:
         if not c.preds[v]:
-            row = c.in_rows[v]
-            steps = [row[z] + exec_s[(v, z)] for z in allowed[v]]
-            source_bounds.append(min(map(add, steps, completion[v].values())))
-    return completion, source_bounds
-
-
-def _flow_tails(
-    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]]
-) -> Tuple[Dict[str, List[Tuple[int, Optional[str], Dict[str, float]]]], List[float]]:
-    """SolveContext.membership and each flow's start bound."""
-    rows, exec_s, edge_id = c.rows, c.exec_s, c.edge_id
-    payload_key = c.instance.comm.payload_key
-    # A table is keyed by what it reads: its source nodes and the payload key
-    # of its inbound hop (from the previous algorithm, or the edge at a
-    # source), its algorithm and the next table.  Keys hold the next table's
-    # id(), so every table stays alive here.
-    after = {aid: (allowed[aid], payload_key(bits)) for aid, bits in c.output_bits.items()}
-    start = {aid: ((edge_id,), payload_key(bits)) for aid, bits in c.input_bits.items()}
-    ends: Dict[Tuple[Tuple[str, ...], int], Dict[str, float]] = {}  # return-hop tables
-    tails: Dict[Tuple[Tuple[str, ...], int, str, int], Dict[str, float]] = {}
-    # (sources, payload key, alg) -> {src: [hop(src, nid) + exec(alg, nid) per allowed nid]}
-    steps: Dict[Tuple[Tuple[str, ...], int, str], Dict[str, List[float]]] = {}
-    membership: Dict[str, List[Tuple[int, Optional[str], Dict[str, float]]]] = {
-        aid: [] for aid in c.order
-    }
-    start_bound: List[float] = []
-    for fi, flow in enumerate(c.flows):
-        nodes, payload = after[flow[-1]]
-        nxt = ends.get((nodes, payload))
-        if nxt is None:
-            back = rows[payload]
-            nxt = ends[nodes, payload] = {
-                nid: back[nid][edge_id] if c.include_return_hop else 0.0 for nid in nodes
-            }
-        for pos in range(len(flow) - 1, -1, -1):
-            aid = flow[pos]
-            prev = flow[pos - 1] if pos else None
-            membership[aid].append((fi, prev, nxt))  # fi ascends: one entry per flow
-            sources, payload = start[aid] if prev is None else after[prev]
-            key = (sources, payload, aid, id(nxt))
-            table = tails.get(key)
-            if table is None:
-                step = steps.get(key[:3])
-                if step is None:
-                    inbound = rows[payload]
-                    step = steps[key[:3]] = {
-                        src: [inbound[src][nid] + exec_s[(aid, nid)] for nid in allowed[aid]]
-                        for src in sources
-                    }
-                later = tuple(nxt.values())  # keyed by allowed[aid], in its order
-                table = tails[key] = {src: min(map(add, row, later)) for src, row in step.items()}
-            nxt = table
-        start_bound.append(nxt[edge_id])
-    return membership, start_bound
+            row, w = c.in_rows[v], paths_out.get(v, 1)
+            steps = [w * (row[z] + exec_s[(v, z)]) for z in allowed[v]]
+            start_bound[v] = min(map(add, steps, completion[v].values()))
+    return completion, edge_bound, start_bound
 
 
 def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
@@ -720,19 +692,14 @@ class _EdgeMemory:
 class _Search:
     def __init__(self, ctx: SolveContext):
         self.ctx = ctx
-        # the bounds before any assignment (see SolveContext.start_bound)
-        bounds = list(ctx.start_bound)
         self.longest = ctx.aggregate == "max_flow"
-        if self.longest:
-            # the running maximum of the bounds; they only grow under
-            # _assign, so it needs no rescan
-            self.agg_max = max(bounds, default=0.0)
-            self.finish: Dict[str, float] = {}  # P(v) per assigned algorithm
-            self.sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
-        else:
-            self.prefix_time = [0.0] * len(bounds)
-            self.flow_bound = bounds
-            self.agg_sum = sum(bounds)
+        # agg, the running aggregate of the bounds, starts from the sources'
+        # start bounds: under max_flow their maximum (bounds only grow under
+        # _assign, so it needs no rescan), otherwise their sum (see _child)
+        bounds = ctx.start_bound.values()
+        self.agg = max(bounds, default=0.0) if self.longest else sum(bounds)
+        self.finish: Dict[str, float] = {}  # P(v) or F(v) per assigned algorithm
+        self.sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
         self.memory = _EdgeMemory(ctx)
         self.assignment: Placement = {}
         # lex_lb: the lex tuple with every unassigned algorithm on its
@@ -742,19 +709,43 @@ class _Search:
         self.lex_slot = [slot[aid] for aid in ctx.order]
         self.explored = 0
         # The rounding slack of _children: a float primary bound exceeds the
-        # float primary of any completion by at most this factor.  With u =
-        # 2**-53, a sum of m nonnegative floats lies within (m - 1)u of its
-        # exact value, relatively, to first order.  A flow adds its n + 1
-        # hops and n execs to 0.0 from its start, within (2n + 2)u; the time
-        # bound adds terms of the same kind in another order (B and the tail
-        # tables from the path's end), another (2n + 2)u, and is at most the
-        # completion's time in exact arithmetic.  Under total_flows and
-        # mean_flows the running sum agg_sum starts as a sum over the flows
-        # and takes one update per flow position, a subtraction and an
-        # addition, each within u of the final sum.  Four more ulps cover
-        # hypot, the weights' products and the mean's division.
-        n_terms = 4 * len(ctx.order) + 8 + 2 * sum(map(len, ctx.flows)) + len(ctx.flows)
-        self.slack = 1.0 + n_terms * 2.0**-53
+        # float primary of any completion by at most the factor 1 + k u, u =
+        # 2**-53, to first order.  Each float operation rounds within u,
+        # relatively, so a sum of nonnegative terms lies within r u of its
+        # exact value, r the most roundings one term passes through, and a
+        # min or max of such sums no further.  n algorithms, m dependency
+        # edges; four ulps cover hypot and the weights' products.
+        #
+        # max_flow: a flow adds its n + 1 hops and n execs to 0.0 from its
+        # start, within (2n + 2)u; the time bound adds terms of the same kind
+        # in another order (B from the path's end), another (2n + 2)u, and is
+        # at most the completion's time in exact arithmetic.  k also holds
+        # 2 sum|flow| + #flows spare ulps: a wider slack explores more
+        # near-ties and loses none, and this k fixes max_flow's node counts.
+        #
+        # total_flows and mean_flows: let T be a completion's exact total,
+        # which the exact bound is at most.  Each product by a path count
+        # rounds once.  F(v) takes at most 1 + indeg roundings per node of a
+        # path, within (m + n + 1)u; E and C at most outdeg + 2, within
+        # (m + 2n)u.  The running sum holds one term per live item (an edge
+        # (u, s) with u assigned and s not, an assigned sink, an unassigned
+        # source), each within (m + 2n + 3)u, and their exact terms add up
+        # to at most T.  Each assigned v also leaves its trade: its term less
+        # the terms of its out-edges, zero in exact arithmetic, rounded in
+        # outdeg(v) + 5 places of size at most the flows through v; over the
+        # nodes of each flow, (m + 5n)u of T.  The sum's own steps, n - 1 to
+        # start and at most indeg + 2 per assignment, each lose at most uT:
+        # (m + 3n)u.  So the bound is within (3m + 10n + 2)u of T, and
+        # time_of, 2n roundings per flow and #flows - 1 to add them, within
+        # (2n + #flows - 1)u; with the mean's division on each side and the
+        # four ulps, k = 3m + 12n + #flows + 7.
+        n = len(ctx.order)
+        if self.longest:
+            k = 4 * n + 8 + 2 * sum(map(len, ctx.flows)) + len(ctx.flows)
+        else:
+            m = sum(map(len, ctx.preds.values()))
+            k = 3 * m + 12 * n + len(ctx.flows) + 7
+        self.slack = 1.0 + k * 2.0**-53
 
     # -- incremental state -------------------------------------------------
 
@@ -762,76 +753,60 @@ class _Search:
         """Price assigning aid to node without applying it.
 
         Returns (primary, memory, rank, node, state): the child's bound, then
-        what _assign writes.  Under max_flow the state is (P(aid), agg_max):
-        P is the longest-path pass's sum at aid, one term per predecessor,
-        and P + B(aid, node) bounds every flow through aid (see the module
-        docstring).  Otherwise it is (updates, agg_sum), with one
-        (flow, prefix time, flow bound) entry per flow through aid.
+        what _assign writes, (P or F of aid, agg).  Under max_flow P is the
+        longest-path pass's sum at aid, one term per predecessor, and agg the
+        larger of the parent's and P + B(aid, node), which bounds every flow
+        through aid (see the module docstring).  Otherwise F is the sum over
+        the paths to aid of their time through aid's exec, and agg trades
+        the term of each inbound edge (u, aid), F(u) paths_out(aid) +
+        paths_in(u) E(u, y_u, aid) (at a source, its start bound), for aid's
+        own, F paths_out(aid) + paths_in(aid) C(aid, node): the flows those
+        paths run on, priced through aid on node.
         """
         ctx = self.ctx
         assignment = self.assignment
         if self.longest:
             t = ctx._finish_at(aid, node, assignment, self.finish)
             bound = t + ctx.completion[aid][node]
-            time_bound = bound if bound > self.agg_max else self.agg_max
-            state = (t, time_bound)
+            agg = time_bound = bound if bound > self.agg else self.agg
         else:
-            # one inbound hop per predecessor (the request hop at a source),
-            # which every flow through aid after that predecessor shares
+            e = ctx.exec_s[(aid, node)]
+            paths_in, w = ctx.paths_in, ctx.paths_out[aid]
+            agg = self.agg
             preds = ctx.preds[aid]
             if preds:
-                inbound = {u: ctx.out_rows[u][assignment[u]][node] for u in preds}
+                finish, out_rows, edge_bound = self.finish, ctx.out_rows, ctx.edge_bound[aid]
+                t = 0.0
+                for u in preds:
+                    y, f, count = assignment[u], finish[u], paths_in[u]
+                    t += f + count * out_rows[u][y][node]
+                    agg -= f * w + count * edge_bound[u][y]
+                t += paths_in[aid] * e
             else:
-                inbound = {None: ctx.in_rows[aid][node]}
-            exec_here = ctx.exec_s[(aid, node)]
-            prefix_time = self.prefix_time
-            flow_bound = self.flow_bound
-            agg_sum = self.agg_sum
-            updates = []
-            for fi, prev, tail in ctx.membership[aid]:
-                t = prefix_time[fi] + inbound[prev]
-                t += exec_here
-                prefix = t
-                # the rest's bound; at a sink, its return hop (0.0 without one:
-                # t is never -0.0, so adding 0.0 leaves it unchanged)
-                t += tail[node]
-                updates.append((fi, prefix, t))
-                agg_sum += t - flow_bound[fi]
-            time_bound = agg_sum if ctx.aggregate == "total_flows" else agg_sum / len(ctx.flows)
-            state = (updates, agg_sum)
+                t = ctx.in_rows[aid][node] + e
+                agg -= ctx.start_bound[aid]
+            agg += t * w + paths_in[aid] * ctx.completion[aid][node]
+            time_bound = agg if ctx.aggregate == "total_flows" else agg / len(ctx.flows)
 
         mem_bits = self.memory.bits
         if node == ctx.edge_id:
             mem_bits += self.memory.gain(aid)
         primary = _primary(ctx, time_bound, mem_bits)
-        return primary, mem_bits, ctx.node_rank[node], node, state
+        return primary, mem_bits, ctx.node_rank[node], node, (t, agg)
 
     def _assign(self, aid: str, node: str, state: Tuple) -> None:
         """Apply a child priced by _child."""
-        if self.longest:
-            self.finish[aid], self.agg_max = state
-        else:
-            self._write(state)
+        self.finish[aid], self.agg = state
         if node == self.ctx.edge_id:
             self.memory.add(aid)
         self.assignment[aid] = node
 
-    def _unassign(self, aid: str, parent: Tuple) -> None:
-        """Undo _assign; parent holds what it overwrote, in _child's state
-        form (under max_flow only agg_max: P of an unassigned algorithm is
-        never read)."""
-        if self.longest:
-            self.agg_max = parent[1]
-        else:
-            self._write(parent)
+    def _unassign(self, aid: str, agg: float) -> None:
+        """Undo _assign, given the agg it overwrote (P or F of an unassigned
+        algorithm is never read)."""
+        self.agg = agg
         if self.assignment.pop(aid) == self.ctx.edge_id:
             self.memory.remove(aid)
-
-    def _write(self, state: Tuple) -> None:
-        updates, self.agg_sum = state
-        for fi, prefix, bound in updates:
-            self.prefix_time[fi] = prefix
-            self.flow_bound[fi] = bound
 
     def _leaf_time(self) -> float:
         """The time of the placement once every algorithm is assigned."""
@@ -839,7 +814,7 @@ class _Search:
             # every flow ends at a sink s, whose B(s, y) is its return hop
             assignment, completion = self.assignment, self.ctx.completion
             return max(self.finish[s] + completion[s][assignment[s]] for s in self.sinks)
-        return aggregate_times(self.ctx.aggregate, self.flow_bound)
+        return self.ctx.time_of(self.assignment, self.ctx.aggregate)
 
     # -- search ------------------------------------------------------------
 
@@ -874,13 +849,7 @@ class _Search:
         floor = lex_lb[slot]
         # rank is unique per node, so the sort never compares past it
         children = sorted(self._child(aid, node) for node in ctx.allowed[aid])
-        if self.longest:
-            parent = (None, self.agg_max)
-        else:  # every child rewrites the same flows: the ones through aid
-            parent = (
-                [(fi, self.prefix_time[fi], self.flow_bound[fi]) for fi, *_ in ctx.membership[aid]],
-                self.agg_sum,
-            )
+        agg = self.agg
         for primary, mem_bits, rank, node, state in children:
             # Descend only if the bound (primary, mem, lex_lb) beats the
             # incumbent's key.  Every completion of the child has memory no
@@ -908,7 +877,7 @@ class _Search:
             self._assign(aid, node, state)
             self.explored += 1
             yield True
-            self._unassign(aid, parent)
+            self._unassign(aid, agg)
         lex_lb[slot] = floor
 
 

@@ -191,6 +191,8 @@ def random_instance(n: int, params: Optional[GenParams] = None, seed: int = 0) -
     if n < 0:
         raise ValueError("n must be >= 0")
     params = params or GenParams()
+    if params.fog_nodes < 0 or params.cloud_nodes < 0:
+        raise ValueError("fog_nodes and cloud_nodes must be >= 0")
     rng = random.Random(seed)
 
     nodes = {"e": LocationNode("e", Tier.EDGE)}

@@ -453,6 +453,28 @@ def test_bench_rejects_bad_sizes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--fog", "--cloud"])
+def test_bench_takes_node_counts_from_zero(flag, capsys):
+    """A topology without fog (or cloud) nodes is supported, so a count of 0
+    runs; a negative count is a usage error."""
+    rc, out, _ = run(capsys, "bench", "--sizes", "3", "--reps", "1", flag, "0")
+    assert rc == 0 and out.startswith("n,mean_seconds\n3,")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "3", flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+
+
+def test_solve_out_that_cannot_be_written_is_one_error_line(tmp_path, capsys):
+    path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "result.json"  # under a regular file
+    rc, out, err = run(capsys, "solve", path, "--out", str(target))
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write {target}: Not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # examples / parser
 
@@ -471,6 +493,15 @@ def test_examples_writes_bundle(tmp_path, capsys):
         expected = 1 if p.stem == "cyclic_invalid" else 0
         assert main(["validate", str(p)]) == expected
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("under", ["file", "file/fx"])
+def test_examples_directory_that_cannot_be_created_is_one_error_line(under, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / under
+    rc, out, err = run(capsys, "examples", str(target))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -581,7 +612,7 @@ GOLDEN_STDOUT = {
     "solve --objective distance": "b1c059a9dd7413ea44a8702f9ffde4a04fced077f7e08c4bd4b7bbbde73aa7a0",
     "solve --objective memory": "719c880b4d6783d6598bdce8f91fd7404559b3ec990a3171c500fad9d2166d63",
     "solve --objective time-max": "19f9331f0d23414a5bae3f958420ba088d7e317bfd1ac1b0c2ed83d2af384d1c",
-    "solve --objective time-total": "a50578c263de9704010c666691ac06ab9e23a93b5cedfc300ddc691c330ea62f",
+    "solve --objective time-total": "0e23135dcf2d0196b37522bd9677d15f5390af993b05fd6bfcb7d8455cf2aa08",
     "solve --method baseline": "4738098d1a8e2390e1e708301fb21fca9f18c959b239a3dd6ba3b8a4d5c1a7a1",
     "time --aggregate max": "1a6847b1ef8a1c0ac548ec2fd9198d96b7682587bce6b6a98bb75e494b33e5c8",
     "time --aggregate mean": "35c3677a09956c4e9c9a65a1a2b5eecf27e9e7654310acd095d87438fbc54d5a",

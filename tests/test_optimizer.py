@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -469,7 +470,7 @@ def test_an_incumbent_one_ulp_under_the_root_bound_does_not_stop_the_search():
     assert start != expect.placement
     assert _placement_key(ctx, start)[:2] == _placement_key(ctx, expect.placement)[:2]
     search = _Search(ctx)
-    assert search.agg_max == math.nextafter(expect.cost.time_seconds, math.inf)
+    assert search.agg == math.nextafter(expect.cost.time_seconds, math.inf)
     placement, explored = search.run(start)
     assert placement == expect.placement
     assert explored > 0
@@ -492,8 +493,8 @@ def _twin_clouds(seed, n, aggregate):
 def test_exact_time_ties_do_not_multiply_the_search():
     """Twin clouds make exact time ties common; a bound snapped within the
     rounding slack must still prune them, so the explored total is pinned.
-    Comparing bounds exactly explores 341 nodes here; dividing every bound by
-    the slack, to make it strictly admissible, explores 30,398.  Seeds 0-119
+    Comparing bounds exactly explores 331 nodes here; dividing every bound by
+    the slack, to make it strictly admissible, explores 30,395.  Seeds 0-119
     cover every (n in 3-7, objective, aggregate) twice."""
     explored = 0
     for seed in range(120):
@@ -503,7 +504,7 @@ def test_exact_time_ties_do_not_multiply_the_search():
         expect = solve_bruteforce(inst, objective)
         assert (got.placement, got.cost) == (expect.placement, expect.cost)
         explored += got.explored_nodes
-    assert explored == 352
+    assert explored == 346
 
 
 class _LexSpy(_Search):
@@ -548,14 +549,20 @@ class _Checked(Exception):
     """Ends a spied search once its budget of checks is spent."""
 
 
-def _reference_completion(ctx, resolve, exec_s=None):
-    """B built afresh from resolve and exec_s (by default ctx.exec_s), per
-    algorithm in reverse topological order: the largest over successors s
-    of the least over nodes z of (hop + exec(s, z)) + B(s, z); at a sink,
-    its return hop or a zero hop."""
+def _reference_bound(ctx, resolve, exec_s=None, paths_out=None):
+    """C, E and the start bounds built afresh from resolve and exec_s (by
+    default ctx.exec_s), per algorithm in reverse topological order.  For
+    each successor s of v, E(v, y, s) is the least over nodes z of w * (hop
+    + exec(s, z)) + C(s, z).  Under max_flow (paths_out None) w = 1 and
+    C(v, y) is the largest E, B; otherwise w = paths_out[s] and C(v, y) is
+    the sum of the E, over successors in branching order.  At a sink, C is
+    its return hop or a zero hop.  A source's start bound is the least over
+    its nodes z of w * (request hop + exec) + C(v, z), w = paths_out[v] or
+    1.  Returns C, E keyed [(v, s)][y], and the start bounds."""
     exec_s = exec_s or ctx.exec_s
-    succs = {aid: [v for u, v in ctx.instance.graph.edges if u == aid] for aid in ctx.order}
-    completion = {}
+    weight = (lambda aid: 1) if paths_out is None else paths_out.__getitem__
+    succs = {aid: [s for s in ctx.order if aid in ctx.preds[s]] for aid in ctx.order}
+    completion, shares = {}, {}
     for v in reversed(ctx.order):
         payload = ctx.output_bits[v]
         if not succs[v]:
@@ -563,14 +570,39 @@ def _reference_completion(ctx, resolve, exec_s=None):
                 y: resolve(y, ctx.edge_id if ctx.include_return_hop else y, payload) for y in ctx.allowed[v]
             }
             continue
-        completion[v] = {
-            y: max(
-                min((resolve(y, z, payload) + exec_s[(s, z)]) + completion[s][z] for z in ctx.allowed[s])
-                for s in succs[v]
-            )
-            for y in ctx.allowed[v]
-        }
-    return completion
+        for s in succs[v]:
+            shares[v, s] = {
+                y: min(
+                    weight(s) * (resolve(y, z, payload) + exec_s[(s, z)]) + completion[s][z] for z in ctx.allowed[s]
+                )
+                for y in ctx.allowed[v]
+            }
+        completion[v] = {}
+        for y in ctx.allowed[v]:
+            if paths_out is None:
+                completion[v][y] = max(shares[v, s][y] for s in succs[v])
+            else:
+                completion[v][y] = 0
+                for s in succs[v]:
+                    completion[v][y] += shares[v, s][y]
+    start = {
+        v: min(
+            weight(v) * (resolve(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[(v, z)]) + completion[v][z]
+            for z in ctx.allowed[v]
+        )
+        for v in ctx.order
+        if not ctx.preds[v]
+    }
+    return completion, shares, start
+
+
+def _reference_path_counts(ctx):
+    """paths_in and paths_out counted from the enumerated flows: the
+    distinct flow prefixes that end at each algorithm, and the distinct
+    suffixes that start at it."""
+    prefixes = {flow[: i + 1] for flow in ctx.flows for i in range(len(flow))}
+    suffixes = {flow[i:] for flow in ctx.flows for i in range(len(flow))}
+    return dict(Counter(p[-1] for p in prefixes)), dict(Counter(s[0] for s in suffixes))
 
 
 def _reference_finish(ctx, placement, resolve, exec_s=None):
@@ -591,6 +623,29 @@ def _reference_finish(ctx, placement, resolve, exec_s=None):
     return finish
 
 
+def _reference_flow_sums(ctx, placement, resolve, paths_in, exec_s=None):
+    """F(v) of every placed algorithm, the sum over the paths from a source
+    to v of their time through v's exec: over v's predecessors u, F(u) plus
+    paths_in[u] times the hop from u's node, then plus paths_in[v] times
+    v's exec; at a source, its request hop plus exec."""
+    exec_s = exec_s or ctx.exec_s
+    sums = {}
+    for v in ctx.order:
+        if v not in placement:
+            break
+        node = placement[v]
+        preds = ctx.preds[v]
+        if preds:
+            t = 0
+            for u in preds:
+                t += sums[u] + paths_in[u] * resolve(placement[u], node, ctx.output_bits[u])
+            t += paths_in[v] * exec_s[(v, node)]
+        else:
+            t = resolve(ctx.edge_id, node, ctx.input_bits[v]) + exec_s[(v, node)]
+        sums[v] = t
+    return sums
+
+
 class _BoundSpy(_Search):
     """Checks every max_flow child bound and leaf time against references
     built from resolve: a child's time bound must be the larger of its
@@ -602,7 +657,7 @@ class _BoundSpy(_Search):
         self.resolve = resolve
         self.delays = delays
         self.budget = budget
-        self.completion = _reference_completion(ctx, resolve)
+        self.completion, _, _ = _reference_bound(ctx, resolve)
         self.children = self.leaves = 0
 
     def _spend(self):
@@ -614,7 +669,7 @@ class _BoundSpy(_Search):
         ctx = self.ctx
         primary, mem_bits, _, _, (_, time_bound) = child = super()._child(aid, node)
         finish = _reference_finish(ctx, {**self.assignment, aid: node}, self.resolve)
-        want = max(self.agg_max, finish[aid] + self.completion[aid][node])
+        want = max(self.agg, finish[aid] + self.completion[aid][node])
         assert repr(time_bound) == repr(want)
         assert repr(primary) == repr(_primary(ctx, want, mem_bits))
         self.children += 1
@@ -631,14 +686,15 @@ class _BoundSpy(_Search):
         return got
 
 
-def _jittered(seed, n, params, kind, include_return_hop):
-    """A max_flow context over random_instance(n, params, seed) under a
+def _jittered(seed, n, params, kind, include_return_hop, aggregate="max_flow"):
+    """A context over random_instance(n, params, seed) under aggregate and a
     partial delay realization, with a memoized resolve under it."""
     inst = random_instance(n, params, seed=seed)
+    inst.options.time_aggregate = aggregate
     rng = random.Random(seed)
     delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
     ctx = build_context(inst, Objective(kind), include_return_hop, delays)
-    assert ctx.aggregate == "max_flow"
+    assert ctx.aggregate == aggregate
     hops = {}
 
     def resolve(src, dst, payload):
@@ -663,7 +719,7 @@ def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
     seed, n, dense, kind, include_return_hop
 ):
     """Under max_flow the search keeps one longest-path sum P(v) per
-    algorithm and prices a child as max(agg_max, P(v) + B(v, node)), B the
+    algorithm and prices a child as max(agg, P(v) + B(v, node)), B the
     completion bound of one backward pass.  Dense graphs give hundreds of
     flows; exec times spanning 1e-9 to 1e3 and a partial delay realization
     make a regrouped sum show.  Unordered tiers make some of these searches
@@ -676,7 +732,7 @@ def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
         tier_ordering=False,
     )
     ctx, delays, resolve = _jittered(seed, n, params, kind, include_return_hop)
-    reference = _reference_completion(ctx, resolve)
+    reference, _, _ = _reference_bound(ctx, resolve)
     assert repr(ctx.completion) == repr(reference)
     spy = _BoundSpy(ctx, resolve, delays, budget=400)
     try:
@@ -703,7 +759,7 @@ def test_max_flow_completion_bound_is_admissible(seed, n, include_return_hop):
     ctx, _, resolve = _jittered(seed, n, params, "min_distance", include_return_hop)
     exact = lambda src, dst, payload: Fraction(resolve(src, dst, payload))
     exec_s = {key: Fraction(t) for key, t in ctx.exec_s.items()}
-    completion = _reference_completion(ctx, exact, exec_s)
+    completion, _, _ = _reference_bound(ctx, exact, exec_s)
     lowest = max(
         min((exact(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[(v, z)]) + completion[v][z] for z in ctx.allowed[v])
         for v in ctx.order
@@ -717,6 +773,56 @@ def test_max_flow_completion_bound_is_admissible(seed, n, include_return_hop):
         assert lowest <= time_s
         for aid, p in finish.items():
             assert p + completion[aid][placement[aid]] <= time_s
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 6),
+    aggregate=st.sampled_from(("total_flows", "mean_flows")),
+    include_return_hop=st.booleans(),
+)
+def test_sum_completion_bound_is_admissible(seed, n, aggregate, include_return_hop):
+    """Under total_flows and mean_flows the start bound, and the bound of
+    each child along a placement's branching order, are at most the
+    placement's time: every placement enumerated.  With the first d
+    algorithms of the order assigned, the bound adds one term per live
+    item: per dependency edge (u, s) with u assigned and s not, F(u)
+    paths_out(s) + paths_in(u) E(u, y_u, s); per assigned sink t, F(t) +
+    paths_in(t) C(t, y_t); per unassigned source, its start bound.  The sums
+    are exact (Fractions of the same hop and exec floats), and once every
+    algorithm is assigned the bound is the time itself."""
+    params = GenParams(edge_prob=0.6, delay_prob=0.6)
+    ctx, _, resolve = _jittered(seed, n, params, "min_distance", include_return_hop, aggregate)
+    exact = lambda src, dst, payload: Fraction(resolve(src, dst, payload))
+    exec_s = {key: Fraction(t) for key, t in ctx.exec_s.items()}
+    paths_in, paths_out = _reference_path_counts(ctx)
+    assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
+    completion, shares, start = _reference_bound(ctx, exact, exec_s, paths_out)
+    per_flow = 1 if aggregate == "total_flows" else Fraction(1, len(ctx.flows))
+    edges = [(u, s) for s in ctx.order for u in ctx.preds[s]]
+    for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.order)):
+        placement = dict(zip(ctx.order, combo))
+        total = 0
+        for flow in ctx.flows:
+            src, payload = ctx.edge_id, ctx.input_bits[flow[0]]
+            for aid in flow:
+                total += exact(src, placement[aid], payload) + exec_s[(aid, placement[aid])]
+                src, payload = placement[aid], ctx.output_bits[aid]
+            if include_return_hop:
+                total += exact(src, ctx.edge_id, payload)
+        sums = _reference_flow_sums(ctx, placement, exact, paths_in, exec_s)
+        for d in range(len(ctx.order) + 1):
+            assigned = set(ctx.order[:d])
+            bound = sum(b for v, b in start.items() if v not in assigned)
+            for u, s in edges:
+                if u in assigned and s not in assigned:
+                    bound += sums[u] * paths_out[s] + paths_in[u] * shares[u, s][placement[u]]
+            for t in assigned:
+                if ctx.is_sink[t]:
+                    bound += sums[t] + paths_in[t] * completion[t][placement[t]]
+            assert bound * per_flow <= total * per_flow
+        assert bound == total
 
 
 def test_min_memory_ties_do_not_walk_the_tree():
@@ -749,7 +855,7 @@ def test_branch_bound_answers_are_pinned():
                     digest.update(repr((sorted(r.placement.items()), r.cost, r.per_flow)).encode())
                     explored += r.explored_nodes
     assert digest.hexdigest() == "5d769fdb10c126fdc46761b77cfce62b977114938660a1d530beaede4f3b428a"
-    assert explored == 758
+    assert explored == 791
 
 
 def _per_flow_tails(ctx):
@@ -780,41 +886,26 @@ def _per_flow_tails(ctx):
     return tables
 
 
-def _reference_dive(ctx, tails):
+def _reference_dive(ctx):
     """The warm start rebuilt from reference pieces: in branching order, each
     algorithm goes to the node with the least (primary of the time bound,
-    robot memory of the partial placement, rank).  Under max_flow the time
-    bound is the largest of the source start bounds and of P(v) + B(v, y)
-    over the placed algorithms, from _reference_finish and
-    _reference_completion.  Otherwise it is the sum of the per-flow bounds,
-    each a flow's prefix time from its start plus its reference tail table
-    (tails, from _per_flow_tails), kept as a running sum that starts at the
-    flows' start bounds and takes one update per flow through the placed
-    algorithm, in flow order, as the search's does."""
+    robot memory of the partial placement, rank).  The time bound is a
+    running aggregate that starts at the source start bounds.  Under
+    max_flow it is their largest and of P(v) + B(v, y) over the placed
+    algorithms, from _reference_finish and _reference_bound.  Otherwise it
+    is their sum, and placing v trades the term of each inbound edge (u, v),
+    F(u) paths_out(v) + paths_in(u) E(u, y_u, v) (at a source, its start
+    bound), for F(v) paths_out(v) + paths_in(v) C(v, y), from
+    _reference_flow_sums, _reference_path_counts and _reference_bound, in
+    the search's order."""
     placement = {}
-    edge = ctx.edge_id
     if ctx.aggregate == "max_flow":
-        completion = _reference_completion(ctx, ctx.hop)
-        agg = max(
-            min(
-                (ctx.hop(edge, z, ctx.input_bits[v]) + ctx.exec_s[(v, z)]) + completion[v][z]
-                for z in ctx.allowed[v]
-            )
-            for v in ctx.order
-            if not ctx.preds[v]
-        )
+        completion, _, start = _reference_bound(ctx, ctx.hop)
+        agg = max(start.values())
     else:
-        flow_bound = [table[0][edge] for table in tails]
-        agg = sum(flow_bound)
-
-    def prefix(flow, trial):
-        total, src, bits = 0.0, edge, ctx.input_bits[flow[0]]
-        for aid in flow:
-            total += ctx.hop(src, trial[aid], bits)
-            total += ctx.exec_s[(aid, trial[aid])]
-            src, bits = trial[aid], ctx.output_bits[aid]
-        return total
-
+        paths_in, paths_out = _reference_path_counts(ctx)
+        completion, shares, start = _reference_bound(ctx, ctx.hop, paths_out=paths_out)
+        agg = sum(start.values())
     for aid in ctx.order:
         children = []
         for node in ctx.allowed[aid]:
@@ -822,21 +913,20 @@ def _reference_dive(ctx, tails):
             if ctx.aggregate == "max_flow":
                 bound = _reference_finish(ctx, trial, ctx.hop)[aid] + completion[aid][node]
                 child_agg = time_bound = max(agg, bound)
-                updates = {}
             else:
-                child_agg, updates = agg, {}
-                for fi, flow in enumerate(ctx.flows):
-                    if aid in flow:
-                        pos = flow.index(aid)
-                        updates[fi] = prefix(flow[: pos + 1], trial) + tails[fi][pos + 1][node]
-                        child_agg += updates[fi] - flow_bound[fi]
+                sums = _reference_flow_sums(ctx, trial, ctx.hop, paths_in)
+                w = paths_out[aid]
+                child_agg = agg
+                for u in ctx.preds[aid]:
+                    child_agg -= sums[u] * w + paths_in[u] * shares[u, aid][trial[u]]
+                if not ctx.preds[aid]:
+                    child_agg -= start[aid]
+                child_agg += sums[aid] * w + paths_in[aid] * completion[aid][node]
                 time_bound = child_agg if ctx.aggregate == "total_flows" else child_agg / len(ctx.flows)
             mem_bits = robot_memory_bits(ctx.instance, trial)
             key = (_primary(ctx, time_bound, mem_bits), mem_bits, ctx.node_rank[node])
-            children.append((key, node, child_agg, updates))
-        _, placement[aid], agg, updates = min(children)
-        for fi, bound in updates.items():
-            flow_bound[fi] = bound
+            children.append((key, node, child_agg))
+        _, placement[aid], agg = min(children)
     return placement
 
 
@@ -853,13 +943,14 @@ def _reference_dive(ctx, tails):
 def test_shared_tables_and_warm_start_match_the_per_flow_reference(
     seed, n, fog, cloud, kind, aggregate, include_return_hop
 ):
-    """Under total_flows and mean_flows the tail tables, built once per tail
-    from per-edge hop + exec rows, equal the per-position build entry by
-    entry, and so does start_bound (compared by repr); flows with one tail
-    hold one dict.  Under max_flow there are none, and the completion bound
-    is at least each of them.  The warm start is the dive a reference
-    rebuilds from these tables.  Exec times spanning 1e-9 to 1e3 and
-    jittered links make rounding show if a sum is grouped differently."""
+    """Under total_flows and mean_flows the path counts equal those counted
+    from the enumerated flows, and C, E and the start bounds equal a
+    reference built from resolve (compared by repr).  Under max_flow there
+    are no path counts or per-edge tables, and the completion bound is at
+    least each flow's cheapest completion, built per position of every
+    flow.  The warm start is the dive a reference rebuilds from these
+    pieces.  Exec times spanning 1e-9 to 1e3 and jittered links make
+    rounding show if a sum is grouped differently."""
     params = GenParams(
         fog_nodes=fog, cloud_nodes=cloud, exec_range=(1e-9, 1e3), delay_prob=0.6, tier_ordering=False
     )
@@ -869,46 +960,49 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
     delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
     ctx = build_context(inst, Objective(kind), include_return_hop, delays)
 
-    reference = _per_flow_tails(ctx)
+    sources = [aid for aid in ctx.order if not ctx.preds[aid]]
+    assert list(ctx.start_bound) == sources
     if ctx.aggregate == "max_flow":
-        # no per-flow tables: B bounds every flow's tail table from above,
+        # no per-edge tables: B bounds every flow's tail table from above,
         # entry by entry, and each source's start bound every flow from it
-        assert ctx.membership == {}
+        assert (ctx.edge_bound, ctx.paths_in, ctx.paths_out) == ({}, {}, {})
+        reference = _per_flow_tails(ctx)
         for fi, flow in enumerate(ctx.flows):
             for pos, aid in enumerate(flow):
                 for nid, tail in reference[fi][pos + 1].items():
                     assert ctx.completion[aid][nid] >= tail
-        sources = [aid for aid in ctx.order if not ctx.preds[aid]]
-        assert len(ctx.start_bound) == len(sources)
-        start = dict(zip(sources, ctx.start_bound))
         for fi, flow in enumerate(ctx.flows):
-            assert start[flow[0]] >= reference[fi][0][ctx.edge_id]
+            assert ctx.start_bound[flow[0]] >= reference[fi][0][ctx.edge_id]
     else:
-        assert len(ctx.start_bound) == len(reference)
-        for got, want in zip(ctx.start_bound, reference):
-            assert repr(got) == repr(want[0][ctx.edge_id])
-        by_tail = {}
-        seen = []
-        for aid, entries in ctx.membership.items():
-            for fi, prev, tail in entries:
-                pos = ctx.flows[fi].index(aid)
-                assert prev == (ctx.flows[fi][pos - 1] if pos else None)
-                assert repr(tail) == repr(reference[fi][pos + 1])
-                by_tail.setdefault(ctx.flows[fi][pos:], set()).add(id(tail))
-                seen.append((fi, pos))
-        assert sorted(seen) == [(fi, pos) for fi, flow in enumerate(ctx.flows) for pos in range(len(flow))]
-        assert all(len(ids) == 1 for ids in by_tail.values())
+        hops = {}
 
-    assert warm_start(ctx) == _reference_dive(ctx, reference)
+        def resolve(src, dst, payload):
+            if (src, dst, payload) not in hops:
+                hops[src, dst, payload] = inst.comm.resolve(src, dst, payload, delays)
+            return hops[src, dst, payload]
+
+        paths_in, paths_out = _reference_path_counts(ctx)
+        assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
+        completion, shares, start = _reference_bound(ctx, resolve, paths_out=paths_out)
+        assert repr(ctx.completion) == repr(completion)
+        assert repr(ctx.start_bound) == repr(start)
+        got = {(u, s): share for s, by_pred in ctx.edge_bound.items() for u, share in by_pred.items()}
+        assert sorted(got) == sorted(shares) == sorted(ctx.instance.graph.edges)
+        for edge, share in shares.items():
+            assert repr(got[edge]) == repr(share)
+
+    assert warm_start(ctx) == _reference_dive(ctx)
 
 
 @pytest.mark.parametrize("kind", ["min_distance", "min_time_total"])
-def test_only_sum_aggregates_build_per_flow_state(kind, monkeypatch):
-    """Each aggregate builds one bound.  Under max_flow a solve builds B once
-    and no tail table or membership entry, and only _finish times flows one
-    by one (once each, for per_flow).  Under total_flows it builds the tail
-    tables once and no B."""
-    calls = {"_flow_total": 0, "_flow_tails": 0, "_completion": 0}
+def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
+    """Each aggregate builds its bound in one _completion pass, and the
+    search keeps no per-flow state: its containers are sized by the
+    algorithms, here far fewer than the flows.  Flows are walked one by one
+    only to time a whole placement: by _finish (once each, for per_flow)
+    and, under the sum aggregates, by time_of.  Under max_flow there are no
+    per-edge tables or path counts, and time_of walks no flow."""
+    calls = {"_flow_total": 0, "_completion": 0}
     for name in calls:
         original = getattr(optimizer, name)
 
@@ -917,17 +1011,27 @@ def test_only_sum_aggregates_build_per_flow_state(kind, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, name, counted)
+    timed = []
+    time_of = optimizer.CompiledInstance.time_of
+    monkeypatch.setattr(
+        optimizer.CompiledInstance, "time_of", lambda self, *args: timed.append(args) or time_of(self, *args)
+    )
     inst = random_instance(14, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)
     result = solve_branch_bound(inst, Objective(kind))
-    solved = dict(calls)
+    solved = dict(calls, time_of=len(timed))
     ctx = build_context(inst, Objective(kind))
+    assert len(ctx.flows) > 5 * len(ctx.order)
+    search = _Search(ctx)
+    search.run(warm_start(ctx))
+    sized = [value for value in vars(search).values() if isinstance(value, (list, dict))]
+    assert sized and all(len(value) <= len(ctx.order) for value in sized)
+    assert solved["_completion"] == 1
     if kind == "min_distance":
-        assert ctx.membership == {}
-        assert solved == {"_flow_total": len(result.per_flow), "_flow_tails": 0, "_completion": 1}
+        assert (ctx.edge_bound, ctx.paths_in, ctx.paths_out) == ({}, {}, {})
+        assert solved["_flow_total"] == len(result.per_flow)
     else:
-        assert ctx.completion == {}
-        assert solved["_flow_tails"] == 1 and solved["_completion"] == 0
-        assert solved["_flow_total"] > len(result.per_flow)
+        assert sorted((u, s) for s in ctx.edge_bound for u in ctx.edge_bound[s]) == sorted(inst.graph.edges)
+        assert solved["time_of"] and solved["_flow_total"] == len(result.per_flow) * (solved["time_of"] + 1)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():

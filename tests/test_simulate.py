@@ -251,6 +251,12 @@ def test_negative_size_rejected():
         random_instance(-1)
 
 
+@pytest.mark.parametrize("counts", [{"fog_nodes": -1}, {"cloud_nodes": -1}])
+def test_negative_node_count_rejected(counts):
+    with pytest.raises(ValueError, match="fog_nodes and cloud_nodes must be >= 0"):
+        random_instance(3, GenParams(**counts))
+
+
 def test_empty_instance_is_valid():
     inst = random_instance(0, GenParams(), seed=1)
     assert not inst.algorithms
@@ -412,12 +418,20 @@ def _scaling_script():
     return module
 
 
-@pytest.mark.parametrize("argv", [["--sizes", "0,4"], ["--sizes", "4,-1"], ["--reps", "0"]])
+@pytest.mark.parametrize(
+    "argv", [["--sizes", "0,4"], ["--sizes", "4,-1"], ["--reps", "0"], ["--fog", "-1"], ["--cloud", "-1"]]
+)
 def test_scaling_script_rejects_non_positive_inputs(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         _scaling_script().main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--fog", "--cloud"])
+def test_scaling_script_takes_node_counts_from_zero(flag, capsys):
+    assert _scaling_script().main(["--sizes", "3", "--reps", "1", flag, "0"]) == 0
+    assert capsys.readouterr().out.startswith("n,mean_seconds\n3,")
 
 
 def test_benchmark_empty_sizes():
