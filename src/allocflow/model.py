@@ -191,7 +191,7 @@ class CommModel:
             if node in done:
                 continue
             done.add(node)
-            hops = tuple(zip(path, path[1:]))
+            hops = tuple(list(zip(path, path[1:])))  # see optimizer.SolveContext.lex_tuple
             self._routes[(src, node, payload_bits)] = hops
             for nxt in out.get(node, ()):
                 if nxt in done:
@@ -593,10 +593,10 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             region_sets[key] = frozenset(ids)
         raw_growth = _object(raw_mem.get("growth_per_step", {}), f"algorithm {aid}.memory.growth_per_step")
         _reject_unknown(raw_growth, {"inputs", "processing", "outputs"}, f"algorithm {aid}.growth_per_step")
-        growth = tuple(
+        growth = tuple([  # from a list, see optimizer.SolveContext.lex_tuple
             _bits(raw_growth.get(key, 0), f"algorithm {aid}.growth_per_step.{key}")
             for key in ("inputs", "processing", "outputs")
-        )
+        ])
         profile = MemoryProfile(
             inputs=region_sets["inputs"],
             outputs=region_sets["outputs"],

@@ -67,7 +67,13 @@ and mean_flows add per-flow totals, which _flow_total times in
 timing.flow_time's order; so do their search and the reported per_flow.
 CompiledInstance.priced_over holds each hop as a list over many delay
 realizations, and times_of runs time_of's pass once over all of them, every
-sum a list added entry by entry in time_of's order.
+sum a list added entry by entry in time_of's order; it skips a hop within
+one node, which adds 0.0 to a sum that is never -0.0.
+
+A solve is three steps: a context (build_context, or _context over an
+instance already compiled), the search (_search) and _finish, which adds the
+cost and per_flow.  The Monte-Carlo comparison runs the first two on one
+compiled instance and keeps only the placements.
 """
 
 from __future__ import annotations
@@ -216,12 +222,9 @@ class CompiledInstance:
         realization, in order, for times_of.  Every placement priced on the
         result shares these lists."""
         comm = self.instance.comm
-        zeros = [0.0] * len(realizations)  # resolve's same-node cost, never written to
-
-        def hops(src: str, dst: str, bits: int) -> List[float]:
-            return zeros if src == dst else [comm.resolve(src, dst, bits, d) for d in realizations]
-
-        return self._with_hops(hops, include_return_hop)
+        return self._with_hops(
+            lambda src, dst, bits: [comm.resolve(src, dst, bits, d) for d in realizations], include_return_hop
+        )
 
     def _with_hops(self, hop, include_return_hop: bool) -> CompiledInstance:
         key = self.instance.comm.payload_key
@@ -267,7 +270,9 @@ class CompiledInstance:
         """time_of under each of the trials realizations of priced_over, in
         one pass: every sum is a list over the realizations, added and
         maximized entry by entry in time_of's order, so entry i equals
-        time_of on priced(realizations[i]) bit for bit."""
+        time_of on priced(realizations[i]) bit for bit.  A hop within one
+        node costs 0.0 and is skipped: no sum here is -0.0, so x + 0.0 is x,
+        and 0.0 + h is h.  b if b > a else a is max(a, b), nan included."""
         out_rows, exec_s, edge = self.out_rows, self.exec_s, self.edge_id
         if aggregate == "max_flow":
             finish: Dict[str, List[float]] = {}
@@ -275,31 +280,33 @@ class CompiledInstance:
             for aid in self.order:
                 node = placement[aid]
                 preds = self.preds[aid]
-                if preds:
-                    u, *rest = preds
-                    t = map(add, finish[u], out_rows[u][placement[u]][node])
-                    for u in rest:  # max(t, s) keeps t unless s > t
-                        t = map(max, t, map(add, finish[u], out_rows[u][placement[u]][node]))
-                else:
-                    t = [0.0 + h for h in self.in_rows[aid][node]]
+                if not preds:  # a source: 0.0 plus its request hop
+                    t = [0.0] * trials if node == edge else self.in_rows[aid][node]
+                for i, u in enumerate(preds):
+                    y = placement[u]
+                    s = finish[u] if y == node else [f + h for f, h in zip(finish[u], out_rows[u][y][node])]
+                    t = [b if b > a else a for a, b in zip(t, s)] if i else s
                 e = exec_s[(aid, node)]
                 finish[aid] = t = [x + e for x in t]
                 if self.is_sink[aid]:
-                    if self.include_return_hop:
-                        t = map(add, t, out_rows[aid][node][edge])
-                    longest = list(map(max, longest, t))
+                    if self.include_return_hop and node != edge:
+                        t = [x + h for x, h in zip(t, out_rows[aid][node][edge])]
+                    longest = [b if b > a else a for a, b in zip(longest, t)]
             return longest
         totals = []
         for flow in self.flows:
             total = [0.0] * trials
-            row = self.in_rows[flow[0]]
+            src, row = edge, self.in_rows[flow[0]]
             for aid in flow:
                 node = placement[aid]
                 e = exec_s[(aid, node)]
-                total = [x + e for x in map(add, total, row[node])]
-                row = out_rows[aid][node]
-            if self.include_return_hop:
-                total = list(map(add, total, row[edge]))
+                if node == src:
+                    total = [x + e for x in total]
+                else:
+                    total = [x + h + e for x, h in zip(total, row[node])]
+                src, row = node, out_rows[aid][node]
+            if self.include_return_hop and src != edge:
+                total = [x + h for x, h in zip(total, row[edge])]
             totals.append(total)
         if not totals:
             return [0.0] * trials
@@ -325,11 +332,6 @@ class CompiledInstance:
         """CostPoint of a placement whose robot memory is known (delays never change it)."""
         time_s = self.time_of(placement, _aggregate_for(self.instance, objective))
         return make_cost(self.instance, objective, memory_bits, time_s)
-
-    def costs(self, placement: Placement, objective: Objective, memory_bits: int, trials: int) -> List[CostPoint]:
-        """cost under each of the trials realizations of priced_over."""
-        times = self.times_of(placement, _aggregate_for(self.instance, objective), trials)
-        return [make_cost(self.instance, objective, memory_bits, t) for t in times]
 
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
@@ -359,7 +361,7 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         exec_s=exec_s,
         input_bits=input_bits,
         output_bits=output_bits,
-        all_output_regions=frozenset().union(*(s.memory.outputs for s in instance.algorithms.values())),
+        all_output_regions=frozenset().union(*[s.memory.outputs for s in instance.algorithms.values()]),
         include_return_hop=True,
         rows={},
         in_rows={},
@@ -461,7 +463,11 @@ class SolveContext(CompiledInstance):
     start_bound: Dict[str, float]
 
     def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
-        return tuple(self.node_rank[placement[aid]] for aid in self.sorted_ids)
+        # Tuples made per request are built from lists, not generators: CPython
+        # allocates a tuple from a generator at another size and resizes it,
+        # but frees it to the free list of its final size, so that list gains
+        # more than it gives back and grows until a full garbage collection.
+        return tuple([self.node_rank[placement[aid]] for aid in self.sorted_ids])
 
 
 def _checked_allowed(instance: ProblemInstance) -> Dict[str, Tuple[str, ...]]:
@@ -478,10 +484,15 @@ def build_context(
     include_return_hop: bool = True,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> SolveContext:
-    objective = objective or Objective()
     allowed = _checked_allowed(instance)
-    rank = {nid: i for i, nid in enumerate(node_order(instance))}
-    priced = compile_instance(instance).priced(delays, include_return_hop)
+    return _context(compile_instance(instance).priced(delays, include_return_hop), objective or Objective(), allowed)
+
+
+def _context(priced: CompiledInstance, objective: Objective, allowed: Dict[str, Tuple[str, ...]]) -> SolveContext:
+    """The SolveContext of a compiled instance, as priced (its delay
+    realization and return hop), under objective; allowed is
+    _checked_allowed of its instance.  It shares priced's hop rows."""
+    instance = priced.instance
     aggregate = _aggregate_for(instance, objective)
     paths_in, paths_out = ({}, {}) if aggregate == "max_flow" else _path_counts(priced)
     completion, edge_bound, start_bound = _completion(priced, allowed, paths_out)
@@ -490,7 +501,7 @@ def build_context(
         objective=objective,
         sorted_ids=sorted(instance.algorithms),
         allowed=allowed,
-        node_rank=rank,
+        node_rank={nid: i for i, nid in enumerate(node_order(instance))},
         aggregate=aggregate,
         completion=completion,
         edge_bound=edge_bound,
@@ -598,6 +609,8 @@ def _empty_result() -> AllocationResult:
 
 
 def _finish(ctx: SolveContext, placement: Placement, explored: int) -> AllocationResult:
+    """The result of a search's answer: placement, in sorted id order, with
+    its cost and per_flow timings."""
     timings = []
     for flow in ctx.flows:
         segments: List[Tuple[str, float]] = []
@@ -607,7 +620,7 @@ def _finish(ctx: SolveContext, placement: Placement, explored: int) -> Allocatio
     mem_bits = robot_memory_bits(ctx.instance, placement)
     cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
     return AllocationResult(
-        placement={aid: placement[aid] for aid in ctx.sorted_ids},
+        placement=placement,
         cost=cost,
         per_flow=timings,
         explored_nodes=explored,
@@ -660,7 +673,8 @@ class _EdgeMemory:
         self.held = {}  # aid -> (processing bits, ((region, bits), ...))
         for aid, spec in instance.algorithms.items():
             m = spec.memory
-            self.held[aid] = (m.processing_bits, tuple((r, instance.region_bits(r)) for r in m.inputs | m.outputs))
+            # from a list, not a generator (see SolveContext.lex_tuple)
+            self.held[aid] = (m.processing_bits, tuple([(r, instance.region_bits(r)) for r in m.inputs | m.outputs]))
 
     def gain(self, aid: str) -> int:
         """Bits that adding aid to the edge would add."""
@@ -813,7 +827,7 @@ class _Search:
         if self.longest:
             # every flow ends at a sink s, whose B(s, y) is its return hop
             assignment, completion = self.assignment, self.ctx.completion
-            return max(self.finish[s] + completion[s][assignment[s]] for s in self.sinks)
+            return max((self.finish[s] + completion[s][assignment[s]] for s in self.sinks), default=0.0)
         return self.ctx.time_of(self.assignment, self.ctx.aggregate)
 
     # -- search ------------------------------------------------------------
@@ -911,8 +925,14 @@ def solve_branch_bound(
     if not instance.algorithms:
         return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
+    return _finish(ctx, *_search(ctx))
+
+
+def _search(ctx: SolveContext) -> Tuple[Placement, int]:
+    """The branch-and-bound optimum of ctx, in sorted id order, and the
+    number of search nodes explored."""
     placement, explored = _Search(ctx).run(warm_start(ctx))
-    return _finish(ctx, placement, explored)
+    return {aid: placement[aid] for aid in ctx.sorted_ids}, explored
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Stochastic-delay simulation, random instances, and scaling benchmarks.
 
-The Monte-Carlo comparison compiles its instance once, resolves each hop
-once per trial, and times each placement over all trials in one pass (see
+The Monte-Carlo comparison compiles its instance once, for both searches and
+every trial.  With fixed placements it resolves each hop once per trial and
+times each placement over all trials in one pass (see
 optimizer.CompiledInstance.times_of); under max_flow that pass is one
-longest path over the dependency graph."""
+longest path over the dependency graph.  Its statistics come from each
+trial's time and robot memory as plain floats, equal to what CostPoints
+would give."""
 
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .baseline import solve_baseline
+from .baseline import _END_TIME
 from .model import (
     CommLink,
     CommModel,
@@ -31,7 +34,20 @@ from .model import (
     Tier,
 )
 from .memory import robot_memory_bits
-from .optimizer import Objective, compile_instance, evaluate, solve_branch_bound
+from .optimizer import (
+    MB_BITS,
+    CompiledInstance,
+    Objective,
+    _aggregate_for,
+    _checked_allowed,
+    _context,
+    _search,
+    _weights,
+    compile_instance,
+    evaluate,  # unused here; perfbench's tracer test reads simulate.evaluate
+    solve_branch_bound,
+)
+from .timing import Placement
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:
@@ -75,18 +91,35 @@ class ComparisonStats:
         }
 
 
-def _method_stats(costs) -> MethodStats:
-    distances = [c.distance for c in costs]
+def _method_stats(
+    instance: ProblemInstance, objective: Objective, mem_bits: List[int], times: List[float]
+) -> Tuple[MethodStats, List[float]]:
+    """One method's statistics over the trials, and each trial's distance,
+    from its robot memory and time in each trial; every float equals the
+    statistics module's over make_cost's CostPoints."""
+    w_m, w_t = _weights(instance, objective)
+    distances = [math.hypot(w_m * (m / MB_BITS), w_t * t) for m, t in zip(mem_bits, times)]
     # statistics fails on inf or nan with an AttributeError; an overflowing
     # time sum comes from the input, so it is a ProblemFormatError instead
     if not all(map(math.isfinite, distances)):
         raise ProblemFormatError("result is not finite: a time or memory sum overflows")
-    return MethodStats(
+    try:
+        # before 3.11 the exact variance becomes a float before its square
+        # root, which overflows when the distances spread by about 1e154
+        std_distance = statistics.stdev(distances) if len(distances) > 1 else 0.0
+    except OverflowError:
+        raise ProblemFormatError("result is not finite: the distances' variance overflows") from None
+    if mem_bits.count(mem_bits[0]) == len(mem_bits):
+        mean_memory = mem_bits[0] / 8.0  # the exact mean of equal values
+    else:
+        mean_memory = statistics.mean(m / 8.0 for m in mem_bits)
+    stats = MethodStats(
         mean_distance=statistics.mean(distances),
-        std_distance=statistics.stdev(distances) if len(distances) > 1 else 0.0,
-        mean_time=statistics.mean(c.time_seconds for c in costs),
-        mean_memory=statistics.mean(c.memory_bytes for c in costs),
+        std_distance=std_distance,
+        mean_time=statistics.mean(times),
+        mean_memory=mean_memory,
     )
+    return stats, distances
 
 
 def monte_carlo_compare(
@@ -100,28 +133,28 @@ def monte_carlo_compare(
 
     Each method is solved once on mean delays and its placement held fixed;
     every trial then draws one folded-normal realization per delayed link (the
-    same network realization for both methods) and re-evaluates both
-    placements' cost points.  resolve_per_trial=True re-runs both solvers
-    inside each trial instead, as a sensitivity check.
+    same network realization for both methods) and re-prices both
+    placements.  resolve_per_trial=True re-runs both searches inside each
+    trial instead, as a sensitivity check.
 
-    Every trial's delays are drawn first, each from its own trial_rng.  With
-    fixed placements the instance is compiled once, each placement's robot
-    memory computed once (delays never change it), and each hop either
-    placement uses resolved once per realization into a list that both
-    share (CompiledInstance.priced_over).  Each placement is then timed over
-    all trials in one pass (times_of): under max_flow one longest-path pass
-    over the graph, one hop per dependency edge; under total_flows and
-    mean_flows one walk per flow, each trial aggregated as time_of does.
-    Every sum is a list over trials in time_of's order, so each trial's
-    floats equal a pass over that trial alone.  Trials run serially: threads
-    is accepted for compatibility and changes nothing.
+    The instance is compiled once: both searches (ours, and the end-time
+    baseline's without the return hop) run on contexts built from it and
+    keep only their placements.  Every trial's delays are drawn first, each
+    from its own trial_rng.  With fixed placements each placement's robot
+    memory is computed once (delays never change it), each hop either
+    placement uses is resolved once per realization into a list that both
+    share (priced_over), and each placement is timed over all trials in one
+    pass (times_of), whose entry per trial equals a pass over that trial
+    alone.  With resolve_per_trial each trial searches and prices on the
+    compiled instance priced under its delays.  The statistics are computed
+    from each trial's time and robot memory as floats, equal to the
+    statistics of make_cost's CostPoints.  Trials run serially: threads is
+    accepted for compatibility and changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     objective = Objective("min_distance")
-    ours = solve_branch_bound(instance, objective)
-    base = solve_baseline(instance)
-
+    aggregate = _aggregate_for(instance, objective)
     delayed_links = sorted(
         pair for pair, link in instance.comm.links.items() if link.delay is not None
     )
@@ -130,31 +163,43 @@ def monte_carlo_compare(
         rng = trial_rng(seed, trial)
         realizations.append({pair: instance.comm.links[pair].delay.sample(rng) for pair in delayed_links})
 
-    if resolve_per_trial:
-        outcomes = []
-        for delays in realizations:
-            again = (
-                solve_branch_bound(instance, objective, delays=delays).placement,
-                solve_baseline(instance, delays=delays).placement,
-            )
-            outcomes.append([evaluate(instance, p, objective, delays) for p in again])
-    else:
-        over = compile_instance(instance).priced_over(realizations)
-        placements = (ours.placement, base.placement)
-        costs = [over.costs(p, objective, robot_memory_bits(instance, p), trials) for p in placements]
-        outcomes = list(zip(*costs))
+    allowed = _checked_allowed(instance)
+    compiled = compile_instance(instance)
 
-    ours_costs = [o for o, _ in outcomes]
-    base_costs = [b for _, b in outcomes]
-    wins = sum(1 for o, b in outcomes if o.distance <= b.distance)
+    def optima(priced: CompiledInstance) -> Tuple[Placement, Placement]:
+        """Ours and the baseline's placements with hops as priced, as
+        solve_branch_bound and solve_baseline return them."""
+        return (
+            _search(_context(priced, objective, allowed))[0],
+            _search(_context(replace(priced, include_return_hop=False), _END_TIME, allowed))[0],
+        )
+
+    ours, base = optima(compiled)
+    # per method, its robot memory bits and its time in each trial
+    if resolve_per_trial:
+        columns = ([], []), ([], [])
+        for delays in realizations:
+            priced = compiled.priced(delays)
+            for (mems, times), p in zip(columns, optima(priced)):
+                mems.append(robot_memory_bits(instance, p))
+                times.append(priced.time_of(p, aggregate))
+    else:
+        over = compiled.priced_over(realizations)
+        columns = [
+            ([robot_memory_bits(instance, p)] * trials, over.times_of(p, aggregate, trials)) for p in (ours, base)
+        ]
+
+    ours_stats, ours_distances = _method_stats(instance, objective, *columns[0])
+    base_stats, base_distances = _method_stats(instance, objective, *columns[1])
+    wins = sum(1 for o, b in zip(ours_distances, base_distances) if o <= b)
     return ComparisonStats(
         trials=trials,
         seed=seed,
-        ours=_method_stats(ours_costs),
-        baseline=_method_stats(base_costs),
+        ours=ours_stats,
+        baseline=base_stats,
         win_rate=wins / trials,
-        ours_placement=ours.placement,
-        baseline_placement=base.placement,
+        ours_placement=ours,
+        baseline_placement=base,
     )
 
 

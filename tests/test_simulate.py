@@ -194,6 +194,60 @@ def test_monte_carlo_resolve_per_trial_matches_reference():
     assert stats.to_dict() == reference_comparison(inst, 6, 4, resolve_per_trial=True)
 
 
+@pytest.mark.parametrize("resolve_per_trial", [False, True])
+@pytest.mark.parametrize(
+    "n, delay_prob", [(0, 0.8), (7, 0.0)], ids=["empty instance", "no delayed link"]
+)
+def test_monte_carlo_edge_cases_match_reference(n, delay_prob, resolve_per_trial):
+    inst = random_instance(n, GenParams(fog_nodes=2, delay_prob=delay_prob), seed=4)
+    delayed = any(link.delay is not None for link in inst.comm.links.values())
+    assert (len(inst.algorithms), delayed) == (n, delay_prob > 0)
+    stats = monte_carlo_compare(inst, trials=5, seed=6, resolve_per_trial=resolve_per_trial)
+    assert stats.to_dict() == reference_comparison(inst, 5, 6, resolve_per_trial)
+
+
+@pytest.mark.parametrize("resolve_per_trial", [False, True])
+def test_monte_carlo_compiles_once(resolve_per_trial, monkeypatch):
+    """One compile_instance, and so one all_flows call, per comparison: both
+    searches and every trial price over the same compiled instance."""
+    from allocflow import optimizer
+
+    calls = []
+    original = optimizer.all_flows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "all_flows", counted)
+    monte_carlo_compare(jitter_instance(), trials=5, seed=2, resolve_per_trial=resolve_per_trial)
+    assert len(calls) == 1
+
+
+def test_huge_spread_is_finite_or_rejected():
+    """Trial distances spread by about 1e200: the comparison either reports
+    finite statistics (Python 3.11 takes the variance's square root
+    exactly) or raises ProblemFormatError (earlier versions overflow
+    converting the variance to a float), never another exception.  It
+    takes no fixture, so a script can call it where pytest is missing."""
+    from allocflow import fixtures
+    from allocflow.model import ProblemFormatError, instance_from_dict
+
+    data = fixtures.dataset_jitter()
+    for link in data["comm"]:
+        link["delay"] = {"mu": 0.0, "sigma": 1e200}
+    for spec in data["algorithms"]:
+        if spec["id"] == "stage_a":
+            spec["allowed_locations"] = ["f"]
+    inst = instance_from_dict(data)
+    try:
+        payload = monte_carlo_compare(inst, trials=5, seed=0).to_dict()
+    except ProblemFormatError:
+        return
+    numbers = [v for method in ("ours", "baseline") for k, v in payload[method].items() if k != "placement"]
+    assert all(math.isfinite(v) for v in numbers)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -223,6 +277,14 @@ def test_batched_trials_equal_one_pass_per_realization(seed, n, aggregate, inclu
         placement = {aid: rng.choice(nodes) for aid, nodes in allowed.items()}
         want = [compiled.priced(d, include_return_hop).time_of(placement, aggregate) for d in realizations]
         assert repr(over.times_of(placement, aggregate, trials)) == repr(want)
+    # every hop within one node, which times_of skips: the common case of a
+    # placement that keeps most of its dependency edges on one node
+    for node in sorted(inst.nodes):
+        placement = dict.fromkeys(inst.algorithms, node)
+        for return_hop in (True, False):
+            over = compiled.priced_over(realizations, return_hop)
+            want = [compiled.priced(d, return_hop).time_of(placement, aggregate) for d in realizations]
+            assert repr(over.times_of(placement, aggregate, trials)) == repr(want)
 
 
 def test_monte_carlo_answers_are_pinned():
