@@ -14,7 +14,6 @@ from .lattice import (
     DEFAULT_FLOW_CAP,
     FLOW_CAP_ENV,
     all_flows,
-    connected_components,
     count_flows,
     layer,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "baseline_overall",
     "combine_memory",
     "combine_time",
-    "connected_components",
     "count_flows",
     "effective_allowed",
     "evaluate",

@@ -98,61 +98,46 @@ def _groups(graph: DependencyGraph) -> List[List[str]]:
     return sorted(map(sorted, groups.values()), key=lambda members: members[0])
 
 
-def connected_components(graph: DependencyGraph) -> List[DependencyGraph]:
-    """Weakly-connected components, ordered by smallest member id."""
-    components = []
-    for members in _groups(graph):
-        member_set = set(members)
-        components.append(
-            DependencyGraph(
-                algorithms={aid: graph.algorithms[aid] for aid in members},
-                edges=tuple(e for e in graph.edges if e[0] in member_set),
-            )
-        )
-    return components
-
-
-def _path_count(graph: DependencyGraph, succs: Dict[str, List[str]]) -> int:
-    """Number of source-to-sink paths: a DP over a topological order of the
-    successor index (Kahn's); raises ValueError on a cycle."""
-    indegree = dict.fromkeys(graph.algorithms, 0)
-    for _, v in graph.edges:
-        indegree[v] += 1
-    order = [aid for aid, d in indegree.items() if not d]
-    sources = len(order)
-    for aid in order:  # grows as vertices lose their last predecessor
-        for nxt in succs[aid]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                order.append(nxt)
-    if len(order) != len(indegree):
-        raise ValueError("graph contains a cycle; flows undefined")
-    paths: Dict[str, int] = {}
-    for aid in reversed(order):  # every successor comes later in order
-        nxts = succs[aid]
-        paths[aid] = sum(paths[w] for w in nxts) if nxts else 1
-    return sum(paths[aid] for aid in order[:sources])
+def path_counts(graph: DependencyGraph, order: Optional[List[str]] = None) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Per vertex, paths_in (the number of paths from a source to it) and
+    paths_out (from it to a sink), 1 at each end: one DP each way over a
+    topological order, by default layer's, without enumerating a path.  A
+    vertex lies on paths_in * paths_out flows."""
+    if order is None:
+        order = [aid for bucket in layer(graph) for aid in bucket]
+    succs = _successors(graph)
+    paths_in = dict.fromkeys(order, 0)
+    for v in order:  # every predecessor of v has added its count
+        count = paths_in[v] = paths_in[v] or 1
+        for w in succs[v]:
+            paths_in[w] += count
+    paths_out: Dict[str, int] = {}
+    for v in reversed(order):
+        paths_out[v] = sum([paths_out[w] for w in succs[v]]) or 1
+    return paths_in, paths_out
 
 
 def count_flows(graph: DependencyGraph) -> int:
     """Number of source-to-sink paths over every component (DP, no enumeration)."""
-    return _path_count(graph, _successors(graph))
+    paths_in, _ = path_counts(graph)
+    has_succ = {u for u, _ in graph.edges}
+    return sum(count for v, count in paths_in.items() if v not in has_succ)
 
 
 def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
-    """All flows: components in connected_components order, each in
-    lexicographic order, virtual endpoints stripped.
+    """All flows: components in _groups order (by smallest member id), each
+    in lexicographic order, virtual endpoints stripped.
 
     Raises CapExceededError("flow explosion") when the DP count over the
     whole graph exceeds cap.
     """
     if cap is None:
         cap = flow_cap()
-    succs = _successors(graph)
-    total = _path_count(graph, succs)
+    total = count_flows(graph)
     if total > cap:
         raise CapExceededError("flow explosion", total, cap)
 
+    succs = _successors(graph)
     has_pred = {v for _, v in graph.edges}
     sources = [v for members in _groups(graph) for v in members if v not in has_pred]
     # depth-first with an explicit stack of successor iterators, so a deep

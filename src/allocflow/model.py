@@ -287,13 +287,14 @@ def effective_allowed(instance: ProblemInstance) -> Dict[str, Tuple[str, ...]]:
 
     Algorithms with unbounded memory growth are restricted to cloud-tier nodes
     (their growth has to live on elastic storage, not on the robot or fog).
+    An allowed location that names no node is left out (validate reports it).
     """
     order = node_order(instance)
     rank = {nid: i for i, nid in enumerate(order)}
     horizon = instance.options.boundedness_horizon
     out: Dict[str, Tuple[str, ...]] = {}
     for aid, spec in instance.algorithms.items():
-        allowed = set(spec.allowed_locations) if spec.allowed_locations is not None else set(order)
+        allowed = set(order) if spec.allowed_locations is None else rank.keys() & spec.allowed_locations
         if unbounded_restrictions(spec.memory, horizon):
             allowed = {nid for nid in allowed if instance.nodes[nid].tier is Tier.CLOUD}
         out[aid] = tuple(sorted(allowed, key=rank.__getitem__))
@@ -380,25 +381,22 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     nodes = instance.nodes
     algs = instance.algorithms
 
+    def flag(kind: str, message: str, *members: str) -> None:
+        report.violations.append(Violation(kind, message, members))
+
     edge_nodes = sorted(n.id for n in nodes.values() if n.tier is Tier.EDGE)
     if (nodes or algs) and not edge_nodes:
-        report.violations.append(
-            Violation("no-edge-node", "no edge-tier node: the robot is missing")
-        )
+        flag("no-edge-node", "no edge-tier node: the robot is missing")
     if len(edge_nodes) > 1:
-        report.violations.append(
-            Violation(
-                "single-robot",
-                f"single-robot violation: {len(edge_nodes)} edge nodes {edge_nodes}",
-                tuple(edge_nodes),
-            )
-        )
+        flag("single-robot", f"single-robot violation: {len(edge_nodes)} edge nodes {edge_nodes}", *edge_nodes)
 
-    for scc in _strongly_connected(instance.graph.edges, algs):
+    for u, v in instance.graph.edges:
+        for missing in sorted({u, v} - algs.keys()):
+            flag("unknown-algorithm", f"dependency edge ({u}, {v}) names unknown algorithm {missing}", u, v)
+    edges = [(u, v) for u, v in instance.graph.edges if u in algs and v in algs]
+    for scc in _strongly_connected(edges, algs):
         if len(scc) > 1:
-            report.violations.append(
-                Violation("cycle", f"dependency cycle through {', '.join(scc)}", tuple(scc))
-            )
+            flag("cycle", f"dependency cycle through {', '.join(scc)}", *scc)
 
     allowed = effective_allowed(instance)
     for aid in sorted(algs):
@@ -407,30 +405,26 @@ def validate(instance: ProblemInstance) -> ValidationReport:
             sorted(spec.allowed_locations) if spec.allowed_locations is not None else sorted(nodes)
         )
         for nid in declared:
-            node = nodes[nid]
-            if nid not in spec.node_overrides and node.tier not in spec.exec_time:
-                report.violations.append(
-                    Violation(
-                        "missing-exec-time",
-                        f"algorithm {aid} has no execution time for allowed node {nid}",
-                        (aid, nid),
-                    )
-                )
+            if nid not in nodes:
+                flag("unknown-node", f"algorithm {aid} allows unknown node {nid}", aid, nid)
+            elif nid not in spec.node_overrides and nodes[nid].tier not in spec.exec_time:
+                flag("missing-exec-time", f"algorithm {aid} has no execution time for allowed node {nid}", aid, nid)
         if not allowed[aid]:
-            report.violations.append(
-                Violation(
-                    "no-feasible-location",
-                    f"algorithm {aid} has no feasible location "
-                    "(allowed set empty after unbounded-growth restriction to cloud)",
-                    (aid,),
-                )
+            flag(
+                "no-feasible-location",
+                f"algorithm {aid} has no feasible location "
+                "(allowed set empty after unbounded-growth restriction to cloud)",
+                aid,
             )
 
     # Every ordered node pair must be resolvable: flow evaluation may route
     # between any two locations.
     reach: Dict[str, set] = {nid: {nid} for nid in nodes}
     for (u, v) in instance.comm.links:
-        reach[u].add(v)
+        for missing in sorted({u, v} - nodes.keys()):
+            flag("unknown-node", f"comm link ({u}, {v}) names unknown node {missing}", u, v)
+        if u in nodes and v in nodes:
+            reach[u].add(v)
     changed = True
     while changed:
         changed = False
@@ -443,9 +437,7 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     for u in sorted(nodes):
         for v in sorted(nodes):
             if v not in reach[u]:
-                report.violations.append(
-                    Violation("unreachable-pair", f"no communication path from {u} to {v}", (u, v))
-                )
+                flag("unreachable-pair", f"no communication path from {u} to {v}", u, v)
 
     return report
 

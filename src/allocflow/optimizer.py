@@ -45,9 +45,14 @@ aggregate, per dependency edge (v, s) and node y of v: E(v, y, s), the least
 over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
 combining v's edges.  Under max_flow w = 1 and C = max_s E = B, and nothing
 per edge is kept.  Under the sum aggregates w is the number of paths from s
-to a sink, C = sum_s E, and E is kept for the trades.  Flows are walked one
-by one only to time a whole placement: in _finish (for per_flow) and, under
-the sum aggregates, in time_of.
+to a sink, C = sum_s E, and E is kept for the trades.
+
+Flows are counted, not enumerated: compile_instance keeps each algorithm's
+path counts, which weigh the sum aggregates' bound and give the search its
+rounding slack and the mean's divisor.  A compile enumerates its flows on
+first read, only to time a whole placement: in time_of under the sum
+aggregates, and for AllocationResult.per_flow.  So under max_flow a solve,
+evaluate and the Monte-Carlo comparison enumerate none.
 
 Hops are read from rows: one per (payload, source node) and delay
 realization, mapping a destination node to seconds and resolving a missing
@@ -72,8 +77,9 @@ one node, which adds 0.0 to a sum that is never -0.0.
 
 A solve is three steps: a context (build_context, or _context over an
 instance already compiled), the search (_search) and _finish, which adds the
-cost and per_flow.  The Monte-Carlo comparison runs the first two on one
-compiled instance and keeps only the placements.
+cost and keeps the compiled tables that per_flow is timed from when read.
+The Monte-Carlo comparison runs the first two on one compiled instance and
+keeps only the placements.
 """
 
 from __future__ import annotations
@@ -81,11 +87,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .lattice import all_flows, layer
+from .lattice import all_flows, layer, path_counts
 from .memory import robot_memory_bits
 from .model import (
     CapExceededError,
@@ -125,8 +131,23 @@ class Objective:
 class AllocationResult:
     placement: Placement
     cost: CostPoint
-    per_flow: List[FlowTiming]
     explored_nodes: int
+    # per_flow once read; until then the compiled instance, as priced, that
+    # times it
+    _per_flow: Union[List[FlowTiming], CompiledInstance] = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def per_flow(self) -> List[FlowTiming]:
+        """Each flow's timing, in all_flows' order, built on first read."""
+        c = self._per_flow
+        if isinstance(c, CompiledInstance):
+            timings = []
+            for flow in c.flows:
+                segments: List[Tuple[str, float]] = []
+                total = _flow_total(c, flow, self.placement, segments)
+                timings.append(FlowTiming(flow=flow, segments=tuple(segments), total=total))
+            self._per_flow = timings
+        return self._per_flow
 
 
 def _weights(instance: ProblemInstance, objective: Objective) -> Tuple[float, float]:
@@ -182,10 +203,16 @@ class CompiledInstance:
 
     instance: ProblemInstance
     edge_id: str
-    flows: List[Tuple[str, ...]]
     order: List[str]  # topological: (layer, id), also the branching order
     preds: Dict[str, Tuple[str, ...]]
     is_sink: Dict[str, bool]
+    # lattice.path_counts: per algorithm, the number of paths from a source
+    # to it and from it to a sink (1 at each end)
+    paths_in: Dict[str, int]
+    paths_out: Dict[str, int]
+    # [all_flows of the graph] once flows is first read, shared by every copy
+    # that priced, priced_over and _context make
+    flow_cache: List[List[Tuple[str, ...]]]
     exec_s: Dict[Tuple[str, str], float]  # (alg, node) -> seconds
     input_bits: Dict[str, int]
     output_bits: Dict[str, int]
@@ -195,8 +222,13 @@ class CompiledInstance:
     in_rows: Dict[str, Dict[str, float]]  # alg -> its request-hop row
     out_rows: Dict[str, Dict[str, Dict[str, float]]]  # alg -> the rows of its output payload
 
-    def hop(self, src: str, dst: str, payload_bits: int) -> float:
-        return self.rows[self.instance.comm.payload_key(payload_bits)][src][dst]
+    @property
+    def flows(self) -> List[Tuple[str, ...]]:
+        """all_flows of the graph, enumerated on first read (it raises
+        CapExceededError past the flow cap)."""
+        if not self.flow_cache:
+            self.flow_cache.append(all_flows(self.instance.graph))
+        return self.flow_cache[0]
 
     def priced(
         self,
@@ -351,13 +383,17 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     for u, v in graph.edges:
         preds[v].append(u)
     has_succ = {u for u, _ in graph.edges}
+    order = [aid for bucket in layer(graph) for aid in bucket]
+    paths_in, paths_out = path_counts(graph, order)
     return CompiledInstance(
         instance=instance,
         edge_id=instance.edge_node_id() if instance.algorithms else "",
-        order=[aid for bucket in layer(graph) for aid in bucket],
-        flows=all_flows(graph),
+        order=order,
         preds={aid: tuple(us) for aid, us in preds.items()},
         is_sink={aid: aid not in has_succ for aid in instance.algorithms},
+        paths_in=paths_in,
+        paths_out=paths_out,
+        flow_cache=[],
         exec_s=exec_s,
         input_bits=input_bits,
         output_bits=output_bits,
@@ -453,11 +489,8 @@ class SolveContext(CompiledInstance):
     completion: Dict[str, Dict[str, float]]
     # total_flows and mean_flows only (empty under max_flow):
     # edge_bound[s][u][y] = E(u, y, s), the share of C(u, y) that the paths
-    # through the dependency edge (u, s) carry; paths_in[v] and paths_out[v]
-    # count the paths from a source to v and from v to a sink (1 at each end)
+    # through the dependency edge (u, s) carry
     edge_bound: Dict[str, Dict[str, Dict[str, float]]]
-    paths_in: Dict[str, int]
-    paths_out: Dict[str, int]
     # per source, its bound before any assignment: the least over its nodes
     # of (request hop + exec) times paths_out (1 under max_flow) + C
     start_bound: Dict[str, float]
@@ -494,8 +527,7 @@ def _context(priced: CompiledInstance, objective: Objective, allowed: Dict[str, 
     _checked_allowed of its instance.  It shares priced's hop rows."""
     instance = priced.instance
     aggregate = _aggregate_for(instance, objective)
-    paths_in, paths_out = ({}, {}) if aggregate == "max_flow" else _path_counts(priced)
-    completion, edge_bound, start_bound = _completion(priced, allowed, paths_out)
+    completion, edge_bound, start_bound = _completion(priced, allowed, aggregate == "max_flow")
     return SolveContext(
         **vars(priced),
         objective=objective,
@@ -505,40 +537,23 @@ def _context(priced: CompiledInstance, objective: Objective, allowed: Dict[str, 
         aggregate=aggregate,
         completion=completion,
         edge_bound=edge_bound,
-        paths_in=paths_in,
-        paths_out=paths_out,
         start_bound=start_bound,
     )
 
 
-def _path_counts(c: CompiledInstance) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """paths_in and paths_out of SolveContext: per algorithm, the number of
-    paths from a source to it and from it to a sink."""
-    paths_in: Dict[str, int] = {}
-    for v in c.order:
-        paths_in[v] = sum(paths_in[u] for u in c.preds[v]) or 1
-    paths_out = dict.fromkeys(c.order, 0)
-    for v in reversed(c.order):  # v's successors have added their counts
-        if c.is_sink[v]:
-            paths_out[v] = 1
-        for u in c.preds[v]:
-            paths_out[u] += paths_out[v]
-    return paths_in, paths_out
-
-
 def _completion(
-    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]], paths_out: Dict[str, int]
+    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]], longest: bool
 ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, Dict[str, float]]], Dict[str, float]]:
-    """C, E and the start bounds of SolveContext, in one backward pass; under
-    max_flow paths_out is empty and no E is kept.
+    """C, E and the start bounds of SolveContext, in one backward pass;
+    longest (max_flow) keeps no E and weighs no term by a path count.
 
     For each dependency edge (v, s) and node y of v, E(v, y, s) is the least
     over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
     combines v's edges: under max_flow w = 1 and C = max_s E, which is B;
-    under the sum aggregates w = paths_out[s], the number of paths that take
-    the hop and the exec, and C = sum_s E.  A source's start bound is the
+    under the sum aggregates w = c.paths_out[s], the number of paths that
+    take the hop and the exec, and C = sum_s E.  A source's start bound is the
     least over its nodes z of w * (request hop + exec(v, z)) + C(v, z), w =
-    paths_out[v] or 1.
+    1 under max_flow and paths_out[v] otherwise.
 
     Every completion's paths run through each successor on some node, so in
     exact arithmetic C(v, y) is at most the rest of every completion that
@@ -546,7 +561,7 @@ def _completion(
     otherwise.  In floats C adds a path's terms from its end and time_of
     from its start, so the two can differ by rounding (see _Search.__init__).
     """
-    longest = not paths_out
+    paths_out = c.paths_out
     succs: Dict[str, List[str]] = {aid: [] for aid in c.order}
     for v in c.order:
         for u in c.preds[v]:
@@ -580,7 +595,7 @@ def _completion(
     start_bound = {}
     for v in c.order:
         if not c.preds[v]:
-            row, w = c.in_rows[v], paths_out.get(v, 1)
+            row, w = c.in_rows[v], 1 if longest else paths_out[v]
             steps = [w * (row[z] + exec_s[(v, z)]) for z in allowed[v]]
             start_bound[v] = min(map(add, steps, completion[v].values()))
     return completion, edge_bound, start_bound
@@ -605,26 +620,16 @@ def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple:
 
 
 def _empty_result() -> AllocationResult:
-    return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), [], 0)
+    return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), 0)
 
 
 def _finish(ctx: SolveContext, placement: Placement, explored: int) -> AllocationResult:
     """The result of a search's answer: placement, in sorted id order, with
-    its cost and per_flow timings."""
-    timings = []
-    for flow in ctx.flows:
-        segments: List[Tuple[str, float]] = []
-        total = _flow_total(ctx, flow, placement, segments)
-        timings.append(FlowTiming(flow=flow, segments=tuple(segments), total=total))
-    time_s = aggregate_times(ctx.aggregate, [t.total for t in timings])
+    its cost; per_flow is timed from ctx's compiled tables on first read."""
     mem_bits = robot_memory_bits(ctx.instance, placement)
-    cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
-    return AllocationResult(
-        placement=placement,
-        cost=cost,
-        per_flow=timings,
-        explored_nodes=explored,
-    )
+    cost = make_cost(ctx.instance, ctx.objective, mem_bits, ctx.time_of(placement, ctx.aggregate))
+    compiled = CompiledInstance(**{f.name: getattr(ctx, f.name) for f in fields(CompiledInstance)})
+    return AllocationResult(placement, cost, explored, compiled)
 
 
 def solve_bruteforce(
@@ -736,6 +741,9 @@ class _Search:
         # at most the completion's time in exact arithmetic.  k also holds
         # 2 sum|flow| + #flows spare ulps: a wider slack explores more
         # near-ties and loses none, and this k fixes max_flow's node counts.
+        # Both are path counts, not enumerations: v lies on paths_in(v)
+        # paths_out(v) flows, so sum|flow| is the sum of those products, and
+        # #flows the sum of paths_in over the sinks.
         #
         # total_flows and mean_flows: let T be a completion's exact total,
         # which the exact bound is at most.  Each product by a path count
@@ -754,11 +762,13 @@ class _Search:
         # (2n + #flows - 1)u; with the mean's division on each side and the
         # four ulps, k = 3m + 12n + #flows + 7.
         n = len(ctx.order)
+        paths_in = ctx.paths_in
+        self.flow_count = sum([paths_in[s] for s in self.sinks])
         if self.longest:
-            k = 4 * n + 8 + 2 * sum(map(len, ctx.flows)) + len(ctx.flows)
+            k = 4 * n + 8 + 2 * sum([paths_in[v] * ctx.paths_out[v] for v in ctx.order]) + self.flow_count
         else:
             m = sum(map(len, ctx.preds.values()))
-            k = 3 * m + 12 * n + len(ctx.flows) + 7
+            k = 3 * m + 12 * n + self.flow_count + 7
         self.slack = 1.0 + k * 2.0**-53
 
     # -- incremental state -------------------------------------------------
@@ -800,7 +810,7 @@ class _Search:
                 t = ctx.in_rows[aid][node] + e
                 agg -= ctx.start_bound[aid]
             agg += t * w + paths_in[aid] * ctx.completion[aid][node]
-            time_bound = agg if ctx.aggregate == "total_flows" else agg / len(ctx.flows)
+            time_bound = agg if ctx.aggregate == "total_flows" else agg / self.flow_count
 
         mem_bits = self.memory.bits
         if node == ctx.edge_id:

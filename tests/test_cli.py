@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from allocflow import fixtures
 from allocflow.cli import main
 from test_model import mutated_fixtures
+from test_optimizer import ladder
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -151,6 +152,18 @@ def test_flows_count_only_counts_every_component(tmp_path, capsys):
     assert (rc, out) == (0, "s,a\ns,b\nt,x\nt,y\n")
     rc, count, _ = run(capsys, "flows", path, "--count-only")
     assert (rc, count) == (0, f"{len(out.splitlines())}\n")
+
+
+@pytest.mark.parametrize("method", ["bnb", "baseline"])
+def test_solve_prints_per_flow_so_a_ladder_meets_the_flow_cap(tmp_path, capsys, method):
+    """Under max_flow the 2**21-flow ladder solves without enumerating a
+    flow, but solve prints per_flow, which does: one error line, exit 3.
+    Counting its flows enumerates none."""
+    path = write_instance(tmp_path, ladder(21))
+    rc, out, err = run(capsys, "solve", path, "--method", method)
+    assert (rc, out) == (3, "")
+    assert err == "error: flow explosion: 2097152 exceeds cap 1000000\n"
+    assert run(capsys, "flows", path, "--count-only") == (0, "2097152\n", "")
 
 
 def test_flow_cap_bounds_the_pooled_count(tmp_path, capsys, monkeypatch):

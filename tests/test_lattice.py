@@ -1,16 +1,18 @@
 """Layering, components, flow counting, and execution-flow enumeration."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from allocflow import fixtures
 from allocflow.lattice import (
+    _groups,
     all_flows,
-    connected_components,
     count_flows,
     flow_cap,
     layer,
+    path_counts,
 )
 from allocflow.model import (
     AlgorithmSpec,
@@ -27,6 +29,15 @@ def graph_of(edges, n=None):
         ids = sorted(set(ids) | {f"v{i}" for i in range(n)})
     algs = {aid: AlgorithmSpec(id=aid, exec_time={}) for aid in ids}
     return DependencyGraph(algorithms=algs, edges=tuple(sorted(edges)))
+
+
+def subgraph(graph, members):
+    """The component of graph on members: their algorithms and the edges
+    between them."""
+    return DependencyGraph(
+        algorithms={aid: graph.algorithms[aid] for aid in members},
+        edges=tuple(e for e in graph.edges if e[0] in members),
+    )
 
 
 def random_dag(rng, n):
@@ -85,20 +96,19 @@ def test_empty_graph_has_no_layers():
 
 
 # ---------------------------------------------------------------------------
-# Components
+# Components: the order all_flows walks the sources in
 
 
 def test_components_split_and_order():
-    graph = graph_of([("b", "c"), ("x", "y")], n=0)
-    comps = connected_components(graph)
-    assert [sorted(c.algorithms) for c in comps] == [["b", "c"], ["x", "y"]]
-    assert comps[0].edges == (("b", "c"),)
+    graph = graph_of([("x", "y"), ("b", "c")], n=0)
+    assert _groups(graph) == [["b", "c"], ["x", "y"]]
+    assert all_flows(graph) == [("b", "c"), ("x", "y")]
 
 
 def test_isolated_vertices_are_own_components():
     graph = graph_of([], n=3)
-    comps = connected_components(graph)
-    assert [sorted(c.algorithms) for c in comps] == [["v0"], ["v1"], ["v2"]]
+    assert _groups(graph) == [["v0"], ["v1"], ["v2"]]
+    assert all_flows(graph) == [("v0",), ("v1",), ("v2",)]
 
 
 def test_components_match_bfs_oracle():
@@ -126,8 +136,7 @@ def test_components_match_bfs_oracle():
             expected.append(sorted(members))
         expected.sort(key=min)
 
-        got = [sorted(c.algorithms) for c in connected_components(graph)]
-        assert got == expected
+        assert _groups(graph) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +177,23 @@ def test_flows_are_lexicographic_and_maximal():
 
 def test_count_matches_enumeration():
     """The pooled DP count equals the enumeration, over the whole graph and
-    over each component on its own."""
+    over each component on its own; and each vertex's paths_in and
+    paths_out count the distinct flow prefixes that end at it and suffixes
+    that start at it."""
     rng = random.Random(3)
     split = 0
     for _ in range(30):
         graph = random_dag(rng, rng.randint(1, 10))
-        components = connected_components(graph)
+        components = [subgraph(graph, set(members)) for members in _groups(graph)]
         split += len(components) > 1
-        assert count_flows(graph) == len(all_flows(graph, cap=10**9))
+        flows = all_flows(graph, cap=10**9)
+        assert count_flows(graph) == len(flows)
         assert count_flows(graph) == sum(len(all_flows(c, cap=10**9)) for c in components)
+        prefixes = {flow[: i + 1] for flow in flows for i in range(len(flow))}
+        suffixes = {flow[i:] for flow in flows for i in range(len(flow))}
+        paths_in, paths_out = path_counts(graph)
+        assert paths_in == dict(Counter(p[-1] for p in prefixes))
+        assert paths_out == dict(Counter(s[0] for s in suffixes))
     assert split >= 10
 
 
@@ -220,8 +237,8 @@ def test_flows_match_recursive_walk_oracle():
                 walk(path + [w])
 
         has_pred = {v for _, v in graph.edges}
-        for component in connected_components(graph):
-            for source in sorted(set(component.algorithms) - has_pred):
+        for members in _groups(graph):
+            for source in sorted(set(members) - has_pred):
                 walk([source])
         assert all_flows(graph) == expected
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +22,12 @@ from allocflow.model import (
     instance_to_dict,
     parse_problem,
     serialize_problem,
+    Violation,
     unbounded_restrictions,
     validate,
 )
 from allocflow.optimizer import evaluate
+from allocflow.simulate import random_instance
 
 
 def minimal() -> dict:
@@ -377,6 +380,40 @@ def test_unbounded_growth_off_cloud_reported():
     data["algorithms"][0]["memory"]["growth_per_step"] = {"processing": 8}
     report = validate(instance_from_dict(data))
     assert any(v.kind == "no-feasible-location" for v in report.violations)
+
+
+def _api_built():
+    """An instance built in Python, which parse_problem never checked."""
+    return random_instance(4, seed=1)
+
+
+def test_comm_link_to_unknown_node_reported():
+    inst = _api_built()
+    inst.comm.links[("e", "zz")] = inst.comm.links[("e", "f1")]
+    inst.comm.links[("yy", "e")] = inst.comm.links[("f1", "e")]
+    assert validate(inst).violations == [
+        Violation("unknown-node", "comm link (e, zz) names unknown node zz", ("e", "zz")),
+        Violation("unknown-node", "comm link (yy, e) names unknown node yy", ("yy", "e")),
+    ]
+
+
+def test_allowed_location_naming_unknown_node_reported():
+    inst = _api_built()
+    inst.algorithms["a01"] = replace(inst.algorithms["a01"], allowed_locations=frozenset({"zz", "c1"}))
+    assert validate(inst).violations == [
+        Violation("unknown-node", "algorithm a01 allows unknown node zz", ("a01", "zz"))
+    ]
+    assert effective_allowed(inst)["a01"] == ("c1",)
+
+
+def test_dependency_edge_to_unknown_algorithm_reported():
+    inst = _api_built()
+    inst.graph.edges += (("a04", "zz"), ("yy", "xx"))
+    assert validate(inst).violations == [
+        Violation("unknown-algorithm", "dependency edge (a04, zz) names unknown algorithm zz", ("a04", "zz")),
+        Violation("unknown-algorithm", "dependency edge (yy, xx) names unknown algorithm xx", ("yy", "xx")),
+        Violation("unknown-algorithm", "dependency edge (yy, xx) names unknown algorithm yy", ("yy", "xx")),
+    ]
 
 
 def test_report_lines_format():

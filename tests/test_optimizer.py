@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocflow import fixtures, optimizer
-from allocflow.baseline import solve_baseline
-from allocflow.lattice import all_flows
+from allocflow.baseline import baseline_overall, solve_baseline
+from allocflow.lattice import all_flows, count_flows, flow_cap
 from allocflow.memory import _location_bits, robot_memory_bits, step_partition
 from allocflow.model import (
     TIME_AGGREGATES,
@@ -42,7 +42,7 @@ from allocflow.optimizer import (
     solve_bruteforce,
     warm_start,
 )
-from allocflow.simulate import GenParams, random_instance
+from allocflow.simulate import GenParams, monte_carlo_compare, random_instance
 from allocflow.timing import flow_time, overall_time
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
@@ -235,7 +235,6 @@ def test_compiled_hops_equal_resolve_with_the_true_payload(seed):
             for dst in sorted(inst.nodes):
                 want = fresh.resolve(src, dst, priced.output_bits[aid], delays)
                 assert repr(priced.out_rows[aid][src][dst]) == repr(want)
-                assert repr(priced.hop(src, dst, priced.output_bits[aid])) == repr(want)
         for dst in sorted(inst.nodes):
             want = fresh.resolve(priced.edge_id, dst, priced.input_bits[aid], delays)
             assert repr(priced.in_rows[aid][dst]) == repr(want)
@@ -867,17 +866,18 @@ def _per_flow_tails(ctx):
         suffix = [{} for _ in range(len(flow) + 1)]
         last = flow[-1]
         suffix[-1] = {
-            nid: ctx.hop(nid, ctx.edge_id, ctx.output_bits[last]) if ctx.include_return_hop else 0.0
+            nid: ctx.out_rows[last][nid][ctx.edge_id] if ctx.include_return_hop else 0.0
             for nid in ctx.allowed[last]
         }
         for pos in range(len(flow) - 1, -1, -1):
             aid = flow[pos]
-            payload = ctx.input_bits[aid] if pos == 0 else ctx.output_bits[flow[pos - 1]]
+            # the rows of the hop into aid, per source node
+            rows = {ctx.edge_id: ctx.in_rows[aid]} if pos == 0 else ctx.out_rows[flow[pos - 1]]
             sources = (ctx.edge_id,) if pos == 0 else ctx.allowed[flow[pos - 1]]
             nxt = suffix[pos + 1]
             suffix[pos] = {
                 src: min(
-                    ctx.hop(src, nid, payload) + ctx.exec_s[(aid, nid)] + nxt[nid]
+                    rows[src][nid] + ctx.exec_s[(aid, nid)] + nxt[nid]
                     for nid in ctx.allowed[aid]
                 )
                 for src in sources
@@ -886,7 +886,7 @@ def _per_flow_tails(ctx):
     return tables
 
 
-def _reference_dive(ctx):
+def _reference_dive(ctx, resolve):
     """The warm start rebuilt from reference pieces: in branching order, each
     algorithm goes to the node with the least (primary of the time bound,
     robot memory of the partial placement, rank).  The time bound is a
@@ -897,24 +897,24 @@ def _reference_dive(ctx):
     F(u) paths_out(v) + paths_in(u) E(u, y_u, v) (at a source, its start
     bound), for F(v) paths_out(v) + paths_in(v) C(v, y), from
     _reference_flow_sums, _reference_path_counts and _reference_bound, in
-    the search's order."""
+    the search's order.  Every hop comes from resolve."""
     placement = {}
     if ctx.aggregate == "max_flow":
-        completion, _, start = _reference_bound(ctx, ctx.hop)
+        completion, _, start = _reference_bound(ctx, resolve)
         agg = max(start.values())
     else:
         paths_in, paths_out = _reference_path_counts(ctx)
-        completion, shares, start = _reference_bound(ctx, ctx.hop, paths_out=paths_out)
+        completion, shares, start = _reference_bound(ctx, resolve, paths_out=paths_out)
         agg = sum(start.values())
     for aid in ctx.order:
         children = []
         for node in ctx.allowed[aid]:
             trial = {**placement, aid: node}
             if ctx.aggregate == "max_flow":
-                bound = _reference_finish(ctx, trial, ctx.hop)[aid] + completion[aid][node]
+                bound = _reference_finish(ctx, trial, resolve)[aid] + completion[aid][node]
                 child_agg = time_bound = max(agg, bound)
             else:
-                sums = _reference_flow_sums(ctx, trial, ctx.hop, paths_in)
+                sums = _reference_flow_sums(ctx, trial, resolve, paths_in)
                 w = paths_out[aid]
                 child_agg = agg
                 for u in ctx.preds[aid]:
@@ -943,10 +943,10 @@ def _reference_dive(ctx):
 def test_shared_tables_and_warm_start_match_the_per_flow_reference(
     seed, n, fog, cloud, kind, aggregate, include_return_hop
 ):
-    """Under total_flows and mean_flows the path counts equal those counted
-    from the enumerated flows, and C, E and the start bounds equal a
-    reference built from resolve (compared by repr).  Under max_flow there
-    are no path counts or per-edge tables, and the completion bound is at
+    """Under every aggregate the path counts equal those counted from the
+    enumerated flows.  Under total_flows and mean_flows C, E and the start
+    bounds equal a reference built from resolve (compared by repr).  Under
+    max_flow there are no per-edge tables, and the completion bound is at
     least each flow's cheapest completion, built per position of every
     flow.  The warm start is the dive a reference rebuilds from these
     pieces.  Exec times spanning 1e-9 to 1e3 and jittered links make
@@ -959,13 +959,21 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
     rng = random.Random(seed)
     delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
     ctx = build_context(inst, Objective(kind), include_return_hop, delays)
+    hops = {}
+
+    def resolve(src, dst, payload):
+        if (src, dst, payload) not in hops:
+            hops[src, dst, payload] = inst.comm.resolve(src, dst, payload, delays)
+        return hops[src, dst, payload]
 
     sources = [aid for aid in ctx.order if not ctx.preds[aid]]
     assert list(ctx.start_bound) == sources
+    paths_in, paths_out = _reference_path_counts(ctx)
+    assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
     if ctx.aggregate == "max_flow":
         # no per-edge tables: B bounds every flow's tail table from above,
         # entry by entry, and each source's start bound every flow from it
-        assert (ctx.edge_bound, ctx.paths_in, ctx.paths_out) == ({}, {}, {})
+        assert ctx.edge_bound == {}
         reference = _per_flow_tails(ctx)
         for fi, flow in enumerate(ctx.flows):
             for pos, aid in enumerate(flow):
@@ -974,15 +982,6 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
         for fi, flow in enumerate(ctx.flows):
             assert ctx.start_bound[flow[0]] >= reference[fi][0][ctx.edge_id]
     else:
-        hops = {}
-
-        def resolve(src, dst, payload):
-            if (src, dst, payload) not in hops:
-                hops[src, dst, payload] = inst.comm.resolve(src, dst, payload, delays)
-            return hops[src, dst, payload]
-
-        paths_in, paths_out = _reference_path_counts(ctx)
-        assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
         completion, shares, start = _reference_bound(ctx, resolve, paths_out=paths_out)
         assert repr(ctx.completion) == repr(completion)
         assert repr(ctx.start_bound) == repr(start)
@@ -991,18 +990,20 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
         for edge, share in shares.items():
             assert repr(got[edge]) == repr(share)
 
-    assert warm_start(ctx) == _reference_dive(ctx)
+    assert warm_start(ctx) == _reference_dive(ctx, resolve)
 
 
 @pytest.mark.parametrize("kind", ["min_distance", "min_time_total"])
 def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     """Each aggregate builds its bound in one _completion pass, and the
     search keeps no per-flow state: its containers are sized by the
-    algorithms, here far fewer than the flows.  Flows are walked one by one
-    only to time a whole placement: by _finish (once each, for per_flow)
-    and, under the sum aggregates, by time_of.  Under max_flow there are no
-    per-edge tables or path counts, and time_of walks no flow."""
-    calls = {"_flow_total": 0, "_completion": 0}
+    algorithms, here far fewer than the flows.  Flows are enumerated once
+    per compile, when first read, and walked one by one only to time a
+    whole placement: under the sum aggregates by time_of, and by per_flow,
+    once each, on its first read.  Under max_flow there are no per-edge
+    tables, and a solve enumerates and walks no flow until per_flow is
+    read."""
+    calls = {"_flow_total": 0, "_completion": 0, "all_flows": 0}
     for name in calls:
         original = getattr(optimizer, name)
 
@@ -1019,6 +1020,9 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     inst = random_instance(14, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)
     result = solve_branch_bound(inst, Objective(kind))
     solved = dict(calls, time_of=len(timed))
+    timings = result.per_flow
+    read = dict(calls)
+    assert result.per_flow is timings and calls == read  # built once
     ctx = build_context(inst, Objective(kind))
     assert len(ctx.flows) > 5 * len(ctx.order)
     search = _Search(ctx)
@@ -1026,12 +1030,58 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     sized = [value for value in vars(search).values() if isinstance(value, (list, dict))]
     assert sized and all(len(value) <= len(ctx.order) for value in sized)
     assert solved["_completion"] == 1
+    assert read["all_flows"] == 1 and read["_flow_total"] == solved["_flow_total"] + len(timings)
     if kind == "min_distance":
-        assert (ctx.edge_bound, ctx.paths_in, ctx.paths_out) == ({}, {}, {})
-        assert solved["_flow_total"] == len(result.per_flow)
+        assert ctx.edge_bound == {}
+        assert solved["all_flows"] == solved["_flow_total"] == 0
     else:
         assert sorted((u, s) for s in ctx.edge_bound for u in ctx.edge_bound[s]) == sorted(inst.graph.edges)
-        assert solved["time_of"] and solved["_flow_total"] == len(result.per_flow) * (solved["time_of"] + 1)
+        assert solved["all_flows"] == 1
+        assert solved["time_of"] and solved["_flow_total"] == len(timings) * solved["time_of"]
+
+
+def ladder(rungs, seed=0):
+    """A document whose dependency graph is a ladder of rungs of two
+    algorithms, each feeding both of the next rung: 2**rungs flows, over
+    random_instance(2 * rungs)'s algorithms, nodes and jittered links."""
+    data = instance_to_dict(random_instance(2 * rungs, GenParams(delay_prob=0.5), seed=seed))
+    ids = sorted(spec["id"] for spec in data["algorithms"])
+    data["edges"] = [[u, v] for i in range(0, len(ids) - 2, 2) for u in ids[i : i + 2] for v in ids[i + 2 : i + 4]]
+    return data
+
+
+def test_max_flow_prices_a_ladder_past_the_flow_cap():
+    """A 42-algorithm ladder has 2**21 flows, past the default flow cap.
+    Under max_flow the search, evaluate, baseline_overall and the
+    Monte-Carlo comparison price it per dependency edge and enumerate no
+    flow; only reading per_flow does, and meets the cap."""
+    inst = instance_from_dict(ladder(21))
+    assert inst.options.time_aggregate == "max_flow"
+    assert count_flows(inst.graph) == 2**21 > flow_cap()
+    result = solve_branch_bound(inst)
+    assert evaluate(inst, result.placement) == result.cost
+    base = solve_baseline(inst)
+    assert baseline_overall(inst, base.placement) >= base.cost.time_seconds
+    stats = monte_carlo_compare(inst, trials=3, seed=1)
+    assert (stats.ours_placement, stats.baseline_placement) == (result.placement, base.placement)
+    with pytest.raises(CapExceededError, match="flow explosion"):
+        result.per_flow
+
+
+@pytest.mark.parametrize("kind", ["min_distance", "min_time_max", "min_memory"])
+def test_max_flow_ladder_past_a_lowered_cap_matches_bruteforce(kind, monkeypatch):
+    """A 4-rung ladder (16 flows) with the flow cap at 15: under max_flow
+    both solvers price it without enumerating a flow and agree on the
+    placement and cost.  per_flow enumerates on first read, so with the cap
+    lifted it reads the same timings from both."""
+    inst = instance_from_dict(ladder(4, seed=5))
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", "15")
+    for include_return_hop in (True, False):
+        got = solve_branch_bound(inst, Objective(kind), include_return_hop)
+        expect = solve_bruteforce(inst, Objective(kind), include_return_hop)
+        assert (got.placement, got.cost) == (expect.placement, expect.cost)
+    monkeypatch.delenv("ALLOCFLOW_FLOW_CAP")
+    assert len(got.per_flow) == 16 and got.per_flow == expect.per_flow
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():

@@ -208,8 +208,10 @@ def test_monte_carlo_edge_cases_match_reference(n, delay_prob, resolve_per_trial
 
 @pytest.mark.parametrize("resolve_per_trial", [False, True])
 def test_monte_carlo_compiles_once(resolve_per_trial, monkeypatch):
-    """One compile_instance, and so one all_flows call, per comparison: both
-    searches and every trial price over the same compiled instance."""
+    """One compile_instance per comparison: both searches and every trial
+    price over the same compiled instance, which enumerates its flows at
+    most once.  Under max_flow nothing reads a flow, so none is
+    enumerated; the sum aggregates time each placement flow by flow."""
     from allocflow import optimizer
 
     calls = []
@@ -220,8 +222,12 @@ def test_monte_carlo_compiles_once(resolve_per_trial, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "all_flows", counted)
-    monte_carlo_compare(jitter_instance(), trials=5, seed=2, resolve_per_trial=resolve_per_trial)
-    assert len(calls) == 1
+    inst = jitter_instance()
+    for aggregate in ("max_flow", "total_flows", "mean_flows"):
+        inst.options.time_aggregate = aggregate
+        calls.clear()
+        monte_carlo_compare(inst, trials=5, seed=2, resolve_per_trial=resolve_per_trial)
+        assert len(calls) == (aggregate != "max_flow"), aggregate
 
 
 def test_huge_spread_is_finite_or_rejected():
