@@ -298,6 +298,170 @@ def test_delay_requires_mu_and_sigma():
         instance_from_dict(data)
 
 
+def _doc() -> dict:
+    """A valid instance that every message case below breaks in one place."""
+    both = {"edge": 1.0, "fog": 1.0}
+    return {
+        "nodes": [{"id": "e", "tier": "edge"}, {"id": "f", "tier": "fog"}],
+        "regions": [{"id": "r", "size_bits": 8}],
+        "algorithms": [
+            {"id": "a", "exec_time": dict(both), "memory": {"outputs": ["r"]}},
+            {"id": "b", "exec_time": dict(both), "memory": {"inputs": ["r"]}},
+        ],
+        "edges": [["a", "b"]],
+        "comm": [{"from": "e", "to": "f", "base_seconds": 1.0}, {"from": "f", "to": "e", "base_seconds": 1.0}],
+        "options": {},
+    }
+
+
+def put(*path_value):
+    *path, value = path_value
+    return lambda doc: _at(doc, path[:-1]).__setitem__(path[-1], value)
+
+
+def add(*path_value):
+    *path, value = path_value
+    return lambda doc: _at(doc, path).append(value)
+
+
+def drop(*path):
+    return lambda doc: _at(doc, path[:-1]).__delitem__(path[-1])
+
+
+def _slowest_edge_execs(doc):
+    for spec in doc["algorithms"]:
+        spec["exec_time"]["edge"] = 1e308
+
+
+A, B, L = ("algorithms", 0), ("algorithms", 1), ("comm", 1)
+
+# One case per raise site and per context a site formats, each with the full
+# text of its message: a document text for parse_problem, or a change to
+# _doc() (or a replacement document) for instance_from_dict.
+MESSAGES = [
+    ('{\n  "nodes": oops\n}', "syntax error at line 2 column 12: Expecting value"),
+    ("[1, 2]", "top level must be a JSON object"),
+    (lambda d: [1], "instance: expected an object, got [1]"),
+    (put("extra", 1), "instance: unknown key(s) ['extra']"),
+    (put("nodes", 5), "nodes: expected an array, got 5"),
+    (add("nodes", 5), "node: expected an object, got 5"),
+    (add("nodes", {"id": "x", "tier": "fog", "zone": 1, "rack": 2}), "node: unknown key(s) ['rack', 'zone']"),
+    (add("nodes", {"tier": "fog"}), "node: missing required key 'id'"),
+    (add("nodes", {"id": "", "tier": "fog"}), "node.id: expected a non-empty string id, got ''"),
+    (add("nodes", {"id": "e", "tier": "fog"}), "duplicate node id 'e'"),
+    (add("nodes", {"id": "x"}), "node x: missing required key 'tier'"),
+    (add("nodes", {"id": "x", "tier": "mist"}), "node x: unknown tier 'mist'"),
+    (add("nodes", {"id": "x", "tier": ["fog"]}), "node x: unknown tier ['fog']"),
+    (put("regions", {}), "regions: expected an array, got {}"),
+    (add("regions", "s"), "region: expected an object, got 's'"),
+    (add("regions", {"id": "s", "bits": 8}), "region: unknown key(s) ['bits']"),
+    (add("regions", {"size_bits": 8}), "region: missing required key 'id'"),
+    (add("regions", {"id": 3, "size_bits": 8}), "region.id: expected a non-empty string id, got 3"),
+    (add("regions", {"id": "r", "size_bits": 8}), "duplicate region id 'r'"),
+    (add("regions", {"id": "s"}), "region s: missing required key 'size_bits'"),
+    (add("regions", {"id": "s", "size_bits": 7.5}), "region s: expected an integer bit count, got 7.5"),
+    (add("regions", {"id": "s", "size_bits": True}), "region s: expected an integer bit count, got True"),
+    (add("regions", {"id": "s", "size_bits": -1}), "region s: negative size -1"),
+    (add("regions", {"id": "s", "size_bits": 2**53 + 1}), "region s: size exceeds 2**53 bits"),
+    (put("algorithms", "a"), "algorithms: expected an array, got 'a'"),
+    (add("algorithms", None), "algorithm: expected an object, got None"),
+    (put(*A, "bogus", 1), "algorithm: unknown key(s) ['bogus']"),
+    (drop(*A, "id"), "algorithm: missing required key 'id'"),
+    (put(*A, "id", None), "algorithm.id: expected a non-empty string id, got None"),
+    (put(*B, "id", "a"), "duplicate algorithm id 'a'"),
+    (put(*A, "exec_time", []), "algorithm a.exec_time: expected an object, got []"),
+    (put(*A, "exec_time", "lake", 1.0), "algorithm a.exec_time: unknown key(s) ['lake']"),
+    (put(*A, "exec_time", "edge", "1"), "algorithm a.exec_time.edge: expected a number, got '1'"),
+    (put(*A, "exec_time", "cloud", float("nan")), "algorithm a.exec_time.cloud: expected a number, got nan"),
+    (put(*A, "exec_time", "fog", -1), "algorithm a.exec_time.fog: negative time -1.0"),
+    (put(*A, "exec_time", "overrides", ["e"]), "algorithm a.exec_time.overrides: expected an object, got ['e']"),
+    (put(*A, "exec_time", "overrides", {"ghost": 1.0}), "algorithm a: exec override for unknown node 'ghost'"),
+    (
+        put(*A, "exec_time", "overrides", {"e": float("inf")}),
+        "algorithm a.exec_time.overrides.e: expected a number, got inf",
+    ),
+    (put(*A, "exec_time", "overrides", {"e": -2}), "algorithm a.exec_time.overrides.e: negative time -2.0"),
+    (put(*A, "memory", []), "algorithm a.memory: expected an object, got []"),
+    (put(*A, "memory", "cache", 1), "algorithm a.memory: unknown key(s) ['cache']"),
+    (put(*A, "memory", "inputs", "r"), "algorithm a.memory.inputs: expected an array, got 'r'"),
+    (put(*A, "memory", "outputs", ["r", ""]), "algorithm a.memory.outputs: expected a non-empty string id, got ''"),
+    (put(*A, "memory", "inputs", ["ghost"]), "algorithm a: unknown region 'ghost' in memory.inputs"),
+    (put(*A, "memory", "outputs", ["ghost"]), "algorithm a: unknown region 'ghost' in memory.outputs"),
+    (put(*A, "memory", "growth_per_step", []), "algorithm a.memory.growth_per_step: expected an object, got []"),
+    (put(*A, "memory", "growth_per_step", {"total": 8}), "algorithm a.growth_per_step: unknown key(s) ['total']"),
+    (
+        put(*A, "memory", "growth_per_step", {"processing": -8}),
+        "algorithm a.growth_per_step.processing: negative size -8",
+    ),
+    (
+        put(*A, "memory", "growth_per_step", {"outputs": 2**53 + 1}),
+        "algorithm a.growth_per_step.outputs: size exceeds 2**53 bits",
+    ),
+    (put(*A, "memory", "processing_bits", 1.0), "algorithm a.processing_bits: expected an integer bit count, got 1.0"),
+    (put(*A, "memory", "processing_bits", 10**400), "algorithm a.processing_bits: size exceeds 2**53 bits"),
+    (put(*A, "allowed_locations", "e"), "algorithm a.allowed_locations: expected an array, got 'e'"),
+    (put(*A, "allowed_locations", None), "algorithm a.allowed_locations: expected an array, got None"),
+    (put(*A, "allowed_locations", ["e", 1]), "algorithm a.allowed_locations: expected a non-empty string id, got 1"),
+    (put(*A, "allowed_locations", ["nope"]), "algorithm a: unknown node 'nope' in allowed_locations"),
+    (put(*A, "space_rank", 1.5), "algorithm a: space_rank must be an integer"),
+    (put(*A, "space_rank", True), "algorithm a: space_rank must be an integer"),
+    (put(*A, "space_label", 3), "algorithm a: space_label must be a string"),
+    (put("edges", 5), "edges: expected an array, got 5"),
+    (add("edges", "a->b"), "edge 'a->b': expected a [from, to] pair"),
+    (add("edges", ["a"]), "edge ['a']: expected a [from, to] pair"),
+    (add("edges", ["a", 7]), "edge endpoint: expected a non-empty string id, got 7"),
+    (add("edges", ["ghost", "a"]), "edge ('ghost', 'a'): unknown algorithm 'ghost'"),
+    (add("edges", ["a", "ghost"]), "edge ('a', 'ghost'): unknown algorithm 'ghost'"),
+    (add("edges", ["a", "a"]), "edge ('a', 'a'): self-loop"),
+    (add("edges", ["a", "b"]), "duplicate edge ('a', 'b')"),
+    (put("comm", {}), "comm: expected an array, got {}"),
+    (add("comm", 1), "comm link: expected an object, got 1"),
+    (put(*L, "latency", 1), "comm link: unknown key(s) ['latency']"),
+    (drop(*L, "from"), "comm link: missing required key 'from'"),
+    (put(*L, "from", 1), "comm.from: expected a non-empty string id, got 1"),
+    (drop(*L, "to"), "comm link: missing required key 'to'"),
+    (put(*L, "to", ""), "comm.to: expected a non-empty string id, got ''"),
+    (put(*L, "to", "ghost"), "comm link ('f', 'ghost'): unknown node 'ghost'"),
+    (put(*L, "to", "f"), "comm link ('f', 'f'): same-node links are implicit"),
+    (put(*L, "from", "e"), "comm link ('e', 'e'): same-node links are implicit"),
+    (add("comm", {"from": "e", "to": "f", "base_seconds": 2.0}), "duplicate comm link ('e', 'f')"),
+    (put(*L, "delay", []), "comm link (f, e).delay: expected an object, got []"),
+    (put(*L, "delay", {"mu": 0.0, "sigma": 0.1, "nu": 1}), "comm link (f, e).delay: unknown key(s) ['nu']"),
+    (put(*L, "delay", {"sigma": 0.1}), "comm link (f, e).delay: missing required key 'mu'"),
+    (put(*L, "delay", {"mu": "x", "sigma": 0.1}), "comm link (f, e).delay.mu: expected a number, got 'x'"),
+    (put(*L, "delay", {"mu": 0.1}), "comm link (f, e).delay: missing required key 'sigma'"),
+    (put(*L, "delay", {"mu": 0.1, "sigma": -0.5}), "comm link (f, e).delay.sigma: negative time -0.5"),
+    (drop(*L, "base_seconds"), "comm link (f, e): missing required key 'base_seconds'"),
+    (put(*L, "base_seconds", None), "comm link (f, e).base_seconds: expected a number, got None"),
+    (put(*L, "per_byte_seconds", -1), "comm link (f, e).per_byte_seconds: negative time -1.0"),
+    (
+        _slowest_edge_execs,
+        "time sums overflow: 2 executions of up to 1e+308 s and 3 hops of up to 1.0 s exceed the float range",
+    ),
+    (put("options", []), "options: expected an object, got []"),
+    (put("options", "solver", "exact"), "options: unknown key(s) ['solver']"),
+    (put("options", "time_aggregate", "median"), "options.time_aggregate: unknown aggregate 'median'"),
+    (put("options", "time_aggregate", ["max_flow"]), "options.time_aggregate: unknown aggregate ['max_flow']"),
+    (put("options", "memory_weight", "1"), "options.memory_weight: expected a number, got '1'"),
+    (put("options", "time_weight", -1), "options.time_weight: negative time -1.0"),
+    (put("options", "memory_weight", 0), "options: weights must be positive"),
+    (put("options", "time_weight", 0.0), "options: weights must be positive"),
+    (put("options", "boundedness_horizon", 0), "options.boundedness_horizon: expected an integer >= 1"),
+    (put("options", "boundedness_horizon", 2.0), "options.boundedness_horizon: expected an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("case, message", MESSAGES)
+def test_format_errors_keep_their_full_text(case, message):
+    with pytest.raises(ProblemFormatError) as raised:
+        if isinstance(case, str):
+            parse_problem(case)
+        else:
+            doc = _doc()
+            instance_from_dict(case(doc) or doc)
+    assert str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Round trips
 
