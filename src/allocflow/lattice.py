@@ -45,9 +45,11 @@ def _successors(graph: DependencyGraph) -> Dict[str, List[str]]:
     return succs
 
 
-def layer(graph: DependencyGraph) -> List[List[str]]:
-    """Layers as sorted id lists; raises on cycles (validate reports them first)."""
-    succs = _successors(graph)
+def layer(graph: DependencyGraph, succs: Optional[Dict[str, List[str]]] = None) -> List[List[str]]:
+    """Layers as sorted id lists; raises on cycles (validate reports them first).
+    succs is the graph's _successors, built here unless given."""
+    if succs is None:
+        succs = _successors(graph)
     indegree = dict.fromkeys(graph.algorithms, 0)
     for _, v in graph.edges:
         indegree[v] += 1
@@ -98,14 +100,17 @@ def _groups(graph: DependencyGraph) -> List[List[str]]:
     return sorted(map(sorted, groups.values()), key=lambda members: members[0])
 
 
-def path_counts(graph: DependencyGraph, order: Optional[List[str]] = None) -> Tuple[Dict[str, int], Dict[str, int]]:
+def path_counts(
+    graph: DependencyGraph, order: Optional[List[str]] = None, succs: Optional[Dict[str, List[str]]] = None
+) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Per vertex, paths_in (the number of paths from a source to it) and
     paths_out (from it to a sink), 1 at each end: one DP each way over a
     topological order, by default layer's, without enumerating a path.  A
-    vertex lies on paths_in * paths_out flows."""
+    vertex lies on paths_in * paths_out flows.  succs is as for layer."""
+    if succs is None:
+        succs = _successors(graph)
     if order is None:
-        order = [aid for bucket in layer(graph) for aid in bucket]
-    succs = _successors(graph)
+        order = [aid for bucket in layer(graph, succs) for aid in bucket]
     paths_in = dict.fromkeys(order, 0)
     for v in order:  # every predecessor of v has added its count
         count = paths_in[v] = paths_in[v] or 1
@@ -117,11 +122,13 @@ def path_counts(graph: DependencyGraph, order: Optional[List[str]] = None) -> Tu
     return paths_in, paths_out
 
 
-def count_flows(graph: DependencyGraph) -> int:
-    """Number of source-to-sink paths over every component (DP, no enumeration)."""
-    paths_in, _ = path_counts(graph)
-    has_succ = {u for u, _ in graph.edges}
-    return sum(count for v, count in paths_in.items() if v not in has_succ)
+def count_flows(graph: DependencyGraph, succs: Optional[Dict[str, List[str]]] = None) -> int:
+    """Number of source-to-sink paths over every component (DP, no
+    enumeration).  succs is as for layer."""
+    if succs is None:
+        succs = _successors(graph)
+    paths_in, _ = path_counts(graph, succs=succs)
+    return sum(count for v, count in paths_in.items() if not succs[v])
 
 
 def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
@@ -133,11 +140,11 @@ def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[Executi
     """
     if cap is None:
         cap = flow_cap()
-    total = count_flows(graph)
+    succs = _successors(graph)
+    total = count_flows(graph, succs)
     if total > cap:
         raise CapExceededError("flow explosion", total, cap)
 
-    succs = _successors(graph)
     has_pred = {v for _, v in graph.edges}
     sources = [v for members in _groups(graph) for v in members if v not in has_pred]
     # depth-first with an explicit stack of successor iterators, so a deep

@@ -380,6 +380,7 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     report = ValidationReport()
     nodes = instance.nodes
     algs = instance.algorithms
+    regions = instance.regions.keys()
 
     def flag(kind: str, message: str, *members: str) -> None:
         report.violations.append(Violation(kind, message, members))
@@ -409,6 +410,10 @@ def validate(instance: ProblemInstance) -> ValidationReport:
                 flag("unknown-node", f"algorithm {aid} allows unknown node {nid}", aid, nid)
             elif nid not in spec.node_overrides and nodes[nid].tier not in spec.exec_time:
                 flag("missing-exec-time", f"algorithm {aid} has no execution time for allowed node {nid}", aid, nid)
+        if not (regions >= spec.memory.inputs and regions >= spec.memory.outputs):  # builds no set
+            for key in ("inputs", "outputs"):
+                for rid in sorted(getattr(spec.memory, key) - regions):
+                    flag("unknown-region", f"algorithm {aid} names unknown region {rid} in memory.{key}", aid, rid)
         if not allowed[aid]:
             flag(
                 "no-feasible-location",
@@ -444,66 +449,229 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # Parsing / serialization
+#
+# instance_from_dict reads a document by _TABLE: per object kind, its keys in
+# reading order, each with its field kind (a check that returns the value
+# converted), its default and the name its errors give it; other keys are
+# unknown.  A check takes (value, owner, name, refs): owner is the entity
+# the value belongs to, a format and its ids (("algorithm {}", "a"), or ()),
+# formatted with name only in an error; refs holds each kind's entities.
 
-_TOP_KEYS = {"nodes", "regions", "algorithms", "edges", "comm", "options"}
-
-
-def _reject_unknown(obj: dict, known: set, ctx: str) -> None:
-    unknown = set(obj) - known
-    if unknown:
-        raise ProblemFormatError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-
-
-def _require(obj: dict, key: str, ctx: str):
-    if key not in obj:
-        raise ProblemFormatError(f"{ctx}: missing required key {key!r}")
-    return obj[key]
+_REQUIRED = object()  # the default of a key the object must hold
+_ABSENT = object()  # the default of a key that reads as None when absent
+_MAX = sys.float_info.max
+_TIERS = {tier.value: tier for tier in Tier}  # a member hashes and compares as its value
 
 
-def _object(value, ctx: str) -> dict:
+def _fail(owner: tuple, name: str, problem: str):
+    head = owner[0].format(*owner[1:]) if owner else ""
+    raise ProblemFormatError(f"{f'{head}.{name}' if head and name else head or name}: {problem}")
+
+
+def _object(value, owner: tuple, name: str, kind: Optional[str] = None) -> dict:
+    """value as an object, holding only keys the table lists for kind."""
     if not isinstance(value, dict):
-        raise ProblemFormatError(f"{ctx}: expected an object, got {value!r}")
+        _fail(owner, name, f"expected an object, got {value!r}")
+    if kind is not None and not _KNOWN[kind].issuperset(value):
+        _fail(owner, kind, f"unknown key(s) {sorted(set(value) - _KNOWN[kind])}")
     return value
 
 
-def _array(value, ctx: str) -> list:
-    if not isinstance(value, list):
-        raise ProblemFormatError(f"{ctx}: expected an array, got {value!r}")
-    return value
+def _read(obj: dict, fields: tuple, owner: tuple, title: str, refs: dict) -> list:
+    """obj's values of fields (rows of _TABLE); title names obj if one is missing."""
+    values = []
+    for key, check, default, name in fields:
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            _fail(owner, title, f"missing required key {key!r}")
+        values.append(None if value is _ABSENT else check(value, owner, name, refs))
+    return values
 
 
-def _number(value, ctx: str) -> float:
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _test(ok, problem: str):
+    """The field kind of a value that ok accepts as it is; problem formats the error."""
+    return lambda value, owner, name, refs: value if ok(value) else _fail(owner, name, problem.format(value=value))
+
+
+_array = _test(lambda value: isinstance(value, list), "expected an array, got {value!r}")
+_aggregate = _test(TIME_AGGREGATES.__contains__, "unknown aggregate {value!r}")
+_horizon = _test(lambda value: _int(value) and value >= 1, "expected an integer >= 1")
+_rank = _test(_int, "space_rank must be an integer")
+_label = _test(lambda value: isinstance(value, str), "space_label must be a string")
+_tier = _test(lambda value: isinstance(value, str) and value in _TIERS, "unknown tier {value!r}")
+
+
+def _number(value, owner, name, refs) -> float:
     # the range test also rejects NaN, infinities and ints too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        -sys.float_info.max <= value <= sys.float_info.max
-    ):
-        raise ProblemFormatError(f"{ctx}: expected a number, got {value!r}")
+    if not (isinstance(value, float) or _int(value)) or not -_MAX <= value <= _MAX:
+        _fail(owner, name, f"expected a number, got {value!r}")
     return float(value)
 
 
-def _time(value, ctx: str) -> float:
-    value = _number(value, ctx)
+def _time(value, owner, name, refs) -> float:
+    value = _number(value, owner, name, refs)
     if value < 0:
-        raise ProblemFormatError(f"{ctx}: negative time {value!r}")
+        _fail(owner, name, f"negative time {value!r}")
     return value
 
 
-def _bits(value, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFormatError(f"{ctx}: expected an integer bit count, got {value!r}")
-    if value < 0:
-        raise ProblemFormatError(f"{ctx}: negative size {value!r}")
+def _bits(value, owner, name, refs) -> int:
+    if not (type(value) is int or _int(value)):
+        _fail(owner, name, f"expected an integer bit count, got {value!r}")
     # memory is priced in floats, which hold every count up to 2**53 exactly
-    if value > 2**53:
-        raise ProblemFormatError(f"{ctx}: size exceeds 2**53 bits")
+    if not 0 <= value <= 2**53:
+        _fail(owner, name, f"negative size {value!r}" if value < 0 else "size exceeds 2**53 bits")
     return value
 
 
-def _ident(value, ctx: str) -> str:
+def _id(value, owner, name, refs) -> str:
     if not isinstance(value, str) or not value:
-        raise ProblemFormatError(f"{ctx}: expected a non-empty string id, got {value!r}")
+        _fail(owner, name, f"expected a non-empty string id, got {value!r}")
     # one shared string per id across parsed instances, not a copy per document
     return sys.intern(value)
+
+
+def _ids_of(kind: str):
+    """The field kind of an array of ids, each of a kind's entity read so far."""
+
+    def check(value, owner, name, refs) -> FrozenSet[str]:
+        ids = [_id(item, owner, name, refs) for item in _array(value, owner, name, refs)]
+        for item in ids:
+            if item not in refs[kind]:
+                _fail(owner, "", f"unknown {kind} {item!r} in {name}")
+        return frozenset(ids)
+
+    return check
+
+
+def _overrides(value, owner, name, refs) -> Dict[str, float]:
+    overrides = {}
+    for nid, secs in _object(value, owner, name).items():
+        if nid not in refs["node"]:
+            _fail(owner, "", f"exec override for unknown node {nid!r}")
+        overrides[sys.intern(nid)] = _time(secs, owner, f"{name}.{nid}", refs)
+    return overrides
+
+
+def _object_of(kind: str, build):
+    """The field kind of an object of kind: build(*its values)."""
+    return lambda v, owner, name, refs: build(*_read(_object(v, owner, name, kind), _TABLE[kind], owner, kind, refs))
+
+
+def _delay(value, owner, name, refs) -> Optional[DelaySpec]:
+    return None if value is None else _object_of("delay", DelaySpec)(value, owner, name, refs)
+
+
+def _entities(kind: str, build):
+    """The field kind of an array of kind's entities, kept in refs[kind]: objects
+    whose first field is a new id, each build(id, *its other fields' values)."""
+
+    def check(value, owner, name, refs) -> dict:
+        entities, ids, rest, title = refs[kind], _TABLE[kind][:1], _TABLE[kind][1:], kind + " {}"
+        for entry in _array(value, owner, name, refs):
+            (eid,) = _read(_object(entry, (), kind, kind), ids, (), kind, refs)
+            if eid in entities:
+                raise ProblemFormatError(f"duplicate {kind} id {eid!r}")
+            entities[eid] = build(eid, *_read(entry, rest, (title, eid), "", refs))
+        return entities
+
+    return check
+
+
+def _check_pair(what: str, u: str, v: str, ends: dict, kind: str, same: str, pairs) -> None:
+    """u -> v as a new pair of pairs, between two of ends, which are kind's."""
+    for end in (u, v):
+        if end not in ends:
+            raise ProblemFormatError(f"{what} ({u!r}, {v!r}): unknown {kind} {end!r}")
+    if u == v:
+        raise ProblemFormatError(f"{what} ({u!r}, {v!r}): {same}")
+    if (u, v) in pairs:
+        raise ProblemFormatError(f"duplicate {what} ({u!r}, {v!r})")
+
+
+def _edges(value, owner, name, refs) -> Tuple[Tuple[str, str], ...]:
+    edges = set()
+    for entry in _array(value, owner, name, refs):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ProblemFormatError(f"edge {entry!r}: expected a [from, to] pair")
+        u, v = _id(entry[0], (), "edge endpoint", refs), _id(entry[1], (), "edge endpoint", refs)
+        _check_pair("edge", u, v, refs["algorithm"], "algorithm", "self-loop", edges)
+        edges.add((u, v))
+    return tuple(sorted(edges))
+
+
+def _links(value, owner, name, refs) -> Dict[Tuple[str, str], CommLink]:
+    """The comm links; the last times read, so the time sums are checked here."""
+    links: Dict[Tuple[str, str], CommLink] = {}
+    ends, rest = _TABLE["comm link"][:2], _TABLE["comm link"][2:]
+    for entry in _array(value, owner, name, refs):
+        u, v = _read(_object(entry, (), "comm link", "comm link"), ends, (), "comm link", refs)
+        _check_pair("comm link", u, v, refs["node"], "node", "same-node links are implicit", links)
+        delay, base, per_byte = _read(entry, rest, ("comm link ({}, {})", u, v), "", refs)
+        links[(u, v)] = CommLink(base, delay, per_byte)
+    _check_time_sums(len(refs["node"]), refs["algorithm"], refs["region"], links)
+    return links
+
+
+def _options(value, owner, name, refs) -> Options:
+    fields = _TABLE["options"]
+    aggregate, w_m, w_t = _read(_object(value, owner, name, "options"), fields[:3], (), "options", refs)
+    if w_m <= 0 or w_t <= 0:
+        raise ProblemFormatError("options: weights must be positive")
+    (horizon,) = _read(value, fields[3:], (), "options", refs)
+    return Options(aggregate, w_m, w_t, horizon)
+
+
+_TABLE = {
+    "instance": (
+        ("nodes", _entities("node", lambda nid, tier: LocationNode(nid, _TIERS[tier])), [], "nodes"),
+        ("regions", _entities("region", MemoryRegion), [], "regions"),
+        ("algorithms", _entities("algorithm", lambda aid, times, memory, allowed, rank, label: AlgorithmSpec(
+            aid, *times, memory, rank, label, allowed)), [], "algorithms"),
+        ("edges", _edges, [], "edges"),
+        ("comm", _links, [], "comm"),
+        ("options", _options, {}, "options"),
+    ),
+    "node": (("id", _id, _REQUIRED, "node.id"), ("tier", _tier, _REQUIRED, "")),
+    "region": (("id", _id, _REQUIRED, "region.id"), ("size_bits", _bits, _REQUIRED, "")),
+    "algorithm": (
+        ("id", _id, _REQUIRED, "algorithm.id"),
+        ("exec_time", _object_of("exec_time", lambda *times: (  # (times per tier, overrides)
+            {tier: t for tier, t in zip(_TIERS.values(), times) if t is not None}, times[3])), {}, "exec_time"),
+        ("memory", _object_of("memory", lambda i, o, g, p: MemoryProfile(i, o, p, g)), {}, "memory"),
+        ("allowed_locations", _ids_of("node"), _ABSENT, "allowed_locations"),
+        ("space_rank", _rank, 0, ""),
+        ("space_label", _label, "", ""),
+    ),
+    "exec_time": tuple((tier, _time, _ABSENT, f"exec_time.{tier}") for tier in _TIERS)
+    + (("overrides", _overrides, {}, "exec_time.overrides"),),
+    "memory": (
+        ("inputs", _ids_of("region"), [], "memory.inputs"),
+        ("outputs", _ids_of("region"), [], "memory.outputs"),
+        ("growth_per_step", _object_of("growth_per_step", lambda *g: g), {}, "memory.growth_per_step"),
+        ("processing_bits", _bits, 0, "processing_bits"),
+    ),
+    "growth_per_step": tuple((key, _bits, 0, f"growth_per_step.{key}") for key in ("inputs", "processing", "outputs")),
+    "comm link": (
+        ("from", _id, _REQUIRED, "comm.from"),
+        ("to", _id, _REQUIRED, "comm.to"),
+        ("delay", _delay, _ABSENT, "delay"),
+        ("base_seconds", _time, _REQUIRED, "base_seconds"),
+        ("per_byte_seconds", _time, 0.0, "per_byte_seconds"),
+    ),
+    "delay": (("mu", _number, _REQUIRED, "delay.mu"), ("sigma", _time, _REQUIRED, "delay.sigma")),
+    "options": (
+        ("time_aggregate", _aggregate, "max_flow", "options.time_aggregate"),
+        ("memory_weight", _time, 1.0, "options.memory_weight"),
+        ("time_weight", _time, 1.0, "options.time_weight"),
+        ("boundedness_horizon", _horizon, 16, "options.boundedness_horizon"),
+    ),
+}
+_KNOWN = {kind: frozenset(key for key, *_ in fields) for kind, fields in _TABLE.items()}
 
 
 def parse_problem(text: str) -> ProblemInstance:
@@ -514,188 +682,19 @@ def parse_problem(text: str) -> ProblemInstance:
         raise ProblemFormatError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ProblemFormatError(f"syntax error: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFormatError("top level must be a JSON object")
     return instance_from_dict(data)
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
-    _reject_unknown(_object(data, "instance"), _TOP_KEYS, "instance")
-
-    nodes: Dict[str, LocationNode] = {}
-    for entry in _array(data.get("nodes", []), "nodes"):
-        _reject_unknown(_object(entry, "node"), {"id", "tier"}, "node")
-        nid = _ident(_require(entry, "id", "node"), "node.id")
-        if nid in nodes:
-            raise ProblemFormatError(f"duplicate node id {nid!r}")
-        tier_raw = _require(entry, "tier", f"node {nid}")
-        try:
-            tier = Tier(tier_raw)
-        except ValueError:
-            raise ProblemFormatError(f"node {nid}: unknown tier {tier_raw!r}")
-        nodes[nid] = LocationNode(nid, tier)
-
-    regions: Dict[str, MemoryRegion] = {}
-    for entry in _array(data.get("regions", []), "regions"):
-        _reject_unknown(_object(entry, "region"), {"id", "size_bits"}, "region")
-        rid = _ident(_require(entry, "id", "region"), "region.id")
-        if rid in regions:
-            raise ProblemFormatError(f"duplicate region id {rid!r}")
-        regions[rid] = MemoryRegion(rid, _bits(_require(entry, "size_bits", f"region {rid}"), f"region {rid}"))
-
-    algorithms: Dict[str, AlgorithmSpec] = {}
-    for entry in _array(data.get("algorithms", []), "algorithms"):
-        _reject_unknown(
-            _object(entry, "algorithm"),
-            {"id", "exec_time", "memory", "space_rank", "space_label", "allowed_locations"},
-            "algorithm",
-        )
-        aid = _ident(_require(entry, "id", "algorithm"), "algorithm.id")
-        if aid in algorithms:
-            raise ProblemFormatError(f"duplicate algorithm id {aid!r}")
-
-        exec_time: Dict[Tier, float] = {}
-        overrides: Dict[str, float] = {}
-        raw_exec = _object(entry.get("exec_time", {}), f"algorithm {aid}.exec_time")
-        _reject_unknown(raw_exec, {"edge", "fog", "cloud", "overrides"}, f"algorithm {aid}.exec_time")
-        for tier in Tier:
-            if tier.value in raw_exec:
-                exec_time[tier] = _time(raw_exec[tier.value], f"algorithm {aid}.exec_time.{tier.value}")
-        raw_overrides = _object(raw_exec.get("overrides", {}), f"algorithm {aid}.exec_time.overrides")
-        for nid, secs in raw_overrides.items():
-            if nid not in nodes:
-                raise ProblemFormatError(f"algorithm {aid}: exec override for unknown node {nid!r}")
-            overrides[sys.intern(nid)] = _time(secs, f"algorithm {aid}.exec_time.overrides.{nid}")
-
-        raw_mem = _object(entry.get("memory", {}), f"algorithm {aid}.memory")
-        _reject_unknown(
-            raw_mem,
-            {"inputs", "outputs", "processing_bits", "growth_per_step"},
-            f"algorithm {aid}.memory",
-        )
-        region_sets = {}
-        for key in ("inputs", "outputs"):
-            ids = [
-                _ident(rid, f"algorithm {aid}.memory.{key}")
-                for rid in _array(raw_mem.get(key, []), f"algorithm {aid}.memory.{key}")
-            ]
-            for rid in ids:
-                if rid not in regions:
-                    raise ProblemFormatError(f"algorithm {aid}: unknown region {rid!r} in memory.{key}")
-            region_sets[key] = frozenset(ids)
-        raw_growth = _object(raw_mem.get("growth_per_step", {}), f"algorithm {aid}.memory.growth_per_step")
-        _reject_unknown(raw_growth, {"inputs", "processing", "outputs"}, f"algorithm {aid}.growth_per_step")
-        growth = tuple([  # from a list, see optimizer.SolveContext.lex_tuple
-            _bits(raw_growth.get(key, 0), f"algorithm {aid}.growth_per_step.{key}")
-            for key in ("inputs", "processing", "outputs")
-        ])
-        profile = MemoryProfile(
-            inputs=region_sets["inputs"],
-            outputs=region_sets["outputs"],
-            processing_bits=_bits(raw_mem.get("processing_bits", 0), f"algorithm {aid}.processing_bits"),
-            growth_per_step=growth,
-        )
-
-        allowed = None
-        if "allowed_locations" in entry:
-            allowed_list = [
-                _ident(nid, f"algorithm {aid}.allowed_locations")
-                for nid in _array(entry["allowed_locations"], f"algorithm {aid}.allowed_locations")
-            ]
-            for nid in allowed_list:
-                if nid not in nodes:
-                    raise ProblemFormatError(f"algorithm {aid}: unknown node {nid!r} in allowed_locations")
-            allowed = frozenset(allowed_list)
-
-        rank = entry.get("space_rank", 0)
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise ProblemFormatError(f"algorithm {aid}: space_rank must be an integer")
-        label = entry.get("space_label", "")
-        if not isinstance(label, str):
-            raise ProblemFormatError(f"algorithm {aid}: space_label must be a string")
-
-        algorithms[aid] = AlgorithmSpec(
-            id=aid,
-            exec_time=exec_time,
-            node_overrides=overrides,
-            memory=profile,
-            space_rank=rank,
-            space_label=label,
-            allowed_locations=allowed,
-        )
-
-    seen_edges = set()
-    edges: List[Tuple[str, str]] = []
-    for entry in _array(data.get("edges", []), "edges"):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ProblemFormatError(f"edge {entry!r}: expected a [from, to] pair")
-        u, v = (_ident(endpoint, "edge endpoint") for endpoint in entry)
-        for endpoint in (u, v):
-            if endpoint not in algorithms:
-                raise ProblemFormatError(f"edge ({u!r}, {v!r}): unknown algorithm {endpoint!r}")
-        if u == v:
-            raise ProblemFormatError(f"edge ({u!r}, {v!r}): self-loop")
-        if (u, v) in seen_edges:
-            raise ProblemFormatError(f"duplicate edge ({u!r}, {v!r})")
-        seen_edges.add((u, v))
-        edges.append((u, v))
-
-    links: Dict[Tuple[str, str], CommLink] = {}
-    for entry in _array(data.get("comm", []), "comm"):
-        _reject_unknown(_object(entry, "comm link"), {"from", "to", "base_seconds", "delay", "per_byte_seconds"}, "comm link")
-        u = _ident(_require(entry, "from", "comm link"), "comm.from")
-        v = _ident(_require(entry, "to", "comm link"), "comm.to")
-        for endpoint in (u, v):
-            if endpoint not in nodes:
-                raise ProblemFormatError(f"comm link ({u!r}, {v!r}): unknown node {endpoint!r}")
-        if u == v:
-            raise ProblemFormatError(f"comm link ({u!r}, {v!r}): same-node links are implicit")
-        if (u, v) in links:
-            raise ProblemFormatError(f"duplicate comm link ({u!r}, {v!r})")
-        delay = None
-        if "delay" in entry and entry["delay"] is not None:
-            raw_delay = _object(entry["delay"], f"comm link ({u}, {v}).delay")
-            _reject_unknown(raw_delay, {"mu", "sigma"}, f"comm link ({u}, {v}).delay")
-            mu = _number(_require(raw_delay, "mu", f"comm link ({u}, {v}).delay"), f"comm link ({u}, {v}).delay.mu")
-            sigma = _time(_require(raw_delay, "sigma", f"comm link ({u}, {v}).delay"), f"comm link ({u}, {v}).delay.sigma")
-            delay = DelaySpec(mu, sigma)
-        links[(u, v)] = CommLink(
-            base_seconds=_time(_require(entry, "base_seconds", f"comm link ({u}, {v})"), f"comm link ({u}, {v}).base_seconds"),
-            delay=delay,
-            per_byte_seconds=_time(entry.get("per_byte_seconds", 0.0), f"comm link ({u}, {v}).per_byte_seconds"),
-        )
-
-    _check_time_sums(len(nodes), algorithms, regions, links)
-
-    raw_opts = _object(data.get("options", {}), "options")
-    _reject_unknown(
-        raw_opts,
-        {"time_aggregate", "memory_weight", "time_weight", "boundedness_horizon"},
-        "options",
+    refs: Dict[str, dict] = {"node": {}, "region": {}, "algorithm": {}}
+    nodes, regions, algorithms, edges, links, options = _read(
+        _object(data, (), "instance", "instance"), _TABLE["instance"], (), "instance", refs
     )
-    aggregate = raw_opts.get("time_aggregate", "max_flow")
-    if aggregate not in TIME_AGGREGATES:
-        raise ProblemFormatError(f"options.time_aggregate: unknown aggregate {aggregate!r}")
-    w_m = _time(raw_opts.get("memory_weight", 1.0), "options.memory_weight")
-    w_t = _time(raw_opts.get("time_weight", 1.0), "options.time_weight")
-    if w_m <= 0 or w_t <= 0:
-        raise ProblemFormatError("options: weights must be positive")
-    horizon = raw_opts.get("boundedness_horizon", 16)
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise ProblemFormatError("options.boundedness_horizon: expected an integer >= 1")
-
-    return ProblemInstance(
-        nodes=nodes,
-        regions=regions,
-        graph=DependencyGraph(algorithms=algorithms, edges=tuple(sorted(edges))),
-        comm=CommModel(links=links),
-        options=Options(
-            time_aggregate=aggregate,
-            memory_weight=w_m,
-            time_weight=w_t,
-            boundedness_horizon=horizon,
-        ),
-    )
+    return ProblemInstance(nodes, regions, DependencyGraph(algorithms, edges), CommModel(links), options)
 
 
 def _check_time_sums(

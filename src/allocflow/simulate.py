@@ -6,7 +6,7 @@ times each placement over all trials in one pass (see
 optimizer.CompiledInstance.times_of); under max_flow that pass is one
 longest path over the dependency graph.  Its statistics come from each
 trial's time and robot memory as plain floats, equal to what CostPoints
-would give."""
+would give, computed exactly in integers."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import gc
 import math
 import random
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -91,32 +92,71 @@ class ComparisonStats:
         }
 
 
+def _scaled(xs: Sequence[float]) -> Tuple[List[int], int]:
+    """Integers a and a power of two p with xs[i] == a[i] / p exactly: each
+    float's integer ratio brought to the largest denominator."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    p = max([d for _, d in ratios])
+    return [n * (p // d) for n, d in ratios], p
+
+
+def _mean(a: List[int], p: int) -> float:
+    """The mean of the floats _scaled gave (a, p) for, correctly rounded
+    from its exact value as statistics.mean rounds it: int / int rounds
+    once."""
+    return sum(a) / (len(a) * p)
+
+
+def _stdev(a: List[int], p: int) -> float:
+    """The sample standard deviation of the floats _scaled gave (a, p) for,
+    as statistics.stdev gives it on this Python.  The exact variance is
+    (n * sum(a**2) - sum(a)**2) / (n * (n - 1) * p**2).  Before 3.11
+    statistics rounds it to a float and takes math.sqrt, which raises
+    OverflowError past the float range; from 3.11 on it takes the correctly
+    rounded root of the exact ratio, by rounding an integer root of more
+    than twice a float's precision to odd before the one rounding to a
+    float.  Needs n >= 2."""
+    n, total = len(a), sum(a)
+    num, den = n * sum([x * x for x in a]) - total * total, n * (n - 1) * p * p
+    if sys.version_info < (3, 11):
+        return math.sqrt(num / den)
+    q = (num.bit_length() - den.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # to odd: the last bit marks an inexact root
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+
+
 def _method_stats(
     instance: ProblemInstance, objective: Objective, mem_bits: List[int], times: List[float]
 ) -> Tuple[MethodStats, List[float]]:
     """One method's statistics over the trials, and each trial's distance,
-    from its robot memory and time in each trial; every float equals the
-    statistics module's over make_cost's CostPoints."""
+    from its robot memory and time in each trial.  Every float equals the
+    statistics module's over make_cost's CostPoints on this Python, bit for
+    bit: each column is scaled to integers once (_scaled), and its mean and
+    standard deviation are computed exactly from them and rounded as
+    statistics.mean and statistics.stdev round."""
     w_m, w_t = _weights(instance, objective)
     distances = [math.hypot(w_m * (m / MB_BITS), w_t * t) for m, t in zip(mem_bits, times)]
-    # statistics fails on inf or nan with an AttributeError; an overflowing
-    # time sum comes from the input, so it is a ProblemFormatError instead
+    # an overflowing time sum comes from the input, so it is a
+    # ProblemFormatError; as_integer_ratio would fail on inf or nan
     if not all(map(math.isfinite, distances)):
         raise ProblemFormatError("result is not finite: a time or memory sum overflows")
+    scaled = _scaled(distances)
     try:
         # before 3.11 the exact variance becomes a float before its square
         # root, which overflows when the distances spread by about 1e154
-        std_distance = statistics.stdev(distances) if len(distances) > 1 else 0.0
+        std_distance = _stdev(*scaled) if len(distances) > 1 else 0.0
     except OverflowError:
         raise ProblemFormatError("result is not finite: the distances' variance overflows") from None
     if mem_bits.count(mem_bits[0]) == len(mem_bits):
         mean_memory = mem_bits[0] / 8.0  # the exact mean of equal values
     else:
-        mean_memory = statistics.mean(m / 8.0 for m in mem_bits)
+        mean_memory = _mean(*_scaled([m / 8.0 for m in mem_bits]))
     stats = MethodStats(
-        mean_distance=statistics.mean(distances),
+        mean_distance=_mean(*scaled),
         std_distance=std_distance,
-        mean_time=statistics.mean(times),
+        mean_time=_mean(*_scaled(times)),
         mean_memory=mean_memory,
     )
     return stats, distances
@@ -147,9 +187,10 @@ def monte_carlo_compare(
     pass (times_of), whose entry per trial equals a pass over that trial
     alone.  With resolve_per_trial each trial searches and prices on the
     compiled instance priced under its delays.  The statistics are computed
-    from each trial's time and robot memory as floats, equal to the
-    statistics of make_cost's CostPoints.  Trials run serially: threads is
-    accepted for compatibility and changes nothing.
+    from each trial's time and robot memory as floats, exactly in integers
+    (_method_stats), equal bit for bit to the statistics module's over
+    make_cost's CostPoints.  Trials run serially: threads is accepted for
+    compatibility and changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

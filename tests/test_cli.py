@@ -57,6 +57,16 @@ def test_validate_bad_json(tmp_path, capsys):
     assert err.startswith("invalid: syntax error")
 
 
+def test_validate_an_overlong_integer_literal_is_one_error_line(tmp_path, capsys):
+    """json raises a plain ValueError for an integer literal past int's
+    digit limit, which ended the CLI with a traceback."""
+    path = tmp_path / "long.json"
+    path.write_text('{"nodes": 1' + "0" * 5000 + "}")
+    rc, out, err = run(capsys, "validate", str(path))
+    assert rc == 1
+    assert err.startswith("invalid: syntax error") and err.count("\n") == 1
+
+
 def test_validate_writes_out_file(tmp_path, capsys):
     path = write_instance(tmp_path, fixtures.single_sort())
     target = tmp_path / "report.txt"

@@ -52,6 +52,14 @@ def test_syntax_error_reports_position():
         parse_problem('{\n  "nodes": oops\n}')
 
 
+def test_an_overlong_integer_literal_is_a_format_error():
+    """json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    integer literal past int's string-conversion limit (4300 digits by
+    default), which escaped parse_problem, and the CLI as a traceback."""
+    with pytest.raises(ProblemFormatError):
+        parse_problem('{"nodes": 1' + "0" * 5000 + "}")
+
+
 def test_top_level_must_be_object():
     with pytest.raises(ProblemFormatError, match="top level"):
         parse_problem("[1, 2]")
@@ -568,6 +576,20 @@ def test_allowed_location_naming_unknown_node_reported():
         Violation("unknown-node", "algorithm a01 allows unknown node zz", ("a01", "zz"))
     ]
     assert effective_allowed(inst)["a01"] == ("c1",)
+
+
+def test_memory_naming_unknown_region_reported():
+    """The solver prices every region an algorithm names: before this
+    check, validate passed this instance and solve_branch_bound raised
+    KeyError: 'ghost'."""
+    inst = _api_built()
+    spec = inst.algorithms["a01"]
+    memory = replace(spec.memory, inputs=spec.memory.inputs | {"ghost"}, outputs=spec.memory.outputs | {"zz"})
+    inst.algorithms["a01"] = replace(spec, memory=memory)
+    assert validate(inst).violations == [
+        Violation("unknown-region", "algorithm a01 names unknown region ghost in memory.inputs", ("a01", "ghost")),
+        Violation("unknown-region", "algorithm a01 names unknown region zz in memory.outputs", ("a01", "zz")),
+    ]
 
 
 def test_dependency_edge_to_unknown_algorithm_reported():
