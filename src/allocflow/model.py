@@ -583,7 +583,7 @@ def _entities(kind: str, build):
 
 
 def _check_pair(what: str, u: str, v: str, ends: dict, kind: str, same: str, pairs) -> None:
-    """u -> v as a new pair of pairs, between two of ends, which are kind's."""
+    """u -> v joins two different ids of ends (kind's) and is not yet in pairs."""
     for end in (u, v):
         if end not in ends:
             raise ProblemFormatError(f"{what} ({u!r}, {v!r}): unknown {kind} {end!r}")
