@@ -45,11 +45,13 @@ def _successors(graph: DependencyGraph) -> Dict[str, List[str]]:
     return succs
 
 
-def layer(graph: DependencyGraph, succs: Optional[Dict[str, List[str]]] = None) -> List[List[str]]:
-    """Layers as sorted id lists; raises on cycles (validate reports them first).
-    succs is the graph's _successors, built here unless given."""
-    if succs is None:
-        succs = _successors(graph)
+def layer(graph: DependencyGraph) -> List[List[str]]:
+    """Layers as sorted id lists; raises on cycles (validate reports them first)."""
+    return _layer(graph, _successors(graph))
+
+
+def _layer(graph: DependencyGraph, succs: Dict[str, List[str]]) -> List[List[str]]:
+    """layer, given the graph's _successors."""
     indegree = dict.fromkeys(graph.algorithms, 0)
     for _, v in graph.edges:
         indegree[v] += 1
@@ -100,17 +102,20 @@ def _groups(graph: DependencyGraph) -> List[List[str]]:
     return sorted(map(sorted, groups.values()), key=lambda members: members[0])
 
 
-def path_counts(
-    graph: DependencyGraph, order: Optional[List[str]] = None, succs: Optional[Dict[str, List[str]]] = None
-) -> Tuple[Dict[str, int], Dict[str, int]]:
+def path_counts(graph: DependencyGraph, order: Optional[List[str]] = None) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Per vertex, paths_in (the number of paths from a source to it) and
     paths_out (from it to a sink), 1 at each end: one DP each way over a
     topological order, by default layer's, without enumerating a path.  A
-    vertex lies on paths_in * paths_out flows.  succs is as for layer."""
-    if succs is None:
-        succs = _successors(graph)
+    vertex lies on paths_in * paths_out flows."""
+    return _path_counts(graph, order, _successors(graph))
+
+
+def _path_counts(
+    graph: DependencyGraph, order: Optional[List[str]], succs: Dict[str, List[str]]
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """path_counts, given the graph's _successors."""
     if order is None:
-        order = [aid for bucket in layer(graph, succs) for aid in bucket]
+        order = [aid for bucket in _layer(graph, succs) for aid in bucket]
     paths_in = dict.fromkeys(order, 0)
     for v in order:  # every predecessor of v has added its count
         count = paths_in[v] = paths_in[v] or 1
@@ -122,12 +127,14 @@ def path_counts(
     return paths_in, paths_out
 
 
-def count_flows(graph: DependencyGraph, succs: Optional[Dict[str, List[str]]] = None) -> int:
-    """Number of source-to-sink paths over every component (DP, no
-    enumeration).  succs is as for layer."""
-    if succs is None:
-        succs = _successors(graph)
-    paths_in, _ = path_counts(graph, succs=succs)
+def count_flows(graph: DependencyGraph) -> int:
+    """Number of source-to-sink paths over every component (DP, no enumeration)."""
+    return _count_flows(graph, _successors(graph))
+
+
+def _count_flows(graph: DependencyGraph, succs: Dict[str, List[str]]) -> int:
+    """count_flows, given the graph's _successors."""
+    paths_in, _ = _path_counts(graph, None, succs)
     return sum(count for v, count in paths_in.items() if not succs[v])
 
 
@@ -141,7 +148,7 @@ def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[Executi
     if cap is None:
         cap = flow_cap()
     succs = _successors(graph)
-    total = count_flows(graph, succs)
+    total = _count_flows(graph, succs)
     if total > cap:
         raise CapExceededError("flow explosion", total, cap)
 

@@ -452,10 +452,11 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 #
 # instance_from_dict reads a document by _TABLE: per object kind, its keys in
 # reading order, each with its field kind (a check that returns the value
-# converted), its default and the name its errors give it; other keys are
-# unknown.  A check takes (value, owner, name, refs): owner is the entity
-# the value belongs to, a format and its ids (("algorithm {}", "a"), or ()),
-# formatted with name only in an error; refs holds each kind's entities.
+# converted), its default and the name its errors give it; _HEAD holds the
+# rows read first (an id, which the other rows' errors name, or values checked
+# together); other keys are unknown.  A check takes (value, owner, name, refs):
+# owner is the value's entity as a format and its ids (or ()), formatted with
+# name only in an error; refs holds each kind's entities.
 
 _REQUIRED = object()  # the default of a key the object must hold
 _ABSENT = object()  # the default of a key that reads as None when absent
@@ -477,14 +478,14 @@ def _object(value, owner: tuple, name: str, kind: Optional[str] = None) -> dict:
     return value
 
 
-def _read(obj: dict, fields: tuple, owner: tuple, title: str, refs: dict) -> list:
-    """obj's values of fields (rows of _TABLE); title names obj if one is missing."""
-    values = []
+def _read(obj: dict, fields: tuple, owner: tuple, title: str, refs: dict) -> dict:
+    """obj's values of fields (rows of a table) by key; title names obj if one is missing."""
+    values = {}
     for key, check, default, name in fields:
         value = obj.get(key, default)
         if value is _REQUIRED:
             _fail(owner, title, f"missing required key {key!r}")
-        values.append(None if value is _ABSENT else check(value, owner, name, refs))
+        values[key] = None if value is _ABSENT else check(value, owner, name, refs)
     return values
 
 
@@ -520,7 +521,7 @@ def _time(value, owner, name, refs) -> float:
 
 
 def _bits(value, owner, name, refs) -> int:
-    if not (type(value) is int or _int(value)):
+    if not _int(value):
         _fail(owner, name, f"expected an integer bit count, got {value!r}")
     # memory is priced in floats, which hold every count up to 2**53 exactly
     if not 0 <= value <= 2**53:
@@ -558,25 +559,26 @@ def _overrides(value, owner, name, refs) -> Dict[str, float]:
 
 
 def _object_of(kind: str, build):
-    """The field kind of an object of kind: build(*its values)."""
-    return lambda v, owner, name, refs: build(*_read(_object(v, owner, name, kind), _TABLE[kind], owner, kind, refs))
+    """The field kind of an object of kind: build(its values)."""
+    return lambda v, owner, name, refs: build(_read(_object(v, owner, name, kind), _TABLE[kind], owner, kind, refs))
 
 
 def _delay(value, owner, name, refs) -> Optional[DelaySpec]:
-    return None if value is None else _object_of("delay", DelaySpec)(value, owner, name, refs)
+    delay = _object_of("delay", lambda v: DelaySpec(v["mu"], v["sigma"]))
+    return None if value is None else delay(value, owner, name, refs)
 
 
 def _entities(kind: str, build):
     """The field kind of an array of kind's entities, kept in refs[kind]: objects
-    whose first field is a new id, each build(id, *its other fields' values)."""
+    whose head is a new id, each build(id, its other values)."""
 
     def check(value, owner, name, refs) -> dict:
-        entities, ids, rest, title = refs[kind], _TABLE[kind][:1], _TABLE[kind][1:], kind + " {}"
+        entities, title = refs[kind], kind + " {}"
         for entry in _array(value, owner, name, refs):
-            (eid,) = _read(_object(entry, (), kind, kind), ids, (), kind, refs)
+            eid = _read(_object(entry, (), kind, kind), _HEAD[kind], (), kind, refs)["id"]
             if eid in entities:
                 raise ProblemFormatError(f"duplicate {kind} id {eid!r}")
-            entities[eid] = build(eid, *_read(entry, rest, (title, eid), "", refs))
+            entities[eid] = build(eid, _read(entry, _TABLE[kind], (title, eid), "", refs))
         return entities
 
     return check
@@ -607,42 +609,49 @@ def _edges(value, owner, name, refs) -> Tuple[Tuple[str, str], ...]:
 def _links(value, owner, name, refs) -> Dict[Tuple[str, str], CommLink]:
     """The comm links; the last times read, so the time sums are checked here."""
     links: Dict[Tuple[str, str], CommLink] = {}
-    ends, rest = _TABLE["comm link"][:2], _TABLE["comm link"][2:]
     for entry in _array(value, owner, name, refs):
-        u, v = _read(_object(entry, (), "comm link", "comm link"), ends, (), "comm link", refs)
+        ends = _read(_object(entry, (), "comm link", "comm link"), _HEAD["comm link"], (), "comm link", refs)
+        u, v = ends["from"], ends["to"]
         _check_pair("comm link", u, v, refs["node"], "node", "same-node links are implicit", links)
-        delay, base, per_byte = _read(entry, rest, ("comm link ({}, {})", u, v), "", refs)
-        links[(u, v)] = CommLink(base, delay, per_byte)
+        link = _read(entry, _TABLE["comm link"], ("comm link ({}, {})", u, v), "", refs)
+        links[(u, v)] = CommLink(link["base_seconds"], link["delay"], link["per_byte_seconds"])
     _check_time_sums(len(refs["node"]), refs["algorithm"], refs["region"], links)
     return links
 
 
 def _options(value, owner, name, refs) -> Options:
-    fields = _TABLE["options"]
-    aggregate, w_m, w_t = _read(_object(value, owner, name, "options"), fields[:3], (), "options", refs)
-    if w_m <= 0 or w_t <= 0:
+    head = _read(_object(value, owner, name, "options"), _HEAD["options"], (), "options", refs)
+    if head["memory_weight"] <= 0 or head["time_weight"] <= 0:
         raise ProblemFormatError("options: weights must be positive")
-    (horizon,) = _read(value, fields[3:], (), "options", refs)
-    return Options(aggregate, w_m, w_t, horizon)
+    return Options(**head, **_read(value, _TABLE["options"], (), "options", refs))
 
 
+_HEAD = {
+    **{kind: (("id", _id, _REQUIRED, f"{kind}.id"),) for kind in ("node", "region", "algorithm")},
+    "comm link": (("from", _id, _REQUIRED, "comm.from"), ("to", _id, _REQUIRED, "comm.to")),
+    "options": (  # the weights are checked before the horizon is read
+        ("time_aggregate", _aggregate, "max_flow", "options.time_aggregate"),
+        ("memory_weight", _time, 1.0, "options.memory_weight"),
+        ("time_weight", _time, 1.0, "options.time_weight"),
+    ),
+}
 _TABLE = {
     "instance": (
-        ("nodes", _entities("node", lambda nid, tier: LocationNode(nid, _TIERS[tier])), [], "nodes"),
-        ("regions", _entities("region", MemoryRegion), [], "regions"),
-        ("algorithms", _entities("algorithm", lambda aid, times, memory, allowed, rank, label: AlgorithmSpec(
-            aid, *times, memory, rank, label, allowed)), [], "algorithms"),
+        ("nodes", _entities("node", lambda nid, v: LocationNode(nid, _TIERS[v["tier"]])), [], "nodes"),
+        ("regions", _entities("region", lambda rid, v: MemoryRegion(rid, v["size_bits"])), [], "regions"),
+        ("algorithms", _entities("algorithm", lambda aid, v: AlgorithmSpec(aid, *v["exec_time"], v["memory"],
+            v["space_rank"], v["space_label"], v["allowed_locations"])), [], "algorithms"),
         ("edges", _edges, [], "edges"),
         ("comm", _links, [], "comm"),
         ("options", _options, {}, "options"),
     ),
-    "node": (("id", _id, _REQUIRED, "node.id"), ("tier", _tier, _REQUIRED, "")),
-    "region": (("id", _id, _REQUIRED, "region.id"), ("size_bits", _bits, _REQUIRED, "")),
+    "node": (("tier", _tier, _REQUIRED, ""),),
+    "region": (("size_bits", _bits, _REQUIRED, ""),),
     "algorithm": (
-        ("id", _id, _REQUIRED, "algorithm.id"),
-        ("exec_time", _object_of("exec_time", lambda *times: (  # (times per tier, overrides)
-            {tier: t for tier, t in zip(_TIERS.values(), times) if t is not None}, times[3])), {}, "exec_time"),
-        ("memory", _object_of("memory", lambda i, o, g, p: MemoryProfile(i, o, p, g)), {}, "memory"),
+        ("exec_time", _object_of("exec_time", lambda v: (  # (times per tier, overrides)
+            {tier: v[key] for key, tier in _TIERS.items() if v[key] is not None}, v["overrides"])), {}, "exec_time"),
+        ("memory", _object_of("memory", lambda v: MemoryProfile(
+            v["inputs"], v["outputs"], v["processing_bits"], v["growth_per_step"])), {}, "memory"),
         ("allowed_locations", _ids_of("node"), _ABSENT, "allowed_locations"),
         ("space_rank", _rank, 0, ""),
         ("space_label", _label, "", ""),
@@ -652,26 +661,20 @@ _TABLE = {
     "memory": (
         ("inputs", _ids_of("region"), [], "memory.inputs"),
         ("outputs", _ids_of("region"), [], "memory.outputs"),
-        ("growth_per_step", _object_of("growth_per_step", lambda *g: g), {}, "memory.growth_per_step"),
+        ("growth_per_step", _object_of("growth_per_step", lambda v: (
+            v["inputs"], v["processing"], v["outputs"])), {}, "memory.growth_per_step"),
         ("processing_bits", _bits, 0, "processing_bits"),
     ),
     "growth_per_step": tuple((key, _bits, 0, f"growth_per_step.{key}") for key in ("inputs", "processing", "outputs")),
     "comm link": (
-        ("from", _id, _REQUIRED, "comm.from"),
-        ("to", _id, _REQUIRED, "comm.to"),
         ("delay", _delay, _ABSENT, "delay"),
         ("base_seconds", _time, _REQUIRED, "base_seconds"),
         ("per_byte_seconds", _time, 0.0, "per_byte_seconds"),
     ),
     "delay": (("mu", _number, _REQUIRED, "delay.mu"), ("sigma", _time, _REQUIRED, "delay.sigma")),
-    "options": (
-        ("time_aggregate", _aggregate, "max_flow", "options.time_aggregate"),
-        ("memory_weight", _time, 1.0, "options.memory_weight"),
-        ("time_weight", _time, 1.0, "options.time_weight"),
-        ("boundedness_horizon", _horizon, 16, "options.boundedness_horizon"),
-    ),
+    "options": (("boundedness_horizon", _horizon, 16, "options.boundedness_horizon"),),
 }
-_KNOWN = {kind: frozenset(key for key, *_ in fields) for kind, fields in _TABLE.items()}
+_KNOWN = {kind: frozenset(key for key, *_ in _HEAD.get(kind, ()) + fields) for kind, fields in _TABLE.items()}
 
 
 def parse_problem(text: str) -> ProblemInstance:
@@ -679,9 +682,7 @@ def parse_problem(text: str) -> ProblemInstance:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ProblemFormatError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past int's digit limit
         raise ProblemFormatError(f"syntax error: {exc}") from exc
     if not isinstance(data, dict):
@@ -691,10 +692,9 @@ def parse_problem(text: str) -> ProblemInstance:
 
 def instance_from_dict(data: dict) -> ProblemInstance:
     refs: Dict[str, dict] = {"node": {}, "region": {}, "algorithm": {}}
-    nodes, regions, algorithms, edges, links, options = _read(
-        _object(data, (), "instance", "instance"), _TABLE["instance"], (), "instance", refs
-    )
-    return ProblemInstance(nodes, regions, DependencyGraph(algorithms, edges), CommModel(links), options)
+    top = _read(_object(data, (), "instance", "instance"), _TABLE["instance"], (), "instance", refs)
+    graph = DependencyGraph(top["algorithms"], top["edges"])
+    return ProblemInstance(top["nodes"], top["regions"], graph, CommModel(top["comm"]), top["options"])
 
 
 def _check_time_sums(

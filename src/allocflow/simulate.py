@@ -109,17 +109,13 @@ def _mean(a: List[int], p: int) -> float:
 
 def _stdev(a: List[int], p: int) -> float:
     """The sample standard deviation of the floats _scaled gave (a, p) for,
-    as statistics.stdev gives it on this Python.  The exact variance is
-    (n * sum(a**2) - sum(a)**2) / (n * (n - 1) * p**2).  Before 3.11
-    statistics rounds it to a float and takes math.sqrt, which raises
-    OverflowError past the float range; from 3.11 on it takes the correctly
-    rounded root of the exact ratio, by rounding an integer root of more
-    than twice a float's precision to odd before the one rounding to a
-    float.  Needs n >= 2."""
+    correctly rounded from its exact value, as statistics.stdev gives it
+    from Python 3.11 on.  The exact variance is (n * sum(a**2) - sum(a)**2)
+    / (n * (n - 1) * p**2); an integer root of it of more than twice a
+    float's precision, rounded to odd, rounds once to a float.  Needs
+    n >= 2."""
     n, total = len(a), sum(a)
     num, den = n * sum([x * x for x in a]) - total * total, n * (n - 1) * p * p
-    if sys.version_info < (3, 11):
-        return math.sqrt(num / den)
     q = (num.bit_length() - den.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
     num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
     root = math.isqrt(num // den)
@@ -131,11 +127,14 @@ def _method_stats(
     instance: ProblemInstance, objective: Objective, mem_bits: List[int], times: List[float]
 ) -> Tuple[MethodStats, List[float]]:
     """One method's statistics over the trials, and each trial's distance,
-    from its robot memory and time in each trial.  Every float equals the
-    statistics module's over make_cost's CostPoints on this Python, bit for
-    bit: each column is scaled to integers once (_scaled), and its mean and
-    standard deviation are computed exactly from them and rounded as
-    statistics.mean and statistics.stdev round."""
+    from its robot memory and time in each trial.  Each column is scaled to
+    integers once (_scaled), and its mean and standard deviation are
+    computed exactly from them and rounded once, so every float equals the
+    statistics module's over make_cost's CostPoints, bit for bit, from
+    Python 3.11 on.  (Python 3.10's stdev rounds the variance to a float
+    before its root, which can differ in the last bit and overflows when
+    the distances spread by about 1e154; nonnegative distances have a
+    finite standard deviation, which this gives.)"""
     w_m, w_t = _weights(instance, objective)
     distances = [math.hypot(w_m * (m / MB_BITS), w_t * t) for m, t in zip(mem_bits, times)]
     # an overflowing time sum comes from the input, so it is a
@@ -143,19 +142,13 @@ def _method_stats(
     if not all(map(math.isfinite, distances)):
         raise ProblemFormatError("result is not finite: a time or memory sum overflows")
     scaled = _scaled(distances)
-    try:
-        # before 3.11 the exact variance becomes a float before its square
-        # root, which overflows when the distances spread by about 1e154
-        std_distance = _stdev(*scaled) if len(distances) > 1 else 0.0
-    except OverflowError:
-        raise ProblemFormatError("result is not finite: the distances' variance overflows") from None
     if mem_bits.count(mem_bits[0]) == len(mem_bits):
         mean_memory = mem_bits[0] / 8.0  # the exact mean of equal values
     else:
         mean_memory = _mean(*_scaled([m / 8.0 for m in mem_bits]))
     stats = MethodStats(
         mean_distance=_mean(*scaled),
-        std_distance=std_distance,
+        std_distance=_stdev(*scaled) if len(distances) > 1 else 0.0,
         mean_time=_mean(*_scaled(times)),
         mean_memory=mean_memory,
     )
@@ -189,7 +182,7 @@ def monte_carlo_compare(
     compiled instance priced under its delays.  The statistics are computed
     from each trial's time and robot memory as floats, exactly in integers
     (_method_stats), equal bit for bit to the statistics module's over
-    make_cost's CostPoints.  Trials run serially: threads is accepted for
+    make_cost's CostPoints from Python 3.11 on.  Trials run serially: threads is accepted for
     compatibility and changes nothing.
     """
     if trials < 1:

@@ -8,6 +8,7 @@ import random
 import statistics
 import struct
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,15 +17,7 @@ from hypothesis import strategies as st
 
 from allocflow.baseline import baseline_overall, solve_baseline
 from allocflow.lattice import all_flows, layer
-from allocflow.model import (
-    TIME_AGGREGATES,
-    DelaySpec,
-    ProblemFormatError,
-    Tier,
-    effective_allowed,
-    serialize_problem,
-    validate,
-)
+from allocflow.model import TIME_AGGREGATES, DelaySpec, Tier, effective_allowed, serialize_problem, validate
 from allocflow.optimizer import Objective, compile_instance, evaluate, solve_branch_bound
 from allocflow.simulate import (
     GenParams,
@@ -268,21 +261,34 @@ def test_huge_spread_is_finite_or_rejected():
     assert all(math.isfinite(v) for v in numbers)
 
 
+def is_rounded_root(root: float, square: Fraction) -> bool:
+    """root is square's square root rounded to the nearest float, ties to
+    even: square lies between the squares of the midpoints from root to its
+    neighbours, on the even side of a tie."""
+    here = Fraction(root)
+    low = (Fraction(math.nextafter(root, -math.inf)) + here) / 2
+    high = (here + Fraction(math.nextafter(root, math.inf))) / 2
+    even = struct.unpack("<Q", struct.pack("<d", root))[0] % 2 == 0
+    above_low = low <= 0 or low * low < square or (low * low == square and even)
+    below_high = square < high * high or (square == high * high and even)
+    return root >= 0 and above_low and below_high
+
+
 def summary_matches_statistics(xs):
-    """_mean and _stdev over one scaling of xs give statistics.mean and
-    statistics.stdev bit for bit, an OverflowError included.  Plain, so a
-    script can run it where pytest and hypothesis are missing."""
+    """_mean over one scaling of xs gives statistics.mean bit for bit, and
+    _stdev the correctly rounded root of the exact sample variance, which is
+    statistics.stdev's from Python 3.11 on.  Plain, so a script can run it
+    where pytest and hypothesis are missing."""
     a, p = _scaled(xs)
     assert struct.pack("<d", _mean(a, p)) == struct.pack("<d", statistics.mean(xs))
     if len(xs) < 2:
         return
-    outcomes = []
-    for stdev in (lambda: _stdev(a, p), lambda: statistics.stdev(xs)):
-        try:
-            outcomes.append(struct.pack("<d", stdev()))
-        except OverflowError:
-            outcomes.append(OverflowError)
-    assert outcomes[0] == outcomes[1]
+    root = _stdev(a, p)
+    exact = [Fraction(x) for x in xs]
+    mean = sum(exact) / len(xs)
+    assert is_rounded_root(root, sum((x - mean) ** 2 for x in exact) / (len(xs) - 1))
+    if sys.version_info >= (3, 11):
+        assert struct.pack("<d", root) == struct.pack("<d", statistics.stdev(xs))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -306,22 +312,14 @@ def test_exact_summary_equals_statistics(xs):
     summary_matches_statistics(xs)
 
 
-def test_distances_whose_variance_overflows_give_a_format_error():
-    """Distances 0 and 1e300: their variance is about 5e599, which Python
-    3.10's statistics.stdev converts to a float, overflowing; from 3.11 its
-    root is taken exactly.  _method_stats gives what statistics does, with
-    the overflow as ProblemFormatError."""
+def test_distances_whose_variance_exceeds_a_float_have_a_finite_stdev():
+    """Distances 0 and 1e300: their variance, about 5e599, is past the float
+    range (Python 3.10's statistics.stdev overflows on it), but its root is
+    not.  _method_stats gives the correctly rounded root on every version."""
     inst = random_instance(1, seed=1)
-    objective = Objective("min_distance")
-    try:
-        want = statistics.stdev([0.0, 1e300])
-    except OverflowError:
-        with pytest.raises(ProblemFormatError, match="variance overflows"):
-            _method_stats(inst, objective, [0, 0], [0.0, 1e300])
-        return
-    stats, distances = _method_stats(inst, objective, [0, 0], [0.0, 1e300])
+    stats, distances = _method_stats(inst, Objective("min_distance"), [0, 0], [0.0, 1e300])
     assert distances == [0.0, 1e300]
-    assert stats.std_distance == want
+    assert is_rounded_root(stats.std_distance, Fraction(1e300) ** 2 / 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,9 +364,7 @@ def test_batched_trials_equal_one_pass_per_realization(seed, n, aggregate, inclu
 def test_monte_carlo_answers_are_pinned():
     """Golden comparisons and baseline overall times.  The per-trial reference
     above prices through evaluate, the same evaluator as monte_carlo_compare,
-    so only pinned digits catch a change to how that evaluator sums time.
-    std_distance is statistics.stdev's, which Python 3.10 rounds twice (the
-    variance, then its root) and 3.11 once, so each has its own digest."""
+    so only pinned digits catch a change to how that evaluator sums time."""
     digest = hashlib.sha256()
     for n in (6, 8, 10, 12):
         for seed in (1, 2, 3):
@@ -379,10 +375,7 @@ def test_monte_carlo_answers_are_pinned():
             delays = {pair: rng.uniform(0.0, 1.0) for pair in sorted(inst.comm.links) if rng.random() < 0.5}
             for d in (None, delays):
                 digest.update(repr(baseline_overall(inst, stats.baseline_placement, d)).encode())
-    if sys.version_info < (3, 11):
-        assert digest.hexdigest() == "386de5ebd4d1baf9d9855c22a9fb0b5cec5b805b0958c542e0fcec3739edd3a2"
-    else:
-        assert digest.hexdigest() == "1bb01bbafd610c68a8fcdd1f4b48ed6e0107ab9ed795d7d03cbf3e1c1a3aa1b1"
+    assert digest.hexdigest() == "1bb01bbafd610c68a8fcdd1f4b48ed6e0107ab9ed795d7d03cbf3e1c1a3aa1b1"
 
 
 # ---------------------------------------------------------------------------
