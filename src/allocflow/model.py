@@ -464,6 +464,14 @@ _MAX = sys.float_info.max
 _TIERS = {tier.value: tier for tier in Tier}  # a member hashes and compares as its value
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or a stand-in if it holds an int too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:  # past Python's int-to-string conversion limit
+        return f"<{type(value).__name__} too large to print>"
+
+
 def _fail(owner: tuple, name: str, problem: str):
     head = owner[0].format(*owner[1:]) if owner else ""
     raise ProblemFormatError(f"{f'{head}.{name}' if head and name else head or name}: {problem}")
@@ -472,9 +480,9 @@ def _fail(owner: tuple, name: str, problem: str):
 def _object(value, owner: tuple, name: str, kind: Optional[str] = None) -> dict:
     """value as an object, holding only keys the table lists for kind."""
     if not isinstance(value, dict):
-        _fail(owner, name, f"expected an object, got {value!r}")
+        _fail(owner, name, f"expected an object, got {_shown(value)}")
     if kind is not None and not _KNOWN[kind].issuperset(value):
-        _fail(owner, kind, f"unknown key(s) {sorted(set(value) - _KNOWN[kind])}")
+        _fail(owner, kind, f"unknown key(s) {_shown(sorted(set(value) - _KNOWN[kind]))}")
     return value
 
 
@@ -495,21 +503,21 @@ def _int(value) -> bool:
 
 def _test(ok, problem: str):
     """The field kind of a value that ok accepts as it is; problem formats the error."""
-    return lambda value, owner, name, refs: value if ok(value) else _fail(owner, name, problem.format(value=value))
+    return lambda value, owner, name, refs: value if ok(value) else _fail(owner, name, problem.format(_shown(value)))
 
 
-_array = _test(lambda value: isinstance(value, list), "expected an array, got {value!r}")
-_aggregate = _test(TIME_AGGREGATES.__contains__, "unknown aggregate {value!r}")
+_array = _test(lambda value: isinstance(value, list), "expected an array, got {}")
+_aggregate = _test(TIME_AGGREGATES.__contains__, "unknown aggregate {}")
 _horizon = _test(lambda value: _int(value) and value >= 1, "expected an integer >= 1")
 _rank = _test(_int, "space_rank must be an integer")
 _label = _test(lambda value: isinstance(value, str), "space_label must be a string")
-_tier = _test(lambda value: isinstance(value, str) and value in _TIERS, "unknown tier {value!r}")
+_tier = _test(lambda value: isinstance(value, str) and value in _TIERS, "unknown tier {}")
 
 
 def _number(value, owner, name, refs) -> float:
     # the range test also rejects NaN, infinities and ints too large for a float
     if not (isinstance(value, float) or _int(value)) or not -_MAX <= value <= _MAX:
-        _fail(owner, name, f"expected a number, got {value!r}")
+        _fail(owner, name, f"expected a number, got {_shown(value)}")
     return float(value)
 
 
@@ -522,16 +530,16 @@ def _time(value, owner, name, refs) -> float:
 
 def _bits(value, owner, name, refs) -> int:
     if not _int(value):
-        _fail(owner, name, f"expected an integer bit count, got {value!r}")
+        _fail(owner, name, f"expected an integer bit count, got {_shown(value)}")
     # memory is priced in floats, which hold every count up to 2**53 exactly
     if not 0 <= value <= 2**53:
-        _fail(owner, name, f"negative size {value!r}" if value < 0 else "size exceeds 2**53 bits")
+        _fail(owner, name, f"negative size {_shown(value)}" if value < 0 else "size exceeds 2**53 bits")
     return value
 
 
 def _id(value, owner, name, refs) -> str:
     if not isinstance(value, str) or not value:
-        _fail(owner, name, f"expected a non-empty string id, got {value!r}")
+        _fail(owner, name, f"expected a non-empty string id, got {_shown(value)}")
     # one shared string per id across parsed instances, not a copy per document
     return sys.intern(value)
 
@@ -553,7 +561,7 @@ def _overrides(value, owner, name, refs) -> Dict[str, float]:
     overrides = {}
     for nid, secs in _object(value, owner, name).items():
         if nid not in refs["node"]:
-            _fail(owner, "", f"exec override for unknown node {nid!r}")
+            _fail(owner, "", f"exec override for unknown node {_shown(nid)}")
         overrides[sys.intern(nid)] = _time(secs, owner, f"{name}.{nid}", refs)
     return overrides
 
@@ -599,7 +607,7 @@ def _edges(value, owner, name, refs) -> Tuple[Tuple[str, str], ...]:
     edges = set()
     for entry in _array(value, owner, name, refs):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ProblemFormatError(f"edge {entry!r}: expected a [from, to] pair")
+            raise ProblemFormatError(f"edge {_shown(entry)}: expected a [from, to] pair")
         u, v = _id(entry[0], (), "edge endpoint", refs), _id(entry[1], (), "edge endpoint", refs)
         _check_pair("edge", u, v, refs["algorithm"], "algorithm", "self-loop", edges)
         edges.add((u, v))

@@ -68,8 +68,8 @@ max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
 topological order, touching each dependency edge once instead of each flow
 position; it equals the maximum over flows bit for bit, because the flows
 are the source-to-sink paths and rounded addition is monotone.  total_flows
-and mean_flows add per-flow totals, which _flow_total times in
-timing.flow_time's order; so do their search and the reported per_flow.
+and mean_flows add per-flow totals, which _flow_total times in the order of
+timing.flow_time (which times the reported per_flow); so does their search.
 CompiledInstance.priced_over holds each hop as a list over many delay
 realizations, and times_of runs time_of's pass once over all of them, every
 sum a list added entry by entry in time_of's order; it skips a hop within
@@ -77,9 +77,9 @@ one node, which adds 0.0 to a sum that is never -0.0.
 
 A solve is three steps: a context (build_context, or _context over an
 instance already compiled), the search (_search) and _finish, which adds the
-cost and keeps the compiled tables that per_flow is timed from when read.
-The Monte-Carlo comparison runs the first two on one compiled instance and
-keeps only the placements.
+cost and keeps the context and the delays that per_flow is timed under when
+read.  The Monte-Carlo comparison runs the first two on one compiled
+instance and keeps only the placements.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -100,7 +100,7 @@ from .model import (
     effective_allowed,
     node_order,
 )
-from .timing import FlowTiming, Placement, aggregate_times
+from .timing import FlowTiming, Placement, aggregate_times, flow_time
 
 MB_BITS = 8 * 1024 * 1024  # distance works in 2**20-byte megabytes
 
@@ -132,21 +132,15 @@ class AllocationResult:
     placement: Placement
     cost: CostPoint
     explored_nodes: int
-    # per_flow once read; until then the compiled instance, as priced, that
-    # times it
-    _per_flow: Union[List[FlowTiming], CompiledInstance] = field(default_factory=list, repr=False, compare=False)
+    # per_flow once read; until then the solve's context and delays, which time it
+    _per_flow: Union[List[FlowTiming], tuple] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def per_flow(self) -> List[FlowTiming]:
-        """Each flow's timing, in all_flows' order, built on first read."""
-        c = self._per_flow
-        if isinstance(c, CompiledInstance):
-            timings = []
-            for flow in c.flows:
-                segments: List[Tuple[str, float]] = []
-                total = _flow_total(c, flow, self.placement, segments)
-                timings.append(FlowTiming(flow=flow, segments=tuple(segments), total=total))
-            self._per_flow = timings
+        """timing.flow_time of each flow, in all_flows' order, built on first read."""
+        if isinstance(self._per_flow, tuple):
+            c, delays = self._per_flow
+            self._per_flow = [flow_time(c.instance, f, self.placement, delays, c.include_return_hop) for f in c.flows]
         return self._per_flow
 
 
@@ -199,7 +193,7 @@ class _Lazy(dict):
 @dataclass
 class CompiledInstance:
     """The delay-independent tables of one instance, plus the hop rows of one
-    delay realization (see priced)."""
+    delay realization once priced (see priced)."""
 
     instance: ProblemInstance
     edge_id: str
@@ -360,14 +354,9 @@ class CompiledInstance:
             t = 0.0 + self.in_rows[aid][node]  # _flow_total's start: 0.0, never -0.0
         return t + self.exec_s[(aid, node)]
 
-    def cost(self, placement: Placement, objective: Objective, memory_bits: int) -> CostPoint:
-        """CostPoint of a placement whose robot memory is known (delays never change it)."""
-        time_s = self.time_of(placement, _aggregate_for(self.instance, objective))
-        return make_cost(self.instance, objective, memory_bits, time_s)
-
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
-    """Compile an instance once, priced at mean delays with the return hop."""
+    """An instance's delay-independent tables, with no hop rows until priced."""
     exec_s: Dict[Tuple[str, str], float] = {}
     input_bits: Dict[str, int] = {}
     output_bits: Dict[str, int] = {}
@@ -402,36 +391,21 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         rows={},
         in_rows={},
         out_rows={},
-    ).priced()
+    )
 
 
-def _flow_total(
-    c: CompiledInstance,
-    flow: Tuple[str, ...],
-    placement: Placement,
-    segments: Optional[List[Tuple[str, float]]] = None,
-) -> float:
-    """Seconds of one flow, in timing.flow_time's accumulation order; appends
-    flow_time's (kind, seconds) breakdown to segments when given."""
+def _flow_total(c: CompiledInstance, flow: Tuple[str, ...], placement: Placement) -> float:
+    """Seconds of one flow, in timing.flow_time's accumulation order."""
     out_rows, exec_s = c.out_rows, c.exec_s
     row = c.in_rows[flow[0]]
-    kind = "request-hop"
     total = 0.0
     for aid in flow:
         node = placement[aid]
-        hop = row[node]
-        e = exec_s[(aid, node)]
-        total += hop
-        total += e
-        if segments is not None:
-            segments += ((kind, hop), ("exec", e))
-            kind = "inter-hop"
+        total += row[node]
+        total += exec_s[(aid, node)]
         row = out_rows[aid][node]
     if c.include_return_hop:
-        hop = row[c.edge_id]
-        total += hop
-        if segments is not None:
-            segments.append(("return-hop", hop))
+        total += row[c.edge_id]
     return total
 
 
@@ -465,7 +439,8 @@ def evaluate(
     if not instance.algorithms:
         return CostPoint(0.0, 0.0, 0.0)
     priced = compile_instance(instance).priced(delays, include_return_hop)
-    return priced.cost(placement, objective, robot_memory_bits(instance, placement))
+    time_s = priced.time_of(placement, _aggregate_for(instance, objective))
+    return make_cost(instance, objective, robot_memory_bits(instance, placement), time_s)
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +598,13 @@ def _empty_result() -> AllocationResult:
     return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), 0)
 
 
-def _finish(ctx: SolveContext, placement: Placement, explored: int) -> AllocationResult:
+def _finish(ctx: SolveContext, placement: Placement, explored: int, delays: Optional[dict]) -> AllocationResult:
     """The result of a search's answer: placement, in sorted id order, with
-    its cost; per_flow is timed from ctx's compiled tables on first read."""
+    its cost; per_flow is timed on first read by timing.flow_time over ctx's
+    flows under delays, the realization ctx is priced at."""
     mem_bits = robot_memory_bits(ctx.instance, placement)
     cost = make_cost(ctx.instance, ctx.objective, mem_bits, ctx.time_of(placement, ctx.aggregate))
-    compiled = CompiledInstance(**{f.name: getattr(ctx, f.name) for f in fields(CompiledInstance)})
-    return AllocationResult(placement, cost, explored, compiled)
+    return AllocationResult(placement, cost, explored, (ctx, delays))
 
 
 def solve_bruteforce(
@@ -659,7 +634,7 @@ def solve_bruteforce(
         if best_key is None or key < best_key:
             best_key = key
             best_placement = placement
-    return _finish(ctx, best_placement, explored)
+    return _finish(ctx, best_placement, explored, delays)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +910,7 @@ def solve_branch_bound(
     if not instance.algorithms:
         return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
-    return _finish(ctx, *_search(ctx))
+    return _finish(ctx, *_search(ctx), delays)
 
 
 def _search(ctx: SolveContext) -> Tuple[Placement, int]:
@@ -971,7 +946,7 @@ def scatter(
         return []
     objective = objective or Objective()
     allowed = _checked_allowed(instance)
-    compiled = compile_instance(instance)
+    compiled = compile_instance(instance).priced()
     aggregate = _aggregate_for(instance, objective)
     sorted_ids = sorted(instance.algorithms)
     sizes = [len(allowed[aid]) for aid in sorted_ids]

@@ -16,7 +16,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .baseline import _END_TIME
@@ -64,12 +64,7 @@ class MethodStats:
     mean_memory: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_distance": self.mean_distance,
-            "std_distance": self.std_distance,
-            "mean_time": self.mean_time,
-            "mean_memory": self.mean_memory,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -208,7 +203,7 @@ def monte_carlo_compare(
             _search(_context(replace(priced, include_return_hop=False), _END_TIME, allowed))[0],
         )
 
-    ours, base = optima(compiled)
+    ours, base = optima(compiled.priced())
     # per method, its robot memory bits and its time in each trial
     if resolve_per_trial:
         columns = ([], []), ([], [])
@@ -326,12 +321,9 @@ def random_instance(n: int, params: Optional[GenParams] = None, seed: int = 0) -
             regions[ext] = MemoryRegion(ext, rng.randint(*params.region_bits_range))
             inputs = {ext}
         draws = sorted(rng.uniform(*params.exec_range) for _ in range(3))
-        if params.tier_ordering:
-            exec_time = {Tier.CLOUD: draws[0], Tier.FOG: draws[1], Tier.EDGE: draws[2]}
-        else:
-            shuffled = list(draws)
-            rng.shuffle(shuffled)
-            exec_time = {Tier.CLOUD: shuffled[0], Tier.FOG: shuffled[1], Tier.EDGE: shuffled[2]}
+        if not params.tier_ordering:
+            rng.shuffle(draws)
+        exec_time = {Tier.CLOUD: draws[0], Tier.FOG: draws[1], Tier.EDGE: draws[2]}
         growth = (0, 0, 0)
         if rng.random() < params.unbounded_prob:
             growth = (0, 8 * rng.randint(1, 100), 0)

@@ -470,10 +470,15 @@ def test_bench_with_a_repeated_size_prints_no_fit(capsys):
     assert len(lines) == 3 and lines[1] == lines[2] and lines[1].startswith("3,")
 
 
-def test_bench_rejects_bad_sizes(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["--sizes", "3,x"], ["--sizes", "0,4"], ["--sizes", "4,-1"], ["--reps", "0"], ["--fog", "-1"], ["--cloud", "-1"]],
+)
+def test_bench_rejects_bad_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--sizes", "3,x"])
+        main(["bench", *argv])
     assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--fog", "--cloud"])

@@ -470,6 +470,38 @@ def test_format_errors_keep_their_full_text(case, message):
     assert str(raised.value) == message
 
 
+HUGE = 10**5000  # past Python's int-to-string limit: its repr raises ValueError
+BIG, BIG_LIST = "<int too large to print>", "<list too large to print>"
+
+# One case per field kind whose error message shows the value, with the value
+# an int too long for repr, alone or in a list.
+HUGE_INT_MESSAGES = [
+    (put(*A, "memory", HUGE), f"algorithm a.memory: expected an object, got {BIG}"),
+    (put(HUGE, 1), f"instance: unknown key(s) {BIG_LIST}"),
+    (put(*A, "exec_time", "edge", HUGE), f"algorithm a.exec_time.edge: expected a number, got {BIG}"),
+    (put(*A, "exec_time", "fog", [HUGE]), f"algorithm a.exec_time.fog: expected a number, got {BIG_LIST}"),
+    (put(*A, "exec_time", "overrides", {HUGE: 1.0}), f"algorithm a: exec override for unknown node {BIG}"),
+    (put(*A, "id", HUGE), f"algorithm.id: expected a non-empty string id, got {BIG}"),
+    (add("regions", {"id": "s", "size_bits": -HUGE}), f"region s: negative size {BIG}"),
+    (add("regions", {"id": "s", "size_bits": [HUGE]}), f"region s: expected an integer bit count, got {BIG_LIST}"),
+    (put("nodes", HUGE), f"nodes: expected an array, got {BIG}"),
+    (put("options", "time_aggregate", HUGE), f"options.time_aggregate: unknown aggregate {BIG}"),
+    (add("nodes", {"id": "x", "tier": [HUGE]}), f"node x: unknown tier {BIG_LIST}"),
+    (add("edges", [HUGE]), f"edge {BIG_LIST}: expected a [from, to] pair"),
+]
+
+
+@pytest.mark.parametrize("case, message", HUGE_INT_MESSAGES)
+def test_an_int_too_long_to_print_is_a_format_error(case, message):
+    """From Python, a value may hold an int whose repr raises ValueError;
+    the error that names it is still one ProblemFormatError."""
+    doc = _doc()
+    case(doc)
+    with pytest.raises(ProblemFormatError) as raised:
+        instance_from_dict(doc)
+    assert str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Round trips
 

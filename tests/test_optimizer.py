@@ -1000,10 +1000,10 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     algorithms, here far fewer than the flows.  Flows are enumerated once
     per compile, when first read, and walked one by one only to time a
     whole placement: under the sum aggregates by time_of, and by per_flow,
-    once each, on its first read.  Under max_flow there are no per-edge
-    tables, and a solve enumerates and walks no flow until per_flow is
-    read."""
-    calls = {"_flow_total": 0, "_completion": 0, "all_flows": 0}
+    whose first read calls timing.flow_time once per flow.  Under max_flow
+    there are no per-edge tables, and a solve enumerates and walks no flow
+    until per_flow is read."""
+    calls = {"_flow_total": 0, "_completion": 0, "all_flows": 0, "flow_time": 0}
     for name in calls:
         original = getattr(optimizer, name)
 
@@ -1030,7 +1030,8 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     sized = [value for value in vars(search).values() if isinstance(value, (list, dict))]
     assert sized and all(len(value) <= len(ctx.order) for value in sized)
     assert solved["_completion"] == 1
-    assert read["all_flows"] == 1 and read["_flow_total"] == solved["_flow_total"] + len(timings)
+    assert read["all_flows"] == 1 and read["_flow_total"] == solved["_flow_total"]
+    assert solved["flow_time"] == 0 and read["flow_time"] == len(timings)
     if kind == "min_distance":
         assert ctx.edge_bound == {}
         assert solved["all_flows"] == solved["_flow_total"] == 0

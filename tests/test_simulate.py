@@ -1,7 +1,6 @@
 """Delay sampling, Monte-Carlo comparison, instance generation, scaling fits."""
 
 import hashlib
-import importlib.util
 import json
 import math
 import random
@@ -237,14 +236,14 @@ def test_monte_carlo_compiles_once(resolve_per_trial, monkeypatch):
         assert len(calls) == (aggregate != "max_flow"), aggregate
 
 
-def test_huge_spread_is_finite_or_rejected():
-    """Trial distances spread by about 1e200: the comparison either reports
-    finite statistics (Python 3.11 takes the variance's square root
-    exactly) or raises ProblemFormatError (earlier versions overflow
-    converting the variance to a float), never another exception.  It
-    takes no fixture, so a script can call it where pytest is missing."""
+def test_huge_spread_gives_finite_statistics():
+    """Trial distances spread by about 1e200: the comparison reports finite
+    statistics on every Python, since it takes the correctly rounded root
+    of the exact variance (Python 3.10's statistics.stdev overflowed
+    converting the variance to a float).  It takes no fixture, so a script
+    can call it where pytest is missing."""
     from allocflow import fixtures
-    from allocflow.model import ProblemFormatError, instance_from_dict
+    from allocflow.model import instance_from_dict
 
     data = fixtures.dataset_jitter()
     for link in data["comm"]:
@@ -253,10 +252,7 @@ def test_huge_spread_is_finite_or_rejected():
         if spec["id"] == "stage_a":
             spec["allowed_locations"] = ["f"]
     inst = instance_from_dict(data)
-    try:
-        payload = monte_carlo_compare(inst, trials=5, seed=0).to_dict()
-    except ProblemFormatError:
-        return
+    payload = monte_carlo_compare(inst, trials=5, seed=0).to_dict()
     numbers = [v for method in ("ours", "baseline") for k, v in payload[method].items() if k != "placement"]
     assert all(math.isfinite(v) for v in numbers)
 
@@ -544,30 +540,6 @@ def test_benchmark_rejects_zero_reps():
 def test_benchmark_rejects_a_size_below_one(sizes):
     with pytest.raises(ValueError, match="sizes"):
         scaling_benchmark(sizes, reps=1)
-
-
-def _scaling_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "scaling_bench.py"
-    spec = importlib.util.spec_from_file_location("scaling_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize(
-    "argv", [["--sizes", "0,4"], ["--sizes", "4,-1"], ["--reps", "0"], ["--fog", "-1"], ["--cloud", "-1"]]
-)
-def test_scaling_script_rejects_non_positive_inputs(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        _scaling_script().main(argv)
-    assert exc.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", ["--fog", "--cloud"])
-def test_scaling_script_takes_node_counts_from_zero(flag, capsys):
-    assert _scaling_script().main(["--sizes", "3", "--reps", "1", flag, "0"]) == 0
-    assert capsys.readouterr().out.startswith("n,mean_seconds\n3,")
 
 
 def test_benchmark_empty_sizes():
