@@ -107,6 +107,12 @@ def _payload_bytes(payload_bits: int) -> int:
     return -(-payload_bits // 8)
 
 
+def _delay_seconds(hop: Tuple[str, str], spec: DelaySpec, delays: Optional[Dict[Tuple[str, str], float]]) -> float:
+    """hop's realization in delays, or else its mean (only then: it costs a sqrt, an exp and an erf)."""
+    delay = delays.get(hop) if delays is not None else None
+    return spec.mean() if delay is None else delay
+
+
 @dataclass
 class CommModel:
     """Directed link set; missing pairs are composed by cheapest declared path.
@@ -157,25 +163,38 @@ class CommModel:
         if src == dst:
             return 0.0
         total = 0.0
-        for hop in self._route(src, dst, payload_bits):
-            link = self.links[hop]
-            total += link.base_seconds + link.per_byte_seconds * _payload_bytes(payload_bits)
-            if link.delay is not None:
-                # the mean only on a miss: it costs a sqrt, an exp and an erf
-                delay = delays.get(hop) if delays is not None else None
-                total += link.delay.mean() if delay is None else delay
+        for hop, fixed, spec in self._legs(src, dst, payload_bits):
+            total += fixed
+            if spec is not None:
+                total += _delay_seconds(hop, spec, delays)
         return total
 
-    def _route(self, src: str, dst: str, payload_bits: int) -> Tuple[Tuple[str, str], ...]:
-        payload_bits = self.payload_key(payload_bits)
-        key = (src, dst, payload_bits)
-        cached = self._routes.get(key)
-        if cached is not None:
-            return cached
-        self._dijkstra(src, payload_bits)
+    def delay_columns(self, realizations: List[Dict[Tuple[str, str], float]]) -> Dict[Tuple[str, str], List[float]]:
+        """Per delayed link, its delay in each realization as resolve reads it."""
+        delayed = [(hop, link.delay) for hop, link in self.links.items() if link.delay is not None]
+        return {hop: [_delay_seconds(hop, spec, d) for d in realizations] for hop, spec in delayed}
+
+    def resolve_over(self, src: str, dst: str, payload_bits: int, columns: dict, trials: int) -> List[float]:
+        """resolve under each realization of delay_columns: (total + fixed) + delay per link, as resolve adds."""
+        total = [0.0] * trials
+        for hop, fixed, spec in self._legs(src, dst, payload_bits) if src != dst else ():
+            if spec is None:
+                total = [t + fixed for t in total]
+            else:
+                total = [t + fixed + d for t, d in zip(total, columns[hop])]
+        return total
+
+    def _legs(self, src: str, dst: str, payload_bits: int):
+        """(link pair, base + per-byte seconds, delay spec) along the cached route."""
+        key = (src, dst, self.payload_key(payload_bits))
         if key not in self._routes:
-            raise CommUnreachableError(f"no communication path from {src!r} to {dst!r}")
-        return self._routes[key]
+            self._dijkstra(src, key[2])
+            if key not in self._routes:
+                raise CommUnreachableError(f"no communication path from {src!r} to {dst!r}")
+        size = _payload_bytes(payload_bits)
+        for hop in self._routes[key]:
+            link = self.links[hop]
+            yield hop, link.base_seconds + link.per_byte_seconds * size, link.delay
 
     def _dijkstra(self, src: str, payload_bits: int) -> None:
         import heapq
@@ -482,7 +501,8 @@ def _object(value, owner: tuple, name: str, kind: Optional[str] = None) -> dict:
     if not isinstance(value, dict):
         _fail(owner, name, f"expected an object, got {_shown(value)}")
     if kind is not None and not _KNOWN[kind].issuperset(value):
-        _fail(owner, kind, f"unknown key(s) {_shown(sorted(set(value) - _KNOWN[kind]))}")
+        unknown = sorted(set(value) - _KNOWN[kind], key=lambda k: (0, k) if isinstance(k, str) else (1, _shown(k)))
+        _fail(owner, kind, f"unknown key(s) {_shown(unknown)}")
     return value
 
 

@@ -71,9 +71,10 @@ are the source-to-sink paths and rounded addition is monotone.  total_flows
 and mean_flows add per-flow totals, which _flow_total times in the order of
 timing.flow_time (which times the reported per_flow); so does their search.
 CompiledInstance.priced_over holds each hop as a list over many delay
-realizations, and times_of runs time_of's pass once over all of them, every
-sum a list added entry by entry in time_of's order; it skips a hop within
-one node, which adds 0.0 to a sum that is never -0.0.
+realizations, priced in one pass over one delay column per link
+(CommModel.resolve_over), and times_of runs time_of's pass once over all of
+them, every sum a list added entry by entry in time_of's order; it skips a
+hop within one node, which adds 0.0 to a sum that is never -0.0.
 
 A solve is three steps: a context (build_context, or _context over an
 instance already compiled), the search (_search) and _finish, which adds the
@@ -245,11 +246,12 @@ class CompiledInstance:
         include_return_hop: bool = True,
     ) -> CompiledInstance:
         """The same tables with each hop a list: its seconds under each delay
-        realization, in order, for times_of.  Every placement priced on the
-        result shares these lists."""
-        comm = self.instance.comm
+        realization, in order, for times_of, priced over one column per
+        delayed link.  Every placement priced on the result shares these lists."""
+        comm, trials = self.instance.comm, len(realizations)
+        columns = comm.delay_columns(realizations)
         return self._with_hops(
-            lambda src, dst, bits: [comm.resolve(src, dst, bits, d) for d in realizations], include_return_hop
+            lambda src, dst, bits: comm.resolve_over(src, dst, bits, columns, trials), include_return_hop
         )
 
     def _with_hops(self, hop, include_return_hop: bool) -> CompiledInstance:
@@ -536,7 +538,7 @@ def _completion(
     otherwise.  In floats C adds a path's terms from its end and time_of
     from its start, so the two can differ by rounding (see _Search.__init__).
     """
-    paths_out = c.paths_out
+    paths_out, key = c.paths_out, c.instance.comm.payload_key
     succs: Dict[str, List[str]] = {aid: [] for aid in c.order}
     for v in c.order:
         for u in c.preds[v]:
@@ -544,27 +546,32 @@ def _completion(
     exec_s, edge = c.exec_s, c.edge_id
     completion: Dict[str, Dict[str, float]] = {}
     edge_bound: Dict[str, Dict[str, Dict[str, float]]] = {} if longest else {aid: {} for aid in c.order}
+    # E(v, ., s) over allowed[v], per (s, v's payload key, allowed[v]): all it reads of v
+    tables: Dict[tuple, Dict[str, float]] = {}
     for v in reversed(c.order):
-        rows = c.out_rows[v]
+        rows, ys = c.out_rows[v], allowed[v]
         if c.is_sink[v]:
-            completion[v] = {y: rows[y][edge] if c.include_return_hop else 0.0 for y in allowed[v]}
+            completion[v] = {y: rows[y][edge] if c.include_return_hop else 0.0 for y in ys}
             continue
-        best = dict.fromkeys(allowed[v], -math.inf if longest else 0.0)
+        best = dict.fromkeys(ys, -math.inf if longest else 0.0)
+        payload = key(c.output_bits[v])
         for s in succs[v]:
-            later = tuple(completion[s].values())  # keyed by allowed[s], in its order
-            execs = [(z, exec_s[(s, z)]) for z in allowed[s]]
-            if longest:
-                for y in best:
+            table = tables.get((s, payload, ys))
+            if table is None:
+                later = tuple(completion[s].values())  # keyed by allowed[s], in its order
+                execs = [(z, exec_s[(s, z)]) for z in allowed[s]]
+                w = 1 if longest else paths_out[s]  # 1 * x is x
+                table = tables[(s, payload, ys)] = {}
+                for y in ys:
                     row = rows[y]
-                    t = min(map(add, [row[z] + e for z, e in execs], later))
+                    table[y] = min(map(add, [w * (row[z] + e) for z, e in execs], later))
+            if longest:
+                for y, t in table.items():
                     if t > best[y]:
                         best[y] = t
             else:
-                w = paths_out[s]
-                share = edge_bound[s][v] = {}
-                for y in best:
-                    row = rows[y]
-                    share[y] = t = min(map(add, [w * (row[z] + e) for z, e in execs], later))
+                edge_bound[s][v] = table
+                for y, t in table.items():
                     best[y] += t
         completion[v] = best
     start_bound = {}

@@ -1,8 +1,8 @@
 """Stochastic-delay simulation, random instances, and scaling benchmarks.
 
 The Monte-Carlo comparison compiles its instance once, for both searches and
-every trial.  With fixed placements it resolves each hop once per trial and
-times each placement over all trials in one pass (see
+every trial.  With fixed placements it prices each hop once over all trials
+and times each distinct placement over all trials in one pass (see
 optimizer.CompiledInstance.times_of); under max_flow that pass is one
 longest path over the dependency graph.  Its statistics come from each
 trial's time and robot memory as plain floats, equal to what CostPoints
@@ -51,9 +51,12 @@ from .optimizer import (
 from .timing import Placement
 
 
+def _trial_seed(seed: int, trial: int) -> int:
+    return seed * 1_000_003 + trial  # independent per-trial streams, stable across runs
+
+
 def trial_rng(seed: int, trial: int) -> random.Random:
-    # Independent per-trial streams keyed on (seed, trial), stable across runs.
-    return random.Random(seed * 1_000_003 + trial)
+    return random.Random(_trial_seed(seed, trial))
 
 
 @dataclass
@@ -167,30 +170,29 @@ def monte_carlo_compare(
 
     The instance is compiled once: both searches (ours, and the end-time
     baseline's without the return hop) run on contexts built from it and
-    keep only their placements.  Every trial's delays are drawn first, each
-    from its own trial_rng.  With fixed placements each placement's robot
-    memory is computed once (delays never change it), each hop either
-    placement uses is resolved once per realization into a list that both
-    share (priced_over), and each placement is timed over all trials in one
-    pass (times_of), whose entry per trial equals a pass over that trial
-    alone.  With resolve_per_trial each trial searches and prices on the
-    compiled instance priced under its delays.  The statistics are computed
-    from each trial's time and robot memory as floats, exactly in integers
-    (_method_stats), equal bit for bit to the statistics module's over
-    make_cost's CostPoints from Python 3.11 on.  Trials run serially: threads is accepted for
-    compatibility and changes nothing.
+    keep only their placements.  Every trial's delays are drawn first, by
+    one generator reseeded as trial_rng(seed, trial).  With fixed placements
+    each placement's robot memory is computed once (delays never change it),
+    each hop either placement uses is priced once over per-link delay
+    columns into a list that both share (priced_over), and each distinct
+    placement is timed over all trials in one pass (times_of), whose entry
+    per trial equals a pass over that trial alone.  With resolve_per_trial
+    each trial searches and prices each distinct placement on the compiled
+    instance priced under its delays.  Equal costs are summarized once, into
+    two MethodStats, exactly in integers (_method_stats), equal bit for bit to
+    the statistics module's over make_cost's CostPoints from Python 3.11 on.
+    Trials run serially: threads is accepted for compatibility and changes nothing.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     objective = Objective("min_distance")
     aggregate = _aggregate_for(instance, objective)
-    delayed_links = sorted(
-        pair for pair, link in instance.comm.links.items() if link.delay is not None
-    )
+    delayed = [(pair, link.delay) for pair, link in sorted(instance.comm.links.items()) if link.delay is not None]
+    rng = random.Random(0)  # reseeded per trial; any seed spares Random() its read of OS entropy
     realizations = []
     for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        realizations.append({pair: instance.comm.links[pair].delay.sample(rng) for pair in delayed_links})
+        rng.seed(_trial_seed(seed, trial))  # seed also clears gauss_next: trial_rng(seed, trial)'s stream
+        realizations.append({pair: delay.sample(rng) for pair, delay in delayed})
 
     allowed = _checked_allowed(instance)
     compiled = compile_instance(instance)
@@ -203,29 +205,35 @@ def monte_carlo_compare(
             _search(_context(replace(priced, include_return_hop=False), _END_TIME, allowed))[0],
         )
 
+    def once(pair: tuple, cost) -> tuple:
+        """cost of each of the pair, computed once if they are equal."""
+        first = cost(pair[0])
+        return first, first if pair[1] == pair[0] else cost(pair[1])
+
     ours, base = optima(compiled.priced())
     # per method, its robot memory bits and its time in each trial
     if resolve_per_trial:
-        columns = ([], []), ([], [])
+        costs = []  # per trial, per method, (memory bits, time)
         for delays in realizations:
             priced = compiled.priced(delays)
-            for (mems, times), p in zip(columns, optima(priced)):
-                mems.append(robot_memory_bits(instance, p))
-                times.append(priced.time_of(p, aggregate))
+            costs.append(
+                once(optima(priced), lambda p: (robot_memory_bits(instance, p), priced.time_of(p, aggregate)))
+            )
+        columns = [tuple(zip(*method)) for method in zip(*costs)]
     else:
         over = compiled.priced_over(realizations)
-        columns = [
-            ([robot_memory_bits(instance, p)] * trials, over.times_of(p, aggregate, trials)) for p in (ours, base)
-        ]
+        columns = once(
+            (ours, base), lambda p: ([robot_memory_bits(instance, p)] * trials, over.times_of(p, aggregate, trials))
+        )
 
-    ours_stats, ours_distances = _method_stats(instance, objective, *columns[0])
-    base_stats, base_distances = _method_stats(instance, objective, *columns[1])
+    summaries = once(columns, lambda column: _method_stats(instance, objective, *column))
+    (ours_stats, ours_distances), (base_stats, base_distances) = summaries
     wins = sum(1 for o, b in zip(ours_distances, base_distances) if o <= b)
     return ComparisonStats(
         trials=trials,
         seed=seed,
         ours=ours_stats,
-        baseline=base_stats,
+        baseline=replace(base_stats),  # its own object, also when the summary is shared
         win_rate=wins / trials,
         ours_placement=ours,
         baseline_placement=base,

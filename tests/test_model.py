@@ -502,6 +502,26 @@ def test_an_int_too_long_to_print_is_a_format_error(case, message):
     assert str(raised.value) == message
 
 
+def test_unknown_keys_of_mixed_types_are_a_format_error():
+    """From Python, an object's unknown keys may not sort together (1 and
+    "zz"); the error is still one ProblemFormatError, listing the strings
+    and then the others by repr.  String keys keep their plain sorted list."""
+    doc = fixtures.dataset_pipeline(2.0)
+    doc.update({1: 0, "zz": 0})
+    with pytest.raises(ProblemFormatError) as raised:
+        instance_from_dict(doc)
+    assert str(raised.value) == "instance: unknown key(s) ['zz', 1]"
+    doc = fixtures.dataset_pipeline(2.0)
+    doc["algorithms"][0].update({("t",): 0, 2.5: 0, "b": 0, "a": 0})
+    with pytest.raises(ProblemFormatError) as raised:
+        instance_from_dict(doc)
+    assert str(raised.value) == "algorithm: unknown key(s) ['a', 'b', ('t',), 2.5]"
+    del doc["algorithms"][0][("t",)], doc["algorithms"][0][2.5]
+    with pytest.raises(ProblemFormatError) as raised:
+        instance_from_dict(doc)
+    assert str(raised.value) == "algorithm: unknown key(s) ['a', 'b']"
+
+
 # ---------------------------------------------------------------------------
 # Round trips
 

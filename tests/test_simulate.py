@@ -7,6 +7,7 @@ import random
 import statistics
 import struct
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 
 from allocflow.baseline import baseline_overall, solve_baseline
 from allocflow.lattice import all_flows, layer
-from allocflow.model import TIME_AGGREGATES, DelaySpec, Tier, effective_allowed, serialize_problem, validate
+from allocflow.model import (
+    TIME_AGGREGATES,
+    CommLink,
+    CommModel,
+    DelaySpec,
+    Tier,
+    effective_allowed,
+    serialize_problem,
+    validate,
+)
 from allocflow.optimizer import Objective, compile_instance, evaluate, solve_branch_bound
 from allocflow.simulate import (
     GenParams,
@@ -355,6 +365,92 @@ def test_batched_trials_equal_one_pass_per_realization(seed, n, aggregate, inclu
             over = compiled.priced_over(realizations, return_hop)
             want = [compiled.priced(d, return_hop).time_of(placement, aggregate) for d in realizations]
             assert repr(over.times_of(placement, aggregate, trials)) == repr(want)
+
+
+def test_column_pricing_equals_resolve_per_realization():
+    """priced_over prices each hop's route once over per-link delay columns;
+    every hop list equals resolve under each realization, by repr.  The
+    routes run over two links (cloud to cloud through the edge, with no fog)
+    and up to three (a chain), some links charge per byte, so payloads key
+    apart, and realizations may lack a delayed link, which keeps its mean."""
+    rng = random.Random(5)
+    chain = CommModel(links={
+        (u, v): CommLink(rng.uniform(0.5, 2.0), delay=DelaySpec(0.3, 0.4) if rng.random() < 0.7 else None,
+                         per_byte_seconds=rng.choice((0.0, 1e-6)))
+        for a, b in (("a", "b"), ("b", "c"), ("c", "d"))
+        for u, v in ((a, b), (b, a))
+    })
+    inst = random_instance(9, GenParams(fog_nodes=0, cloud_nodes=2, delay_prob=0.8), seed=4)
+    pair = ("c1", "e")
+    inst.comm.links[pair] = replace(inst.comm.links[pair], per_byte_seconds=1e-7)
+    for comm in (chain, inst.comm):
+        delayed = sorted(hop for hop, link in comm.links.items() if link.delay is not None)
+        assert comm.payload_key(8) == 8 and len(delayed) >= 2
+        realizations = [{hop: rng.uniform(0.0, 2.0) for hop in part} for part in (delayed, delayed[::2], [], delayed)]
+        columns = comm.delay_columns(realizations)
+        nodes = sorted({u for hop in comm.links for u in hop})
+        for src in nodes:
+            for dst in nodes:
+                for bits in (0, 8, 12_345):
+                    want = [comm.resolve(src, dst, bits, d) for d in realizations]
+                    assert repr(comm.resolve_over(src, dst, bits, columns, 4)) == repr(want)
+        assert max(len(list(comm._legs(u, v, 0))) for u in nodes for v in nodes) >= 2
+    over = compile_instance(inst).priced_over(realizations)
+    for aid, rows in over.out_rows.items():
+        for src in sorted(inst.nodes):
+            for dst in sorted(inst.nodes):
+                bits = over.output_bits[aid]
+                want = [inst.comm.resolve(src, dst, bits, d) for d in realizations]
+                assert repr(rows[src][dst]) == repr(want)
+                if src == over.edge_id:
+                    want = [inst.comm.resolve(src, dst, over.input_bits[aid], d) for d in realizations]
+                    assert repr(over.in_rows[aid][dst]) == repr(want)
+
+
+def test_each_trial_draws_its_own_stream(monkeypatch):
+    """The trials reseed one generator, which must draw trial_rng(seed, t)'s
+    stream in trial t.  Three delayed links take three gauss draws, an odd
+    number, so each trial leaves the second value of a pair in gauss_next;
+    a reseed that kept it would shift every later trial's draws."""
+    from allocflow import optimizer
+
+    seen = []
+    priced_over = optimizer.CompiledInstance.priced_over
+    monkeypatch.setattr(
+        optimizer.CompiledInstance, "priced_over", lambda self, rs, *args: seen.append(rs) or priced_over(self, rs, *args)
+    )
+    inst = random_instance(6, GenParams(delay_prob=0.8), seed=8)
+    delayed = sorted(pair for pair, link in inst.comm.links.items() if link.delay is not None)
+    assert len(delayed) == 3
+    monte_carlo_compare(inst, trials=4, seed=7)
+    want = []
+    for trial in range(4):
+        rng = trial_rng(7, trial)
+        want.append({pair: inst.comm.links[pair].delay.sample(rng) for pair in delayed})
+    assert repr(seen) == repr([want])
+
+
+@pytest.mark.parametrize("resolve_per_trial", [False, True])
+@pytest.mark.parametrize("seed, same", [(1, True), (8, False)], ids=["one placement", "two placements"])
+def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkeypatch):
+    """When ours equals the baseline's placement (seed 1), the comparison
+    times it once and summarizes it once; the report still equals the
+    per-trial reference, and each method keeps its own MethodStats."""
+    from allocflow import optimizer, simulate
+
+    calls = {"times_of": 0, "_method_stats": 0}
+    for owner, name in ((optimizer.CompiledInstance, "times_of"), (simulate, "_method_stats")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    inst = random_instance(6, GenParams(delay_prob=0.8), seed=seed)
+    stats = monte_carlo_compare(inst, trials=12, seed=3, resolve_per_trial=resolve_per_trial)
+    assert (stats.ours_placement == stats.baseline_placement) is same
+    assert stats.to_dict() == reference_comparison(inst, 12, 3, resolve_per_trial)
+    assert stats.baseline is not stats.ours
+    assert calls == {"times_of": 0 if resolve_per_trial else 2 - same, "_method_stats": 2 - same}
 
 
 def test_monte_carlo_answers_are_pinned():
