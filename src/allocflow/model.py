@@ -7,12 +7,14 @@ All data sizes are bits (ints), all times are seconds (floats).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 
 class Tier(str, Enum):
@@ -113,40 +115,46 @@ def _delay_seconds(hop: Tuple[str, str], spec: DelaySpec, delays: Optional[Dict[
     return spec.mean() if delay is None else delay
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommModel:
     """Directed link set; missing pairs are composed by cheapest declared path.
 
     Routes are chosen by expected total time and cached; same-node cost is 0.
-    The links are read once, at the first route: its adjacency lists and
-    whether any link charges per byte are kept with the routes.
+    The links are fixed once the model is built: links is a read-only copy,
+    no field can be reassigned, and every fact read from the links is derived
+    here, at construction: each node's link targets, whether any link charges
+    per byte, and delayed, the delayed links sorted by pair.
     """
 
-    links: Dict[Tuple[str, str], CommLink] = field(default_factory=dict)
-    _routes: Dict[Tuple[str, str, int], Tuple[Tuple[str, str], ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    # node -> its link targets, sorted; built with _per_byte on first use
-    _out: Optional[Dict[str, List[str]]] = field(default=None, compare=False, repr=False)
-    _per_byte: bool = field(default=False, compare=False, repr=False)
+    links: Mapping[Tuple[str, str], CommLink] = field(default_factory=dict)
+    # (src, dst, payload key) -> the route's link pairs, filled as routes are asked for
+    _routes: Dict[tuple, tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # node -> its link targets, sorted
+    _out: Dict[str, List[str]] = field(init=False, compare=False, repr=False)
+    _per_byte: bool = field(init=False, compare=False, repr=False)
+    delayed: Tuple[Tuple[Tuple[str, str], DelaySpec], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        links = MappingProxyType(dict(self.links))
+        out: Dict[str, List[str]] = {}
+        for (u, v) in sorted(links):
+            out.setdefault(u, []).append(v)
+        delayed = tuple((hop, link.delay) for hop, link in sorted(links.items()) if link.delay is not None)
+        # a frozen dataclass's fields are set through object.__setattr__, once, here
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_per_byte", any(link.per_byte_seconds for link in links.values()))
+        object.__setattr__(self, "delayed", delayed)
+
+    def __reduce__(self):  # pickle and deepcopy rebuild the model from a plain copy of its links
+        return CommModel, (dict(self.links),)
 
     def payload_key(self, payload_bits: int) -> int:
         """The payload a hop's route and seconds depend on: payload_bits if
         some link charges per byte, else 0.  Without such a link every
         payload prices base + 0.0 * bytes, so its routes and seconds are the
         same floats as payload 0's."""
-        if self._out is None:
-            self._index()
         return payload_bits if self._per_byte else 0
-
-    def _index(self) -> None:
-        out: Dict[str, List[str]] = {}
-        for (u, v) in self.links:
-            out.setdefault(u, []).append(v)
-        for vs in out.values():
-            vs.sort()
-        self._out = out
-        self._per_byte = any(link.per_byte_seconds for link in self.links.values())
 
     def resolve(
         self,
@@ -171,8 +179,7 @@ class CommModel:
 
     def delay_columns(self, realizations: List[Dict[Tuple[str, str], float]]) -> Dict[Tuple[str, str], List[float]]:
         """Per delayed link, its delay in each realization as resolve reads it."""
-        delayed = [(hop, link.delay) for hop, link in self.links.items() if link.delay is not None]
-        return {hop: [_delay_seconds(hop, spec, d) for d in realizations] for hop, spec in delayed}
+        return {hop: [_delay_seconds(hop, spec, d) for d in realizations] for hop, spec in self.delayed}
 
     def resolve_over(self, src: str, dst: str, payload_bits: int, columns: dict, trials: int) -> List[float]:
         """resolve under each realization of delay_columns: (total + fixed) + delay per link, as resolve adds."""
@@ -197,11 +204,8 @@ class CommModel:
             yield hop, link.base_seconds + link.per_byte_seconds * size, link.delay
 
     def _dijkstra(self, src: str, payload_bits: int) -> None:
-        import heapq
-
         # Path tuples in the heap give a deterministic lexicographic tie-break
         # between equal-cost routes.
-        out = self._out
         heap: List[Tuple[float, Tuple[str, ...]]] = [(0.0, (src,))]
         done = set()
         while heap:
@@ -212,7 +216,7 @@ class CommModel:
             done.add(node)
             hops = tuple(list(zip(path, path[1:])))  # see optimizer.SolveContext.lex_tuple
             self._routes[(src, node, payload_bits)] = hops
-            for nxt in out.get(node, ()):
+            for nxt in self._out.get(node, ()):
                 if nxt in done:
                     continue
                 step = self.links[(node, nxt)].expected_seconds(payload_bits)
@@ -442,25 +446,20 @@ def validate(instance: ProblemInstance) -> ValidationReport:
             )
 
     # Every ordered node pair must be resolvable: flow evaluation may route
-    # between any two locations.
-    reach: Dict[str, set] = {nid: {nid} for nid in nodes}
+    # between any two locations.  One walk from each node, over links between
+    # known nodes.
     for (u, v) in instance.comm.links:
         for missing in sorted({u, v} - nodes.keys()):
             flag("unknown-node", f"comm link ({u}, {v}) names unknown node {missing}", u, v)
-        if u in nodes and v in nodes:
-            reach[u].add(v)
-    changed = True
-    while changed:
-        changed = False
-        for nid in reach:
-            before = len(reach[nid])
-            for mid in tuple(reach[nid]):
-                reach[nid] |= reach[mid]
-            if len(reach[nid]) != before:
-                changed = True
     for u in sorted(nodes):
+        reached, stack = {u}, [u]
+        while stack:
+            for v in instance.comm._out.get(stack.pop(), ()):
+                if v in nodes and v not in reached:
+                    reached.add(v)
+                    stack.append(v)
         for v in sorted(nodes):
-            if v not in reach[u]:
+            if v not in reached:
                 flag("unreachable-pair", f"no communication path from {u} to {v}", u, v)
 
     return report
@@ -634,7 +633,7 @@ def _edges(value, owner, name, refs) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted(edges))
 
 
-def _links(value, owner, name, refs) -> Dict[Tuple[str, str], CommLink]:
+def _links(value, owner, name, refs) -> CommModel:
     """The comm links; the last times read, so the time sums are checked here."""
     links: Dict[Tuple[str, str], CommLink] = {}
     for entry in _array(value, owner, name, refs):
@@ -643,8 +642,9 @@ def _links(value, owner, name, refs) -> Dict[Tuple[str, str], CommLink]:
         _check_pair("comm link", u, v, refs["node"], "node", "same-node links are implicit", links)
         link = _read(entry, _TABLE["comm link"], ("comm link ({}, {})", u, v), "", refs)
         links[(u, v)] = CommLink(link["base_seconds"], link["delay"], link["per_byte_seconds"])
-    _check_time_sums(len(refs["node"]), refs["algorithm"], refs["region"], links)
-    return links
+    comm = CommModel(links)
+    _check_time_sums(len(refs["node"]), refs["algorithm"], refs["region"], comm)
+    return comm
 
 
 def _options(value, owner, name, refs) -> Options:
@@ -722,14 +722,14 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     refs: Dict[str, dict] = {"node": {}, "region": {}, "algorithm": {}}
     top = _read(_object(data, (), "instance", "instance"), _TABLE["instance"], (), "instance", refs)
     graph = DependencyGraph(top["algorithms"], top["edges"])
-    return ProblemInstance(top["nodes"], top["regions"], graph, CommModel(top["comm"]), top["options"])
+    return ProblemInstance(top["nodes"], top["regions"], graph, top["comm"], top["options"])
 
 
 def _check_time_sums(
     n_nodes: int,
     algorithms: Dict[str, AlgorithmSpec],
     regions: Dict[str, MemoryRegion],
-    links: Dict[Tuple[str, str], CommLink],
+    comm: CommModel,
 ) -> None:
     """Raise ProblemFormatError unless every flow's time is finite at mean
     delays.  A flow has at most n executions and n + 1 hops, and a hop is a
@@ -739,11 +739,11 @@ def _check_time_sums(
     rounded addition is monotone in each operand."""
     specs = algorithms.values()
     size = 0  # the largest payload in bytes, which only a per-byte link reads
-    if any(link.per_byte_seconds for link in links.values()):
+    if comm._per_byte:
         held = [region_set for s in specs for region_set in (s.memory.inputs, s.memory.outputs)]
         size = _payload_bytes(max((sum(regions[r].size_bits for r in rs) for rs in held), default=0))
-    term = max((link.base_seconds + link.per_byte_seconds * size for link in links.values()), default=0.0)
-    delay = max((link.delay.mean() for link in links.values() if link.delay is not None), default=0.0)
+    term = max((link.base_seconds + link.per_byte_seconds * size for link in comm.links.values()), default=0.0)
+    delay = max((spec.mean() for _, spec in comm.delayed), default=0.0)
     exec_max = max(
         (max(times.values(), default=0.0) for s in specs for times in (s.exec_time, s.node_overrides)),
         default=0.0,
@@ -791,8 +791,7 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         algorithms.append(entry)
 
     comm = []
-    for (u, v) in sorted(instance.comm.links):
-        link = instance.comm.links[(u, v)]
+    for (u, v), link in sorted(instance.comm.links.items()):
         entry = {"from": u, "to": v, "base_seconds": link.base_seconds}
         if link.delay is not None:
             entry["delay"] = {"mu": link.delay.mu, "sigma": link.delay.sigma}

@@ -187,12 +187,11 @@ def monte_carlo_compare(
         raise ValueError("trials must be >= 1")
     objective = Objective("min_distance")
     aggregate = _aggregate_for(instance, objective)
-    delayed = [(pair, link.delay) for pair, link in sorted(instance.comm.links.items()) if link.delay is not None]
     rng = random.Random(0)  # reseeded per trial; any seed spares Random() its read of OS entropy
     realizations = []
     for trial in range(trials):
         rng.seed(_trial_seed(seed, trial))  # seed also clears gauss_next: trial_rng(seed, trial)'s stream
-        realizations.append({pair: delay.sample(rng) for pair, delay in delayed})
+        realizations.append({pair: delay.sample(rng) for pair, delay in instance.comm.delayed})
 
     allowed = _checked_allowed(instance)
     compiled = compile_instance(instance)
@@ -433,14 +432,15 @@ def scaling_benchmark(
         # untimed warm-up so interpreter cold-start does not inflate the
         # first (smallest) sizes and bend the fit
         solve_branch_bound(instances[sizes[0]][0])
-        # three interleaved passes, keeping the per-instance minimum: system
-        # load only ever adds time, and a transient burst cannot span every
-        # pass of every size
-        for _ in range(3):
-            for n in sizes:
-                for rep, inst in enumerate(instances[n]):
+        # twenty passes keep each instance's fastest time, since load only
+        # adds time (with fewer, r^2 over sizes 4-20 dipped to 0.94); a
+        # pass takes the sizes in turn, one instance of each, so a slow
+        # stretch slows every size alike instead of bending the fit at one
+        for _ in range(20):
+            for rep in range(reps):
+                for n in sizes:
                     start = time.perf_counter()
-                    solve_branch_bound(inst)
+                    solve_branch_bound(instances[n][rep])
                     took = time.perf_counter() - start
                     if took < best[n][rep]:
                         best[n][rep] = took

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -14,8 +15,10 @@ from allocflow.model import (
     CommModel,
     CommUnreachableError,
     DelaySpec,
+    LocationNode,
     MemoryProfile,
     ProblemFormatError,
+    ProblemInstance,
     Tier,
     effective_allowed,
     instance_from_dict,
@@ -26,8 +29,8 @@ from allocflow.model import (
     unbounded_restrictions,
     validate,
 )
-from allocflow.optimizer import evaluate
-from allocflow.simulate import random_instance
+from allocflow.optimizer import evaluate, solve_branch_bound
+from allocflow.simulate import GenParams, random_instance
 
 
 def minimal() -> dict:
@@ -613,12 +616,56 @@ def _api_built():
 
 def test_comm_link_to_unknown_node_reported():
     inst = _api_built()
-    inst.comm.links[("e", "zz")] = inst.comm.links[("e", "f1")]
-    inst.comm.links[("yy", "e")] = inst.comm.links[("f1", "e")]
+    links = dict(inst.comm.links)
+    links[("e", "zz")] = links[("e", "f1")]
+    links[("yy", "e")] = links[("f1", "e")]
+    inst.comm = CommModel(links)
     assert validate(inst).violations == [
         Violation("unknown-node", "comm link (e, zz) names unknown node zz", ("e", "zz")),
         Violation("unknown-node", "comm link (yy, e) names unknown node yy", ("yy", "e")),
     ]
+
+
+def test_a_route_through_an_unknown_node_connects_nothing():
+    """Reachability walks only links between known nodes.  e's one link
+    leads to the unknown zz, and zz's link on to f1, so e reaches no other
+    node; f1 reaches e in two links, through c1.  The unreachable pairs
+    follow the unknown-node lines, sorted by source, then destination."""
+    link = CommLink(1.0)
+    tiers = {"e": Tier.EDGE, "f1": Tier.FOG, "c1": Tier.CLOUD}
+    inst = ProblemInstance(
+        nodes={nid: LocationNode(nid, tier) for nid, tier in tiers.items()},
+        comm=CommModel({("e", "zz"): link, ("zz", "f1"): link, ("f1", "c1"): link, ("c1", "e"): link}),
+    )
+    assert validate(inst).violations == [
+        Violation("unknown-node", "comm link (e, zz) names unknown node zz", ("e", "zz")),
+        Violation("unknown-node", "comm link (zz, f1) names unknown node zz", ("zz", "f1")),
+        Violation("unreachable-pair", "no communication path from c1 to f1", ("c1", "f1")),
+        Violation("unreachable-pair", "no communication path from e to c1", ("e", "c1")),
+        Violation("unreachable-pair", "no communication path from e to f1", ("e", "f1")),
+    ]
+
+
+def test_comm_links_are_fixed_once_built():
+    """Routes are cached at a solve, so links changed afterwards would be
+    silently ignored: with e<->c1 links at 0.01 s added after one solve, the
+    next solve reported the stale 15.66 s where a fresh parse gives 10.44 s.
+    So neither an item assignment into links nor reassigning links is
+    accepted; a model built from the edited links routes afresh."""
+    inst = random_instance(6, GenParams(), seed=2)
+    assert solve_branch_bound(inst).cost.time_seconds == pytest.approx(15.66, abs=0.01)
+    fast = CommLink(0.01)
+    edited = {**inst.comm.links, ("e", "c1"): fast, ("c1", "e"): fast}
+    with pytest.raises(TypeError):
+        inst.comm.links[("e", "c1")] = fast
+    with pytest.raises(AttributeError):
+        inst.comm.links = edited
+    assert ("e", "c1") not in inst.comm.links
+    inst.comm = CommModel(edited)
+    assert copy.deepcopy(inst) == pickle.loads(pickle.dumps(inst)) == inst
+    cost = solve_branch_bound(inst).cost
+    assert cost == solve_branch_bound(parse_problem(serialize_problem(inst))).cost
+    assert cost.time_seconds == pytest.approx(10.44, abs=0.01)
 
 
 def test_allowed_location_naming_unknown_node_reported():

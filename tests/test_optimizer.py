@@ -19,6 +19,7 @@ from allocflow.memory import _location_bits, robot_memory_bits, step_partition
 from allocflow.model import (
     TIME_AGGREGATES,
     CapExceededError,
+    CommModel,
     InfeasibleError,
     effective_allowed,
     instance_from_dict,
@@ -199,8 +200,10 @@ def test_max_flow_pass_equals_the_walk_per_flow(
     rng = random.Random(seed)
     # a per-byte cost makes hops depend on payload and puts them on the scale
     # of exec times, so a vertex's return hop can outweigh every flow's rest
-    for pair, link in sorted(inst.comm.links.items()):
-        inst.comm.links[pair] = replace(link, per_byte_seconds=rng.uniform(0.0, 0.1))
+    links = dict(inst.comm.links)
+    for pair, link in sorted(links.items()):
+        links[pair] = replace(link, per_byte_seconds=rng.uniform(0.0, 0.1))
+    inst.comm = CommModel(links)
     allowed = effective_allowed(inst)
     placement = {aid: rng.choice(allowed[aid]) for aid in sorted(inst.algorithms)}
     delays = None

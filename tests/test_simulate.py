@@ -382,7 +382,7 @@ def test_column_pricing_equals_resolve_per_realization():
     })
     inst = random_instance(9, GenParams(fog_nodes=0, cloud_nodes=2, delay_prob=0.8), seed=4)
     pair = ("c1", "e")
-    inst.comm.links[pair] = replace(inst.comm.links[pair], per_byte_seconds=1e-7)
+    inst.comm = CommModel({**inst.comm.links, pair: replace(inst.comm.links[pair], per_byte_seconds=1e-7)})
     for comm in (chain, inst.comm):
         delayed = sorted(hop for hop, link in comm.links.items() if link.delay is not None)
         assert comm.payload_key(8) == 8 and len(delayed) >= 2
