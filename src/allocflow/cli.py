@@ -28,6 +28,7 @@ from .model import (
     InfeasibleError,
     ProblemFormatError,
     ProblemInstance,
+    decode_json,
     parse_problem,
     validate,
 )
@@ -58,7 +59,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cannot_write(path: str, exc: OSError) -> ProblemFormatError:
-    """The one-line error for a failed write, as _load reports a failed read."""
+    """The one-line error for a failed write, as _read reports a failed read."""
     return ProblemFormatError(f"cannot write {exc.filename or path}: {exc.strerror}")
 
 
@@ -91,13 +92,19 @@ def _emit_csv(rows, out: Optional[str]) -> None:
     _emit(text.getvalue(), out)
 
 
-def _load(path: str) -> ProblemInstance:
+def _read(path: str) -> str:
+    """The text of the file at path, read as UTF-8, the encoding of JSON."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc.strerror}") from exc
-    return parse_problem(text)
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+def _load(path: str) -> ProblemInstance:
+    return parse_problem(_read(path))
 
 
 def _load_placement(instance: ProblemInstance, path: Optional[str]) -> Dict[str, str]:
@@ -105,13 +112,14 @@ def _load_placement(instance: ProblemInstance, path: Optional[str]) -> Dict[str,
     if path is None:
         edge = instance.edge_node_id()
         return {aid: edge for aid in instance.algorithms}
+    text = _read(path)
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"{path}: syntax error at line {exc.lineno} column {exc.colno}")
+        raw = decode_json(text)
+    except ProblemFormatError as exc:
+        syntax = exc.__cause__
+        if isinstance(syntax, json.JSONDecodeError):  # this file's syntax errors give no detail
+            raise ProblemFormatError(f"{path}: syntax error at line {syntax.lineno} column {syntax.colno}") from syntax
+        raise ProblemFormatError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
     ):

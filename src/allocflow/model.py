@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 
 class Tier(str, Enum):
@@ -347,11 +347,9 @@ class ValidationReport:
         return [f"{v.kind}: {v.message}" for v in self.violations]
 
 
-def _strongly_connected(edges: Iterable[Tuple[str, str]], vertices: Iterable[str]) -> List[List[str]]:
-    """Tarjan SCCs (iterative), returned as sorted member lists."""
-    adj: Dict[str, List[str]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
+def _strongly_connected(adj: Dict[str, List[str]]) -> List[List[str]]:
+    """Tarjan SCCs (iterative) of the graph of successor lists adj, returned
+    as sorted member lists."""
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     on_stack = set()
@@ -414,20 +412,22 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     if len(edge_nodes) > 1:
         flag("single-robot", f"single-robot violation: {len(edge_nodes)} edge nodes {edge_nodes}", *edge_nodes)
 
+    succs: Dict[str, List[str]] = {aid: [] for aid in algs}
     for u, v in instance.graph.edges:
+        if u in algs and v in algs:
+            succs[u].append(v)
+            continue
         for missing in sorted({u, v} - algs.keys()):
             flag("unknown-algorithm", f"dependency edge ({u}, {v}) names unknown algorithm {missing}", u, v)
-    edges = [(u, v) for u, v in instance.graph.edges if u in algs and v in algs]
-    for scc in _strongly_connected(edges, algs):
+    for scc in _strongly_connected(succs):
         if len(scc) > 1:
             flag("cycle", f"dependency cycle through {', '.join(scc)}", *scc)
 
     allowed = effective_allowed(instance)
+    node_ids = sorted(nodes)
     for aid in sorted(algs):
         spec = algs[aid]
-        declared = (
-            sorted(spec.allowed_locations) if spec.allowed_locations is not None else sorted(nodes)
-        )
+        declared = sorted(spec.allowed_locations) if spec.allowed_locations is not None else node_ids
         for nid in declared:
             if nid not in nodes:
                 flag("unknown-node", f"algorithm {aid} allows unknown node {nid}", aid, nid)
@@ -449,16 +449,16 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     # between any two locations.  One walk from each node, over links between
     # known nodes.
     for (u, v) in instance.comm.links:
-        for missing in sorted({u, v} - nodes.keys()):
+        for missing in sorted({u, v} - nodes.keys()) if u not in nodes or v not in nodes else ():
             flag("unknown-node", f"comm link ({u}, {v}) names unknown node {missing}", u, v)
-    for u in sorted(nodes):
+    for u in node_ids:
         reached, stack = {u}, [u]
         while stack:
             for v in instance.comm._out.get(stack.pop(), ()):
                 if v in nodes and v not in reached:
                     reached.add(v)
                     stack.append(v)
-        for v in sorted(nodes):
+        for v in node_ids if len(reached) < len(nodes) else ():
             if v not in reached:
                 flag("unreachable-pair", f"no communication path from {u} to {v}", u, v)
 
@@ -468,13 +468,21 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Parsing / serialization
 #
-# instance_from_dict reads a document by _TABLE: per object kind, its keys in
-# reading order, each with its field kind (a check that returns the value
-# converted), its default and the name its errors give it; _HEAD holds the
-# rows read first (an id, which the other rows' errors name, or values checked
-# together); other keys are unknown.  A check takes (value, owner, name, refs):
-# owner is the value's entity as a format and its ids (or ()), formatted with
-# name only in an error; refs holds each kind's entities.
+# instance_from_dict reads a document in two steps.  First _read_regular
+# reads it in one pass per kind, with every check of _TABLE made inline and
+# no call per field.  It takes only a regular document: one the table
+# accepts, with every value of the type the table returns, save that a time
+# may be an int, converted as the table converts it.  At anything else it
+# raises, and _read_by_table reads the document again (every fuzzed document
+# the table accepts is regular, so only a rejected one is read twice),
+# by _TABLE: per object kind, its keys in reading order,
+# each with its field kind (a check that returns the value converted), its
+# default and the name its errors give it; _HEAD holds the rows read first
+# (an id, which the other rows' errors name, or values checked together);
+# other keys are unknown.  A check takes (value, owner, name, refs): owner is
+# the value's entity as a format and its ids (or ()), formatted with name
+# only in an error; refs holds each kind's entities.  Every error message is
+# written by the table reader, and only there.
 
 _REQUIRED = object()  # the default of a key the object must hold
 _ABSENT = object()  # the default of a key that reads as None when absent
@@ -483,10 +491,11 @@ _TIERS = {tier.value: tier for tier in Tier}  # a member hashes and compares as 
 
 
 def _shown(value) -> str:
-    """repr(value) for an error message, or a stand-in if it holds an int too long for repr."""
+    """repr(value) for an error message, or a stand-in if it holds an int too
+    long for repr or is nested too deeply for it."""
     try:
         return repr(value)
-    except ValueError:  # past Python's int-to-string conversion limit
+    except (ValueError, RecursionError):  # past Python's int-to-string limit, or its recursion limit
         return f"<{type(value).__name__} too large to print>"
 
 
@@ -705,24 +714,149 @@ _TABLE = {
 _KNOWN = {kind: frozenset(key for key, *_ in _HEAD.get(kind, ()) + fields) for kind, fields in _TABLE.items()}
 
 
-def parse_problem(text: str) -> ProblemInstance:
-    """Parse instance JSON; raises ProblemFormatError with a position on bad syntax."""
+def decode_json(text: str):
+    """json.loads(text); text that is not JSON raises ProblemFormatError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past int's digit limit
         raise ProblemFormatError(f"syntax error: {exc}") from exc
+    except RecursionError:  # arrays or objects nested past the decoder's depth
+        raise ProblemFormatError("syntax error: arrays and objects nested too deeply") from None
+
+
+def parse_problem(text: str) -> ProblemInstance:
+    """Parse instance JSON; raises ProblemFormatError with a position on bad syntax."""
+    data = decode_json(text)
     if not isinstance(data, dict):
         raise ProblemFormatError("top level must be a JSON object")
     return instance_from_dict(data)
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
+    try:
+        return _read_regular(data)
+    except Exception:  # not regular: the table reader answers, or writes the message
+        pass
+    return _read_by_table(data)
+
+
+def _read_by_table(data) -> ProblemInstance:
     refs: Dict[str, dict] = {"node": {}, "region": {}, "algorithm": {}}
     top = _read(_object(data, (), "instance", "instance"), _TABLE["instance"], (), "instance", refs)
     graph = DependencyGraph(top["algorithms"], top["edges"])
     return ProblemInstance(top["nodes"], top["regions"], graph, top["comm"], top["options"])
+
+
+class _Irregular(Exception):
+    """A value the table reader would convert, fill in or reject."""
+
+
+def _read_regular(data) -> ProblemInstance:
+    """_read_by_table's instance of a regular document, with the table's
+    checks made inline: every object a dict of known keys, every array a
+    list, every id a non-empty str (sys.intern rejects any other type),
+    every time a float or int >= 0, every count, rank and horizon an int.
+    Times are converted as read (x * 1.0 is float(x) for an int or float x)
+    and, with bit counts, checked together at the end.  Raises at the first
+    value that fails a check, or at the first failed lookup."""
+    intern, known = sys.intern, _KNOWN
+    seconds: list = []  # every time, weight and sigma, as the document holds it
+    counts: List[int] = []  # every bit count
+    if type(data) is not dict or not data.keys() <= known["instance"]:
+        raise _Irregular
+    kinds = [data.get(key, []) for key in ("nodes", "regions", "algorithms", "edges", "comm")]
+    options = data.get("options", {})
+    if set(map(type, kinds)) != {list} or type(options) is not dict or not options.keys() <= known["options"]:
+        raise _Irregular
+    nodes: Dict[str, LocationNode] = {}
+    for e in kinds[0]:
+        if type(e) is not dict or not e.keys() <= known["node"] or e["id"] in nodes:
+            raise _Irregular
+        nid = intern(e["id"])
+        nodes[nid] = LocationNode(nid, _TIERS[e["tier"]])
+    regions: Dict[str, MemoryRegion] = {}
+    for e in kinds[1]:
+        if type(e) is not dict or not e.keys() <= known["region"] or e["id"] in regions:
+            raise _Irregular
+        rid, bits = intern(e["id"]), e["size_bits"]
+        counts.append(bits)
+        regions[rid] = MemoryRegion(rid, bits)
+    algorithms: Dict[str, AlgorithmSpec] = {}
+    for e in kinds[2]:
+        if type(e) is not dict or not e.keys() <= known["algorithm"] or e["id"] in algorithms:
+            raise _Irregular
+        aid, times, memory = intern(e["id"]), e.get("exec_time", {}), e.get("memory", {})
+        overrides, growth = times.get("overrides", {}), memory.get("growth_per_step", {})
+        inputs, outputs, allowed = memory.get("inputs", []), memory.get("outputs", []), e.get("allowed_locations", [])
+        rank, label = e.get("space_rank", 0), e.get("space_label", "")
+        if (
+            type(times) is not dict or type(memory) is not dict or type(overrides) is not dict
+            or type(growth) is not dict or type(inputs) is not list or type(outputs) is not list
+            or type(allowed) is not list or type(rank) is not int or type(label) is not str
+            or not times.keys() <= known["exec_time"] or not memory.keys() <= known["memory"]
+            or not growth.keys() <= known["growth_per_step"] or not overrides.keys() <= nodes.keys()
+        ):
+            raise _Irregular
+        inputs, outputs = frozenset(map(intern, inputs)), frozenset(map(intern, outputs))
+        allowed = frozenset(map(intern, allowed)) if "allowed_locations" in e else None
+        if not regions.keys() >= inputs | outputs or allowed is not None and not nodes.keys() >= allowed:
+            raise _Irregular
+        exec_time = {tier: times[key] for key, tier in _TIERS.items() if key in times}
+        seconds += exec_time.values()
+        seconds += overrides.values()
+        exec_time = {tier: secs * 1.0 for tier, secs in exec_time.items()}
+        node_overrides = {intern(nid): secs * 1.0 for nid, secs in overrides.items()}
+        step = (growth.get("inputs", 0), growth.get("processing", 0), growth.get("outputs", 0))
+        bits = memory.get("processing_bits", 0)
+        counts += step
+        counts.append(bits)
+        profile = MemoryProfile(inputs, outputs, bits, step)
+        algorithms[aid] = AlgorithmSpec(aid, exec_time, node_overrides, profile, rank, label, allowed)
+    edges = set()
+    for pair in kinds[3]:
+        if type(pair) is not list:
+            raise _Irregular
+        u, v = pair
+        u, v = intern(u), intern(v)
+        if u == v or u not in algorithms or v not in algorithms or (u, v) in edges:
+            raise _Irregular
+        edges.add((u, v))
+    links: Dict[Tuple[str, str], CommLink] = {}
+    for e in kinds[4]:
+        if type(e) is not dict or not e.keys() <= known["comm link"]:
+            raise _Irregular
+        u, v, delay = intern(e["from"]), intern(e["to"]), e.get("delay")
+        if u == v or u not in nodes or v not in nodes or (u, v) in links:
+            raise _Irregular
+        if delay is not None:
+            if type(delay) is not dict or not delay.keys() <= known["delay"]:
+                raise _Irregular
+            mu, sigma = delay["mu"], delay["sigma"]
+            if type(mu) not in (float, int) or not -_MAX <= mu <= _MAX:
+                raise _Irregular
+            seconds.append(sigma)
+            delay = DelaySpec(mu * 1.0, sigma * 1.0)
+        base, per_byte = e["base_seconds"], e.get("per_byte_seconds", 0.0)
+        seconds += (base, per_byte)
+        links[(u, v)] = CommLink(base * 1.0, delay, per_byte * 1.0)
+    weights = (options.get("memory_weight", 1.0), options.get("time_weight", 1.0))
+    aggregate, horizon = options.get("time_aggregate", "max_flow"), options.get("boundedness_horizon", 16)
+    seconds += weights
+    if (
+        "" in nodes or "" in regions or "" in algorithms
+        # max compares an int exactly, where * 1.0 may round it down to _MAX; NaN fails the sum's test
+        or not set(map(type, seconds)) <= {float, int} or min(seconds) < 0 or max(seconds) > _MAX
+        or not sum(seconds) <= _MAX
+        or set(map(type, counts)) - {int} or min(counts, default=0) < 0 or max(counts, default=0) > 2**53
+        or not min(weights) > 0 or aggregate not in TIME_AGGREGATES or type(horizon) is not int or horizon < 1
+    ):
+        raise _Irregular
+    comm = CommModel(links)
+    _check_time_sums(len(nodes), algorithms, regions, comm)
+    graph = DependencyGraph(algorithms, tuple(sorted(edges)))
+    return ProblemInstance(nodes, regions, graph, comm, Options(aggregate, weights[0] * 1.0, weights[1] * 1.0, horizon))
 
 
 def _check_time_sums(
@@ -744,10 +878,7 @@ def _check_time_sums(
         size = _payload_bytes(max((sum(regions[r].size_bits for r in rs) for rs in held), default=0))
     term = max((link.base_seconds + link.per_byte_seconds * size for link in comm.links.values()), default=0.0)
     delay = max((spec.mean() for _, spec in comm.delayed), default=0.0)
-    exec_max = max(
-        (max(times.values(), default=0.0) for s in specs for times in (s.exec_time, s.node_overrides)),
-        default=0.0,
-    )
+    exec_max = max([t for s in specs for times in (s.exec_time, s.node_overrides) for t in times.values()], default=0.0)
     hop = 0.0
     for _ in range(n_nodes - 1):
         hop += term

@@ -67,6 +67,55 @@ def test_validate_an_overlong_integer_literal_is_one_error_line(tmp_path, capsys
     assert err.startswith("invalid: syntax error") and err.count("\n") == 1
 
 
+def test_validate_deeply_nested_json_is_one_error_line(tmp_path, capsys):
+    """json raises RecursionError past the depth its decoder can recurse
+    to, which ended the CLI with a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    rc, out, err = run(capsys, "validate", str(path))
+    assert (rc, out, err) == (1, "", "invalid: syntax error: arrays and objects nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, command):
+    """An instance file is read as UTF-8, not in the locale's encoding;
+    bytes that do not decode ended the CLI with a UnicodeDecodeError."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    rc, out, err = run(capsys, command, str(path))
+    head = "invalid" if command == "validate" else "error"
+    assert (rc, out) == (1, "")
+    assert err == f"{head}: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{nope", "syntax error at line 1 column 2"),
+        ('{"data": 1' + "0" * 5000 + "}", "syntax error: Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, "syntax error: arrays and objects nested too deeply"),
+        (b"\xff\xfe{}", "cannot read"),
+    ],
+    ids=["syntax", "long-integer", "deep", "not-utf8"],
+)
+def test_a_placement_file_that_is_not_json_is_one_error_line(tmp_path, capsys, text, problem):
+    """The placement loader caught only JSONDecodeError: an overlong integer
+    literal (ValueError) and deep nesting (RecursionError) ended the CLI
+    with a traceback, as did bytes that are not UTF-8."""
+    path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
+    placement = tmp_path / "placement.json"
+    placement.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rc, out, err = run(capsys, "time", path, "--placement", str(placement))
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1
+    if problem == "cannot read":
+        assert err.startswith(f"error: cannot read {placement}: not UTF-8")
+    else:
+        assert err.startswith(f"error: {placement}: {problem}")
+    if text == "{nope":  # the text this file's syntax errors have always had
+        assert err == f"error: {placement}: syntax error at line 1 column 2\n"
+
+
 def test_validate_writes_out_file(tmp_path, capsys):
     path = write_instance(tmp_path, fixtures.single_sort())
     target = tmp_path / "report.txt"

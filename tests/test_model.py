@@ -1,15 +1,19 @@
 """Parsing, validation, communication resolution, and delay specs."""
 
 import copy
+import dataclasses
 import json
 import math
 import pickle
+import sys
+from collections.abc import Mapping
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from allocflow import fixtures
+from allocflow import fixtures, model
 from allocflow.model import (
     CommLink,
     CommModel,
@@ -526,6 +530,141 @@ def test_unknown_keys_of_mixed_types_are_a_format_error():
 
 
 # ---------------------------------------------------------------------------
+# The regular reader
+
+
+def _typed(value):
+    """value as nested lists that carry each part's type, so that 1 and 1.0,
+    True and 1, or 0.0 and -0.0 no longer compare equal."""
+    if dataclasses.is_dataclass(value):
+        return [type(value)] + [_typed(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, Mapping):
+        return [type(value)] + [[_typed(k), _typed(v)] for k, v in value.items()]
+    if isinstance(value, (list, tuple, frozenset)):
+        return [type(value)] + [_typed(v) for v in (sorted(value) if isinstance(value, frozenset) else value)]
+    return [type(value), repr(value)]
+
+
+def _ids(instance):
+    """Every id an instance holds, in a fixed order."""
+    yield from instance.nodes
+    yield from instance.regions
+    for aid, spec in instance.algorithms.items():
+        yield from (aid, spec.id, *spec.node_overrides, *sorted(spec.allowed_locations or ()))
+        yield from (*sorted(spec.memory.inputs), *sorted(spec.memory.outputs))
+    for pairs in (instance.graph.edges, instance.comm.links):
+        yield from (end for pair in pairs for end in pair)
+
+
+def assert_regular_read_agrees(doc, regular=False):
+    """The regular reader raises (the table reader then answers) or returns
+    what the table reader returns: equal, with the same type at every
+    value, and the same interned object for every id.  Each reader gets its
+    own decoded copy of doc, so their ids are one object only if interned.
+    With regular, the regular reader must not raise."""
+    text = json.dumps(doc)
+    try:
+        table = model._read_by_table(json.loads(text))
+    except ProblemFormatError:
+        table = None
+    try:
+        fast = model._read_regular(json.loads(text))
+    except Exception:
+        assert not regular
+        return
+    assert table is not None, "the regular reader took a document the table rejects"
+    assert fast == table
+    assert _typed(fast) == _typed(table)
+    fast_ids, table_ids = list(_ids(fast)), list(_ids(table))
+    assert len(fast_ids) == len(table_ids) and all(a is b for a, b in zip(fast_ids, table_ids))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.bundled()))
+def test_bundled_fixtures_take_the_regular_reader(name):
+    assert_regular_read_agrees(fixtures.bundled()[name], regular=True)
+
+
+@pytest.mark.parametrize("n, seed, delay_prob", [(6, 1, 0.0), (12, 2, 0.8), (20, 3, 0.3)])
+def test_serialized_instances_take_the_regular_reader(n, seed, delay_prob):
+    doc = instance_to_dict(random_instance(n, GenParams(delay_prob=delay_prob, fog_nodes=2), seed=seed))
+    doc["algorithms"][0]["exec_time"]["overrides"] = {"f1": 0.5}
+    assert_regular_read_agrees(doc, regular=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_the_regular_reader_defers_or_agrees_with_the_table(mutated):
+    assert_regular_read_agrees(mutated[1])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        put(*A, "allowed_locations", None),  # absent reads as None; null is rejected
+        put(*A, "exec_time", "edge", True),
+        put(*A, "space_rank", False),
+        add("regions", {"id": "s", "size_bits": True}),
+        put(*L, "delay", {"mu": True, "sigma": 0.1}),
+        put("options", "boundedness_horizon", True),
+        put("options", "time_weight", True),
+        put(*B, "exec_time", "fog", Fraction(1, 2)),  # float() converts it; the table takes only int and float
+    ],
+)
+def test_the_regular_reader_leaves_rejection_to_the_table(case):
+    doc = _doc()
+    case(doc)
+    with pytest.raises(Exception):
+        model._read_regular(doc)
+    with pytest.raises(ProblemFormatError):
+        instance_from_dict(doc)
+
+
+def test_an_int_time_that_rounds_into_the_float_range_is_rejected():
+    """float() rounds int(max) + 1 down to the largest float, which one
+    execution on one node sums to without overflow; the table rejects the
+    int, so the regular reader must compare it before converting."""
+    doc = {"nodes": [{"id": "e", "tier": "edge"}], "algorithms": [{"id": "a", "exec_time": {"edge": 1.0}}]}
+    assert_regular_read_agrees(doc, regular=True)
+    doc["algorithms"][0]["exec_time"]["edge"] = int(sys.float_info.max) + 1
+    with pytest.raises(Exception):
+        model._read_regular(doc)
+    with pytest.raises(ProblemFormatError, match="algorithm a.exec_time.edge: expected a number"):
+        instance_from_dict(doc)
+
+
+def test_a_null_delay_and_int_times_read_as_the_table_reads_them():
+    """delay: null is a link without delay; an int time, weight or mu is
+    converted to a float.  The regular reader takes both, as hand-written
+    documents often hold "edge": 2 or "base_seconds": 1."""
+    doc = _doc()
+    doc["comm"][1]["delay"] = None
+    assert_regular_read_agrees(doc, regular=True)
+    assert instance_from_dict(doc).comm.links[("f", "e")].delay is None
+    doc["algorithms"][0]["exec_time"] = {"edge": 2, "overrides": {"f": 0}}
+    doc["comm"][0].update(base_seconds=1, per_byte_seconds=0, delay={"mu": -1, "sigma": 3})
+    doc["options"].update(memory_weight=3, time_weight=1)
+    assert_regular_read_agrees(doc, regular=True)
+    instance = instance_from_dict(doc)
+    assert type(instance.algorithms["a"].exec_time[Tier.EDGE]) is float
+    assert type(instance.options.memory_weight) is float
+
+
+def test_deeply_nested_json_is_a_format_error():
+    """json raises RecursionError, not JSONDecodeError, past the depth its
+    decoder can recurse to; so did repr on a value nested past the
+    recursion limit, when an error message showed it."""
+    with pytest.raises(ProblemFormatError) as raised:
+        parse_problem("[" * 100_000)
+    assert str(raised.value) == "syntax error: arrays and objects nested too deeply"
+    nested = []
+    for _ in range(2 * sys.getrecursionlimit()):
+        nested = [nested]
+    with pytest.raises(ProblemFormatError) as raised:
+        instance_from_dict({"nodes": [nested]})
+    assert str(raised.value) == "node: expected an object, got <list too large to print>"
+
+
+# ---------------------------------------------------------------------------
 # Round trips
 
 
@@ -560,6 +699,23 @@ def test_cycle_reported_with_members():
     assert "cycle" in kinds
     cycle = next(v for v in report.violations if v.kind == "cycle")
     assert set(cycle.members) == {"A", "B", "C"}
+
+
+def test_cycles_are_reported_in_search_order():
+    """Cycles are listed in the order a depth-first search from each
+    algorithm, in id order, closes them: y <-> z, reached from a, comes
+    before the disjoint b <-> c, though b sorts first; p -> q -> r -> p comes
+    last, and d, downstream of z, is in no cycle."""
+    data = minimal()
+    data["algorithms"] = [{"id": aid, "exec_time": {"edge": 1.0}} for aid in "abcdpqryz"]
+    data["edges"] = [list(e) for e in ("ay", "yz", "zy", "zd", "bc", "cb", "pq", "qr", "rp")]
+    report = validate(instance_from_dict(data))
+    assert report.lines() == [
+        "cycle: dependency cycle through y, z",
+        "cycle: dependency cycle through b, c",
+        "cycle: dependency cycle through p, q, r",
+    ]
+    assert [v.members for v in report.violations] == [("y", "z"), ("b", "c"), ("p", "q", "r")]
 
 
 def test_missing_edge_node_reported():
