@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
+import random
 import sys
 from collections.abc import Mapping
 from dataclasses import replace
@@ -554,6 +556,71 @@ def _ids(instance):
         yield from (*sorted(spec.memory.inputs), *sorted(spec.memory.outputs))
     for pairs in (instance.graph.edges, instance.comm.links):
         yield from (end for pair in pairs for end in pair)
+
+
+# What a mutation writes: each JSON kind, each bound a check tests, and the
+# values only a Python caller can pass (a tuple pair, a Fraction).
+_VALUES = [
+    None, True, False, 0, 1, -1, 7, 2**53, 2**53 + 1, 10**400, int(sys.float_info.max) + 1,
+    0.0, -0.0, 0.5, -1.0, 1e308, math.inf, math.nan, Fraction(1, 2),
+    "", "e", "f1", "c1", "a", "a01", "r", "ghost", "edge", "fog", "cloud", "max_flow", "mean_flows",
+    [], {}, ["e"], ["r"], [1], ["a01", "a02"], ("a01", "a02"), {"mu": 0.1, "sigma": 0.2}, {"zone": 1},
+]
+# the keys a mutation adds: one of each kind of object, and two of none
+_KEYS = ["id", "tier", "size_bits", "exec_time", "overrides", "inputs", "mu", "from", "delay", "time_weight", "zone", 1]
+
+
+def _reader_sources():
+    """The bundled fixtures, and serialized random instances with delays,
+    exec overrides and allowed locations, each decoded from its text."""
+    docs = [fixtures.bundled()[name] for name in sorted(fixtures.bundled())]
+    for n, seed, delay_prob in [(6, 1, 0.0), (12, 2, 0.8), (20, 3, 0.3)]:
+        doc = instance_to_dict(random_instance(n, GenParams(delay_prob=delay_prob, fog_nodes=2), seed=seed))
+        doc["algorithms"][0]["exec_time"]["overrides"] = {"f1": 0.5, "c1": 2}
+        doc["algorithms"][1]["allowed_locations"] = ["c1", "f2"]
+        docs.append(doc)
+    return [json.loads(json.dumps(doc)) for doc in docs]
+
+
+def _mutated(rng, doc):
+    """doc with one to three parts grown (a key or item added), deleted or
+    replaced, with a value of _VALUES or another part of doc."""
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_paths(doc))
+        path, donor = rng.choice(paths), rng.choice(paths)
+        value = copy.deepcopy(_at(doc, donor) if rng.random() < 0.3 else rng.choice(_VALUES))
+        target, op = _at(doc, path), rng.randrange(3)
+        if op == 0 and isinstance(target, dict):
+            target[rng.choice(_KEYS)] = value
+        elif op == 0 and isinstance(target, list):
+            target.append(value)
+        elif not path:
+            doc = value
+        elif op == 1:
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def test_reader_outcomes_are_pinned():
+    """instance_from_dict's outcome on a fixed corpus of mutated documents:
+    its full message, or the instance with each value's type.  Every id of
+    an accepted instance is the interned string."""
+    rng, outcomes = random.Random(23), []
+    for source in _reader_sources():
+        for _ in range(250):
+            try:
+                instance = instance_from_dict(_mutated(rng, copy.deepcopy(source)))
+            except ProblemFormatError as exc:
+                outcomes.append(f"E: {exc}")
+                continue
+            assert all(sys.intern(i) is i for i in _ids(instance))
+            outcomes.append(repr(_typed(instance)))
+    accepted = sum(not outcome.startswith("E: ") for outcome in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert (len(outcomes), accepted, len(set(outcomes))) == (3000, 301, 1949)
+    assert digest == "8877081f70ba14654d121bc4bbbfd7d66ebc9f5ad3af19cf14223bd463fc62a0"
 
 
 def assert_regular_read_agrees(doc, regular=False):
