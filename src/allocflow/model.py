@@ -468,26 +468,33 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Parsing / serialization
 #
-# instance_from_dict reads a document in two steps.  First _read_regular
-# reads it in one pass per kind, with every check of _TABLE made inline and
-# no call per field.  It takes only a regular document: one the table
-# accepts, with every value of the type the table returns, save that a time
-# may be an int, converted as the table converts it.  At anything else it
-# raises, and _read_by_table reads the document again (every fuzzed document
-# the table accepts is regular, so only a rejected one is read twice),
-# by _TABLE: per object kind, its keys in reading order,
-# each with its field kind (a check that returns the value converted), its
-# default and the name its errors give it; _HEAD holds the rows read first
-# (an id, which the other rows' errors name, or values checked together);
-# other keys are unknown.  A check takes (value, owner, name, refs): owner is
-# the value's entity as a format and its ids (or ()), formatted with name
-# only in an error; refs holds each kind's entities.  Every error message is
-# written by the table reader, and only there.
+# instance_from_dict reads a document in one pass, in a fixed order: its
+# nodes, regions, algorithms, edges and comm links (then the time sums, see
+# _check_time_sums), then its options; within an object, first its keys
+# (each must be one _KNOWN lists for its kind), then its id, then its fields.
+# Each value gets an inline test of the exact type and range a parsed
+# instance holds: a float time in [0, max], an int bit count in [0, 2**53],
+# a non-empty str id.  Any other value goes to its field check below, which
+# returns it converted (an int time as a float) or raises the message that
+# names it.  A field check takes (value, owner, name): owner names the
+# value's entity ("algorithm a") or is "", name the value's field.  A
+# reference to an entity (an override key, an id in a list, an endpoint)
+# reads as the id that entity holds, so every id is one interned string.
 
-_REQUIRED = object()  # the default of a key the object must hold
-_ABSENT = object()  # the default of a key that reads as None when absent
 _MAX = sys.float_info.max
 _TIERS = {tier.value: tier for tier in Tier}  # a member hashes and compares as its value
+_KNOWN = {  # the keys each kind of object may hold
+    "instance": frozenset({"nodes", "regions", "algorithms", "edges", "comm", "options"}),
+    "node": frozenset({"id", "tier"}),
+    "region": frozenset({"id", "size_bits"}),
+    "algorithm": frozenset({"id", "exec_time", "memory", "allowed_locations", "space_rank", "space_label"}),
+    "exec_time": frozenset({*_TIERS, "overrides"}),
+    "memory": frozenset({"inputs", "outputs", "growth_per_step", "processing_bits"}),
+    "growth_per_step": frozenset({"inputs", "processing", "outputs"}),
+    "comm link": frozenset({"from", "to", "delay", "base_seconds", "per_byte_seconds"}),
+    "delay": frozenset({"mu", "sigma"}),
+    "options": frozenset({"time_aggregate", "memory_weight", "time_weight", "boundedness_horizon"}),
+}
 
 
 def _shown(value) -> str:
@@ -499,13 +506,16 @@ def _shown(value) -> str:
         return f"<{type(value).__name__} too large to print>"
 
 
-def _fail(owner: tuple, name: str, problem: str):
-    head = owner[0].format(*owner[1:]) if owner else ""
-    raise ProblemFormatError(f"{f'{head}.{name}' if head and name else head or name}: {problem}")
+def _fail(owner: str, name: str, problem: str):
+    raise ProblemFormatError(f"{f'{owner}.{name}' if owner and name else owner or name}: {problem}")
 
 
-def _object(value, owner: tuple, name: str, kind: Optional[str] = None) -> dict:
-    """value as an object, holding only keys the table lists for kind."""
+def _need(owner: str, name: str, key: str):
+    _fail(owner, name, f"missing required key {key!r}")
+
+
+def _object(value, owner: str, name: str, kind: Optional[str] = None) -> dict:
+    """value as an object, holding only keys _KNOWN lists for kind."""
     if not isinstance(value, dict):
         _fail(owner, name, f"expected an object, got {_shown(value)}")
     if kind is not None and not _KNOWN[kind].issuperset(value):
@@ -514,49 +524,31 @@ def _object(value, owner: tuple, name: str, kind: Optional[str] = None) -> dict:
     return value
 
 
-def _read(obj: dict, fields: tuple, owner: tuple, title: str, refs: dict) -> dict:
-    """obj's values of fields (rows of a table) by key; title names obj if one is missing."""
-    values = {}
-    for key, check, default, name in fields:
-        value = obj.get(key, default)
-        if value is _REQUIRED:
-            _fail(owner, title, f"missing required key {key!r}")
-        values[key] = None if value is _ABSENT else check(value, owner, name, refs)
-    return values
+def _array(value, owner: str, name: str) -> list:
+    if not isinstance(value, list):
+        _fail(owner, name, f"expected an array, got {_shown(value)}")
+    return value
 
 
 def _int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _test(ok, problem: str):
-    """The field kind of a value that ok accepts as it is; problem formats the error."""
-    return lambda value, owner, name, refs: value if ok(value) else _fail(owner, name, problem.format(_shown(value)))
-
-
-_array = _test(lambda value: isinstance(value, list), "expected an array, got {}")
-_aggregate = _test(TIME_AGGREGATES.__contains__, "unknown aggregate {}")
-_horizon = _test(lambda value: _int(value) and value >= 1, "expected an integer >= 1")
-_rank = _test(_int, "space_rank must be an integer")
-_label = _test(lambda value: isinstance(value, str), "space_label must be a string")
-_tier = _test(lambda value: isinstance(value, str) and value in _TIERS, "unknown tier {}")
-
-
-def _number(value, owner, name, refs) -> float:
+def _number(value, owner: str, name: str) -> float:
     # the range test also rejects NaN, infinities and ints too large for a float
     if not (isinstance(value, float) or _int(value)) or not -_MAX <= value <= _MAX:
         _fail(owner, name, f"expected a number, got {_shown(value)}")
     return float(value)
 
 
-def _time(value, owner, name, refs) -> float:
-    value = _number(value, owner, name, refs)
+def _time(value, owner: str, name: str) -> float:
+    value = _number(value, owner, name)
     if value < 0:
         _fail(owner, name, f"negative time {value!r}")
     return value
 
 
-def _bits(value, owner, name, refs) -> int:
+def _bits(value, owner: str, name: str) -> int:
     if not _int(value):
         _fail(owner, name, f"expected an integer bit count, got {_shown(value)}")
     # memory is priced in floats, which hold every count up to 2**53 exactly
@@ -565,153 +557,37 @@ def _bits(value, owner, name, refs) -> int:
     return value
 
 
-def _id(value, owner, name, refs) -> str:
-    if not isinstance(value, str) or not value:
+def _id(value, owner: str, name: str) -> str:
+    if type(value) is not str or not value:  # a str subclass cannot be interned
         _fail(owner, name, f"expected a non-empty string id, got {_shown(value)}")
+    return value
+
+
+def _head(entry, kind: str, entities: dict) -> str:
+    """The interned id of entry, an object of kind's array, once its keys
+    are known and its id is new to entities."""
+    if type(entry) is not dict or not entry.keys() <= _KNOWN[kind]:
+        _object(entry, "", kind, kind)
+    eid = entry["id"] if "id" in entry else _need("", kind, "id")
     # one shared string per id across parsed instances, not a copy per document
-    return sys.intern(value)
+    eid = sys.intern(eid) if type(eid) is str and eid else _id(eid, "", f"{kind}.id")
+    if eid in entities:
+        raise ProblemFormatError(f"duplicate {kind} id {eid!r}")
+    return eid
 
 
-def _ids_of(kind: str):
-    """The field kind of an array of ids, each of a kind's entity read so far."""
-
-    def check(value, owner, name, refs) -> FrozenSet[str]:
-        ids = [_id(item, owner, name, refs) for item in _array(value, owner, name, refs)]
-        for item in ids:
-            if item not in refs[kind]:
-                _fail(owner, "", f"unknown {kind} {item!r} in {name}")
-        return frozenset(ids)
-
-    return check
-
-
-def _overrides(value, owner, name, refs) -> Dict[str, float]:
-    overrides = {}
-    for nid, secs in _object(value, owner, name).items():
-        if nid not in refs["node"]:
-            _fail(owner, "", f"exec override for unknown node {_shown(nid)}")
-        overrides[sys.intern(nid)] = _time(secs, owner, f"{name}.{nid}", refs)
-    return overrides
-
-
-def _object_of(kind: str, build):
-    """The field kind of an object of kind: build(its values)."""
-    return lambda v, owner, name, refs: build(_read(_object(v, owner, name, kind), _TABLE[kind], owner, kind, refs))
-
-
-def _delay(value, owner, name, refs) -> Optional[DelaySpec]:
-    delay = _object_of("delay", lambda v: DelaySpec(v["mu"], v["sigma"]))
-    return None if value is None else delay(value, owner, name, refs)
-
-
-def _entities(kind: str, build):
-    """The field kind of an array of kind's entities, kept in refs[kind]: objects
-    whose head is a new id, each build(id, its other values)."""
-
-    def check(value, owner, name, refs) -> dict:
-        entities, title = refs[kind], kind + " {}"
-        for entry in _array(value, owner, name, refs):
-            eid = _read(_object(entry, (), kind, kind), _HEAD[kind], (), kind, refs)["id"]
-            if eid in entities:
-                raise ProblemFormatError(f"duplicate {kind} id {eid!r}")
-            entities[eid] = build(eid, _read(entry, _TABLE[kind], (title, eid), "", refs))
-        return entities
-
-    return check
-
-
-def _check_pair(what: str, u: str, v: str, ends: dict, kind: str, same: str, pairs) -> None:
-    """u -> v joins two different ids of ends (kind's) and is not yet in pairs."""
-    for end in (u, v):
-        if end not in ends:
-            raise ProblemFormatError(f"{what} ({u!r}, {v!r}): unknown {kind} {end!r}")
-    if u == v:
-        raise ProblemFormatError(f"{what} ({u!r}, {v!r}): {same}")
-    if (u, v) in pairs:
-        raise ProblemFormatError(f"duplicate {what} ({u!r}, {v!r})")
-
-
-def _edges(value, owner, name, refs) -> Tuple[Tuple[str, str], ...]:
-    edges = set()
-    for entry in _array(value, owner, name, refs):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ProblemFormatError(f"edge {_shown(entry)}: expected a [from, to] pair")
-        u, v = _id(entry[0], (), "edge endpoint", refs), _id(entry[1], (), "edge endpoint", refs)
-        _check_pair("edge", u, v, refs["algorithm"], "algorithm", "self-loop", edges)
-        edges.add((u, v))
-    return tuple(sorted(edges))
-
-
-def _links(value, owner, name, refs) -> CommModel:
-    """The comm links; the last times read, so the time sums are checked here."""
-    links: Dict[Tuple[str, str], CommLink] = {}
-    for entry in _array(value, owner, name, refs):
-        ends = _read(_object(entry, (), "comm link", "comm link"), _HEAD["comm link"], (), "comm link", refs)
-        u, v = ends["from"], ends["to"]
-        _check_pair("comm link", u, v, refs["node"], "node", "same-node links are implicit", links)
-        link = _read(entry, _TABLE["comm link"], ("comm link ({}, {})", u, v), "", refs)
-        links[(u, v)] = CommLink(link["base_seconds"], link["delay"], link["per_byte_seconds"])
-    comm = CommModel(links)
-    _check_time_sums(len(refs["node"]), refs["algorithm"], refs["region"], comm)
-    return comm
-
-
-def _options(value, owner, name, refs) -> Options:
-    head = _read(_object(value, owner, name, "options"), _HEAD["options"], (), "options", refs)
-    if head["memory_weight"] <= 0 or head["time_weight"] <= 0:
-        raise ProblemFormatError("options: weights must be positive")
-    return Options(**head, **_read(value, _TABLE["options"], (), "options", refs))
-
-
-_HEAD = {
-    **{kind: (("id", _id, _REQUIRED, f"{kind}.id"),) for kind in ("node", "region", "algorithm")},
-    "comm link": (("from", _id, _REQUIRED, "comm.from"), ("to", _id, _REQUIRED, "comm.to")),
-    "options": (  # the weights are checked before the horizon is read
-        ("time_aggregate", _aggregate, "max_flow", "options.time_aggregate"),
-        ("memory_weight", _time, 1.0, "options.memory_weight"),
-        ("time_weight", _time, 1.0, "options.time_weight"),
-    ),
-}
-_TABLE = {
-    "instance": (
-        ("nodes", _entities("node", lambda nid, v: LocationNode(nid, _TIERS[v["tier"]])), [], "nodes"),
-        ("regions", _entities("region", lambda rid, v: MemoryRegion(rid, v["size_bits"])), [], "regions"),
-        ("algorithms", _entities("algorithm", lambda aid, v: AlgorithmSpec(aid, *v["exec_time"], v["memory"],
-            v["space_rank"], v["space_label"], v["allowed_locations"])), [], "algorithms"),
-        ("edges", _edges, [], "edges"),
-        ("comm", _links, [], "comm"),
-        ("options", _options, {}, "options"),
-    ),
-    "node": (("tier", _tier, _REQUIRED, ""),),
-    "region": (("size_bits", _bits, _REQUIRED, ""),),
-    "algorithm": (
-        ("exec_time", _object_of("exec_time", lambda v: (  # (times per tier, overrides)
-            {tier: v[key] for key, tier in _TIERS.items() if v[key] is not None}, v["overrides"])), {}, "exec_time"),
-        ("memory", _object_of("memory", lambda v: MemoryProfile(
-            v["inputs"], v["outputs"], v["processing_bits"], v["growth_per_step"])), {}, "memory"),
-        ("allowed_locations", _ids_of("node"), _ABSENT, "allowed_locations"),
-        ("space_rank", _rank, 0, ""),
-        ("space_label", _label, "", ""),
-    ),
-    "exec_time": tuple((tier, _time, _ABSENT, f"exec_time.{tier}") for tier in _TIERS)
-    + (("overrides", _overrides, {}, "exec_time.overrides"),),
-    "memory": (
-        ("inputs", _ids_of("region"), [], "memory.inputs"),
-        ("outputs", _ids_of("region"), [], "memory.outputs"),
-        ("growth_per_step", _object_of("growth_per_step", lambda v: (
-            v["inputs"], v["processing"], v["outputs"])), {}, "memory.growth_per_step"),
-        ("processing_bits", _bits, 0, "processing_bits"),
-    ),
-    "growth_per_step": tuple((key, _bits, 0, f"growth_per_step.{key}") for key in ("inputs", "processing", "outputs")),
-    "comm link": (
-        ("delay", _delay, _ABSENT, "delay"),
-        ("base_seconds", _time, _REQUIRED, "base_seconds"),
-        ("per_byte_seconds", _time, 0.0, "per_byte_seconds"),
-    ),
-    "delay": (("mu", _number, _REQUIRED, "delay.mu"), ("sigma", _time, _REQUIRED, "delay.sigma")),
-    "options": (("boundedness_horizon", _horizon, 16, "options.boundedness_horizon"),),
-}
-_KNOWN = {kind: frozenset(key for key, *_ in _HEAD.get(kind, ()) + fields) for kind, fields in _TABLE.items()}
+def _refs(value, entities: dict, kind: str, owner: str, name: str) -> FrozenSet[str]:
+    """An array of ids of kind's entities, as the entities hold them."""
+    if type(value) is list:
+        ids = [entities[i].id for i in value if type(i) is str and i in entities]
+        if len(ids) == len(value):
+            return frozenset(ids)
+    for item in _array(value, owner, name):
+        _id(item, owner, name)
+    for item in value:
+        if item not in entities:
+            _fail(owner, "", f"unknown {kind} {item!r} in {name}")
+    return frozenset([entities[item].id for item in value])
 
 
 def decode_json(text: str):
@@ -735,128 +611,135 @@ def parse_problem(text: str) -> ProblemInstance:
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
-    try:
-        return _read_regular(data)
-    except Exception:  # not regular: the table reader answers, or writes the message
-        pass
-    return _read_by_table(data)
+    """The instance data describes, read in the order above; the first value
+    that fails its check raises ProblemFormatError."""
+    _object(data, "", "instance", "instance")
 
-
-def _read_by_table(data) -> ProblemInstance:
-    refs: Dict[str, dict] = {"node": {}, "region": {}, "algorithm": {}}
-    top = _read(_object(data, (), "instance", "instance"), _TABLE["instance"], (), "instance", refs)
-    graph = DependencyGraph(top["algorithms"], top["edges"])
-    return ProblemInstance(top["nodes"], top["regions"], graph, top["comm"], top["options"])
-
-
-class _Irregular(Exception):
-    """A value the table reader would convert, fill in or reject."""
-
-
-def _read_regular(data) -> ProblemInstance:
-    """_read_by_table's instance of a regular document, with the table's
-    checks made inline: every object a dict of known keys, every array a
-    list, every id a non-empty str (sys.intern rejects any other type),
-    every time a float or int >= 0, every count, rank and horizon an int.
-    Times are converted as read (x * 1.0 is float(x) for an int or float x)
-    and, with bit counts, checked together at the end.  Raises at the first
-    value that fails a check, or at the first failed lookup."""
-    intern, known = sys.intern, _KNOWN
-    seconds: list = []  # every time, weight and sigma, as the document holds it
-    counts: List[int] = []  # every bit count
-    if type(data) is not dict or not data.keys() <= known["instance"]:
-        raise _Irregular
-    kinds = [data.get(key, []) for key in ("nodes", "regions", "algorithms", "edges", "comm")]
-    options = data.get("options", {})
-    if set(map(type, kinds)) != {list} or type(options) is not dict or not options.keys() <= known["options"]:
-        raise _Irregular
     nodes: Dict[str, LocationNode] = {}
-    for e in kinds[0]:
-        if type(e) is not dict or not e.keys() <= known["node"] or e["id"] in nodes:
-            raise _Irregular
-        nid = intern(e["id"])
-        nodes[nid] = LocationNode(nid, _TIERS[e["tier"]])
+    for e in _array(data.get("nodes", []), "", "nodes"):
+        nid = _head(e, "node", nodes)
+        tier = e["tier"] if "tier" in e else _need(f"node {nid}", "", "tier")
+        if not isinstance(tier, str) or tier not in _TIERS:
+            _fail(f"node {nid}", "", f"unknown tier {_shown(tier)}")
+        nodes[nid] = LocationNode(nid, _TIERS[tier])
+
     regions: Dict[str, MemoryRegion] = {}
-    for e in kinds[1]:
-        if type(e) is not dict or not e.keys() <= known["region"] or e["id"] in regions:
-            raise _Irregular
-        rid, bits = intern(e["id"]), e["size_bits"]
-        counts.append(bits)
+    for e in _array(data.get("regions", []), "", "regions"):
+        rid = _head(e, "region", regions)
+        bits = e["size_bits"] if "size_bits" in e else _need(f"region {rid}", "", "size_bits")
+        bits = bits if type(bits) is int and 0 <= bits <= 2**53 else _bits(bits, f"region {rid}", "")
         regions[rid] = MemoryRegion(rid, bits)
+
     algorithms: Dict[str, AlgorithmSpec] = {}
-    for e in kinds[2]:
-        if type(e) is not dict or not e.keys() <= known["algorithm"] or e["id"] in algorithms:
-            raise _Irregular
-        aid, times, memory = intern(e["id"]), e.get("exec_time", {}), e.get("memory", {})
-        overrides, growth = times.get("overrides", {}), memory.get("growth_per_step", {})
-        inputs, outputs, allowed = memory.get("inputs", []), memory.get("outputs", []), e.get("allowed_locations", [])
-        rank, label = e.get("space_rank", 0), e.get("space_label", "")
-        if (
-            type(times) is not dict or type(memory) is not dict or type(overrides) is not dict
-            or type(growth) is not dict or type(inputs) is not list or type(outputs) is not list
-            or type(allowed) is not list or type(rank) is not int or type(label) is not str
-            or not times.keys() <= known["exec_time"] or not memory.keys() <= known["memory"]
-            or not growth.keys() <= known["growth_per_step"] or not overrides.keys() <= nodes.keys()
-        ):
-            raise _Irregular
-        inputs, outputs = frozenset(map(intern, inputs)), frozenset(map(intern, outputs))
-        allowed = frozenset(map(intern, allowed)) if "allowed_locations" in e else None
-        if not regions.keys() >= inputs | outputs or allowed is not None and not nodes.keys() >= allowed:
-            raise _Irregular
-        exec_time = {tier: times[key] for key, tier in _TIERS.items() if key in times}
-        seconds += exec_time.values()
-        seconds += overrides.values()
-        exec_time = {tier: secs * 1.0 for tier, secs in exec_time.items()}
-        node_overrides = {intern(nid): secs * 1.0 for nid, secs in overrides.items()}
-        step = (growth.get("inputs", 0), growth.get("processing", 0), growth.get("outputs", 0))
+    for e in _array(data.get("algorithms", []), "", "algorithms"):
+        aid = _head(e, "algorithm", algorithms)
+        owner = f"algorithm {aid}"
+        times = e.get("exec_time", {})
+        if type(times) is not dict or not times.keys() <= _KNOWN["exec_time"]:
+            _object(times, owner, "exec_time", "exec_time")
+        exec_time = {}
+        for key, tier in _TIERS.items():
+            if key in times:
+                t = times[key]
+                exec_time[tier] = t if type(t) is float and 0.0 <= t <= _MAX else _time(t, owner, f"exec_time.{key}")
+        overrides = times.get("overrides", {})
+        if type(overrides) is not dict:
+            _object(overrides, owner, "exec_time.overrides")
+        node_overrides = {}
+        for nid, t in overrides.items():
+            if nid not in nodes:
+                _fail(owner, "", f"exec override for unknown node {_shown(nid)}")
+            t = t if type(t) is float and 0.0 <= t <= _MAX else _time(t, owner, f"exec_time.overrides.{nid}")
+            node_overrides[nodes[nid].id] = t
+        memory = e.get("memory", {})
+        if type(memory) is not dict or not memory.keys() <= _KNOWN["memory"]:
+            _object(memory, owner, "memory", "memory")
+        inputs = _refs(memory.get("inputs", []), regions, "region", owner, "memory.inputs")
+        outputs = _refs(memory.get("outputs", []), regions, "region", owner, "memory.outputs")
+        growth = memory.get("growth_per_step", {})
+        if type(growth) is not dict or not growth.keys() <= _KNOWN["growth_per_step"]:
+            _object(growth, owner, "memory.growth_per_step", "growth_per_step")
+        step = []
+        for key in ("inputs", "processing", "outputs"):
+            b = growth.get(key, 0)
+            step.append(b if type(b) is int and 0 <= b <= 2**53 else _bits(b, owner, f"growth_per_step.{key}"))
         bits = memory.get("processing_bits", 0)
-        counts += step
-        counts.append(bits)
-        profile = MemoryProfile(inputs, outputs, bits, step)
+        bits = bits if type(bits) is int and 0 <= bits <= 2**53 else _bits(bits, owner, "processing_bits")
+        allowed = e.get("allowed_locations")  # absent reads as None; null is rejected
+        if "allowed_locations" in e:
+            allowed = _refs(allowed, nodes, "node", owner, "allowed_locations")
+        rank, label = e.get("space_rank", 0), e.get("space_label", "")
+        if type(rank) is not int and not _int(rank):
+            _fail(owner, "", "space_rank must be an integer")
+        if not isinstance(label, str):
+            _fail(owner, "", "space_label must be a string")
+        profile = MemoryProfile(inputs, outputs, bits, tuple(step))
         algorithms[aid] = AlgorithmSpec(aid, exec_time, node_overrides, profile, rank, label, allowed)
+
     edges = set()
-    for pair in kinds[3]:
-        if type(pair) is not list:
-            raise _Irregular
-        u, v = pair
-        u, v = intern(u), intern(v)
-        if u == v or u not in algorithms or v not in algorithms or (u, v) in edges:
-            raise _Irregular
-        edges.add((u, v))
+    for pair in _array(data.get("edges", []), "", "edges"):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ProblemFormatError(f"edge {_shown(pair)}: expected a [from, to] pair")
+        u, v = pair[0], pair[1]
+        u = u if type(u) is str and u else _id(u, "", "edge endpoint")
+        v = v if type(v) is str and v else _id(v, "", "edge endpoint")
+        if u not in algorithms or v not in algorithms:
+            end = u if u not in algorithms else v
+            raise ProblemFormatError(f"edge ({u!r}, {v!r}): unknown algorithm {end!r}")
+        if u == v:
+            raise ProblemFormatError(f"edge ({u!r}, {v!r}): self-loop")
+        edge = (algorithms[u].id, algorithms[v].id)
+        if edge in edges:
+            raise ProblemFormatError(f"duplicate edge ({u!r}, {v!r})")
+        edges.add(edge)
+
     links: Dict[Tuple[str, str], CommLink] = {}
-    for e in kinds[4]:
-        if type(e) is not dict or not e.keys() <= known["comm link"]:
-            raise _Irregular
-        u, v, delay = intern(e["from"]), intern(e["to"]), e.get("delay")
-        if u == v or u not in nodes or v not in nodes or (u, v) in links:
-            raise _Irregular
+    for e in _array(data.get("comm", []), "", "comm"):
+        if type(e) is not dict or not e.keys() <= _KNOWN["comm link"]:
+            _object(e, "", "comm link", "comm link")
+        u = e["from"] if "from" in e else _need("", "comm link", "from")
+        u = u if type(u) is str and u else _id(u, "", "comm.from")
+        v = e["to"] if "to" in e else _need("", "comm link", "to")
+        v = v if type(v) is str and v else _id(v, "", "comm.to")
+        if u not in nodes or v not in nodes:
+            end = u if u not in nodes else v
+            raise ProblemFormatError(f"comm link ({u!r}, {v!r}): unknown node {end!r}")
+        if u == v:
+            raise ProblemFormatError(f"comm link ({u!r}, {v!r}): same-node links are implicit")
+        hop = (nodes[u].id, nodes[v].id)
+        if hop in links:
+            raise ProblemFormatError(f"duplicate comm link ({u!r}, {v!r})")
+        owner = f"comm link ({u}, {v})"
+        delay = e.get("delay")
         if delay is not None:
-            if type(delay) is not dict or not delay.keys() <= known["delay"]:
-                raise _Irregular
-            mu, sigma = delay["mu"], delay["sigma"]
-            if type(mu) not in (float, int) or not -_MAX <= mu <= _MAX:
-                raise _Irregular
-            seconds.append(sigma)
-            delay = DelaySpec(mu * 1.0, sigma * 1.0)
-        base, per_byte = e["base_seconds"], e.get("per_byte_seconds", 0.0)
-        seconds += (base, per_byte)
-        links[(u, v)] = CommLink(base * 1.0, delay, per_byte * 1.0)
-    weights = (options.get("memory_weight", 1.0), options.get("time_weight", 1.0))
-    aggregate, horizon = options.get("time_aggregate", "max_flow"), options.get("boundedness_horizon", 16)
-    seconds += weights
-    if (
-        "" in nodes or "" in regions or "" in algorithms
-        # max compares an int exactly, where * 1.0 may round it down to _MAX; NaN fails the sum's test
-        or not set(map(type, seconds)) <= {float, int} or min(seconds) < 0 or max(seconds) > _MAX
-        or not sum(seconds) <= _MAX
-        or set(map(type, counts)) - {int} or min(counts, default=0) < 0 or max(counts, default=0) > 2**53
-        or not min(weights) > 0 or aggregate not in TIME_AGGREGATES or type(horizon) is not int or horizon < 1
-    ):
-        raise _Irregular
+            if type(delay) is not dict or not delay.keys() <= _KNOWN["delay"]:
+                _object(delay, owner, "delay", "delay")
+            mu = delay["mu"] if "mu" in delay else _need(owner, "delay", "mu")
+            mu = mu if type(mu) is float and -_MAX <= mu <= _MAX else _number(mu, owner, "delay.mu")
+            sigma = delay["sigma"] if "sigma" in delay else _need(owner, "delay", "sigma")
+            sigma = sigma if type(sigma) is float and 0.0 <= sigma <= _MAX else _time(sigma, owner, "delay.sigma")
+            delay = DelaySpec(mu, sigma)
+        base = e["base_seconds"] if "base_seconds" in e else _need(owner, "", "base_seconds")
+        base = base if type(base) is float and 0.0 <= base <= _MAX else _time(base, owner, "base_seconds")
+        size = e.get("per_byte_seconds", 0.0)
+        size = size if type(size) is float and 0.0 <= size <= _MAX else _time(size, owner, "per_byte_seconds")
+        links[hop] = CommLink(base, delay, size)
     comm = CommModel(links)
     _check_time_sums(len(nodes), algorithms, regions, comm)
+
+    options = _object(data.get("options", {}), "", "options", "options")
+    aggregate = options.get("time_aggregate", "max_flow")
+    if aggregate not in TIME_AGGREGATES:
+        _fail("", "options.time_aggregate", f"unknown aggregate {_shown(aggregate)}")
+    memory_weight = _time(options.get("memory_weight", 1.0), "", "options.memory_weight")
+    time_weight = _time(options.get("time_weight", 1.0), "", "options.time_weight")
+    if memory_weight <= 0 or time_weight <= 0:
+        raise ProblemFormatError("options: weights must be positive")
+    horizon = options.get("boundedness_horizon", 16)
+    if not (_int(horizon) and horizon >= 1):
+        _fail("", "options.boundedness_horizon", "expected an integer >= 1")
     graph = DependencyGraph(algorithms, tuple(sorted(edges)))
-    return ProblemInstance(nodes, regions, graph, comm, Options(aggregate, weights[0] * 1.0, weights[1] * 1.0, horizon))
+    return ProblemInstance(nodes, regions, graph, comm, Options(aggregate, memory_weight, time_weight, horizon))
 
 
 def _check_time_sums(

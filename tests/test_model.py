@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from allocflow import fixtures, model
+from allocflow import fixtures
 from allocflow.model import (
     CommLink,
     CommModel,
@@ -389,6 +389,8 @@ MESSAGES = [
     (put(*A, "exec_time", []), "algorithm a.exec_time: expected an object, got []"),
     (put(*A, "exec_time", "lake", 1.0), "algorithm a.exec_time: unknown key(s) ['lake']"),
     (put(*A, "exec_time", "edge", "1"), "algorithm a.exec_time.edge: expected a number, got '1'"),
+    (put(*A, "exec_time", "edge", True), "algorithm a.exec_time.edge: expected a number, got True"),
+    (put(*B, "exec_time", "fog", Fraction(1, 2)), "algorithm b.exec_time.fog: expected a number, got Fraction(1, 2)"),
     (put(*A, "exec_time", "cloud", float("nan")), "algorithm a.exec_time.cloud: expected a number, got nan"),
     (put(*A, "exec_time", "fog", -1), "algorithm a.exec_time.fog: negative time -1.0"),
     (put(*A, "exec_time", "overrides", ["e"]), "algorithm a.exec_time.overrides: expected an object, got ['e']"),
@@ -422,6 +424,7 @@ MESSAGES = [
     (put(*A, "allowed_locations", ["nope"]), "algorithm a: unknown node 'nope' in allowed_locations"),
     (put(*A, "space_rank", 1.5), "algorithm a: space_rank must be an integer"),
     (put(*A, "space_rank", True), "algorithm a: space_rank must be an integer"),
+    (put(*A, "space_rank", False), "algorithm a: space_rank must be an integer"),
     (put(*A, "space_label", 3), "algorithm a: space_label must be a string"),
     (put("edges", 5), "edges: expected an array, got 5"),
     (add("edges", "a->b"), "edge 'a->b': expected a [from, to] pair"),
@@ -446,6 +449,7 @@ MESSAGES = [
     (put(*L, "delay", {"mu": 0.0, "sigma": 0.1, "nu": 1}), "comm link (f, e).delay: unknown key(s) ['nu']"),
     (put(*L, "delay", {"sigma": 0.1}), "comm link (f, e).delay: missing required key 'mu'"),
     (put(*L, "delay", {"mu": "x", "sigma": 0.1}), "comm link (f, e).delay.mu: expected a number, got 'x'"),
+    (put(*L, "delay", {"mu": True, "sigma": 0.1}), "comm link (f, e).delay.mu: expected a number, got True"),
     (put(*L, "delay", {"mu": 0.1}), "comm link (f, e).delay: missing required key 'sigma'"),
     (put(*L, "delay", {"mu": 0.1, "sigma": -0.5}), "comm link (f, e).delay.sigma: negative time -0.5"),
     (drop(*L, "base_seconds"), "comm link (f, e): missing required key 'base_seconds'"),
@@ -461,10 +465,12 @@ MESSAGES = [
     (put("options", "time_aggregate", ["max_flow"]), "options.time_aggregate: unknown aggregate ['max_flow']"),
     (put("options", "memory_weight", "1"), "options.memory_weight: expected a number, got '1'"),
     (put("options", "time_weight", -1), "options.time_weight: negative time -1.0"),
+    (put("options", "time_weight", True), "options.time_weight: expected a number, got True"),
     (put("options", "memory_weight", 0), "options: weights must be positive"),
     (put("options", "time_weight", 0.0), "options: weights must be positive"),
     (put("options", "boundedness_horizon", 0), "options.boundedness_horizon: expected an integer >= 1"),
     (put("options", "boundedness_horizon", 2.0), "options.boundedness_horizon: expected an integer >= 1"),
+    (put("options", "boundedness_horizon", True), "options.boundedness_horizon: expected an integer >= 1"),
 ]
 
 
@@ -532,7 +538,7 @@ def test_unknown_keys_of_mixed_types_are_a_format_error():
 
 
 # ---------------------------------------------------------------------------
-# The regular reader
+# The reader
 
 
 def _typed(value):
@@ -623,97 +629,92 @@ def test_reader_outcomes_are_pinned():
     assert digest == "8877081f70ba14654d121bc4bbbfd7d66ebc9f5ad3af19cf14223bd463fc62a0"
 
 
-def assert_regular_read_agrees(doc, regular=False):
-    """The regular reader raises (the table reader then answers) or returns
-    what the table reader returns: equal, with the same type at every
-    value, and the same interned object for every id.  Each reader gets its
-    own decoded copy of doc, so their ids are one object only if interned.
-    With regular, the regular reader must not raise."""
-    text = json.dumps(doc)
-    try:
-        table = model._read_by_table(json.loads(text))
-    except ProblemFormatError:
-        table = None
-    try:
-        fast = model._read_regular(json.loads(text))
-    except Exception:
-        assert not regular
-        return
-    assert table is not None, "the regular reader took a document the table rejects"
-    assert fast == table
-    assert _typed(fast) == _typed(table)
-    fast_ids, table_ids = list(_ids(fast)), list(_ids(table))
-    assert len(fast_ids) == len(table_ids) and all(a is b for a, b in zip(fast_ids, table_ids))
+def assert_parsed_types(instance):
+    """instance holds what the reader writes: float times and weights, int
+    counts, and every id an interned str."""
+    options = instance.options
+    times, counts = [options.memory_weight, options.time_weight], [options.boundedness_horizon]
+    counts += [region.size_bits for region in instance.regions.values()]
+    for spec in instance.algorithms.values():
+        times += [*spec.exec_time.values(), *spec.node_overrides.values()]
+        counts += [spec.memory.processing_bits, *spec.memory.growth_per_step, spec.space_rank]
+    for link in instance.comm.links.values():
+        times += [link.base_seconds, link.per_byte_seconds, *((link.delay.mu, link.delay.sigma) if link.delay else ())]
+    assert {type(t) for t in times} <= {float} and {type(c) for c in counts} <= {int}
+    assert all(type(i) is str and sys.intern(i) is i for i in _ids(instance))
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.bundled()))
-def test_bundled_fixtures_take_the_regular_reader(name):
-    assert_regular_read_agrees(fixtures.bundled()[name], regular=True)
-
-
-@pytest.mark.parametrize("n, seed, delay_prob", [(6, 1, 0.0), (12, 2, 0.8), (20, 3, 0.3)])
-def test_serialized_instances_take_the_regular_reader(n, seed, delay_prob):
-    doc = instance_to_dict(random_instance(n, GenParams(delay_prob=delay_prob, fog_nodes=2), seed=seed))
-    doc["algorithms"][0]["exec_time"]["overrides"] = {"f1": 0.5}
-    assert_regular_read_agrees(doc, regular=True)
+@pytest.mark.parametrize("index", range(12))
+def test_sources_read_as_floats_ints_and_interned_ids(index):
+    """The corpus sources: the bundled fixtures and three serialized random
+    instances, whose ids json.loads made as new strings."""
+    assert_parsed_types(instance_from_dict(_reader_sources()[index]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_fixtures())
-def test_the_regular_reader_defers_or_agrees_with_the_table(mutated):
-    assert_regular_read_agrees(mutated[1])
+def test_mutated_fixtures_read_as_floats_ints_and_interned_ids(mutated):
+    try:
+        instance = instance_from_dict(json.loads(json.dumps(mutated[1])))
+    except ProblemFormatError:
+        return
+    assert_parsed_types(instance)
+
+
+class _Str(str):
+    """A str subclass, which sys.intern refuses."""
 
 
 @pytest.mark.parametrize(
-    "case",
+    "case, message",
     [
-        put(*A, "allowed_locations", None),  # absent reads as None; null is rejected
-        put(*A, "exec_time", "edge", True),
-        put(*A, "space_rank", False),
-        add("regions", {"id": "s", "size_bits": True}),
-        put(*L, "delay", {"mu": True, "sigma": 0.1}),
-        put("options", "boundedness_horizon", True),
-        put("options", "time_weight", True),
-        put(*B, "exec_time", "fog", Fraction(1, 2)),  # float() converts it; the table takes only int and float
+        (add("nodes", {"id": _Str("x"), "tier": "fog"}), "node.id: expected a non-empty string id, got 'x'"),
+        (put("edges", [[_Str("a"), "b"]]), "edge endpoint: expected a non-empty string id, got 'a'"),
+        (put(*A, "exec_time", "overrides", {_Str("e"): 0.5}), None),
     ],
+    ids=["node id", "edge endpoint", "exec override key"],
 )
-def test_the_regular_reader_leaves_rejection_to_the_table(case):
+def test_a_str_subclass_id_is_a_format_error_or_reads_as_its_entity_id(case, message):
+    """An id or endpoint must be a str; a key that names a node reads as that
+    node's id.  Each of these escaped as TypeError: can't intern."""
     doc = _doc()
     case(doc)
-    with pytest.raises(Exception):
-        model._read_regular(doc)
-    with pytest.raises(ProblemFormatError):
-        instance_from_dict(doc)
+    if message is not None:
+        with pytest.raises(ProblemFormatError) as raised:
+            instance_from_dict(doc)
+        assert str(raised.value) == message
+        return
+    instance = instance_from_dict(doc)
+    assert_parsed_types(instance)
+    assert instance.algorithms["a"].node_overrides == {"e": 0.5}
 
 
 def test_an_int_time_that_rounds_into_the_float_range_is_rejected():
     """float() rounds int(max) + 1 down to the largest float, which one
-    execution on one node sums to without overflow; the table rejects the
-    int, so the regular reader must compare it before converting."""
+    execution on one node sums to without overflow; the reader rejects the
+    int, so it must compare it before converting."""
     doc = {"nodes": [{"id": "e", "tier": "edge"}], "algorithms": [{"id": "a", "exec_time": {"edge": 1.0}}]}
-    assert_regular_read_agrees(doc, regular=True)
+    assert_parsed_types(instance_from_dict(doc))
     doc["algorithms"][0]["exec_time"]["edge"] = int(sys.float_info.max) + 1
-    with pytest.raises(Exception):
-        model._read_regular(doc)
     with pytest.raises(ProblemFormatError, match="algorithm a.exec_time.edge: expected a number"):
         instance_from_dict(doc)
 
 
-def test_a_null_delay_and_int_times_read_as_the_table_reads_them():
+def test_a_null_delay_reads_as_none_and_int_times_as_floats():
     """delay: null is a link without delay; an int time, weight or mu is
-    converted to a float.  The regular reader takes both, as hand-written
-    documents often hold "edge": 2 or "base_seconds": 1."""
+    converted to a float, as hand-written documents often hold "edge": 2 or
+    "base_seconds": 1."""
     doc = _doc()
     doc["comm"][1]["delay"] = None
-    assert_regular_read_agrees(doc, regular=True)
     assert instance_from_dict(doc).comm.links[("f", "e")].delay is None
     doc["algorithms"][0]["exec_time"] = {"edge": 2, "overrides": {"f": 0}}
     doc["comm"][0].update(base_seconds=1, per_byte_seconds=0, delay={"mu": -1, "sigma": 3})
     doc["options"].update(memory_weight=3, time_weight=1)
-    assert_regular_read_agrees(doc, regular=True)
     instance = instance_from_dict(doc)
-    assert type(instance.algorithms["a"].exec_time[Tier.EDGE]) is float
-    assert type(instance.options.memory_weight) is float
+    assert_parsed_types(instance)
+    assert instance.algorithms["a"].exec_time[Tier.EDGE] == 2.0
+    assert instance.comm.links[("e", "f")] == CommLink(1.0, DelaySpec(-1.0, 3.0), 0.0)
+    assert (instance.options.memory_weight, instance.options.time_weight) == (3.0, 1.0)
 
 
 def test_deeply_nested_json_is_a_format_error():
