@@ -488,7 +488,7 @@ _KNOWN = {  # the keys each kind of object may hold
     "node": frozenset({"id", "tier"}),
     "region": frozenset({"id", "size_bits"}),
     "algorithm": frozenset({"id", "exec_time", "memory", "allowed_locations", "space_rank", "space_label"}),
-    "exec_time": frozenset({*_TIERS, "overrides"}),
+    "exec_time": frozenset({"edge", "fog", "cloud", "overrides"}),
     "memory": frozenset({"inputs", "outputs", "growth_per_step", "processing_bits"}),
     "growth_per_step": frozenset({"inputs", "processing", "outputs"}),
     "comm link": frozenset({"from", "to", "delay", "base_seconds", "per_byte_seconds"}),

@@ -644,7 +644,7 @@ def assert_parsed_types(instance):
     assert all(type(i) is str and sys.intern(i) is i for i in _ids(instance))
 
 
-@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("index", range(len(_reader_sources())))
 def test_sources_read_as_floats_ints_and_interned_ids(index):
     """The corpus sources: the bundled fixtures and three serialized random
     instances, whose ids json.loads made as new strings."""
@@ -654,6 +654,7 @@ def test_sources_read_as_floats_ints_and_interned_ids(index):
 @settings(max_examples=300, deadline=None)
 @given(mutated_fixtures())
 def test_mutated_fixtures_read_as_floats_ints_and_interned_ids(mutated):
+    """Each document is decoded from its text, so its ids are new strings."""
     try:
         instance = instance_from_dict(json.loads(json.dumps(mutated[1])))
     except ProblemFormatError:
