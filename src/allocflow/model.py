@@ -578,16 +578,16 @@ def _head(entry, kind: str, entities: dict) -> str:
 
 def _refs(value, entities: dict, kind: str, owner: str, name: str) -> FrozenSet[str]:
     """An array of ids of kind's entities, as the entities hold them."""
-    if type(value) is list:
-        ids = [entities[i].id for i in value if type(i) is str and i in entities]
-        if len(ids) == len(value):
-            return frozenset(ids)
-    for item in _array(value, owner, name):
-        _id(item, owner, name)
-    for item in value:
-        if item not in entities:
-            _fail(owner, "", f"unknown {kind} {item!r} in {name}")
-    return frozenset([entities[item].id for item in value])
+    if type(value) is not list:
+        _array(value, owner, name)
+    ids = [entities[i].id for i in value if type(i) is str and i in entities]
+    if len(ids) < len(value):  # the first item that is no id raises, or else the first unknown id
+        for item in value:
+            _id(item, owner, name)
+        for item in value:
+            if item not in entities:
+                _fail(owner, "", f"unknown {kind} {item!r} in {name}")
+    return frozenset(ids)
 
 
 def decode_json(text: str):
