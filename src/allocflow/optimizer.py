@@ -35,8 +35,9 @@ the paths from a source to v of their time through v's exec, and agg the
 running sum: assigning v trades the bound term of each edge into v for v's
 own (see _Search._child), and a leaf takes its exact time from time_of.
 _Search._child prices a child once; _assign applies exactly what it priced.
-The incumbent the search starts from, warm_start, is its own first dive: the
-least child at every depth, priced by _child.  The walk keeps an explicit
+A solve builds one _Search.  warm_start gives it its incumbent by a first
+dive down that state, the least child at every depth, and _Search._leaf
+scores every leaf from the state, the dive's too.  The walk keeps an explicit
 stack of per-depth child generators, so its depth is not bounded by the
 recursion limit.  _primary is the one primary-objective computation.
 
@@ -77,10 +78,10 @@ them, every sum a list added entry by entry in time_of's order; it skips a
 hop within one node, which adds 0.0 to a sum that is never -0.0.
 
 A solve is three steps: a context (build_context, or _context over an
-instance already compiled), the search (_search) and _finish, which adds the
-cost and keeps the context and the delays that per_flow is timed under when
-read.  The Monte-Carlo comparison runs the first two on one compiled
-instance and keeps only the placements.
+instance already compiled), the search (_search) and _finish, which costs
+the answer at the memory and time its leaf scored and keeps the context and
+the delays per_flow is timed under when read.  The Monte-Carlo comparison
+runs the first two on one compiled instance and keeps only the placements.
 """
 
 from __future__ import annotations
@@ -595,22 +596,23 @@ def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
     return math.hypot(w_m * (mem_bits / MB_BITS), w_t * time_s)
 
 
-def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple:
+def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple[Tuple, float]:
+    """The key (primary, memory, lex tuple) and time of a placement, from scratch."""
     mem_bits = robot_memory_bits(ctx.instance, placement)
     time_s = ctx.time_of(placement, ctx.aggregate)
-    return _primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)
+    return (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)), time_s
 
 
 def _empty_result() -> AllocationResult:
     return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), 0)
 
 
-def _finish(ctx: SolveContext, placement: Placement, explored: int, delays: Optional[dict]) -> AllocationResult:
+def _finish(ctx: SolveContext, placement: Placement, explored: int, mem_bits: int, time_s: float, delays):
     """The result of a search's answer: placement, in sorted id order, with
-    its cost; per_flow is timed on first read by timing.flow_time over ctx's
-    flows under delays, the realization ctx is priced at."""
-    mem_bits = robot_memory_bits(ctx.instance, placement)
-    cost = make_cost(ctx.instance, ctx.objective, mem_bits, ctx.time_of(placement, ctx.aggregate))
+    the cost of the memory and time it was scored at; per_flow is timed on
+    first read by timing.flow_time over ctx's flows under delays, the
+    realization ctx is priced at."""
+    cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
     return AllocationResult(placement, cost, explored, (ctx, delays))
 
 
@@ -625,23 +627,17 @@ def solve_bruteforce(
     if not instance.algorithms:
         return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
-    total = 1
-    for aid in ctx.sorted_ids:
-        total *= len(ctx.allowed[aid])
+    total = math.prod([len(ctx.allowed[aid]) for aid in ctx.sorted_ids])
     if total > cap:
         raise CapExceededError("placement enumeration", total, cap)
 
-    best_key = None
-    best_placement = None
-    explored = 0
+    best_key = best_time = best_placement = None
     for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.sorted_ids)):
         placement = dict(zip(ctx.sorted_ids, combo))
-        key = _placement_key(ctx, placement)
-        explored += 1
+        key, time_s = _placement_key(ctx, placement)
         if best_key is None or key < best_key:
-            best_key = key
-            best_placement = placement
-    return _finish(ctx, best_placement, explored, delays)
+            best_key, best_time, best_placement = key, time_s, placement
+    return _finish(ctx, best_placement, total, best_key[1], best_time, delays)  # every placement explored
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +705,7 @@ class _Search:
         slot = {aid: i for i, aid in enumerate(ctx.sorted_ids)}
         self.lex_slot = [slot[aid] for aid in ctx.order]
         self.explored = 0
+        self.best_key = self.best_time = self.best_placement = None  # the incumbent (see _leaf)
         # The rounding slack of _children: a float primary bound exceeds the
         # float primary of any completion by at most the factor 1 + k u, u =
         # 2**-53, to first order.  Each float operation rounds within u,
@@ -822,13 +819,17 @@ class _Search:
             return max((self.finish[s] + completion[s][assignment[s]] for s in self.sinks), default=0.0)
         return self.ctx.time_of(self.assignment, self.ctx.aggregate)
 
+    def _leaf(self) -> None:
+        """The full assignment, with its key and time, becomes the incumbent if first (the dive's) or better."""
+        ctx, time_s, mem_bits = self.ctx, self._leaf_time(), self.memory.bits
+        key = (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
+        if self.best_key is None or key < self.best_key:
+            self.best_key, self.best_time, self.best_placement = key, time_s, dict(self.assignment)
+
     # -- search ------------------------------------------------------------
 
-    def run(self, incumbent: Placement) -> Tuple[Placement, int]:
-        """Search from incumbent, priced exactly; return the optimum and the
-        number of search nodes explored."""
-        self.best_key = _placement_key(self.ctx, incumbent)
-        self.best_placement = dict(incumbent)
+    def run(self) -> Tuple[Placement, int]:
+        """Search from warm_start's incumbent; return the optimum and the search nodes explored."""
         stack = [self._children(0)]
         while stack:
             if next(stack[-1], False):
@@ -843,11 +844,7 @@ class _Search:
         undoes it when resumed."""
         ctx = self.ctx
         if depth == len(ctx.order):
-            mem_bits = self.memory.bits
-            key = (_primary(ctx, self._leaf_time(), mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
-            if key < self.best_key:
-                self.best_key = key
-                self.best_placement = dict(self.assignment)
+            self._leaf()
             return
         aid = ctx.order[depth]
         slot = self.lex_slot[depth]
@@ -887,19 +884,20 @@ class _Search:
         lex_lb[slot] = floor
 
 
-def warm_start(ctx: SolveContext) -> Placement:
-    """The search's first dive: in branching order, assign each algorithm
-    its least child by _Search._child's key (bound, memory, rank).  Only the
-    search effort depends on it: _Search returns brute force's optimum and
-    tie-break from any incumbent, but can miss a completion faster than the
-    incumbent by less than the search's rounding slack that loses to it on
-    memory or lex."""
-    search = _Search(ctx)
-    for aid in ctx.order:
+def warm_start(search: _Search, nodes: Dict[str, Tuple[str, ...]]) -> None:
+    """The search's first dive, uncounted, which gives its incumbent: each
+    algorithm in branching order takes its least child over nodes[aid] by
+    _child's key (bound, memory, rank), _leaf scores the leaf, and the dive is
+    undone.  One node per algorithm starts the search from that placement;
+    only its effort depends on the incumbent (see the module docstring)."""
+    order, agg = search.ctx.order, search.agg
+    for aid in order:
         # rank is unique per node, so min never compares past it
-        _, _, _, node, state = min(search._child(aid, nid) for nid in ctx.allowed[aid])
+        _, _, _, node, state = min(search._child(aid, nid) for nid in nodes[aid])
         search._assign(aid, node, state)
-    return search.assignment
+    search._leaf()
+    for aid in order:  # nothing reads agg between these, and the last sets it back
+        search._unassign(aid, agg)
 
 
 def solve_branch_bound(
@@ -920,11 +918,13 @@ def solve_branch_bound(
     return _finish(ctx, *_search(ctx), delays)
 
 
-def _search(ctx: SolveContext) -> Tuple[Placement, int]:
-    """The branch-and-bound optimum of ctx, in sorted id order, and the
-    number of search nodes explored."""
-    placement, explored = _Search(ctx).run(warm_start(ctx))
-    return {aid: placement[aid] for aid in ctx.sorted_ids}, explored
+def _search(ctx: SolveContext) -> Tuple[Placement, int, int, float]:
+    """The branch-and-bound optimum of ctx, in sorted id order, the number of
+    search nodes explored, and its leaf's memory bits and time."""
+    search = _Search(ctx)
+    warm_start(search, ctx.allowed)
+    placement, explored = search.run()
+    return {aid: placement[aid] for aid in ctx.sorted_ids}, explored, search.best_key[1], search.best_time
 
 
 # ---------------------------------------------------------------------------

@@ -403,8 +403,16 @@ def test_branch_bound_matches_bruteforce_under_ties(
     # lex-largest placement
     ctx = build_context(inst, objective, include_return_hop)
     worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
-    placement, _ = _Search(ctx).run(worst)
+    placement, _ = _search_from(ctx, worst).run()
     assert placement == expect.placement
+
+
+def _search_from(ctx, start, search=None):
+    """A search of ctx whose incumbent is start: warm_start's dive with one
+    node per algorithm, start's, scored by the search's own leaf scorer."""
+    search = search or _Search(ctx)
+    warm_start(search, {aid: (node,) for aid, node in start.items()})
+    return search
 
 
 def _relabelled(seed, n, fog, cloud):
@@ -442,7 +450,8 @@ ULP_PARAMS = GenParams(
 def test_search_answer_is_independent_of_its_incumbent(seed, n, kind, aggregate, include_return_hop):
     """A search started from any placement that ties the optimum on
     (primary, memory), or from a random one, returns brute force's
-    placement."""
+    placement.  The dive that takes the start scores it, through the
+    search's own state, exactly as brute force's key and time_of do."""
     inst = random_instance(n, ULP_PARAMS, seed=seed)
     inst.options.time_aggregate = aggregate
     objective = Objective(kind)
@@ -451,12 +460,19 @@ def test_search_answer_is_independent_of_its_incumbent(seed, n, kind, aggregate,
     placements = [
         dict(zip(ctx.sorted_ids, combo)) for combo in itertools.product(*(ctx.allowed[a] for a in ctx.sorted_ids))
     ]
-    keys = [_placement_key(ctx, p) for p in placements]
+    keys = [_placement_key(ctx, p)[0] for p in placements]
     best = min(keys)
     starts = [p for p, key in zip(placements, keys) if key[:2] == best[:2]]
     starts += random.Random(seed).sample(placements, min(4, len(placements)))
     for start in starts:
-        placement, _ = _Search(ctx).run(start)
+        search = _search_from(ctx, start)
+        assert repr(search.best_key) == repr(_placement_key(ctx, start)[0]), start
+        assert repr(search.best_time) == repr(ctx.time_of(start, ctx.aggregate)), start
+        # the dive is undone and not counted
+        fresh = _Search(ctx)
+        assert repr((search.agg, search.memory.bits)) == repr((fresh.agg, fresh.memory.bits))
+        assert (search.best_placement, search.assignment, search.explored) == (start, {}, 0)
+        placement, _ = search.run()
         assert placement == expect.placement, start
 
 
@@ -470,10 +486,10 @@ def test_an_incumbent_one_ulp_under_the_root_bound_does_not_stop_the_search():
     ctx = build_context(inst, objective)
     start = {"a01": "e", "a02": "e", "a03": "c1", "a04": "c1", "a05": "e", "a06": "f1"}
     assert start != expect.placement
-    assert _placement_key(ctx, start)[:2] == _placement_key(ctx, expect.placement)[:2]
+    assert _placement_key(ctx, start)[0][:2] == _placement_key(ctx, expect.placement)[0][:2]
     search = _Search(ctx)
     assert search.agg == math.nextafter(expect.cost.time_seconds, math.inf)
-    placement, explored = search.run(start)
+    placement, explored = _search_from(ctx, start, search).run()
     assert placement == expect.placement
     assert explored > 0
 
@@ -541,8 +557,8 @@ def test_lex_bound_is_the_least_completion_lex():
                 ctx = build_context(instance, Objective(kind))
                 # the lex-largest incumbent leaves the search the most to do
                 worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
-                spy = _LexSpy(ctx)
-                spy.run(worst)
+                spy = _search_from(ctx, worst, _LexSpy(ctx))
+                spy.run()
                 checked += spy.checked
     assert checked > 1000
 
@@ -738,7 +754,8 @@ def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
     assert repr(ctx.completion) == repr(reference)
     spy = _BoundSpy(ctx, resolve, delays, budget=400)
     try:
-        spy.run(warm_start(ctx))
+        warm_start(spy, ctx.allowed)
+        spy.run()
     except _Checked:
         pass
     assert spy.children >= len(ctx.allowed[ctx.order[0]])
@@ -993,7 +1010,9 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
         for edge, share in shares.items():
             assert repr(got[edge]) == repr(share)
 
-    assert warm_start(ctx) == _reference_dive(ctx, resolve)
+    search = _Search(ctx)
+    warm_start(search, ctx.allowed)
+    assert search.best_placement == _reference_dive(ctx, resolve)
 
 
 @pytest.mark.parametrize("kind", ["min_distance", "min_time_total"])
@@ -1005,8 +1024,11 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     whole placement: under the sum aggregates by time_of, and by per_flow,
     whose first read calls timing.flow_time once per flow.  Under max_flow
     there are no per-edge tables, and a solve enumerates and walks no flow
-    until per_flow is read."""
-    calls = {"_flow_total": 0, "_completion": 0, "all_flows": 0, "flow_time": 0}
+    until per_flow is read.  A solve builds one _Search, whose warm start is
+    its own first dive, and prices nothing outside its leaf scorer: no
+    robot_memory_bits, and time_of only for the leaves it scores under the
+    sum aggregates, none under max_flow."""
+    calls = {"_flow_total": 0, "_completion": 0, "all_flows": 0, "flow_time": 0, "robot_memory_bits": 0}
     for name in calls:
         original = getattr(optimizer, name)
 
@@ -1018,18 +1040,32 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     timed = []
     time_of = optimizer.CompiledInstance.time_of
     monkeypatch.setattr(
-        optimizer.CompiledInstance, "time_of", lambda self, *args: timed.append(args) or time_of(self, *args)
+        optimizer.CompiledInstance, "time_of", lambda self, p, *args: timed.append(dict(p)) or time_of(self, p, *args)
     )
+    searches, leaves = [], []
+
+    class Counted(_Search):
+        def __init__(self, ctx):
+            searches.append(ctx)
+            super().__init__(ctx)
+
+        def _leaf(self):
+            leaves.append(dict(self.assignment))
+            super()._leaf()
+
+    monkeypatch.setattr(optimizer, "_Search", Counted)
     inst = random_instance(14, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)
     result = solve_branch_bound(inst, Objective(kind))
-    solved = dict(calls, time_of=len(timed))
+    solved = dict(calls, time_of=len(timed), searches=len(searches), leaves=len(leaves))
+    assert solved["searches"] == 1 and solved["robot_memory_bits"] == 0 and solved["leaves"] >= 1
     timings = result.per_flow
     read = dict(calls)
     assert result.per_flow is timings and calls == read  # built once
     ctx = build_context(inst, Objective(kind))
     assert len(ctx.flows) > 5 * len(ctx.order)
     search = _Search(ctx)
-    search.run(warm_start(ctx))
+    warm_start(search, ctx.allowed)
+    search.run()
     sized = [value for value in vars(search).values() if isinstance(value, (list, dict))]
     assert sized and all(len(value) <= len(ctx.order) for value in sized)
     assert solved["_completion"] == 1
@@ -1037,11 +1073,12 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     assert solved["flow_time"] == 0 and read["flow_time"] == len(timings)
     if kind == "min_distance":
         assert ctx.edge_bound == {}
-        assert solved["all_flows"] == solved["_flow_total"] == 0
+        assert solved["all_flows"] == solved["_flow_total"] == solved["time_of"] == 0
     else:
         assert sorted((u, s) for s in ctx.edge_bound for u in ctx.edge_bound[s]) == sorted(inst.graph.edges)
         assert solved["all_flows"] == 1
-        assert solved["time_of"] and solved["_flow_total"] == len(timings) * solved["time_of"]
+        assert timed[: solved["time_of"]] == leaves  # one time_of per leaf, the dive's included
+        assert solved["_flow_total"] == len(timings) * solved["time_of"]
 
 
 def ladder(rungs, seed=0):
@@ -1094,7 +1131,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     inst = random_instance(1200, GenParams(layers=1200, edge_prob=0.0), seed=1)
     ctx = build_context(inst)
     worst = {aid: nodes[-1] for aid, nodes in ctx.allowed.items()}
-    placement, explored = _Search(ctx).run(worst)
+    placement, explored = _search_from(ctx, worst).run()
     assert explored >= 1200
     assert placement == solve_branch_bound(inst).placement
 
