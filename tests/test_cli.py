@@ -706,6 +706,7 @@ GOLDEN_SMALL_STDOUT = {
     "solve --oracle --objective time-total": "2c8113dfdee0504bf5ed73ed23dc7046a43c699da7e3efba4bf73c1d3da12664",
     "pareto": "1c5f5f49a5fd945f1267c1afa863f33aee49704863e3c975a528e48032b594b7",
     "pareto --wt 2.5": "8e88323f3bed5ec0bb4e7f48f9ef6892cce2d03afb855fb30164fabddff008d8",
+    "pareto --max-points 10": "e1b9318f51baf8b77300714eb31bc91a6b77e08994d91eb29186e66c7f95165a",
 }
 
 
@@ -724,4 +725,5 @@ def test_cli_output_is_pinned(tmp_path, capsys):
 
     assert digests(GOLDEN, GOLDEN_STDOUT) == GOLDEN_STDOUT
     small = write_instance(tmp_path, fixtures.dataset_pipeline(2.0, jitter_sigma=1.0))
-    assert digests(small, GOLDEN_SMALL_STDOUT) == GOLDEN_SMALL_STDOUT
+    with pytest.warns(UserWarning, match="stratified"):  # pareto --max-points 10 subsamples
+        assert digests(small, GOLDEN_SMALL_STDOUT) == GOLDEN_SMALL_STDOUT
