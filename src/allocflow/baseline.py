@@ -14,13 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .model import ProblemInstance
-from .optimizer import (
-    AllocationResult,
-    Objective,
-    compile_instance,
-    solve_branch_bound,
-    solve_bruteforce,
-)
+from .optimizer import AllocationResult, Objective, evaluate, solve_branch_bound, solve_bruteforce
 from .timing import Placement
 
 _END_TIME = Objective(kind="min_time_max")
@@ -42,7 +36,6 @@ def baseline_overall(
     delays: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> float:
     """What the baseline's choice actually costs the robot: the largest over
-    flows of end time plus return hop.  The max_flow longest-path pass prices
-    it, adding the return hop at each sink; it equals the maximum of the
-    per-flow totals bit for bit."""
-    return compile_instance(instance).priced(delays).time_of(placement, "max_flow")
+    flows of end time plus return hop, as evaluate prices it under max_flow
+    (which checks the placement first, raising InfeasibleError)."""
+    return evaluate(instance, placement, _END_TIME, delays).time_seconds

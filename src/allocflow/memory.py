@@ -167,7 +167,7 @@ def robot_memory_bits(
     """Robot memory in bits; the solver's and evaluate's one memory measure."""
     if not instance.algorithms:
         return 0
-    # star-arguments from a list, not a generator (see optimizer.SolveContext.lex_tuple)
+    # star-arguments from a list, not a generator (see optimizer.CompiledInstance.lex_tuple)
     all_outputs = frozenset().union(*[spec.memory.outputs for spec in instance.algorithms.values()])
     edge = instance.edge_node_id()
     return _location_bits(instance, placement, edge, partition, mode, extra_regions=all_outputs)

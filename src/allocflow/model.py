@@ -214,7 +214,7 @@ class CommModel:
             if node in done:
                 continue
             done.add(node)
-            hops = tuple(list(zip(path, path[1:])))  # see optimizer.SolveContext.lex_tuple
+            hops = tuple(list(zip(path, path[1:])))  # see optimizer.CompiledInstance.lex_tuple
             self._routes[(src, node, payload_bits)] = hops
             for nxt in self._out.get(node, ()):
                 if nxt in done:

@@ -41,8 +41,8 @@ scores every leaf from the state, the dive's too.  The walk keeps an explicit
 stack of per-depth child generators, so its depth is not bounded by the
 recursion limit.  _primary is the one primary-objective computation.
 
-One backward pass per solve (_completion) builds the bound for every
-aggregate, per dependency edge (v, s) and node y of v: E(v, y, s), the least
+One backward pass per search (_completion, run by _Search.__init__, which
+keeps its tables) builds the bound for every aggregate, per dependency edge (v, s) and node y of v: E(v, y, s), the least
 over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
 combining v's edges.  Under max_flow w = 1 and C = max_s E = B, and nothing
 per edge is kept.  Under the sum aggregates w is the number of paths from s
@@ -77,21 +77,25 @@ realizations, priced in one pass over one delay column per link
 them, every sum a list added entry by entry in time_of's order; it skips a
 hop within one node, which adds 0.0 to a sum that is never -0.0.
 
-A solve is three steps: a context (build_context, or _context over an
-instance already compiled), the search (_search) and _finish, which costs
-the answer at the memory and time its leaf scored and keeps the context and
-the delays per_flow is timed under when read.  The Monte-Carlo comparison
-runs the first two on one compiled instance and keeps only the placements.
+A compile also holds the instance's facts that every caller reads: its
+allowed nodes (effective_allowed), the lex order and the node ranks.  A
+SolveContext is a priced compile plus an objective and the aggregate it
+reads.  A solve is three steps: a context (build_context, or _context over
+a priced compile), the search (_search, whose _Search builds the bound) and
+_finish, which costs the answer at the memory and time its leaf scored and
+keeps the context and the delays per_flow is timed under when read.  The
+Monte-Carlo comparison runs the first two on one compiled instance.  Brute
+force and scatter build a context but no search: both enumerate placements
+through _placements and price each, as evaluate does, through _price.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 from operator import add
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .lattice import all_flows, layer, path_counts
 from .memory import robot_memory_bits
@@ -199,6 +203,9 @@ class CompiledInstance:
 
     instance: ProblemInstance
     edge_id: str
+    allowed: Dict[str, Tuple[str, ...]]  # effective_allowed: in node tie-break order
+    sorted_ids: List[str]  # tie-break order for lex tuples
+    node_rank: Dict[str, int]
     order: List[str]  # topological: (layer, id), also the branching order
     preds: Dict[str, Tuple[str, ...]]
     is_sink: Dict[str, bool]
@@ -265,6 +272,13 @@ class CompiledInstance:
             in_rows={aid: rows[key(bits)][self.edge_id] for aid, bits in self.input_bits.items()},
             out_rows={aid: rows[key(bits)] for aid, bits in self.output_bits.items()},
         )
+
+    def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
+        # Tuples made per request are built from lists, not generators: CPython
+        # allocates a tuple from a generator at another size and resizes it,
+        # but frees it to the free list of its final size, so that list gains
+        # more than it gives back and grows until a full garbage collection.
+        return tuple([self.node_rank[placement[aid]] for aid in self.sorted_ids])
 
     def time_of(self, placement: Placement, aggregate: str) -> float:
         """Overall seconds of a placement under an aggregate of its flows.
@@ -359,7 +373,8 @@ class CompiledInstance:
 
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
-    """An instance's delay-independent tables, with no hop rows until priced."""
+    """An instance's delay-independent tables, with no hop rows until priced.
+    An algorithm may have no allowed node; _context refuses to solve it."""
     exec_s: Dict[Tuple[str, str], float] = {}
     input_bits: Dict[str, int] = {}
     output_bits: Dict[str, int] = {}
@@ -380,6 +395,9 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     return CompiledInstance(
         instance=instance,
         edge_id=instance.edge_node_id() if instance.algorithms else "",
+        allowed=effective_allowed(instance),
+        sorted_ids=sorted(instance.algorithms),
+        node_rank={nid: i for i, nid in enumerate(node_order(instance))},
         order=order,
         preds={aid: tuple(us) for aid, us in preds.items()},
         is_sink={aid: aid not in has_succ for aid in instance.algorithms},
@@ -415,10 +433,14 @@ def _flow_total(c: CompiledInstance, flow: Tuple[str, ...], placement: Placement
 def check_placement(instance: ProblemInstance, placement: Placement) -> None:
     """Raise InfeasibleError unless placement puts every algorithm on one of
     its allowed nodes and names no other algorithm."""
+    _check_placement(instance, placement, effective_allowed(instance))
+
+
+def _check_placement(instance: ProblemInstance, placement: Placement, allowed: Dict[str, Tuple[str, ...]]) -> None:
+    """check_placement, given effective_allowed of instance."""
     for aid in placement:
         if aid not in instance.algorithms:
             raise InfeasibleError(f"placement names unknown algorithm {aid!r}")
-    allowed = effective_allowed(instance)
     for aid in instance.algorithms:
         if aid not in placement:
             raise InfeasibleError(f"placement misses algorithm {aid}")
@@ -438,12 +460,17 @@ def evaluate(
 ) -> CostPoint:
     """CostPoint of one placement (robot memory, overall time, distance)."""
     objective = objective or Objective()
-    check_placement(instance, placement)
+    compiled = compile_instance(instance)
+    _check_placement(instance, placement, compiled.allowed)
     if not instance.algorithms:
         return CostPoint(0.0, 0.0, 0.0)
-    priced = compile_instance(instance).priced(delays, include_return_hop)
-    time_s = priced.time_of(placement, _aggregate_for(instance, objective))
-    return make_cost(instance, objective, robot_memory_bits(instance, placement), time_s)
+    priced = compiled.priced(delays, include_return_hop)
+    return make_cost(instance, objective, *_price(priced, placement, _aggregate_for(instance, objective)))
+
+
+def _price(c: CompiledInstance, placement: Placement, aggregate: str) -> Tuple[int, float]:
+    """Robot memory bits and seconds of a whole placement, as c is priced."""
+    return robot_memory_bits(c.instance, placement), c.time_of(placement, aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +479,11 @@ def evaluate(
 
 @dataclass
 class SolveContext(CompiledInstance):
-    """A compiled instance under one objective and delay realization, plus
-    the tables the searches need."""
+    """A priced compiled instance under one objective, and the time aggregate
+    that objective reads."""
 
     objective: Objective
-    sorted_ids: List[str]  # tie-break order for LEX tuples
-    allowed: Dict[str, Tuple[str, ...]]  # in node tie-break order
-    node_rank: Dict[str, int]
     aggregate: str
-    # completion[alg][node], C: a bound on the rest of the paths from alg to
-    # a sink once alg has run on node (_completion).  Under max_flow it is B,
-    # the rest of the longest one; under total_flows and mean_flows the sum
-    # over them, each counted once.  At a sink, its return hop (0.0 without).
-    completion: Dict[str, Dict[str, float]]
-    # total_flows and mean_flows only (empty under max_flow):
-    # edge_bound[s][u][y] = E(u, y, s), the share of C(u, y) that the paths
-    # through the dependency edge (u, s) carry
-    edge_bound: Dict[str, Dict[str, Dict[str, float]]]
-    # per source, its bound before any assignment: the least over its nodes
-    # of (request hop + exec) times paths_out (1 under max_flow) + C
-    start_bound: Dict[str, float]
-
-    def lex_tuple(self, placement: Placement) -> Tuple[int, ...]:
-        # Tuples made per request are built from lists, not generators: CPython
-        # allocates a tuple from a generator at another size and resizes it,
-        # but frees it to the free list of its final size, so that list gains
-        # more than it gives back and grows until a full garbage collection.
-        return tuple([self.node_rank[placement[aid]] for aid in self.sorted_ids])
-
-
-def _checked_allowed(instance: ProblemInstance) -> Dict[str, Tuple[str, ...]]:
-    allowed = effective_allowed(instance)
-    for aid, nodes in allowed.items():
-        if not nodes:
-            raise InfeasibleError(f"algorithm {aid} has no feasible location")
-    return allowed
 
 
 def build_context(
@@ -495,35 +492,25 @@ def build_context(
     include_return_hop: bool = True,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> SolveContext:
-    allowed = _checked_allowed(instance)
-    return _context(compile_instance(instance).priced(delays, include_return_hop), objective or Objective(), allowed)
+    return _context(compile_instance(instance).priced(delays, include_return_hop), objective or Objective())
 
 
-def _context(priced: CompiledInstance, objective: Objective, allowed: Dict[str, Tuple[str, ...]]) -> SolveContext:
+def _context(priced: CompiledInstance, objective: Objective) -> SolveContext:
     """The SolveContext of a compiled instance, as priced (its delay
-    realization and return hop), under objective; allowed is
-    _checked_allowed of its instance.  It shares priced's hop rows."""
-    instance = priced.instance
-    aggregate = _aggregate_for(instance, objective)
-    completion, edge_bound, start_bound = _completion(priced, allowed, aggregate == "max_flow")
-    return SolveContext(
-        **vars(priced),
-        objective=objective,
-        sorted_ids=sorted(instance.algorithms),
-        allowed=allowed,
-        node_rank={nid: i for i, nid in enumerate(node_order(instance))},
-        aggregate=aggregate,
-        completion=completion,
-        edge_bound=edge_bound,
-        start_bound=start_bound,
-    )
+    realization and return hop), under objective; it shares priced's tables
+    and hop rows.  Raises InfeasibleError if an algorithm has no allowed node."""
+    for aid, nodes in priced.allowed.items():
+        if not nodes:
+            raise InfeasibleError(f"algorithm {aid} has no feasible location")
+    return SolveContext(**vars(priced), objective=objective, aggregate=_aggregate_for(priced.instance, objective))
 
 
 def _completion(
-    c: CompiledInstance, allowed: Dict[str, Tuple[str, ...]], longest: bool
+    c: CompiledInstance, longest: bool
 ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, Dict[str, float]]], Dict[str, float]]:
-    """C, E and the start bounds of SolveContext, in one backward pass;
-    longest (max_flow) keeps no E and weighs no term by a path count.
+    """C, E and the start bounds of _Search, in one backward pass over c's
+    allowed nodes; longest (max_flow) keeps no E and weighs no term by a path
+    count.
 
     For each dependency edge (v, s) and node y of v, E(v, y, s) is the least
     over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
@@ -539,7 +526,7 @@ def _completion(
     otherwise.  In floats C adds a path's terms from its end and time_of
     from its start, so the two can differ by rounding (see _Search.__init__).
     """
-    paths_out, key = c.paths_out, c.instance.comm.payload_key
+    paths_out, key, allowed = c.paths_out, c.instance.comm.payload_key, c.allowed
     succs: Dict[str, List[str]] = {aid: [] for aid in c.order}
     for v in c.order:
         for u in c.preds[v]:
@@ -598,8 +585,7 @@ def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
 
 def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple[Tuple, float]:
     """The key (primary, memory, lex tuple) and time of a placement, from scratch."""
-    mem_bits = robot_memory_bits(ctx.instance, placement)
-    time_s = ctx.time_of(placement, ctx.aggregate)
+    mem_bits, time_s = _price(ctx, placement, ctx.aggregate)
     return (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)), time_s
 
 
@@ -627,17 +613,30 @@ def solve_bruteforce(
     if not instance.algorithms:
         return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
-    total = math.prod([len(ctx.allowed[aid]) for aid in ctx.sorted_ids])
+    total = math.prod(map(len, ctx.allowed.values()))
     if total > cap:
         raise CapExceededError("placement enumeration", total, cap)
 
     best_key = best_time = best_placement = None
-    for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.sorted_ids)):
-        placement = dict(zip(ctx.sorted_ids, combo))
+    for placement in _placements(ctx, range(total)):
         key, time_s = _placement_key(ctx, placement)
         if best_key is None or key < best_key:
             best_key, best_time, best_placement = key, time_s, placement
     return _finish(ctx, best_placement, total, best_key[1], best_time, delays)  # every placement explored
+
+
+def _placements(c: CompiledInstance, indices) -> Iterator[Placement]:
+    """The feasible placements at the given indices of their enumeration in
+    itertools.product order over c.allowed of c.sorted_ids (the last id
+    varies fastest), each keyed in sorted id order."""
+    ids, choices = c.sorted_ids, [c.allowed[aid] for aid in reversed(c.sorted_ids)]
+    for index in indices:
+        combo = []
+        for nodes in choices:
+            index, digit = divmod(index, len(nodes))
+            combo.append(nodes[digit])
+        combo.reverse()
+        yield dict(zip(ids, combo))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +655,7 @@ class _EdgeMemory:
         self.held = {}  # aid -> (processing bits, ((region, bits), ...))
         for aid, spec in instance.algorithms.items():
             m = spec.memory
-            # from a list, not a generator (see SolveContext.lex_tuple)
+            # from a list, not a generator (see CompiledInstance.lex_tuple)
             self.held[aid] = (m.processing_bits, tuple([(r, instance.region_bits(r)) for r in m.inputs | m.outputs]))
 
     def gain(self, aid: str) -> int:
@@ -690,10 +689,20 @@ class _Search:
     def __init__(self, ctx: SolveContext):
         self.ctx = ctx
         self.longest = ctx.aggregate == "max_flow"
+        # completion[alg][node], C: a bound on the rest of the paths from alg
+        # to a sink once alg has run on node.  Under max_flow it is B, the
+        # rest of the longest one; under total_flows and mean_flows the sum
+        # over them, each counted once.  At a sink, its return hop (0.0
+        # without).  edge_bound[s][u][y] = E(u, y, s), the share of C(u, y)
+        # that the paths through the dependency edge (u, s) carry (the sum
+        # aggregates only; empty under max_flow).  start_bound: per source,
+        # its bound before any assignment, the least over its nodes of
+        # (request hop + exec) times paths_out (1 under max_flow) + C.
+        self.completion, self.edge_bound, self.start_bound = _completion(ctx, self.longest)
         # agg, the running aggregate of the bounds, starts from the sources'
         # start bounds: under max_flow their maximum (bounds only grow under
         # _assign, so it needs no rescan), otherwise their sum (see _child)
-        bounds = ctx.start_bound.values()
+        bounds = self.start_bound.values()
         self.agg = max(bounds, default=0.0) if self.longest else sum(bounds)
         self.finish: Dict[str, float] = {}  # P(v) or F(v) per assigned algorithm
         self.sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
@@ -770,7 +779,7 @@ class _Search:
         assignment = self.assignment
         if self.longest:
             t = ctx._finish_at(aid, node, assignment, self.finish)
-            bound = t + ctx.completion[aid][node]
+            bound = t + self.completion[aid][node]
             agg = time_bound = bound if bound > self.agg else self.agg
         else:
             e = ctx.exec_s[(aid, node)]
@@ -778,7 +787,7 @@ class _Search:
             agg = self.agg
             preds = ctx.preds[aid]
             if preds:
-                finish, out_rows, edge_bound = self.finish, ctx.out_rows, ctx.edge_bound[aid]
+                finish, out_rows, edge_bound = self.finish, ctx.out_rows, self.edge_bound[aid]
                 t = 0.0
                 for u in preds:
                     y, f, count = assignment[u], finish[u], paths_in[u]
@@ -787,8 +796,8 @@ class _Search:
                 t += paths_in[aid] * e
             else:
                 t = ctx.in_rows[aid][node] + e
-                agg -= ctx.start_bound[aid]
-            agg += t * w + paths_in[aid] * ctx.completion[aid][node]
+                agg -= self.start_bound[aid]
+            agg += t * w + paths_in[aid] * self.completion[aid][node]
             time_bound = agg if ctx.aggregate == "total_flows" else agg / self.flow_count
 
         mem_bits = self.memory.bits
@@ -815,7 +824,7 @@ class _Search:
         """The time of the placement once every algorithm is assigned."""
         if self.longest:
             # every flow ends at a sink s, whose B(s, y) is its return hop
-            assignment, completion = self.assignment, self.ctx.completion
+            assignment, completion = self.assignment, self.completion
             return max((self.finish[s] + completion[s][assignment[s]] for s in self.sinks), default=0.0)
         return self.ctx.time_of(self.assignment, self.ctx.aggregate)
 
@@ -951,16 +960,8 @@ def scatter(
     """
     if not instance.algorithms:
         return []
-    objective = objective or Objective()
-    allowed = _checked_allowed(instance)
-    compiled = compile_instance(instance).priced()
-    aggregate = _aggregate_for(instance, objective)
-    sorted_ids = sorted(instance.algorithms)
-    sizes = [len(allowed[aid]) for aid in sorted_ids]
-    total = 1
-    for s in sizes:
-        total *= s
-
+    ctx = build_context(instance, objective)
+    total = math.prod(map(len, ctx.allowed.values()))
     if total > max_points:
         warnings.warn(
             f"feasible space has {total} placements; evaluating a stratified "
@@ -971,17 +972,10 @@ def scatter(
     else:
         indices = range(total)
 
-    points: List[Tuple[int, Tuple[str, ...], int, float]] = []
-    for index in indices:
-        combo: List[str] = []
-        rem = index
-        for aid, size in zip(reversed(sorted_ids), reversed(sizes)):
-            rem, digit = divmod(rem, size)
-            combo.append(allowed[aid][digit])
-        combo.reverse()
-        placement = dict(zip(sorted_ids, combo))
-        mem_bits = robot_memory_bits(instance, placement)
-        points.append((index, tuple(combo), mem_bits, compiled.time_of(placement, aggregate)))
+    points = [
+        (index, tuple(placement.values()), *_price(ctx, placement, ctx.aggregate))
+        for index, placement in zip(indices, _placements(ctx, indices))
+    ]
 
     # Non-dominated scan over (memory, time), both minimized.
     best_with_smaller_mem = math.inf
@@ -995,18 +989,10 @@ def scatter(
             front_keys.add((mem_bits, group_min))
         best_with_smaller_mem = min(best_with_smaller_mem, group_min)
 
-    result = []
-    for index, combo, mem_bits, time_s in points:
-        cost = make_cost(instance, objective, mem_bits, time_s)
-        result.append(
-            ScatterPoint(
-                index=index,
-                placement=combo,
-                cost=cost,
-                on_front=(mem_bits, time_s) in front_keys,
-            )
-        )
-    return result
+    return [
+        ScatterPoint(index, combo, make_cost(instance, ctx.objective, mem_bits, time_s), (mem_bits, time_s) in front_keys)
+        for index, combo, mem_bits, time_s in points
+    ]
 
 
 def pareto_front(

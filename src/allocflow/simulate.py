@@ -40,8 +40,8 @@ from .optimizer import (
     CompiledInstance,
     Objective,
     _aggregate_for,
-    _checked_allowed,
     _context,
+    _price,
     _search,
     _weights,
     compile_instance,
@@ -169,18 +169,20 @@ def monte_carlo_compare(
     trial instead, as a sensitivity check.
 
     The instance is compiled once: both searches (ours, and the end-time
-    baseline's without the return hop) run on contexts built from it and
-    keep only their placements.  Every trial's delays are drawn first, by
-    one generator reseeded as trial_rng(seed, trial).  With fixed placements
-    each placement's robot memory is computed once (delays never change it),
-    each hop either placement uses is priced once over per-link delay
-    columns into a list that both share (priced_over), and each distinct
-    placement is timed over all trials in one pass (times_of), whose entry
-    per trial equals a pass over that trial alone.  With resolve_per_trial
-    each trial searches and prices each distinct placement on the compiled
-    instance priced under its delays.  Equal costs are summarized once, into
-    two MethodStats, exactly in integers (_method_stats), equal bit for bit to
-    the statistics module's over make_cost's CostPoints from Python 3.11 on.
+    baseline's without the return hop) run on contexts built from it.  Every
+    trial's delays are drawn first, by one generator reseeded as
+    trial_rng(seed, trial).  With fixed placements each placement's robot
+    memory is computed once (delays never change it), each hop either
+    placement uses is priced once over per-link delay columns into a list
+    that both share (priced_over), and each distinct placement is timed over
+    all trials in one pass (times_of), whose entry per trial equals a pass
+    over that trial alone.  With resolve_per_trial each trial searches on
+    the compiled instance priced under its delays: ours costs the memory and
+    time its search scored it at, and the baseline's placement is priced
+    with its return hop unless it is ours.  Equal costs are summarized once,
+    into two MethodStats, exactly in integers (_method_stats), equal bit for
+    bit to the statistics module's over make_cost's CostPoints from Python
+    3.11 on.
     Trials run serially: threads is accepted for compatibility and changes nothing.
     """
     if trials < 1:
@@ -193,15 +195,15 @@ def monte_carlo_compare(
         rng.seed(_trial_seed(seed, trial))  # seed also clears gauss_next: trial_rng(seed, trial)'s stream
         realizations.append({pair: delay.sample(rng) for pair, delay in instance.comm.delayed})
 
-    allowed = _checked_allowed(instance)
     compiled = compile_instance(instance)
 
-    def optima(priced: CompiledInstance) -> Tuple[Placement, Placement]:
-        """Ours and the baseline's placements with hops as priced, as
-        solve_branch_bound and solve_baseline return them."""
+    def optima(priced: CompiledInstance) -> Tuple[tuple, tuple]:
+        """Ours and the baseline's searches with hops as priced, each
+        (placement, explored, memory bits, time) as _search returns it: the
+        placements solve_branch_bound and solve_baseline return."""
         return (
-            _search(_context(priced, objective, allowed))[0],
-            _search(_context(replace(priced, include_return_hop=False), _END_TIME, allowed))[0],
+            _search(_context(priced, objective)),
+            _search(_context(replace(priced, include_return_hop=False), _END_TIME)),
         )
 
     def once(pair: tuple, cost) -> tuple:
@@ -209,15 +211,15 @@ def monte_carlo_compare(
         first = cost(pair[0])
         return first, first if pair[1] == pair[0] else cost(pair[1])
 
-    ours, base = optima(compiled.priced())
+    (ours, *_), (base, *_) = optima(compiled.priced())
     # per method, its robot memory bits and its time in each trial
     if resolve_per_trial:
         costs = []  # per trial, per method, (memory bits, time)
         for delays in realizations:
             priced = compiled.priced(delays)
-            costs.append(
-                once(optima(priced), lambda p: (robot_memory_bits(instance, p), priced.time_of(p, aggregate)))
-            )
+            (mine, _, *scored), (theirs, *_) = optima(priced)
+            # ours as its search scored it; the baseline's search left out the return hop, so price it
+            costs.append((scored, scored if theirs == mine else _price(priced, theirs, aggregate)))
         columns = [tuple(zip(*method)) for method in zip(*costs)]
     else:
         over = compiled.priced_over(realizations)

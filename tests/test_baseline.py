@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
+
 from allocflow import fixtures
 from allocflow.baseline import baseline_overall, solve_baseline
 from allocflow.lattice import all_flows
-from allocflow.model import effective_allowed, instance_from_dict
+from allocflow.model import InfeasibleError, effective_allowed, instance_from_dict
 from allocflow.optimizer import Objective, solve_branch_bound
 from allocflow.simulate import GenParams, random_instance
 from allocflow.timing import flow_time, overall_time
@@ -24,6 +26,16 @@ def test_single_sort_baseline_prefers_cloud(single_sort):
     assert result.placement == {"sort": "c"}
     assert result.cost.time_seconds == 4.0  # finishes earliest on the cloud
     assert baseline_overall(single_sort, result.placement) == 7.0
+
+
+def test_overall_refuses_a_placement_as_evaluate_does(single_sort):
+    """baseline_overall prices through evaluate, so a placement that misses
+    an algorithm or names an unknown node raises InfeasibleError, not a
+    KeyError from the evaluator's tables."""
+    with pytest.raises(InfeasibleError, match="placement misses algorithm sort"):
+        baseline_overall(single_sort, {})
+    with pytest.raises(InfeasibleError, match="may not run on 'nowhere'"):
+        baseline_overall(single_sort, {"sort": "nowhere"})
 
 
 def test_transfer_cost_sweep_placements():

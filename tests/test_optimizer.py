@@ -675,7 +675,7 @@ class _BoundSpy(_Search):
         self.resolve = resolve
         self.delays = delays
         self.budget = budget
-        self.completion, _, _ = _reference_bound(ctx, resolve)
+        self.reference, _, _ = _reference_bound(ctx, resolve)
         self.children = self.leaves = 0
 
     def _spend(self):
@@ -687,7 +687,7 @@ class _BoundSpy(_Search):
         ctx = self.ctx
         primary, mem_bits, _, _, (_, time_bound) = child = super()._child(aid, node)
         finish = _reference_finish(ctx, {**self.assignment, aid: node}, self.resolve)
-        want = max(self.agg, finish[aid] + self.completion[aid][node])
+        want = max(self.agg, finish[aid] + self.reference[aid][node])
         assert repr(time_bound) == repr(want)
         assert repr(primary) == repr(_primary(ctx, want, mem_bits))
         self.children += 1
@@ -750,9 +750,8 @@ def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
         tier_ordering=False,
     )
     ctx, delays, resolve = _jittered(seed, n, params, kind, include_return_hop)
-    reference, _, _ = _reference_bound(ctx, resolve)
-    assert repr(ctx.completion) == repr(reference)
     spy = _BoundSpy(ctx, resolve, delays, budget=400)
+    assert repr(spy.completion) == repr(spy.reference)
     try:
         warm_start(spy, ctx.allowed)
         spy.run()
@@ -986,31 +985,31 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
             hops[src, dst, payload] = inst.comm.resolve(src, dst, payload, delays)
         return hops[src, dst, payload]
 
+    search = _Search(ctx)  # it builds the bound tables
     sources = [aid for aid in ctx.order if not ctx.preds[aid]]
-    assert list(ctx.start_bound) == sources
+    assert list(search.start_bound) == sources
     paths_in, paths_out = _reference_path_counts(ctx)
     assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
     if ctx.aggregate == "max_flow":
         # no per-edge tables: B bounds every flow's tail table from above,
         # entry by entry, and each source's start bound every flow from it
-        assert ctx.edge_bound == {}
+        assert search.edge_bound == {}
         reference = _per_flow_tails(ctx)
         for fi, flow in enumerate(ctx.flows):
             for pos, aid in enumerate(flow):
                 for nid, tail in reference[fi][pos + 1].items():
-                    assert ctx.completion[aid][nid] >= tail
+                    assert search.completion[aid][nid] >= tail
         for fi, flow in enumerate(ctx.flows):
-            assert ctx.start_bound[flow[0]] >= reference[fi][0][ctx.edge_id]
+            assert search.start_bound[flow[0]] >= reference[fi][0][ctx.edge_id]
     else:
         completion, shares, start = _reference_bound(ctx, resolve, paths_out=paths_out)
-        assert repr(ctx.completion) == repr(completion)
-        assert repr(ctx.start_bound) == repr(start)
-        got = {(u, s): share for s, by_pred in ctx.edge_bound.items() for u, share in by_pred.items()}
+        assert repr(search.completion) == repr(completion)
+        assert repr(search.start_bound) == repr(start)
+        got = {(u, s): share for s, by_pred in search.edge_bound.items() for u, share in by_pred.items()}
         assert sorted(got) == sorted(shares) == sorted(ctx.instance.graph.edges)
         for edge, share in shares.items():
             assert repr(got[edge]) == repr(share)
 
-    search = _Search(ctx)
     warm_start(search, ctx.allowed)
     assert search.best_placement == _reference_dive(ctx, resolve)
 
@@ -1027,8 +1026,18 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     until per_flow is read.  A solve builds one _Search, whose warm start is
     its own first dive, and prices nothing outside its leaf scorer: no
     robot_memory_bits, and time_of only for the leaves it scores under the
-    sum aggregates, none under max_flow."""
-    calls = {"_flow_total": 0, "_completion": 0, "all_flows": 0, "flow_time": 0, "robot_memory_bits": 0}
+    sum aggregates, none under max_flow.  The bound belongs to the search:
+    brute force, scatter and evaluate build no _Search and run no
+    _completion pass, and every entry point reads effective_allowed once,
+    through its compile."""
+    calls = {
+        "_flow_total": 0,
+        "_completion": 0,
+        "all_flows": 0,
+        "flow_time": 0,
+        "robot_memory_bits": 0,
+        "effective_allowed": 0,
+    }
     for name in calls:
         original = getattr(optimizer, name)
 
@@ -1068,17 +1077,37 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     search.run()
     sized = [value for value in vars(search).values() if isinstance(value, (list, dict))]
     assert sized and all(len(value) <= len(ctx.order) for value in sized)
-    assert solved["_completion"] == 1
+    assert solved["_completion"] == solved["effective_allowed"] == 1
     assert read["all_flows"] == 1 and read["_flow_total"] == solved["_flow_total"]
     assert solved["flow_time"] == 0 and read["flow_time"] == len(timings)
     if kind == "min_distance":
-        assert ctx.edge_bound == {}
+        assert search.edge_bound == {}
         assert solved["all_flows"] == solved["_flow_total"] == solved["time_of"] == 0
     else:
-        assert sorted((u, s) for s in ctx.edge_bound for u in ctx.edge_bound[s]) == sorted(inst.graph.edges)
+        assert sorted((u, s) for s in search.edge_bound for u in search.edge_bound[s]) == sorted(inst.graph.edges)
         assert solved["all_flows"] == 1
         assert timed[: solved["time_of"]] == leaves  # one time_of per leaf, the dive's included
         assert solved["_flow_total"] == len(timings) * solved["time_of"]
+
+    small = random_instance(5, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)  # 4**5 placements
+    entries = {
+        "solve_branch_bound": lambda: solve_branch_bound(small, Objective(kind)),
+        "solve_bruteforce": lambda: solve_bruteforce(small, Objective(kind)),
+        "scatter": lambda: scatter(small, Objective(kind)),
+        "evaluate": lambda: evaluate(small, dict.fromkeys(small.algorithms, "e"), Objective(kind)),
+    }
+    work = {}
+    for name, enter in entries.items():
+        before = dict(calls, searches=len(searches))
+        enter()
+        after = dict(calls, searches=len(searches))
+        work[name] = tuple(after[key] - before[key] for key in ("searches", "_completion", "effective_allowed"))
+    assert work == {
+        "solve_branch_bound": (1, 1, 1),
+        "solve_bruteforce": (0, 0, 1),
+        "scatter": (0, 0, 1),
+        "evaluate": (0, 0, 1),
+    }
 
 
 def ladder(rungs, seed=0):

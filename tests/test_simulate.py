@@ -435,22 +435,43 @@ def test_each_trial_draws_its_own_stream(monkeypatch):
 def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkeypatch):
     """When ours equals the baseline's placement (seed 1), the comparison
     times it once and summarizes it once; the report still equals the
-    per-trial reference, and each method keeps its own MethodStats."""
+    per-trial reference, and each method keeps its own MethodStats.  With
+    fixed placements each distinct one gets its robot memory once.  With
+    resolve_per_trial ours costs what its search scored it at, so a trial
+    prices only a baseline placement that differs from ours: one robot
+    memory and one time_of (the searches price none under max_flow)."""
     from allocflow import optimizer, simulate
 
-    calls = {"times_of": 0, "_method_stats": 0}
-    for owner, name in ((optimizer.CompiledInstance, "times_of"), (simulate, "_method_stats")):
+    calls = dict.fromkeys(["times_of", "_method_stats", "robot_memory_bits", "time_of"], 0)
+    for owner, name in (
+        (optimizer.CompiledInstance, "times_of"),
+        (simulate, "_method_stats"),
+        (simulate, "robot_memory_bits"),
+        (optimizer, "robot_memory_bits"),
+        (optimizer.CompiledInstance, "time_of"),
+    ):
         def counted(*args, _original=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(owner, name, counted)
+    found = []  # each search's answer: the fixed pair, then one pair per trial
+    search = simulate._search
+    monkeypatch.setattr(simulate, "_search", lambda ctx: found.append(search(ctx)) or found[-1])
     inst = random_instance(6, GenParams(delay_prob=0.8), seed=seed)
+    assert inst.options.time_aggregate == "max_flow"
     stats = monte_carlo_compare(inst, trials=12, seed=3, resolve_per_trial=resolve_per_trial)
+    compared = dict(calls)
     assert (stats.ours_placement == stats.baseline_placement) is same
     assert stats.to_dict() == reference_comparison(inst, 12, 3, resolve_per_trial)
     assert stats.baseline is not stats.ours
-    assert calls == {"times_of": 0 if resolve_per_trial else 2 - same, "_method_stats": 2 - same}
+    if resolve_per_trial:
+        assert len(found) == 2 + 2 * 12
+        differ = sum(ours[0] != base[0] for ours, base in zip(found[2::2], found[3::2]))
+        priced = {"times_of": 0, "robot_memory_bits": differ, "time_of": differ}
+    else:
+        priced = {"times_of": 2 - same, "robot_memory_bits": 2 - same, "time_of": 0}
+    assert compared == dict(priced, _method_stats=2 - same)
 
 
 def test_monte_carlo_answers_are_pinned():
