@@ -11,8 +11,7 @@ stripped: a path from a source to a sink.
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .model import CapExceededError, DependencyGraph
 
@@ -35,107 +34,131 @@ def flow_cap() -> int:
     return value
 
 
-def _successors(graph: DependencyGraph) -> Dict[str, List[str]]:
-    """Each vertex's successors, sorted."""
+class _GraphIndex(NamedTuple):
+    """What one pass over a graph's edges and one layering give: the tables
+    compile_instance, all_flows, count_flows and path_counts read."""
+
+    succs: Dict[str, List[str]]  # each vertex's successors, sorted
+    preds: Dict[str, List[str]]  # each vertex's predecessors, in edge order
+    order: List[str]  # topological: the layers in turn, each by id
+    # per vertex, the number of paths from a source to it and from it to a
+    # sink, 1 at each end
+    paths_in: Dict[str, int]
+    paths_out: Dict[str, int]
+    flow_count: int  # source-to-sink paths over every component
+    sources: List[str]  # where all_flows starts its flows, in _groups order
+
+
+def _adjacency(graph: DependencyGraph) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
+    """Each vertex's successors, sorted, and predecessors, in edge order."""
     succs: Dict[str, List[str]] = {aid: [] for aid in graph.algorithms}
+    preds: Dict[str, List[str]] = {aid: [] for aid in graph.algorithms}
     for u, v in graph.edges:
         succs[u].append(v)
+        preds[v].append(u)
     for vs in succs.values():
         vs.sort()
-    return succs
+    return succs, preds
 
 
 def layer(graph: DependencyGraph) -> List[List[str]]:
     """Layers as sorted id lists; raises on cycles (validate reports them first)."""
-    return _layer(graph, _successors(graph))
+    return _layer(*_adjacency(graph))
 
 
-def _layer(graph: DependencyGraph, succs: Dict[str, List[str]]) -> List[List[str]]:
-    """layer, given the graph's _successors."""
-    indegree = dict.fromkeys(graph.algorithms, 0)
-    for _, v in graph.edges:
-        indegree[v] += 1
-
-    level: Dict[str, int] = {}
-    queue = deque(sorted(aid for aid, d in indegree.items() if d == 0))
+def _layer(succs: Dict[str, List[str]], preds: Dict[str, List[str]]) -> List[List[str]]:
+    """layer, given the graph's _adjacency."""
+    indegree = {aid: len(us) for aid, us in preds.items()}
+    queue = sorted(aid for aid, d in indegree.items() if d == 0)
+    level = dict.fromkeys(queue, 1)
+    # Kahn's order, first in first out: levels never decrease along the
+    # queue, so the predecessor that releases a vertex, processed last of
+    # its predecessors, has the highest level among them
     for aid in queue:
-        level[aid] = 1
-    seen = len(queue)
-    while queue:
-        aid = queue.popleft()
+        k = level[aid] + 1
         for nxt in succs[aid]:
-            level[nxt] = max(level.get(nxt, 0), level[aid] + 1)
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
+                level[nxt] = k
                 queue.append(nxt)
-                seen += 1
-    if seen != len(graph.algorithms):
+    if len(queue) != len(succs):
         raise ValueError("graph contains a cycle; layering undefined")
 
-    layers: List[List[str]] = [[] for _ in range(max(level.values(), default=0))]
-    for aid, k in level.items():
-        layers[k - 1].append(aid)
+    layers: List[List[str]] = [[] for _ in range(level[queue[-1]] if queue else 0)]
+    for aid in queue:
+        layers[level[aid] - 1].append(aid)
     for bucket in layers:
         bucket.sort()
     return layers
 
 
-def _groups(graph: DependencyGraph) -> List[List[str]]:
-    """Weakly-connected components as sorted member lists, ordered by
-    smallest member id (union-find over the edges)."""
-    parent: Dict[str, str] = {aid: aid for aid in graph.algorithms}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    groups: Dict[str, List[str]] = {}
-    for aid in graph.algorithms:
-        groups.setdefault(find(aid), []).append(aid)
-    return sorted(map(sorted, groups.values()), key=lambda members: members[0])
-
-
-def path_counts(graph: DependencyGraph, order: Optional[List[str]] = None) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Per vertex, paths_in (the number of paths from a source to it) and
-    paths_out (from it to a sink), 1 at each end: one DP each way over a
-    topological order, by default layer's, without enumerating a path.  A
-    vertex lies on paths_in * paths_out flows."""
-    return _path_counts(graph, order, _successors(graph))
-
-
-def _path_counts(
-    graph: DependencyGraph, order: Optional[List[str]], succs: Dict[str, List[str]]
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """path_counts, given the graph's _successors."""
-    if order is None:
-        order = [aid for bucket in _layer(graph, succs) for aid in bucket]
+def _graph_index(graph: DependencyGraph) -> _GraphIndex:
+    """The graph's _GraphIndex; raises on cycles, as layer does.  Path counts
+    are one DP each way over the topological order, without enumerating a
+    path; a vertex lies on paths_in * paths_out flows."""
+    succs, preds = _adjacency(graph)
+    order = [aid for bucket in _layer(succs, preds) for aid in bucket]
     paths_in = dict.fromkeys(order, 0)
     for v in order:  # every predecessor of v has added its count
         count = paths_in[v] = paths_in[v] or 1
         for w in succs[v]:
             paths_in[w] += count
-    paths_out: Dict[str, int] = {}
-    for v in reversed(order):
-        paths_out[v] = sum([paths_out[w] for w in succs[v]]) or 1
-    return paths_in, paths_out
+    paths_out = dict.fromkeys(order, 0)
+    for v in reversed(order):  # every successor of v has added its count
+        count = paths_out[v] = paths_out[v] or 1
+        for u in preds[v]:
+            paths_out[u] += count
+    return _GraphIndex(
+        succs=succs,
+        preds=preds,
+        order=order,
+        paths_in=paths_in,
+        paths_out=paths_out,
+        flow_count=sum([count for v, count in paths_in.items() if not succs[v]]),
+        sources=[v for members in _groups(succs, preds) for v in members if not preds[v]],
+    )
+
+
+def _groups(succs: Dict[str, List[str]], preds: Dict[str, List[str]]) -> List[List[str]]:
+    """Weakly-connected components, given the graph's _adjacency, as sorted
+    member lists ordered by smallest member id: a walk over both directions
+    from each vertex, in id order, that no earlier walk reached."""
+    seen = set()
+    groups: List[List[str]] = []
+    for aid in sorted(succs):
+        if aid in seen:
+            continue
+        seen.add(aid)
+        members = [aid]
+        for u in members:
+            for v in succs[u] + preds[u]:
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+        members.sort()
+        groups.append(members)
+    return groups
+
+
+def path_counts(graph: DependencyGraph) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Per vertex, paths_in (the number of paths from a source to it) and
+    paths_out (from it to a sink), 1 at each end (see _graph_index)."""
+    index = _graph_index(graph)
+    return index.paths_in, index.paths_out
 
 
 def count_flows(graph: DependencyGraph) -> int:
     """Number of source-to-sink paths over every component (DP, no enumeration)."""
-    return _count_flows(graph, _successors(graph))
+    return _graph_index(graph).flow_count
 
 
-def _count_flows(graph: DependencyGraph, succs: Dict[str, List[str]]) -> int:
-    """count_flows, given the graph's _successors."""
-    paths_in, _ = _path_counts(graph, None, succs)
-    return sum(count for v, count in paths_in.items() if not succs[v])
+def _check_flow_cap(count: int, cap: Optional[int] = None) -> None:
+    """Raise CapExceededError("flow explosion") when count, a graph's flow
+    count, exceeds cap (by default flow_cap())."""
+    if cap is None:
+        cap = flow_cap()
+    if count > cap:
+        raise CapExceededError("flow explosion", count, cap)
 
 
 def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
@@ -145,20 +168,14 @@ def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[Executi
     Raises CapExceededError("flow explosion") when the DP count over the
     whole graph exceeds cap.
     """
-    if cap is None:
-        cap = flow_cap()
-    succs = _successors(graph)
-    total = _count_flows(graph, succs)
-    if total > cap:
-        raise CapExceededError("flow explosion", total, cap)
-
-    has_pred = {v for _, v in graph.edges}
-    sources = [v for members in _groups(graph) for v in members if v not in has_pred]
+    index = _graph_index(graph)
+    _check_flow_cap(index.flow_count, cap)
+    succs = index.succs
     # depth-first with an explicit stack of successor iterators, so a deep
     # graph cannot reach the recursion limit
     flows: List[ExecutionFlow] = []
     path: List[str] = []
-    pending = [iter(sources)]
+    pending = [iter(index.sources)]
     while pending:
         v = next(pending[-1], None)
         if v is None:

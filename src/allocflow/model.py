@@ -311,14 +311,20 @@ def effective_allowed(instance: ProblemInstance) -> Dict[str, Tuple[str, ...]]:
     Algorithms with unbounded memory growth are restricted to cloud-tier nodes
     (their growth has to live on elastic storage, not on the robot or fog).
     An allowed location that names no node is left out (validate reports it).
+    Every algorithm with neither shares one tuple, every node in order.
     """
     order = node_order(instance)
+    everywhere = tuple(order)
     rank = {nid: i for i, nid in enumerate(order)}
     horizon = instance.options.boundedness_horizon
     out: Dict[str, Tuple[str, ...]] = {}
     for aid, spec in instance.algorithms.items():
+        unbounded = unbounded_restrictions(spec.memory, horizon)
+        if spec.allowed_locations is None and not unbounded:
+            out[aid] = everywhere
+            continue
         allowed = set(order) if spec.allowed_locations is None else rank.keys() & spec.allowed_locations
-        if unbounded_restrictions(spec.memory, horizon):
+        if unbounded:
             allowed = {nid for nid in allowed if instance.nodes[nid].tier is Tier.CLOUD}
         out[aid] = tuple(sorted(allowed, key=rank.__getitem__))
     return out
@@ -413,13 +419,23 @@ def validate(instance: ProblemInstance) -> ValidationReport:
         flag("single-robot", f"single-robot violation: {len(edge_nodes)} edge nodes {edge_nodes}", *edge_nodes)
 
     succs: Dict[str, List[str]] = {aid: [] for aid in algs}
+    indegree = dict.fromkeys(algs, 0)
     for u, v in instance.graph.edges:
         if u in algs and v in algs:
             succs[u].append(v)
+            indegree[v] += 1
             continue
         for missing in sorted({u, v} - algs.keys()):
             flag("unknown-algorithm", f"dependency edge ({u}, {v}) names unknown algorithm {missing}", u, v)
-    for scc in _strongly_connected(succs):
+    # Kahn's order reaches every algorithm exactly when the graph has no
+    # cycle, and then no strongly connected component has two members
+    ready = [aid for aid, d in indegree.items() if not d]
+    for u in ready:
+        for v in succs[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+    for scc in _strongly_connected(succs) if len(ready) < len(algs) else ():
         if len(scc) > 1:
             flag("cycle", f"dependency cycle through {', '.join(scc)}", *scc)
 

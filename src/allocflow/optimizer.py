@@ -48,12 +48,15 @@ combining v's edges.  Under max_flow w = 1 and C = max_s E = B, and nothing
 per edge is kept.  Under the sum aggregates w is the number of paths from s
 to a sink, C = sum_s E, and E is kept for the trades.
 
-Flows are counted, not enumerated: compile_instance keeps each algorithm's
-path counts, which weigh the sum aggregates' bound and give the search its
-rounding slack and the mean's divisor.  A compile enumerates its flows on
-first read, only to time a whole placement: in time_of under the sum
-aggregates, and for AllocationResult.per_flow.  So under max_flow a solve,
-evaluate and the Monte-Carlo comparison enumerate none.
+Flows are counted, not enumerated: compile_instance reads the graph's
+lattice index (successors, predecessors, topological order, path counts and
+the flows' sources), built in one pass.  The path counts weigh the sum
+aggregates' bound and give the search its rounding slack and the mean's
+divisor.  Under the sum aggregates time_of takes every flow's total from one
+depth-first walk over the flows' prefixes (CompiledInstance._flow_totals),
+which builds no list of flows.  Only AllocationResult.per_flow enumerates
+them, on first read, so a solve, evaluate and the Monte-Carlo comparison
+enumerate none under any aggregate.
 
 Hops are read from rows: one per (payload, source node) and delay
 realization, mapping a destination node to seconds and resolving a missing
@@ -69,7 +72,7 @@ max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
 topological order, touching each dependency edge once instead of each flow
 position; it equals the maximum over flows bit for bit, because the flows
 are the source-to-sink paths and rounded addition is monotone.  total_flows
-and mean_flows add per-flow totals, which _flow_total times in the order of
+and mean_flows add per-flow totals, which the walk times in the order of
 timing.flow_time (which times the reported per_flow); so does their search.
 CompiledInstance.priced_over holds each hop as a list over many delay
 realizations, priced in one pass over one delay column per link
@@ -97,7 +100,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .lattice import all_flows, layer, path_counts
+from .lattice import _check_flow_cap, _graph_index, all_flows
 from .memory import robot_memory_bits
 from .model import (
     CapExceededError,
@@ -206,13 +209,14 @@ class CompiledInstance:
     allowed: Dict[str, Tuple[str, ...]]  # effective_allowed: in node tie-break order
     sorted_ids: List[str]  # tie-break order for lex tuples
     node_rank: Dict[str, int]
+    # the graph's index, lattice._GraphIndex
     order: List[str]  # topological: (layer, id), also the branching order
-    preds: Dict[str, Tuple[str, ...]]
-    is_sink: Dict[str, bool]
-    # lattice.path_counts: per algorithm, the number of paths from a source
-    # to it and from it to a sink (1 at each end)
+    preds: Dict[str, List[str]]  # in edge order
+    succs: Dict[str, List[str]]  # by id
     paths_in: Dict[str, int]
     paths_out: Dict[str, int]
+    flow_count: int
+    sources: List[str]  # in all_flows' order
     # [all_flows of the graph] once flows is first read, shared by every copy
     # that priced, priced_over and _context make
     flow_cache: List[List[Tuple[str, ...]]]
@@ -288,26 +292,56 @@ class CompiledInstance:
         of P(u) plus the hop from u's node to v's, or the request hop at a
         source, then plus v's execution; a sink adds its return hop, and the
         result is the largest sink's.  The flows are exactly the
-        source-to-sink paths, each sum is kept in _flow_total's left-to-right
-        order, and rounded addition is monotone (x <= y gives x + c <= y + c),
-        so the maximum commutes with every addition and the pass equals
-        max(_flow_total(f)) bit for bit.  total_flows and mean_flows add the
-        per-flow totals, whose order fixes their floats.
+        source-to-sink paths, each sum is kept in timing.flow_time's
+        left-to-right order, and rounded addition is monotone (x <= y gives
+        x + c <= y + c), so the maximum commutes with every addition and the
+        pass equals the largest flow's total bit for bit.  total_flows and
+        mean_flows aggregate the per-flow totals of _flow_totals, in
+        all_flows' order, which fixes their floats.
         """
         if aggregate == "max_flow":
-            out_rows, edge, is_sink = self.out_rows, self.edge_id, self.is_sink
+            out_rows, edge, succs = self.out_rows, self.edge_id, self.succs
             finish: Dict[str, float] = {}
             longest = 0.0  # every sum starts at 0.0, so no flow ends below it
             for aid in self.order:
                 node = placement[aid]
                 finish[aid] = t = self._finish_at(aid, node, placement, finish)
-                if is_sink[aid]:
+                if not succs[aid]:  # a sink
                     if self.include_return_hop:
                         t += out_rows[aid][node][edge]
                     if t > longest:
                         longest = t
             return longest
-        return aggregate_times(aggregate, [_flow_total(self, f, placement) for f in self.flows])
+        return aggregate_times(aggregate, self._flow_totals(placement))
+
+    def _flow_totals(self, placement: Placement) -> List[float]:
+        """Each flow's seconds, in all_flows' order, by one depth-first walk
+        over the flows' prefixes: a prefix's running total, 0.0 plus each
+        hop and exec in timing.flow_time's order, is shared by every flow
+        that starts with it, so each flow gets the same additions in the same
+        order as flow_time, and the walk visits v once per path to it
+        (paths_in), not once per flow through it.  Raises CapExceededError
+        past the flow cap, as all_flows does, before walking."""
+        _check_flow_cap(self.flow_count)
+        succs, exec_s, out_rows, edge = self.succs, self.exec_s, self.out_rows, self.edge_id
+        totals: List[float] = []
+        # (successors left, the prefix's total, the hop row from its last
+        # node); at the root the row is each source's request-hop row
+        pending = [(iter(self.sources), 0.0, None)]
+        while pending:
+            _, t, row = top = pending[-1]
+            v = next(top[0], None)
+            if v is None:
+                pending.pop()
+                continue
+            node = placement[v]
+            t = t + (self.in_rows[v] if row is None else row)[node] + exec_s[(v, node)]
+            row = out_rows[v][node]
+            if succs[v]:
+                pending.append((iter(succs[v]), t, row))
+            else:
+                totals.append(t + row[edge] if self.include_return_hop else t)
+        return totals
 
     def times_of(self, placement: Placement, aggregate: str, trials: int) -> List[float]:
         """time_of under each of the trials realizations of priced_over, in
@@ -331,26 +365,36 @@ class CompiledInstance:
                     t = [b if b > a else a for a, b in zip(t, s)] if i else s
                 e = exec_s[(aid, node)]
                 finish[aid] = t = [x + e for x in t]
-                if self.is_sink[aid]:
+                if not self.succs[aid]:
                     if self.include_return_hop and node != edge:
                         t = [x + h for x, h in zip(t, out_rows[aid][node][edge])]
                     longest = [b if b > a else a for a, b in zip(longest, t)]
             return longest
-        totals = []
-        for flow in self.flows:
-            total = [0.0] * trials
-            src, row = edge, self.in_rows[flow[0]]
-            for aid in flow:
-                node = placement[aid]
-                e = exec_s[(aid, node)]
-                if node == src:
-                    total = [x + e for x in total]
-                else:
-                    total = [x + h + e for x, h in zip(total, row[node])]
-                src, row = node, out_rows[aid][node]
-            if self.include_return_hop and src != edge:
-                total = [x + h for x, h in zip(total, row[edge])]
-            totals.append(total)
+        # _flow_totals' walk, each total a list; a frame also holds the
+        # prefix's last node (the edge at the root)
+        _check_flow_cap(self.flow_count)
+        succs, totals = self.succs, []
+        pending = [(iter(self.sources), [0.0] * trials, edge, None)]
+        while pending:
+            _, total, src, row = top = pending[-1]
+            v = next(top[0], None)
+            if v is None:
+                pending.pop()
+                continue
+            node = placement[v]
+            e = exec_s[(v, node)]
+            if node == src:
+                total = [x + e for x in total]
+            else:
+                hops = (self.in_rows[v] if row is None else row)[node]
+                total = [x + h + e for x, h in zip(total, hops)]
+            row = out_rows[v][node]
+            if succs[v]:
+                pending.append((iter(succs[v]), total, node, row))
+            else:
+                if self.include_return_hop and node != edge:
+                    total = [x + h for x, h in zip(total, row[edge])]
+                totals.append(total)
         if not totals:
             return [0.0] * trials
         return [aggregate_times(aggregate, column) for column in zip(*totals)]
@@ -368,7 +412,7 @@ class CompiledInstance:
                 if s > t:
                     t = s
         else:
-            t = 0.0 + self.in_rows[aid][node]  # _flow_total's start: 0.0, never -0.0
+            t = 0.0 + self.in_rows[aid][node]  # flow_time's start: 0.0, never -0.0
         return t + self.exec_s[(aid, node)]
 
 
@@ -385,24 +429,20 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
                 exec_s[(aid, nid)] = spec.exec_time_at(node)
         input_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
         output_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
-    graph = instance.graph
-    preds: Dict[str, List[str]] = {aid: [] for aid in instance.algorithms}
-    for u, v in graph.edges:
-        preds[v].append(u)
-    has_succ = {u for u, _ in graph.edges}
-    order = [aid for bucket in layer(graph) for aid in bucket]
-    paths_in, paths_out = path_counts(graph, order)
+    graph = _graph_index(instance.graph)
     return CompiledInstance(
         instance=instance,
         edge_id=instance.edge_node_id() if instance.algorithms else "",
         allowed=effective_allowed(instance),
         sorted_ids=sorted(instance.algorithms),
         node_rank={nid: i for i, nid in enumerate(node_order(instance))},
-        order=order,
-        preds={aid: tuple(us) for aid, us in preds.items()},
-        is_sink={aid: aid not in has_succ for aid in instance.algorithms},
-        paths_in=paths_in,
-        paths_out=paths_out,
+        order=graph.order,
+        preds=graph.preds,
+        succs=graph.succs,
+        paths_in=graph.paths_in,
+        paths_out=graph.paths_out,
+        flow_count=graph.flow_count,
+        sources=graph.sources,
         flow_cache=[],
         exec_s=exec_s,
         input_bits=input_bits,
@@ -413,21 +453,6 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         in_rows={},
         out_rows={},
     )
-
-
-def _flow_total(c: CompiledInstance, flow: Tuple[str, ...], placement: Placement) -> float:
-    """Seconds of one flow, in timing.flow_time's accumulation order."""
-    out_rows, exec_s = c.out_rows, c.exec_s
-    row = c.in_rows[flow[0]]
-    total = 0.0
-    for aid in flow:
-        node = placement[aid]
-        total += row[node]
-        total += exec_s[(aid, node)]
-        row = out_rows[aid][node]
-    if c.include_return_hop:
-        total += row[c.edge_id]
-    return total
 
 
 def check_placement(instance: ProblemInstance, placement: Placement) -> None:
@@ -527,6 +552,8 @@ def _completion(
     from its start, so the two can differ by rounding (see _Search.__init__).
     """
     paths_out, key, allowed = c.paths_out, c.instance.comm.payload_key, c.allowed
+    # successors in c.order, not c.succs' id order: C sums v's edges in this
+    # order, which fixes its floats
     succs: Dict[str, List[str]] = {aid: [] for aid in c.order}
     for v in c.order:
         for u in c.preds[v]:
@@ -538,7 +565,7 @@ def _completion(
     tables: Dict[tuple, Dict[str, float]] = {}
     for v in reversed(c.order):
         rows, ys = c.out_rows[v], allowed[v]
-        if c.is_sink[v]:
+        if not succs[v]:
             completion[v] = {y: rows[y][edge] if c.include_return_hop else 0.0 for y in ys}
             continue
         best = dict.fromkeys(ys, -math.inf if longest else 0.0)
@@ -705,7 +732,7 @@ class _Search:
         bounds = self.start_bound.values()
         self.agg = max(bounds, default=0.0) if self.longest else sum(bounds)
         self.finish: Dict[str, float] = {}  # P(v) or F(v) per assigned algorithm
-        self.sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
+        self.sinks = [aid for aid in ctx.order if not ctx.succs[aid]]
         self.memory = _EdgeMemory(ctx)
         self.assignment: Placement = {}
         # lex_lb: the lex tuple with every unassigned algorithm on its
@@ -751,12 +778,11 @@ class _Search:
         # four ulps, k = 3m + 12n + #flows + 7.
         n = len(ctx.order)
         paths_in = ctx.paths_in
-        self.flow_count = sum([paths_in[s] for s in self.sinks])
         if self.longest:
-            k = 4 * n + 8 + 2 * sum([paths_in[v] * ctx.paths_out[v] for v in ctx.order]) + self.flow_count
+            k = 4 * n + 8 + 2 * sum([paths_in[v] * ctx.paths_out[v] for v in ctx.order]) + ctx.flow_count
         else:
             m = sum(map(len, ctx.preds.values()))
-            k = 3 * m + 12 * n + self.flow_count + 7
+            k = 3 * m + 12 * n + ctx.flow_count + 7
         self.slack = 1.0 + k * 2.0**-53
 
     # -- incremental state -------------------------------------------------
@@ -798,7 +824,7 @@ class _Search:
                 t = ctx.in_rows[aid][node] + e
                 agg -= self.start_bound[aid]
             agg += t * w + paths_in[aid] * self.completion[aid][node]
-            time_bound = agg if ctx.aggregate == "total_flows" else agg / self.flow_count
+            time_bound = agg if ctx.aggregate == "total_flows" else agg / ctx.flow_count
 
         mem_bits = self.memory.bits
         if node == ctx.edge_id:

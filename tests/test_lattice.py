@@ -7,6 +7,7 @@ import pytest
 
 from allocflow import fixtures
 from allocflow.lattice import (
+    _adjacency,
     _groups,
     all_flows,
     count_flows,
@@ -101,13 +102,13 @@ def test_empty_graph_has_no_layers():
 
 def test_components_split_and_order():
     graph = graph_of([("x", "y"), ("b", "c")], n=0)
-    assert _groups(graph) == [["b", "c"], ["x", "y"]]
+    assert _groups(*_adjacency(graph)) == [["b", "c"], ["x", "y"]]
     assert all_flows(graph) == [("b", "c"), ("x", "y")]
 
 
 def test_isolated_vertices_are_own_components():
     graph = graph_of([], n=3)
-    assert _groups(graph) == [["v0"], ["v1"], ["v2"]]
+    assert _groups(*_adjacency(graph)) == [["v0"], ["v1"], ["v2"]]
     assert all_flows(graph) == [("v0",), ("v1",), ("v2",)]
 
 
@@ -136,7 +137,7 @@ def test_components_match_bfs_oracle():
             expected.append(sorted(members))
         expected.sort(key=min)
 
-        assert _groups(graph) == expected
+        assert _groups(*_adjacency(graph)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_count_matches_enumeration():
     split = 0
     for _ in range(30):
         graph = random_dag(rng, rng.randint(1, 10))
-        components = [subgraph(graph, set(members)) for members in _groups(graph)]
+        components = [subgraph(graph, set(members)) for members in _groups(*_adjacency(graph))]
         split += len(components) > 1
         flows = all_flows(graph, cap=10**9)
         assert count_flows(graph) == len(flows)
@@ -237,7 +238,7 @@ def test_flows_match_recursive_walk_oracle():
                 walk(path + [w])
 
         has_pred = {v for _, v in graph.edges}
-        for members in _groups(graph):
+        for members in _groups(*_adjacency(graph)):
             for source in sorted(set(members) - has_pred):
                 walk([source])
         assert all_flows(graph) == expected

@@ -787,6 +787,78 @@ def test_cycles_are_reported_in_search_order():
     assert [v.members for v in report.violations] == [("y", "z"), ("b", "c"), ("p", "q", "r")]
 
 
+def test_an_acyclic_graph_skips_the_cycle_search(monkeypatch):
+    """validate orders the graph by Kahn's algorithm first and searches for
+    strongly connected components only when that order leaves an algorithm
+    out: never on a DAG, an unknown-algorithm edge included."""
+    from allocflow import model
+
+    searched = []
+    search = model._strongly_connected
+    monkeypatch.setattr(model, "_strongly_connected", lambda adj: searched.append(adj) or search(adj))
+    dags = [instance_from_dict(data) for name, data in sorted(fixtures.bundled().items()) if name != "cyclic_invalid"]
+    dags += [random_instance(n, GenParams(fog_nodes=2), seed=n) for n in (0, 1, 8, 14)]
+    unknown = random_instance(6, seed=2)
+    unknown.graph.edges += (("a01", "zz"),)
+    for inst in dags + [unknown]:
+        validate(inst)
+    assert searched == []
+    assert [v.kind for v in validate(unknown).violations] == ["unknown-algorithm"]
+    assert not validate(instance_from_dict(fixtures.cyclic_invalid())).ok and len(searched) == 1
+
+
+def test_cycle_report_with_an_acyclic_part_and_an_unknown_edge_is_pinned():
+    """Two disjoint cycles, an acyclic part hanging off one of them, a
+    self-loop (left over by Kahn's order, but no cycle of two members) and
+    an edge to an unknown algorithm: the report lists exactly these lines,
+    in this order."""
+    data = minimal()
+    data["algorithms"] = [{"id": aid, "exec_time": {"edge": 1.0}} for aid in "abcdeghmnsuvwx"]
+    data["edges"] = [list(e) for e in ("hg", "gm", "mh", "ms", "sn", "cd", "dc", "ae", "eb", "vw", "wx")]
+    inst = instance_from_dict(data)
+    inst.graph.edges += (("u", "u"), ("x", "zz"))  # the reader refuses both
+    report = validate(inst)
+    assert report.lines() == [
+        "unknown-algorithm: dependency edge (x, zz) names unknown algorithm zz",
+        "cycle: dependency cycle through c, d",
+        "cycle: dependency cycle through g, h, m",
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_effective_allowed_shares_one_tuple_where_nothing_restricts(seed):
+    """Every algorithm without allowed_locations and without unbounded
+    growth gets the same tuple, every node in tie-break order; the others
+    keep the general rule.  Checked against that rule on instances that mix
+    allowed sets (one naming an unknown node), growth that is unbounded
+    from horizon 2 on, and horizons 1 and 16."""
+    rng = random.Random(seed)
+    inst = random_instance(10, GenParams(fog_nodes=2, cloud_nodes=2), seed=seed)
+    node_ids = sorted(inst.nodes)
+    for aid in sorted(inst.algorithms):
+        spec = inst.algorithms[aid]
+        if rng.random() < 0.4:
+            allowed = frozenset(rng.sample(node_ids + ["zz"], rng.randint(1, 4)))
+            spec = replace(spec, allowed_locations=allowed)
+        if rng.random() < 0.4:
+            spec = replace(spec, memory=replace(spec.memory, growth_per_step=(0, rng.randint(1, 9), 0)))
+        inst.algorithms[aid] = spec
+    order = sorted(node_ids, key=lambda nid: (("cloud", "fog", "edge").index(inst.nodes[nid].tier.value), nid))
+    for horizon in (1, 16):
+        inst.options.boundedness_horizon = horizon
+        got = effective_allowed(inst)
+        shared = set()
+        for aid, spec in inst.algorithms.items():
+            unbounded = horizon >= 2 and any(spec.memory.growth_per_step)
+            allowed = set(order) if spec.allowed_locations is None else set(order) & spec.allowed_locations
+            if unbounded:
+                allowed = {nid for nid in allowed if inst.nodes[nid].tier is Tier.CLOUD}
+            assert got[aid] == tuple(nid for nid in order if nid in allowed), (horizon, aid)
+            if spec.allowed_locations is None and not unbounded:
+                shared.add(id(got[aid]))
+        assert len(shared) == 1
+
+
 def test_missing_edge_node_reported():
     data = minimal()
     data["nodes"][0]["tier"] = "fog"

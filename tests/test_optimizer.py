@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allocflow import fixtures, optimizer
+from allocflow import fixtures, lattice, optimizer
 from allocflow.baseline import baseline_overall, solve_baseline
 from allocflow.lattice import all_flows, count_flows, flow_cap
 from allocflow.memory import _location_bits, robot_memory_bits, step_partition
@@ -31,7 +31,6 @@ from allocflow.optimizer import (
     CostPoint,
     Objective,
     _Search,
-    _flow_total,
     _placement_key,
     _primary,
     build_context,
@@ -44,7 +43,7 @@ from allocflow.optimizer import (
     warm_start,
 )
 from allocflow.simulate import GenParams, monte_carlo_compare, random_instance
-from allocflow.timing import flow_time, overall_time
+from allocflow.timing import aggregate_times, flow_time, overall_time
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -158,12 +157,35 @@ def test_evaluate_matches_flow_time_reference(
     assert cost == expected
 
 
-SHAPES = {  # (layers, edge_prob) for random_instance
+SHAPES = {  # (layers, edge_prob) for random_instance, before shaped_edges
     "edge-free": (1, None),  # one layer: isolated vertices, n components
     "forest": (None, 0.0),  # one predecessor each: a component per root
     "default": (None, None),
     "dense": (None, 0.8),
+    "ladder": (None, None),  # rewired: see ladder_edges
+    "interleaved": (None, None),  # rewired: components over interleaved ids
 }
+
+
+def ladder_edges(ids):
+    """Rungs of two ids, in id order, each feeding both ids of the next rung."""
+    return [(u, v) for i in range(0, len(ids) - 2, 2) for u in ids[i : i + 2] for v in ids[i + 2 : i + 4]]
+
+
+def shaped_edges(inst, shape, rng):
+    """The dependency edges of a SHAPES entry over inst's algorithms.  An
+    interleaved graph deals the ids into two or three components, and orders
+    each component by a shuffle, so its sources are not its smallest ids and
+    the components' smallest ids interleave: the flows' order follows the
+    components, not the sources' ids."""
+    ids = sorted(inst.algorithms)
+    if shape == "ladder":
+        return tuple(ladder_edges(ids))
+    if shape != "interleaved":
+        return inst.graph.edges
+    part = {aid: rng.randrange(rng.randint(2, 3)) for aid in ids}
+    rng.shuffle(ids)
+    return tuple((u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if part[u] == part[v] and rng.random() < 0.5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,13 +201,18 @@ SHAPES = {  # (layers, edge_prob) for random_instance
 @example(seed=0, n=0, fog=1, cloud=1, shape="default", include_return_hop=True, with_delays=False)
 @example(seed=0, n=1, fog=1, cloud=1, shape="default", include_return_hop=True, with_delays=True)
 @example(seed=0, n=1, fog=0, cloud=1, shape="edge-free", include_return_hop=False, with_delays=False)
-def test_max_flow_pass_equals_the_walk_per_flow(
+@example(seed=3, n=14, fog=2, cloud=1, shape="ladder", include_return_hop=True, with_delays=True)
+@example(seed=4, n=13, fog=1, cloud=2, shape="interleaved", include_return_hop=False, with_delays=True)
+def test_time_of_equals_the_per_flow_reference(
     seed, n, fog, cloud, shape, include_return_hop, with_delays
 ):
-    """time_of's longest-path pass under max_flow reproduces the maximum of
-    the per-flow sums bit for bit (compared by repr), and the flow_time +
-    overall_time reference.  Exec times spanning 1e-9 to 1e3 make rounding
-    show if the pass groups an addition differently."""
+    """time_of reproduces the flow_time + aggregate_times reference bit for
+    bit (compared by repr) under every aggregate: under max_flow by its
+    longest-path pass, under total_flows and mean_flows by its walk over
+    the flows' prefixes, whose totals come in all_flows' order.  times_of
+    over two realizations gives time_of under each.  Exec times spanning
+    1e-9 to 1e3 make rounding show if a pass or the walk groups an
+    addition differently."""
     layers, edge_prob = SHAPES[shape]
     params = GenParams(
         fog_nodes=fog,
@@ -198,6 +225,7 @@ def test_max_flow_pass_equals_the_walk_per_flow(
     )
     inst = random_instance(n, params, seed=seed)
     rng = random.Random(seed)
+    inst.graph.edges = shaped_edges(inst, shape, rng)
     # a per-byte cost makes hops depend on payload and puts them on the scale
     # of exec times, so a vertex's return hop can outweigh every flow's rest
     links = dict(inst.comm.links)
@@ -209,17 +237,43 @@ def test_max_flow_pass_equals_the_walk_per_flow(
     delays = None
     if with_delays:  # a partial realization: absent links fall back to their mean
         delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
-    priced = compile_instance(inst).priced(delays, include_return_hop)
-    walked = max((_flow_total(priced, f, placement) for f in priced.flows), default=0.0)
-    reference = overall_time(
-        [
-            flow_time(inst, f, placement, delays=delays, include_return_hop=include_return_hop)
-            for f in all_flows(inst.graph)
-        ],
-        "max_flow",
-    )
-    passed = priced.time_of(placement, "max_flow")
-    assert repr(passed) == repr(walked) == repr(reference)
+    compiled = compile_instance(inst)
+    priced = compiled.priced(delays, include_return_hop)
+    totals = [flow_time(inst, f, placement, delays, include_return_hop).total for f in all_flows(inst.graph)]
+    realizations = [delays or {}, {}]
+    over = compiled.priced_over(realizations, include_return_hop)
+    for aggregate in TIME_AGGREGATES:
+        reference = aggregate_times(aggregate, totals)
+        assert repr(priced.time_of(placement, aggregate)) == repr(reference), aggregate
+        want = [compiled.priced(d, include_return_hop).time_of(placement, aggregate) for d in realizations]
+        assert repr(over.times_of(placement, aggregate, len(realizations))) == repr(want), aggregate
+
+
+@pytest.mark.parametrize("rungs", [10, 12])
+def test_sum_walk_equals_the_reference_on_deep_ladders(rungs):
+    """Ladders of 20 and 24 algorithms, with 2**rungs flows as deep as the
+    ladder: under total_flows and mean_flows time_of equals aggregate_times
+    over flow_time's totals, by repr, with and without the return hop and
+    under a delay realization, and times_of gives time_of under each
+    realization."""
+    inst = instance_from_dict(ladder(rungs, seed=rungs))
+    flows = all_flows(inst.graph)
+    assert len(flows) == 2**rungs and len(flows[0]) == rungs
+    rng = random.Random(rungs)
+    compiled = compile_instance(inst)
+    realizations = [{pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links)}, {}]
+    for include_return_hop in (True, False):
+        over = compiled.priced_over(realizations, include_return_hop)
+        for _ in range(3):
+            placement = {aid: rng.choice(nodes) for aid, nodes in compiled.allowed.items()}
+            for aggregate in ("total_flows", "mean_flows"):
+                want = []
+                for delays in realizations:
+                    totals = [flow_time(inst, f, placement, delays, include_return_hop).total for f in flows]
+                    got = compiled.priced(delays, include_return_hop).time_of(placement, aggregate)
+                    assert repr(got) == repr(aggregate_times(aggregate, totals))
+                    want.append(got)
+                assert repr(over.times_of(placement, aggregate, len(realizations))) == repr(want)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -783,7 +837,7 @@ def test_max_flow_completion_bound_is_admissible(seed, n, include_return_hop):
         for v in ctx.order
         if not ctx.preds[v]
     )
-    sinks = [aid for aid in ctx.order if ctx.is_sink[aid]]
+    sinks = [aid for aid in ctx.order if not ctx.succs[aid]]
     for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.order)):
         placement = dict(zip(ctx.order, combo))
         finish = _reference_finish(ctx, placement, exact, exec_s)
@@ -837,7 +891,7 @@ def test_sum_completion_bound_is_admissible(seed, n, aggregate, include_return_h
                 if u in assigned and s not in assigned:
                     bound += sums[u] * paths_out[s] + paths_in[u] * shares[u, s][placement[u]]
             for t in assigned:
-                if ctx.is_sink[t]:
+                if not ctx.succs[t]:
                     bound += sums[t] + paths_in[t] * completion[t][placement[t]]
             assert bound * per_flow <= total * per_flow
         assert bound == total
@@ -1018,12 +1072,12 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
 def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     """Each aggregate builds its bound in one _completion pass, and the
     search keeps no per-flow state: its containers are sized by the
-    algorithms, here far fewer than the flows.  Flows are enumerated once
-    per compile, when first read, and walked one by one only to time a
-    whole placement: under the sum aggregates by time_of, and by per_flow,
-    whose first read calls timing.flow_time once per flow.  Under max_flow
-    there are no per-edge tables, and a solve enumerates and walks no flow
-    until per_flow is read.  A solve builds one _Search, whose warm start is
+    algorithms, here far fewer than the flows.  A solve enumerates no flow
+    under any aggregate: under the sum aggregates time_of times a whole
+    placement by one walk over the flows' prefixes, and only per_flow
+    enumerates, once, on its first read, which calls timing.flow_time once
+    per flow.  Under max_flow there are no per-edge tables, and a solve
+    walks no flow.  A solve builds one _Search, whose warm start is
     its own first dive, and prices nothing outside its leaf scorer: no
     robot_memory_bits, and time_of only for the leaves it scores under the
     sum aggregates, none under max_flow.  The bound belongs to the search:
@@ -1031,7 +1085,6 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     _completion pass, and every entry point reads effective_allowed once,
     through its compile."""
     calls = {
-        "_flow_total": 0,
         "_completion": 0,
         "all_flows": 0,
         "flow_time": 0,
@@ -1046,10 +1099,13 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, name, counted)
-    timed = []
-    time_of = optimizer.CompiledInstance.time_of
+    timed, walks = [], []
+    time_of, flow_totals = optimizer.CompiledInstance.time_of, optimizer.CompiledInstance._flow_totals
     monkeypatch.setattr(
         optimizer.CompiledInstance, "time_of", lambda self, p, *args: timed.append(dict(p)) or time_of(self, p, *args)
+    )
+    monkeypatch.setattr(
+        optimizer.CompiledInstance, "_flow_totals", lambda self, p: walks.append(dict(p)) or flow_totals(self, p)
     )
     searches, leaves = [], []
 
@@ -1065,7 +1121,7 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     monkeypatch.setattr(optimizer, "_Search", Counted)
     inst = random_instance(14, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)
     result = solve_branch_bound(inst, Objective(kind))
-    solved = dict(calls, time_of=len(timed), searches=len(searches), leaves=len(leaves))
+    solved = dict(calls, time_of=len(timed), walks=len(walks), searches=len(searches), leaves=len(leaves))
     assert solved["searches"] == 1 and solved["robot_memory_bits"] == 0 and solved["leaves"] >= 1
     timings = result.per_flow
     read = dict(calls)
@@ -1078,16 +1134,15 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     sized = [value for value in vars(search).values() if isinstance(value, (list, dict))]
     assert sized and all(len(value) <= len(ctx.order) for value in sized)
     assert solved["_completion"] == solved["effective_allowed"] == 1
-    assert read["all_flows"] == 1 and read["_flow_total"] == solved["_flow_total"]
+    assert solved["all_flows"] == 0 and read["all_flows"] == 1
     assert solved["flow_time"] == 0 and read["flow_time"] == len(timings)
     if kind == "min_distance":
         assert search.edge_bound == {}
-        assert solved["all_flows"] == solved["_flow_total"] == solved["time_of"] == 0
+        assert solved["walks"] == solved["time_of"] == 0
     else:
         assert sorted((u, s) for s in search.edge_bound for u in search.edge_bound[s]) == sorted(inst.graph.edges)
-        assert solved["all_flows"] == 1
         assert timed[: solved["time_of"]] == leaves  # one time_of per leaf, the dive's included
-        assert solved["_flow_total"] == len(timings) * solved["time_of"]
+        assert walks[: solved["walks"]] == leaves  # and one walk per time_of
 
     small = random_instance(5, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)  # 4**5 placements
     entries = {
@@ -1115,8 +1170,7 @@ def ladder(rungs, seed=0):
     algorithms, each feeding both of the next rung: 2**rungs flows, over
     random_instance(2 * rungs)'s algorithms, nodes and jittered links."""
     data = instance_to_dict(random_instance(2 * rungs, GenParams(delay_prob=0.5), seed=seed))
-    ids = sorted(spec["id"] for spec in data["algorithms"])
-    data["edges"] = [[u, v] for i in range(0, len(ids) - 2, 2) for u in ids[i : i + 2] for v in ids[i + 2 : i + 4]]
+    data["edges"] = [list(e) for e in ladder_edges(sorted(spec["id"] for spec in data["algorithms"]))]
     return data
 
 
@@ -1136,6 +1190,41 @@ def test_max_flow_prices_a_ladder_past_the_flow_cap():
     assert (stats.ours_placement, stats.baseline_placement) == (result.placement, base.placement)
     with pytest.raises(CapExceededError, match="flow explosion"):
         result.per_flow
+
+
+def test_sum_aggregates_meet_the_flow_cap_before_walking(monkeypatch):
+    """With the flow cap below a 4-rung ladder's 16 flows, every time the
+    sum aggregates read raises the CapExceededError all_flows raises: a
+    solve, evaluate and times_of, under total_flows and mean_flows.  Under
+    max_flow a solve and evaluate of a 2**21-flow ladder, past the default
+    cap, enumerate no flow."""
+    small = instance_from_dict(ladder(4, seed=5))
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", "15")
+    with pytest.raises(CapExceededError) as enumerated:
+        all_flows(small.graph)
+    expected = (enumerated.value.kind, enumerated.value.count, enumerated.value.cap)
+    assert expected == ("flow explosion", 16, 15)
+    placement = dict.fromkeys(small.algorithms, "e")
+    for aggregate in ("total_flows", "mean_flows"):
+        small.options.time_aggregate = aggregate
+        over = compile_instance(small).priced_over([{}])
+        for price in (
+            lambda: solve_branch_bound(small),
+            lambda: evaluate(small, placement),
+            lambda: over.times_of(placement, aggregate, 1),
+        ):
+            with pytest.raises(CapExceededError) as raised:
+                price()
+            assert (raised.value.kind, raised.value.count, raised.value.cap) == expected
+    monkeypatch.delenv("ALLOCFLOW_FLOW_CAP")
+
+    calls = []
+    monkeypatch.setattr(optimizer, "all_flows", lambda *args: calls.append(args))
+    monkeypatch.setattr(lattice, "all_flows", lambda *args: calls.append(args))
+    big = instance_from_dict(ladder(21))
+    result = solve_branch_bound(big)
+    assert evaluate(big, result.placement) == result.cost
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["min_distance", "min_time_max", "min_memory"])

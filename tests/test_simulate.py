@@ -225,9 +225,9 @@ def test_monte_carlo_edge_cases_match_reference(n, delay_prob, resolve_per_trial
 @pytest.mark.parametrize("resolve_per_trial", [False, True])
 def test_monte_carlo_compiles_once(resolve_per_trial, monkeypatch):
     """One compile_instance per comparison: both searches and every trial
-    price over the same compiled instance, which enumerates its flows at
-    most once.  Under max_flow nothing reads a flow, so none is
-    enumerated; the sum aggregates time each placement flow by flow."""
+    price over the same compiled instance, and none enumerates a flow.
+    Under max_flow nothing reads a flow; the sum aggregates time each
+    placement by one walk over the flows' prefixes."""
     from allocflow import optimizer
 
     calls = []
@@ -243,7 +243,7 @@ def test_monte_carlo_compiles_once(resolve_per_trial, monkeypatch):
         inst.options.time_aggregate = aggregate
         calls.clear()
         monte_carlo_compare(inst, trials=5, seed=2, resolve_per_trial=resolve_per_trial)
-        assert len(calls) == (aggregate != "max_flow"), aggregate
+        assert len(calls) == 0, aggregate
 
 
 def test_huge_spread_gives_finite_statistics():
