@@ -304,9 +304,6 @@ def _positive_float(raw: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    common.add_argument("--threads", type=_positive, default=1,
-                        help="accepted for compatibility; trials run serially")
 
     parser = argparse.ArgumentParser(
         prog="allocflow",
@@ -355,11 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stratified subsample cap on the enumeration")
 
     p = add("simulate", cmd_simulate, "Monte-Carlo comparison under sampled link delays")
+    p.add_argument("--seed", type=int, default=0, help="seed of the delay draws")
+    p.add_argument("--threads", type=_positive, default=1, help="accepted for compatibility; trials run serially")
     p.add_argument("--trials", type=_positive, default=50)
     p.add_argument("--resolve-per-trial", action="store_true",
                    help="re-run both solvers inside every trial")
 
     p = add("bench", cmd_bench, "solver scaling on random instances", needs_file=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random instances")
     p.add_argument("--sizes", type=_size_list, default=[4, 6, 8, 10])
     p.add_argument("--reps", type=_positive, default=3)
     p.add_argument("--fog", type=_non_negative, default=1, help="fog nodes per instance")

@@ -11,7 +11,8 @@ stripped: a path from a source to a sink.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from .model import CapExceededError, DependencyGraph
 
@@ -34,9 +35,10 @@ def flow_cap() -> int:
     return value
 
 
-class _GraphIndex(NamedTuple):
-    """What one pass over a graph's edges and one layering give: the tables
-    compile_instance, all_flows, count_flows and path_counts read."""
+@dataclass
+class _GraphIndex:
+    """What one pass over a graph's edges and one layering give; all_flows
+    and count_flows read it, and optimizer.CompiledInstance extends it."""
 
     succs: Dict[str, List[str]]  # each vertex's successors, sorted
     preds: Dict[str, List[str]]  # each vertex's predecessors, in edge order
@@ -140,36 +142,28 @@ def _groups(succs: Dict[str, List[str]], preds: Dict[str, List[str]]) -> List[Li
     return groups
 
 
-def path_counts(graph: DependencyGraph) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Per vertex, paths_in (the number of paths from a source to it) and
-    paths_out (from it to a sink), 1 at each end (see _graph_index)."""
-    index = _graph_index(graph)
-    return index.paths_in, index.paths_out
-
-
 def count_flows(graph: DependencyGraph) -> int:
     """Number of source-to-sink paths over every component (DP, no enumeration)."""
     return _graph_index(graph).flow_count
 
 
-def _check_flow_cap(count: int, cap: Optional[int] = None) -> None:
+def _check_flow_cap(count: int) -> None:
     """Raise CapExceededError("flow explosion") when count, a graph's flow
-    count, exceeds cap (by default flow_cap())."""
-    if cap is None:
-        cap = flow_cap()
+    count, exceeds flow_cap()."""
+    cap = flow_cap()
     if count > cap:
         raise CapExceededError("flow explosion", count, cap)
 
 
-def all_flows(graph: DependencyGraph, cap: Optional[int] = None) -> List[ExecutionFlow]:
+def all_flows(graph: DependencyGraph) -> List[ExecutionFlow]:
     """All flows: components in _groups order (by smallest member id), each
     in lexicographic order, virtual endpoints stripped.
 
     Raises CapExceededError("flow explosion") when the DP count over the
-    whole graph exceeds cap.
+    whole graph exceeds flow_cap().
     """
     index = _graph_index(graph)
-    _check_flow_cap(index.flow_count, cap)
+    _check_flow_cap(index.flow_count)
     succs = index.succs
     # depth-first with an explicit stack of successor iterators, so a deep
     # graph cannot reach the recursion limit

@@ -41,22 +41,22 @@ scores every leaf from the state, the dive's too.  The walk keeps an explicit
 stack of per-depth child generators, so its depth is not bounded by the
 recursion limit.  _primary is the one primary-objective computation.
 
-One backward pass per search (_completion, run by _Search.__init__, which
-keeps its tables) builds the bound for every aggregate, per dependency edge (v, s) and node y of v: E(v, y, s), the least
-over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
-combining v's edges.  Under max_flow w = 1 and C = max_s E = B, and nothing
-per edge is kept.  Under the sum aggregates w is the number of paths from s
-to a sink, C = sum_s E, and E is kept for the trades.
+One backward pass per search (_completion, run by _Search.__init__) builds
+the bound for every aggregate, per dependency edge (v, s) and node y of v:
+E(v, y, s), the least over s's nodes z of w * (hop(y -> z) + exec(s, z)) +
+C(s, z), and C(v, y) combining v's edges.  Under max_flow w = 1 and C =
+max_s E = B, and nothing per edge is kept.  Under the sum aggregates w is
+the number of paths from s to a sink, C = sum_s E, and E is kept for trades.
 
-Flows are counted, not enumerated: compile_instance reads the graph's
-lattice index (successors, predecessors, topological order, path counts and
-the flows' sources), built in one pass.  The path counts weigh the sum
-aggregates' bound and give the search its rounding slack and the mean's
-divisor.  Under the sum aggregates time_of takes every flow's total from one
-depth-first walk over the flows' prefixes (CompiledInstance._flow_totals),
-which builds no list of flows.  Only AllocationResult.per_flow enumerates
-them, on first read, so a solve, evaluate and the Monte-Carlo comparison
-enumerate none under any aggregate.
+Flows are counted, not enumerated: a CompiledInstance extends the graph's
+lattice._GraphIndex (successors, predecessors, topological order, path
+counts and the flows' sources), built in one pass.  The path counts weigh
+the sum aggregates' bound and give the search its rounding slack and the
+mean's divisor.  Under the sum aggregates time_of takes every flow's total
+from one depth-first walk over the flows' prefixes (_flow_totals), which
+builds no list of flows; a compile reads the flow cap on its first walk.
+Only AllocationResult.per_flow enumerates the flows, on first read, so a
+solve, evaluate and the Monte-Carlo comparison enumerate none.
 
 Hops are read from rows: one per (payload, source node) and delay
 realization, mapping a destination node to seconds and resolving a missing
@@ -86,10 +86,10 @@ SolveContext is a priced compile plus an objective and the aggregate it
 reads.  A solve is three steps: a context (build_context, or _context over
 a priced compile), the search (_search, whose _Search builds the bound) and
 _finish, which costs the answer at the memory and time its leaf scored and
-keeps the context and the delays per_flow is timed under when read.  The
-Monte-Carlo comparison runs the first two on one compiled instance.  Brute
-force and scatter build a context but no search: both enumerate placements
-through _placements and price each, as evaluate does, through _price.
+keeps the instance, delays and return hop per_flow reads, not the context.
+The Monte-Carlo comparison runs the first two on one compiled instance.
+Brute force and scatter build a context, no search: both price each
+placement of _placements through _price, as evaluate does.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .lattice import _check_flow_cap, _graph_index, all_flows
+from .lattice import _check_flow_cap, _graph_index, _GraphIndex, all_flows
 from .memory import robot_memory_bits
 from .model import (
     CapExceededError,
@@ -141,15 +141,16 @@ class AllocationResult:
     placement: Placement
     cost: CostPoint
     explored_nodes: int
-    # per_flow once read; until then the solve's context and delays, which time it
+    # per_flow once read; until then (instance, delays, include_return_hop), which time it
     _per_flow: Union[List[FlowTiming], tuple] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def per_flow(self) -> List[FlowTiming]:
         """timing.flow_time of each flow, in all_flows' order, built on first read."""
         if isinstance(self._per_flow, tuple):
-            c, delays = self._per_flow
-            self._per_flow = [flow_time(c.instance, f, self.placement, delays, c.include_return_hop) for f in c.flows]
+            instance, delays, include_return_hop = self._per_flow
+            flows = all_flows(instance.graph)
+            self._per_flow = [flow_time(instance, f, self.placement, delays, include_return_hop) for f in flows]
         return self._per_flow
 
 
@@ -200,42 +201,24 @@ class _Lazy(dict):
 
 
 @dataclass
-class CompiledInstance:
-    """The delay-independent tables of one instance, plus the hop rows of one
-    delay realization once priced (see priced)."""
+class CompiledInstance(_GraphIndex):
+    """The graph's index and the other delay-independent tables of one
+    instance, plus the hop rows of one delay realization once priced."""
 
     instance: ProblemInstance
     edge_id: str
     allowed: Dict[str, Tuple[str, ...]]  # effective_allowed: in node tie-break order
     sorted_ids: List[str]  # tie-break order for lex tuples
     node_rank: Dict[str, int]
-    # the graph's index, lattice._GraphIndex
-    order: List[str]  # topological: (layer, id), also the branching order
-    preds: Dict[str, List[str]]  # in edge order
-    succs: Dict[str, List[str]]  # by id
-    paths_in: Dict[str, int]
-    paths_out: Dict[str, int]
-    flow_count: int
-    sources: List[str]  # in all_flows' order
-    # [all_flows of the graph] once flows is first read, shared by every copy
-    # that priced, priced_over and _context make
-    flow_cache: List[List[Tuple[str, ...]]]
+    # [True] once a sum-aggregate walk met the flow cap; every copy shares it
+    under_flow_cap: List[bool]
     exec_s: Dict[Tuple[str, str], float]  # (alg, node) -> seconds
     input_bits: Dict[str, int]
     output_bits: Dict[str, int]
     all_output_regions: frozenset
     include_return_hop: bool
-    rows: Dict[int, Dict[str, Dict[str, float]]]  # payload key -> src -> dst -> seconds
     in_rows: Dict[str, Dict[str, float]]  # alg -> its request-hop row
     out_rows: Dict[str, Dict[str, Dict[str, float]]]  # alg -> the rows of its output payload
-
-    @property
-    def flows(self) -> List[Tuple[str, ...]]:
-        """all_flows of the graph, enumerated on first read (it raises
-        CapExceededError past the flow cap)."""
-        if not self.flow_cache:
-            self.flow_cache.append(all_flows(self.instance.graph))
-        return self.flow_cache[0]
 
     def priced(
         self,
@@ -244,10 +227,10 @@ class CompiledInstance:
     ) -> CompiledInstance:
         """The same tables under another delay realization, with fresh hop rows.
 
-        rows[payload key][src][dst] is the seconds of one hop, resolved on
-        first use, so a pair no placement reaches is never resolved (nor
-        raises CommUnreachableError).  out_rows[u] holds the rows of u's
-        output payload and in_rows[v] the request-hop row of v's input payload.
+        A row maps a destination node to one hop's seconds, resolved on first
+        use, so a pair no placement reaches is never resolved (nor raises
+        CommUnreachableError).  out_rows[u][src] is the row of u's output
+        payload from src and in_rows[v] the request-hop row of v's input payload.
         """
         comm = self.instance.comm
         return self._with_hops(lambda src, dst, bits: comm.resolve(src, dst, bits, delays), include_return_hop)
@@ -272,7 +255,6 @@ class CompiledInstance:
         return replace(
             self,
             include_return_hop=include_return_hop,
-            rows=rows,
             in_rows={aid: rows[key(bits)][self.edge_id] for aid, bits in self.input_bits.items()},
             out_rows={aid: rows[key(bits)] for aid, bits in self.output_bits.items()},
         )
@@ -322,7 +304,7 @@ class CompiledInstance:
         order as flow_time, and the walk visits v once per path to it
         (paths_in), not once per flow through it.  Raises CapExceededError
         past the flow cap, as all_flows does, before walking."""
-        _check_flow_cap(self.flow_count)
+        self._meet_flow_cap()
         succs, exec_s, out_rows, edge = self.succs, self.exec_s, self.out_rows, self.edge_id
         totals: List[float] = []
         # (successors left, the prefix's total, the hop row from its last
@@ -372,7 +354,7 @@ class CompiledInstance:
             return longest
         # _flow_totals' walk, each total a list; a frame also holds the
         # prefix's last node (the edge at the root)
-        _check_flow_cap(self.flow_count)
+        self._meet_flow_cap()
         succs, totals = self.succs, []
         pending = [(iter(self.sources), [0.0] * trials, edge, None)]
         while pending:
@@ -398,6 +380,13 @@ class CompiledInstance:
         if not totals:
             return [0.0] * trials
         return [aggregate_times(aggregate, column) for column in zip(*totals)]
+
+    def _meet_flow_cap(self) -> None:
+        """lattice._check_flow_cap of the flow count until it first passes, so
+        a compile reads the cap on its first sum-aggregate walk only."""
+        if not self.under_flow_cap:
+            _check_flow_cap(self.flow_count)
+            self.under_flow_cap.append(True)
 
     def _finish_at(self, aid: str, node: str, placement: Placement, finish: Dict[str, float]) -> float:
         """P(aid) with aid on node: the largest P(u) + hop over its
@@ -429,27 +418,19 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
                 exec_s[(aid, nid)] = spec.exec_time_at(node)
         input_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
         output_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
-    graph = _graph_index(instance.graph)
     return CompiledInstance(
+        **vars(_graph_index(instance.graph)),
         instance=instance,
         edge_id=instance.edge_node_id() if instance.algorithms else "",
         allowed=effective_allowed(instance),
         sorted_ids=sorted(instance.algorithms),
         node_rank={nid: i for i, nid in enumerate(node_order(instance))},
-        order=graph.order,
-        preds=graph.preds,
-        succs=graph.succs,
-        paths_in=graph.paths_in,
-        paths_out=graph.paths_out,
-        flow_count=graph.flow_count,
-        sources=graph.sources,
-        flow_cache=[],
+        under_flow_cap=[],
         exec_s=exec_s,
         input_bits=input_bits,
         output_bits=output_bits,
         all_output_regions=frozenset().union(*[s.memory.outputs for s in instance.algorithms.values()]),
         include_return_hop=True,
-        rows={},
         in_rows={},
         out_rows={},
     )
@@ -487,8 +468,6 @@ def evaluate(
     objective = objective or Objective()
     compiled = compile_instance(instance)
     _check_placement(instance, placement, compiled.allowed)
-    if not instance.algorithms:
-        return CostPoint(0.0, 0.0, 0.0)
     priced = compiled.priced(delays, include_return_hop)
     return make_cost(instance, objective, *_price(priced, placement, _aggregate_for(instance, objective)))
 
@@ -616,17 +595,13 @@ def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple[Tuple, floa
     return (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)), time_s
 
 
-def _empty_result() -> AllocationResult:
-    return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), 0)
-
-
 def _finish(ctx: SolveContext, placement: Placement, explored: int, mem_bits: int, time_s: float, delays):
     """The result of a search's answer: placement, in sorted id order, with
     the cost of the memory and time it was scored at; per_flow is timed on
-    first read by timing.flow_time over ctx's flows under delays, the
-    realization ctx is priced at."""
+    first read by timing.flow_time under delays, the realization ctx is
+    priced at, and ctx's return hop.  The result keeps ctx's instance, not ctx."""
     cost = make_cost(ctx.instance, ctx.objective, mem_bits, time_s)
-    return AllocationResult(placement, cost, explored, (ctx, delays))
+    return AllocationResult(placement, cost, explored, (ctx.instance, delays, ctx.include_return_hop))
 
 
 def solve_bruteforce(
@@ -634,15 +609,14 @@ def solve_bruteforce(
     objective: Optional[Objective] = None,
     include_return_hop: bool = True,
     delays: Optional[Dict[Tuple[str, str], float]] = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> AllocationResult:
-    """Reference oracle: enumerate every feasible placement."""
-    if not instance.algorithms:
-        return _empty_result()
+    """Reference oracle: enumerate every feasible placement (at most DEFAULT_ENUMERATION_CAP)."""
+    if not instance.algorithms:  # the enumeration would count the one empty placement
+        return AllocationResult({}, CostPoint(0.0, 0.0, 0.0), 0)
     ctx = build_context(instance, objective, include_return_hop, delays)
     total = math.prod(map(len, ctx.allowed.values()))
-    if total > cap:
-        raise CapExceededError("placement enumeration", total, cap)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError("placement enumeration", total, DEFAULT_ENUMERATION_CAP)
 
     best_key = best_time = best_placement = None
     for placement in _placements(ctx, range(total)):
@@ -947,8 +921,6 @@ def solve_branch_bound(
     Returns the same optimum and the same tie-broken placement as
     solve_bruteforce, usually after exploring far fewer nodes.
     """
-    if not instance.algorithms:
-        return _empty_result()
     ctx = build_context(instance, objective, include_return_hop, delays)
     return _finish(ctx, *_search(ctx), delays)
 

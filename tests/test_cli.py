@@ -587,6 +587,53 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in ("validate", "flows", "time", "memory", "solve", "pareto", "examples", "bench")
+    for flag in ("--seed", "--threads")
+    if (command, flag) != ("bench", "--seed")
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_only_simulate_and_bench_take_seed_and_threads(command, flag, tmp_path, capsys):
+    """simulate takes --seed and --threads (accepted for compatibility),
+    bench takes --seed; no other subcommand reads either, so neither parses
+    there: `solve FILE --seed 3` is a usage error."""
+    operand = {"examples": [str(tmp_path / "fx")], "bench": []}.get(command, [str(tmp_path / "problem.json")])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *operand, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [{}, {"nodes": [{"id": "e", "tier": "edge"}]}], ids=["empty", "edge-only"])
+@pytest.mark.parametrize(
+    "argv, method, objective",
+    [
+        ([], "bnb", "min_distance"),
+        (["--oracle"], "bnb", "min_distance"),
+        (["--objective", "time-total"], "bnb", "min_time_total"),
+        (["--method", "baseline"], "baseline", "end_time"),
+    ],
+)
+def test_solve_without_algorithms_is_pinned(data, argv, method, objective, tmp_path, capsys):
+    rc, out, err = run(capsys, "solve", write_instance(tmp_path, data), *argv)
+    assert (rc, err) == (0, "")
+    expected = {
+        "distance": 0.0,
+        "explored_nodes": 0,
+        "memory_bytes": 0.0,
+        "method": method,
+        "objective": objective,
+        "per_flow": [],
+        "placement": {},
+        "time_seconds": 0.0,
+        **({"overall_with_return_seconds": 0.0} if method == "baseline" else {}),
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # every output parses, or is one error line
 

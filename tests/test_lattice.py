@@ -8,12 +8,12 @@ import pytest
 from allocflow import fixtures
 from allocflow.lattice import (
     _adjacency,
+    _graph_index,
     _groups,
     all_flows,
     count_flows,
     flow_cap,
     layer,
-    path_counts,
 )
 from allocflow.model import (
     AlgorithmSpec,
@@ -176,23 +176,25 @@ def test_flows_are_lexicographic_and_maximal():
     assert flows == sorted(flows)
 
 
-def test_count_matches_enumeration():
+def test_count_matches_enumeration(monkeypatch):
     """The pooled DP count equals the enumeration, over the whole graph and
     over each component on its own; and each vertex's paths_in and
     paths_out count the distinct flow prefixes that end at it and suffixes
     that start at it."""
     rng = random.Random(3)
     split = 0
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", str(10**9))
     for _ in range(30):
         graph = random_dag(rng, rng.randint(1, 10))
         components = [subgraph(graph, set(members)) for members in _groups(*_adjacency(graph))]
         split += len(components) > 1
-        flows = all_flows(graph, cap=10**9)
+        flows = all_flows(graph)
         assert count_flows(graph) == len(flows)
-        assert count_flows(graph) == sum(len(all_flows(c, cap=10**9)) for c in components)
+        assert count_flows(graph) == sum(len(all_flows(c)) for c in components)
         prefixes = {flow[: i + 1] for flow in flows for i in range(len(flow))}
         suffixes = {flow[i:] for flow in flows for i in range(len(flow))}
-        paths_in, paths_out = path_counts(graph)
+        index = _graph_index(graph)
+        paths_in, paths_out = index.paths_in, index.paths_out
         assert paths_in == dict(Counter(p[-1] for p in prefixes))
         assert paths_out == dict(Counter(s[0] for s in suffixes))
     assert split >= 10
@@ -250,21 +252,24 @@ def test_deep_chain_does_not_hit_the_recursion_limit():
     assert all_flows(inst.graph) == [chain]
 
 
-def test_cap_exceeded_raises_with_counts():
+def test_cap_exceeded_raises_with_counts(monkeypatch):
     graph = graph_of([("s", "a"), ("s", "b"), ("s", "c")])
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", "2")
     with pytest.raises(CapExceededError) as exc:
-        all_flows(graph, cap=2)
+        all_flows(graph)
     assert exc.value.count == 3
     assert exc.value.cap == 2
 
 
-def test_cap_bounds_the_flows_pooled_over_components():
+def test_cap_bounds_the_flows_pooled_over_components(monkeypatch):
     """Two components of two flows each: every component fits under cap 3,
     their four flows do not."""
     graph = graph_of([("s", "a"), ("s", "b"), ("t", "c"), ("t", "d")])
-    assert len(all_flows(graph, cap=4)) == 4
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", "4")
+    assert len(all_flows(graph)) == 4
+    monkeypatch.setenv("ALLOCFLOW_FLOW_CAP", "3")
     with pytest.raises(CapExceededError) as exc:
-        all_flows(graph, cap=3)
+        all_flows(graph)
     assert exc.value.count == 4
     assert exc.value.cap == 3
 

@@ -1,9 +1,11 @@
 """Placement evaluation, exact search, and cost-space enumeration."""
 
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -295,7 +297,10 @@ def test_compiled_hops_equal_resolve_with_the_true_payload(seed):
         for dst in sorted(inst.nodes):
             want = fresh.resolve(priced.edge_id, dst, priced.input_bits[aid], delays)
             assert repr(priced.in_rows[aid][dst]) == repr(want)
-    assert list(priced.rows) == [0]
+    # one shared set of rows, keyed by payload 0
+    shared = priced.out_rows[min(inst.algorithms)]
+    assert all(rows is shared for rows in priced.out_rows.values())
+    assert all(row is shared[priced.edge_id] for row in priced.in_rows.values())
 
 
 def test_solver_per_flow_matches_flow_time():
@@ -672,8 +677,9 @@ def _reference_path_counts(ctx):
     """paths_in and paths_out counted from the enumerated flows: the
     distinct flow prefixes that end at each algorithm, and the distinct
     suffixes that start at it."""
-    prefixes = {flow[: i + 1] for flow in ctx.flows for i in range(len(flow))}
-    suffixes = {flow[i:] for flow in ctx.flows for i in range(len(flow))}
+    flows = all_flows(ctx.instance.graph)
+    prefixes = {flow[: i + 1] for flow in flows for i in range(len(flow))}
+    suffixes = {flow[i:] for flow in flows for i in range(len(flow))}
     return dict(Counter(p[-1] for p in prefixes)), dict(Counter(s[0] for s in suffixes))
 
 
@@ -752,7 +758,7 @@ class _BoundSpy(_Search):
         ctx = self.ctx
         got = super()._leaf_time()
         totals = [flow_time(ctx.instance, f, self.assignment, self.delays, ctx.include_return_hop).total
-                  for f in ctx.flows]
+                  for f in all_flows(ctx.instance.graph)]
         assert repr(got) == repr(max(totals))
         self.leaves += 1
         return got
@@ -871,12 +877,13 @@ def test_sum_completion_bound_is_admissible(seed, n, aggregate, include_return_h
     paths_in, paths_out = _reference_path_counts(ctx)
     assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
     completion, shares, start = _reference_bound(ctx, exact, exec_s, paths_out)
-    per_flow = 1 if aggregate == "total_flows" else Fraction(1, len(ctx.flows))
+    flows = all_flows(ctx.instance.graph)
+    per_flow = 1 if aggregate == "total_flows" else Fraction(1, len(flows))
     edges = [(u, s) for s in ctx.order for u in ctx.preds[s]]
     for combo in itertools.product(*(ctx.allowed[aid] for aid in ctx.order)):
         placement = dict(zip(ctx.order, combo))
         total = 0
-        for flow in ctx.flows:
+        for flow in flows:
             src, payload = ctx.edge_id, ctx.input_bits[flow[0]]
             for aid in flow:
                 total += exact(src, placement[aid], payload) + exec_s[(aid, placement[aid])]
@@ -935,7 +942,7 @@ def _per_flow_tails(ctx):
     (inbound hop, execs, inter-hops, return hop) given position pos-1 sits
     on node, built afresh at every position of every flow."""
     tables = []
-    for flow in ctx.flows:
+    for flow in all_flows(ctx.instance.graph):
         suffix = [{} for _ in range(len(flow) + 1)]
         last = flow[-1]
         suffix[-1] = {
@@ -971,7 +978,7 @@ def _reference_dive(ctx, resolve):
     bound), for F(v) paths_out(v) + paths_in(v) C(v, y), from
     _reference_flow_sums, _reference_path_counts and _reference_bound, in
     the search's order.  Every hop comes from resolve."""
-    placement = {}
+    placement, flows = {}, all_flows(ctx.instance.graph)
     if ctx.aggregate == "max_flow":
         completion, _, start = _reference_bound(ctx, resolve)
         agg = max(start.values())
@@ -995,7 +1002,7 @@ def _reference_dive(ctx, resolve):
                 if not ctx.preds[aid]:
                     child_agg -= start[aid]
                 child_agg += sums[aid] * w + paths_in[aid] * completion[aid][node]
-                time_bound = child_agg if ctx.aggregate == "total_flows" else child_agg / len(ctx.flows)
+                time_bound = child_agg if ctx.aggregate == "total_flows" else child_agg / len(flows)
             mem_bits = robot_memory_bits(ctx.instance, trial)
             key = (_primary(ctx, time_bound, mem_bits), mem_bits, ctx.node_rank[node])
             children.append((key, node, child_agg))
@@ -1049,11 +1056,12 @@ def test_shared_tables_and_warm_start_match_the_per_flow_reference(
         # entry by entry, and each source's start bound every flow from it
         assert search.edge_bound == {}
         reference = _per_flow_tails(ctx)
-        for fi, flow in enumerate(ctx.flows):
+        flows = all_flows(ctx.instance.graph)
+        for fi, flow in enumerate(flows):
             for pos, aid in enumerate(flow):
                 for nid, tail in reference[fi][pos + 1].items():
                     assert search.completion[aid][nid] >= tail
-        for fi, flow in enumerate(ctx.flows):
+        for fi, flow in enumerate(flows):
             assert search.start_bound[flow[0]] >= reference[fi][0][ctx.edge_id]
     else:
         completion, shares, start = _reference_bound(ctx, resolve, paths_out=paths_out)
@@ -1127,7 +1135,7 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     read = dict(calls)
     assert result.per_flow is timings and calls == read  # built once
     ctx = build_context(inst, Objective(kind))
-    assert len(ctx.flows) > 5 * len(ctx.order)
+    assert len(all_flows(inst.graph)) > 5 * len(ctx.order)
     search = _Search(ctx)
     warm_start(search, ctx.allowed)
     search.run()
@@ -1254,19 +1262,72 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert placement == solve_branch_bound(inst).placement
 
 
-def test_enumeration_cap(dataset_d2):
+def test_enumeration_cap():
+    """3**15 placements exceed the enumeration cap, 10**7; brute force
+    counts them before it enumerates any."""
+    inst = random_instance(15, GenParams(), seed=0)
     with pytest.raises(CapExceededError) as exc:
-        solve_bruteforce(dataset_d2, cap=80)
-    assert exc.value.count == 81
-    assert exc.value.cap == 80
+        solve_bruteforce(inst)
+    assert exc.value.count == 3**15
+    assert exc.value.cap == 10**7
 
 
 def test_empty_instance_solves_to_nothing():
-    inst = random_instance(0, GenParams(), seed=0)
-    for solver in (solve_bruteforce, solve_branch_bound):
-        result = solver(inst)
-        assert result.placement == {}
-        assert result.cost == CostPoint(0.0, 0.0, 0.0)
+    """With no algorithm, branch and bound and evaluate take the general
+    path: the empty placement, 0 nodes explored, a zero CostPoint and no
+    flow, under every objective and aggregate, with and without the return
+    hop, whether the instance has nodes, only an edge node or nothing.
+    Brute force answers the same, and scatter lists no placement."""
+    instances = [
+        random_instance(0, GenParams(), seed=0),
+        instance_from_dict({}),
+        instance_from_dict({"nodes": [{"id": "e", "tier": "edge"}]}),
+    ]
+    for inst, kind, aggregate, include_return_hop in itertools.product(
+        instances, OBJECTIVES, TIME_AGGREGATES, (True, False)
+    ):
+        inst.options.time_aggregate = aggregate
+        objective = Objective(kind)
+        for solver in (solve_branch_bound, solve_bruteforce):
+            result = solver(inst, objective, include_return_hop, {})
+            assert (result.placement, result.cost, result.explored_nodes) == ({}, CostPoint(0.0, 0.0, 0.0), 0)
+            assert result.per_flow == []
+        assert evaluate(inst, {}, objective, {}, include_return_hop) == CostPoint(0.0, 0.0, 0.0)
+        assert scatter(inst, objective) == []
+
+
+def test_a_compile_reads_the_flow_cap_once(monkeypatch):
+    """Brute force under min_time_total walks the flows of each of 4**6
+    placements, and reads the flow cap on the first walk only; under
+    max_flow it walks none and reads no cap."""
+    reads = []
+    read = lattice.flow_cap
+    monkeypatch.setattr(lattice, "flow_cap", lambda: reads.append(1) or read())
+    inst = random_instance(6, GenParams(fog_nodes=2), seed=3)
+    assert solve_bruteforce(inst, Objective("min_time_total")).explored_nodes == 4**6
+    assert len(reads) == 1
+    solve_bruteforce(inst, Objective("min_time_max"))
+    assert len(reads) == 1
+
+
+def test_a_result_does_not_keep_its_solve_context_alive(monkeypatch):
+    """A result keeps its instance and delays for per_flow, not its search's
+    SolveContext: once collected, the context is gone while the result
+    lives, and per_flow still reads the same timings."""
+    contexts, make = [], optimizer._context
+
+    def spied(*args):
+        ctx = make(*args)
+        contexts.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(optimizer, "_context", spied)
+    inst = random_instance(8, GenParams(fog_nodes=2, delay_prob=0.5), seed=1)
+    delays = {pair: 0.25 for pair in sorted(inst.comm.links)}
+    result = solve_branch_bound(inst, Objective("min_time_total"), False, delays)
+    gc.collect()
+    assert len(contexts) == 1 and contexts[0]() is None
+    assert result.per_flow == [flow_time(inst, f, result.placement, delays, False) for f in all_flows(inst.graph)]
 
 
 # ---------------------------------------------------------------------------
