@@ -354,51 +354,42 @@ class ValidationReport:
 
 
 def _strongly_connected(adj: Dict[str, List[str]]) -> List[List[str]]:
-    """Tarjan SCCs (iterative) of the graph of successor lists adj, returned
-    as sorted member lists."""
+    """Tarjan SCCs of the graph of successor lists adj, returned as sorted
+    member lists: iterative, by frames (vertex, successors left) under a root
+    frame over every vertex in id order; len(index) counts the vertices met."""
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     on_stack = set()
     stack: List[str] = []
     sccs: List[List[str]] = []
-    counter = [0]
-
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
+    work = [(None, iter(sorted(adj)))]
+    while work:
+        v, succ = work[-1]
+        for w in succ:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                on_stack.add(w)
+                work.append((w, iter(adj[w])))
+                break
+            if w in on_stack:  # never at the root frame: each of its searches emptied the stack
+                low[v] = min(low[v], index[w])
+        else:
             work.pop()
-            if work:
+            if v is None:
+                break
+            if low[v] < index[v]:  # v's component closes at an ancestor
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
+                continue
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            sccs.append(sorted(comp))
     return sccs
 
 

@@ -77,8 +77,9 @@ timing.flow_time (which times the reported per_flow); so does their search.
 CompiledInstance.priced_over holds each hop as a list over many delay
 realizations, priced in one pass over one delay column per link
 (CommModel.resolve_over), and times_of runs time_of's pass once over all of
-them, every sum a list added entry by entry in time_of's order; it skips a
-hop within one node, which adds 0.0 to a sum that is never -0.0.
+them, every sum a list added entry by entry in time_of's order: under the sum
+aggregates, the same walk (_flow_totals) over lists.  The max_flow pass skips
+a hop within one node, which adds 0.0 to a sum that is never -0.0.
 
 A compile also holds the instance's facts that every caller reads: its
 allowed nodes (effective_allowed), the lex order and the node ranks.  A
@@ -296,20 +297,27 @@ class CompiledInstance(_GraphIndex):
             return longest
         return aggregate_times(aggregate, self._flow_totals(placement))
 
-    def _flow_totals(self, placement: Placement) -> List[float]:
+    def _flow_totals(
+        self, placement: Placement, start=0.0, add_step=lambda t, hop, e: t + hop + e, add_return=add
+    ) -> List:
         """Each flow's seconds, in all_flows' order, by one depth-first walk
-        over the flows' prefixes: a prefix's running total, 0.0 plus each
-        hop and exec in timing.flow_time's order, is shared by every flow
-        that starts with it, so each flow gets the same additions in the same
-        order as flow_time, and the walk visits v once per path to it
-        (paths_in), not once per flow through it.  Raises CapExceededError
-        past the flow cap, as all_flows does, before walking."""
+        over the flows' prefixes: a prefix's running total, start, then
+        add_step(total, hop, exec) at each algorithm, and at a sink
+        add_return(total, return hop) when the return hop counts, is shared
+        by every flow that starts with it, so each flow gets the same
+        additions in the same order as timing.flow_time, and the walk visits
+        v once per path to it (paths_in), not once per flow through it.  The
+        defaults add floats: (total + hop) + exec, then total + return hop,
+        which is flow_time's order.  times_of passes a list over the trials
+        and the same two additions made entry by entry, so each entry keeps
+        that order.  Raises CapExceededError past the flow cap, as all_flows
+        does, before walking."""
         self._meet_flow_cap()
         succs, exec_s, out_rows, edge = self.succs, self.exec_s, self.out_rows, self.edge_id
-        totals: List[float] = []
+        totals = []
         # (successors left, the prefix's total, the hop row from its last
         # node); at the root the row is each source's request-hop row
-        pending = [(iter(self.sources), 0.0, None)]
+        pending = [(iter(self.sources), start, None)]
         while pending:
             _, t, row = top = pending[-1]
             v = next(top[0], None)
@@ -317,23 +325,24 @@ class CompiledInstance(_GraphIndex):
                 pending.pop()
                 continue
             node = placement[v]
-            t = t + (self.in_rows[v] if row is None else row)[node] + exec_s[(v, node)]
+            t = add_step(t, (self.in_rows[v] if row is None else row)[node], exec_s[(v, node)])
             row = out_rows[v][node]
             if succs[v]:
                 pending.append((iter(succs[v]), t, row))
             else:
-                totals.append(t + row[edge] if self.include_return_hop else t)
+                totals.append(add_return(t, row[edge]) if self.include_return_hop else t)
         return totals
 
     def times_of(self, placement: Placement, aggregate: str, trials: int) -> List[float]:
         """time_of under each of the trials realizations of priced_over, in
         one pass: every sum is a list over the realizations, added and
         maximized entry by entry in time_of's order, so entry i equals
-        time_of on priced(realizations[i]) bit for bit.  A hop within one
-        node costs 0.0 and is skipped: no sum here is -0.0, so x + 0.0 is x,
-        and 0.0 + h is h.  b if b > a else a is max(a, b), nan included."""
-        out_rows, exec_s, edge = self.out_rows, self.exec_s, self.edge_id
+        time_of on priced(realizations[i]) bit for bit.  The sum aggregates
+        run _flow_totals' walk over such lists.  The max_flow pass skips a
+        hop within one node, which costs 0.0: no sum here is -0.0, so x + 0.0
+        is x, and 0.0 + h is h.  b if b > a else a is max(a, b), nan included."""
         if aggregate == "max_flow":
+            out_rows, exec_s, edge = self.out_rows, self.exec_s, self.edge_id
             finish: Dict[str, List[float]] = {}
             longest = [0.0] * trials
             for aid in self.order:
@@ -352,31 +361,12 @@ class CompiledInstance(_GraphIndex):
                         t = [x + h for x, h in zip(t, out_rows[aid][node][edge])]
                     longest = [b if b > a else a for a, b in zip(longest, t)]
             return longest
-        # _flow_totals' walk, each total a list; a frame also holds the
-        # prefix's last node (the edge at the root)
-        self._meet_flow_cap()
-        succs, totals = self.succs, []
-        pending = [(iter(self.sources), [0.0] * trials, edge, None)]
-        while pending:
-            _, total, src, row = top = pending[-1]
-            v = next(top[0], None)
-            if v is None:
-                pending.pop()
-                continue
-            node = placement[v]
-            e = exec_s[(v, node)]
-            if node == src:
-                total = [x + e for x in total]
-            else:
-                hops = (self.in_rows[v] if row is None else row)[node]
-                total = [x + h + e for x, h in zip(total, hops)]
-            row = out_rows[v][node]
-            if succs[v]:
-                pending.append((iter(succs[v]), total, node, row))
-            else:
-                if self.include_return_hop and node != edge:
-                    total = [x + h for x, h in zip(total, row[edge])]
-                totals.append(total)
+        totals = self._flow_totals(
+            placement,
+            [0.0] * trials,
+            lambda t, hops, e: [x + h + e for x, h in zip(t, hops)],
+            lambda t, hops: [x + h for x, h in zip(t, hops)],
+        )
         if not totals:
             return [0.0] * trials
         return [aggregate_times(aggregate, column) for column in zip(*totals)]
@@ -975,17 +965,13 @@ def scatter(
         for index, placement in zip(indices, _placements(ctx, indices))
     ]
 
-    # Non-dominated scan over (memory, time), both minimized.
-    best_with_smaller_mem = math.inf
-    front_keys = set()
-    by_mem: Dict[int, float] = {}
-    for _, _, mem_bits, time_s in points:
-        by_mem[mem_bits] = min(time_s, by_mem.get(mem_bits, math.inf))
-    for mem_bits in sorted(by_mem):
-        group_min = by_mem[mem_bits]
-        if group_min < best_with_smaller_mem:
-            front_keys.add((mem_bits, group_min))
-        best_with_smaller_mem = min(best_with_smaller_mem, group_min)
+    # Non-dominated over (memory, time), both minimized: in sorted order, a
+    # distinct pair is on the front when it is faster than every earlier one.
+    front_keys, fastest = set(), math.inf
+    for key in sorted({(mem_bits, time_s) for _, _, mem_bits, time_s in points}):
+        if key[1] < fastest:
+            front_keys.add(key)
+            fastest = key[1]
 
     return [
         ScatterPoint(index, combo, make_cost(instance, ctx.objective, mem_bits, time_s), (mem_bits, time_s) in front_keys)

@@ -825,6 +825,18 @@ def test_cycle_report_with_an_acyclic_part_and_an_unknown_edge_is_pinned():
     ]
 
 
+def test_a_long_chain_into_a_cycle_reports_one_cycle():
+    """A chain of 5,000 algorithms feeding a 3-cycle: the strongly connected
+    search runs 5,003 deep from the chain's head without reaching the
+    recursion limit, and closes only the cycle into a report line."""
+    chain = [f"a{i:04d}" for i in range(5000)]
+    data = minimal()
+    data["algorithms"] = [{"id": aid, "exec_time": {"edge": 1.0}} for aid in chain + ["x", "y", "z"]]
+    data["edges"] = [list(e) for e in zip(chain, chain[1:] + ["x"])] + [["x", "y"], ["y", "z"], ["z", "x"]]
+    report = validate(instance_from_dict(data))
+    assert report.lines() == ["cycle: dependency cycle through x, y, z"]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_effective_allowed_shares_one_tuple_where_nothing_restricts(seed):
     """Every algorithm without allowed_locations and without unbounded

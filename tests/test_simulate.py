@@ -357,8 +357,9 @@ def test_batched_trials_equal_one_pass_per_realization(seed, n, aggregate, inclu
         placement = {aid: rng.choice(nodes) for aid, nodes in allowed.items()}
         want = [compiled.priced(d, include_return_hop).time_of(placement, aggregate) for d in realizations]
         assert repr(over.times_of(placement, aggregate, trials)) == repr(want)
-    # every hop within one node, which times_of skips: the common case of a
-    # placement that keeps most of its dependency edges on one node
+    # every hop within one node, which times_of's max_flow pass skips: the
+    # common case of a placement that keeps most of its dependency edges on
+    # one node
     for node in sorted(inst.nodes):
         placement = dict.fromkeys(inst.algorithms, node)
         for return_hop in (True, False):
@@ -489,6 +490,25 @@ def test_monte_carlo_answers_are_pinned():
             for d in (None, delays):
                 digest.update(repr(baseline_overall(inst, stats.baseline_placement, d)).encode())
     assert digest.hexdigest() == "1bb01bbafd610c68a8fcdd1f4b48ed6e0107ab9ed795d7d03cbf3e1c1a3aa1b1"
+
+
+def test_sum_aggregate_monte_carlo_answers_are_pinned():
+    """The golden comparisons above are all max_flow, which random_instance
+    draws by default; these pin total_flows and mean_flows, whose trials are
+    timed by the walk over the flows' prefixes, with fixed placements and
+    with a search per trial.  Without tier_ordering the placements spread
+    over the edge, fog and cloud nodes, so hops between algorithms count;
+    with it, every placement here keeps all algorithms on the cloud."""
+    digest = hashlib.sha256()
+    for aggregate in ("total_flows", "mean_flows"):
+        for n in (6, 8, 10):
+            for seed in (1, 2, 3):
+                inst = random_instance(n, GenParams(delay_prob=0.8, tier_ordering=False), seed=seed)
+                inst = replace(inst, options=replace(inst.options, time_aggregate=aggregate))
+                for resolve_per_trial in (False, True):
+                    stats = monte_carlo_compare(inst, trials=4, seed=seed, resolve_per_trial=resolve_per_trial)
+                    digest.update(json.dumps(stats.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "af67c4d1ef686414936df67a3f2dcbb1e841b73418aaf3d0f3cf3d4d9767a170"
 
 
 # ---------------------------------------------------------------------------
