@@ -168,14 +168,10 @@ class CommModel:
         A delayed link costs its analytic folded-normal mean, unless a delays
         dict holds a realization for it (links absent from it keep their mean).
         """
-        if src == dst:
-            return 0.0
-        total = 0.0
-        for hop, fixed, spec in self._legs(src, dst, payload_bits):
-            total += fixed
-            if spec is not None:
-                total += _delay_seconds(hop, spec, delays)
-        return total
+        def add_link(total, hop, fixed, spec):
+            return total + fixed if spec is None else total + fixed + _delay_seconds(hop, spec, delays)
+
+        return self._route(src, dst, payload_bits, 0.0, add_link)
 
     def delay_columns(self, realizations: List[Dict[Tuple[str, str], float]]) -> Dict[Tuple[str, str], List[float]]:
         """Per delayed link, its delay in each realization as resolve reads it."""
@@ -183,16 +179,19 @@ class CommModel:
 
     def resolve_over(self, src: str, dst: str, payload_bits: int, columns: dict, trials: int) -> List[float]:
         """resolve under each realization of delay_columns: (total + fixed) + delay per link, as resolve adds."""
-        total = [0.0] * trials
-        for hop, fixed, spec in self._legs(src, dst, payload_bits) if src != dst else ():
+        def add_link(total, hop, fixed, spec):
             if spec is None:
-                total = [t + fixed for t in total]
-            else:
-                total = [t + fixed + d for t, d in zip(total, columns[hop])]
-        return total
+                return [t + fixed for t in total]
+            return [t + fixed + d for t, d in zip(total, columns[hop])]
 
-    def _legs(self, src: str, dst: str, payload_bits: int):
-        """(link pair, base + per-byte seconds, delay spec) along the cached route."""
+        return self._route(src, dst, payload_bits, [0.0] * trials, add_link)
+
+    def _route(self, src: str, dst: str, payload_bits: int, total, add_link):
+        """total, then add_link(total, link pair, base + per-byte seconds,
+        delay spec) per link of the cached route from src to dst; a hop within
+        one node has no link and costs total as it stands."""
+        if src == dst:
+            return total
         key = (src, dst, self.payload_key(payload_bits))
         if key not in self._routes:
             self._dijkstra(src, key[2])
@@ -201,7 +200,8 @@ class CommModel:
         size = _payload_bytes(payload_bits)
         for hop in self._routes[key]:
             link = self.links[hop]
-            yield hop, link.base_seconds + link.per_byte_seconds * size, link.delay
+            total = add_link(total, hop, link.base_seconds + link.per_byte_seconds * size, link.delay)
+        return total
 
     def _dijkstra(self, src: str, payload_bits: int) -> None:
         # Path tuples in the heap give a deterministic lexicographic tie-break

@@ -25,7 +25,7 @@ The search keeps one incremental state under every aggregate, plus an
 _EdgeMemory refcount of the regions on the robot: one float per assigned
 algorithm and agg, one running aggregate of the bounds, which starts at the
 sources' start bounds.  A child costs its in-degree, never its flow count.
-Under max_flow it is the longest-path state of time_of: P(v) (the largest
+Under max_flow it is _longest's P(v), added in _Search._child (the largest
 P(u) + hop over v's predecessors u, or 0.0 + the request hop at a source,
 then + exec), and agg the running maximum.  A child for v on node y is
 bounded by max(agg, P(v) + B(v, y)); a stale bound stays a valid lower
@@ -69,17 +69,18 @@ One evaluator prices every placement: compile_instance builds an instance's
 delay-independent tables once, CompiledInstance.priced adds hop rows per
 delay realization, and memory.robot_memory_bits gives robot memory.  Under
 max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
-topological order, touching each dependency edge once instead of each flow
-position; it equals the maximum over flows bit for bit, because the flows
-are the source-to-sink paths and rounded addition is monotone.  total_flows
-and mean_flows add per-flow totals, which the walk times in the order of
-timing.flow_time (which times the reported per_flow); so does their search.
-CompiledInstance.priced_over holds each hop as a list over many delay
-realizations, priced in one pass over one delay column per link
-(CommModel.resolve_over), and times_of runs time_of's pass once over all of
-them, every sum a list added entry by entry in time_of's order: under the sum
-aggregates, the same walk (_flow_totals) over lists.  The max_flow pass skips
-a hop within one node, which adds 0.0 to a sum that is never -0.0.
+topological order (_longest), touching each dependency edge once instead of
+each flow position; it equals the maximum over flows bit for bit, because
+the flows are the source-to-sink paths and rounded addition is monotone.
+total_flows and mean_flows add per-flow totals, which one walk
+(_flow_totals) times in the order of timing.flow_time (which times the
+reported per_flow); so does their search.  CompiledInstance.priced_over
+holds each hop as a list over many delay realizations, priced by resolve's
+route walk over one delay column per link (CommModel.resolve_over), and
+times_of runs time_of's pass or walk once over all of them: each takes its
+start value and arithmetic as arguments, floats or lists added entry by
+entry in the same order.  Every _longest pass skips a hop within one node:
+it adds 0.0 to a sum never -0.0.
 
 A compile also holds the instance's facts that every caller reads: its
 allowed nodes (effective_allowed), the lex order and the node ranks.  A
@@ -271,31 +272,46 @@ class CompiledInstance(_GraphIndex):
         """Overall seconds of a placement under an aggregate of its flows.
 
         max_flow is one longest-path pass over the DAG in topological order
-        instead of one walk per flow: P(v) is the maximum over predecessors u
-        of P(u) plus the hop from u's node to v's, or the request hop at a
-        source, then plus v's execution; a sink adds its return hop, and the
-        result is the largest sink's.  The flows are exactly the
-        source-to-sink paths, each sum is kept in timing.flow_time's
-        left-to-right order, and rounded addition is monotone (x <= y gives
-        x + c <= y + c), so the maximum commutes with every addition and the
-        pass equals the largest flow's total bit for bit.  total_flows and
-        mean_flows aggregate the per-flow totals of _flow_totals, in
-        all_flows' order, which fixes their floats.
-        """
+        (_longest) instead of one walk per flow: P(v) is the maximum over
+        predecessors u of P(u) plus the hop from u's node to v's, or the
+        request hop at a source, then plus v's execution; a sink adds its
+        return hop, and the result is the largest sink's.  The flows are the
+        source-to-sink paths, each sum is kept in timing.flow_time's order
+        (less the hops within one node, which add 0.0), and rounded addition
+        is monotone (x <= y gives x + c <= y + c), so the maximum commutes with
+        every addition and equals the largest flow's total bit for bit.
+        total_flows and mean_flows aggregate the per-flow totals of
+        _flow_totals, in all_flows' order, which fixes their floats."""
         if aggregate == "max_flow":
-            out_rows, edge, succs = self.out_rows, self.edge_id, self.succs
-            finish: Dict[str, float] = {}
-            longest = 0.0  # every sum starts at 0.0, so no flow ends below it
-            for aid in self.order:
-                node = placement[aid]
-                finish[aid] = t = self._finish_at(aid, node, placement, finish)
-                if not succs[aid]:  # a sink
-                    if self.include_return_hop:
-                        t += out_rows[aid][node][edge]
-                    if t > longest:
-                        longest = t
-            return longest
+            return self._longest(placement, 0.0, add, add, max)
         return aggregate_times(aggregate, self._flow_totals(placement))
+
+    def _longest(self, placement: Placement, start, add_hop, add_exec, larger):
+        """The largest flow's seconds by one longest-path pass in topological
+        order: P(v) is the larger, the first on a tie, over v's predecessors u
+        of add_hop(P(u), hop), or add_hop(start, request hop) at a source,
+        then add_exec(P(v), exec); a sink adds its return hop if it counts,
+        and the result is the larger over start and the sinks.  A hop within
+        one node is skipped: it costs 0.0, no sum here is -0.0, and x + 0.0
+        is x.  time_of passes floats: 0.0, add, add and max."""
+        in_rows, out_rows, exec_s, edge = self.in_rows, self.out_rows, self.exec_s, self.edge_id
+        finish = {}
+        longest = start  # every sum starts at start, so no flow ends below it
+        for aid in self.order:
+            node = placement[aid]
+            preds = self.preds[aid]
+            if not preds:  # a source
+                t = start if node == edge else add_hop(start, in_rows[aid][node])
+            for i, u in enumerate(preds):
+                y = placement[u]
+                s = finish[u] if y == node else add_hop(finish[u], out_rows[u][y][node])
+                t = larger(t, s) if i else s
+            finish[aid] = t = add_exec(t, exec_s[(aid, node)])
+            if not self.succs[aid]:  # a sink
+                if self.include_return_hop and node != edge:
+                    t = add_hop(t, out_rows[aid][node][edge])
+                longest = larger(longest, t)
+        return longest
 
     def _flow_totals(
         self, placement: Placement, start=0.0, add_step=lambda t, hop, e: t + hop + e, add_return=add
@@ -337,38 +353,19 @@ class CompiledInstance(_GraphIndex):
         """time_of under each of the trials realizations of priced_over, in
         one pass: every sum is a list over the realizations, added and
         maximized entry by entry in time_of's order, so entry i equals
-        time_of on priced(realizations[i]) bit for bit.  The sum aggregates
-        run _flow_totals' walk over such lists.  The max_flow pass skips a
-        hop within one node, which costs 0.0: no sum here is -0.0, so x + 0.0
-        is x, and 0.0 + h is h.  b if b > a else a is max(a, b), nan included."""
+        time_of on priced(realizations[i]) bit for bit: both run one walk,
+        _longest under max_flow and _flow_totals under the sum aggregates,
+        over floats or over such lists.  b if b > a else a is max(a, b), nan
+        included."""
+        start = [0.0] * trials
+        add_hops = lambda t, hops: [x + h for x, h in zip(t, hops)]
         if aggregate == "max_flow":
-            out_rows, exec_s, edge = self.out_rows, self.exec_s, self.edge_id
-            finish: Dict[str, List[float]] = {}
-            longest = [0.0] * trials
-            for aid in self.order:
-                node = placement[aid]
-                preds = self.preds[aid]
-                if not preds:  # a source: 0.0 plus its request hop
-                    t = [0.0] * trials if node == edge else self.in_rows[aid][node]
-                for i, u in enumerate(preds):
-                    y = placement[u]
-                    s = finish[u] if y == node else [f + h for f, h in zip(finish[u], out_rows[u][y][node])]
-                    t = [b if b > a else a for a, b in zip(t, s)] if i else s
-                e = exec_s[(aid, node)]
-                finish[aid] = t = [x + e for x in t]
-                if not self.succs[aid]:
-                    if self.include_return_hop and node != edge:
-                        t = [x + h for x, h in zip(t, out_rows[aid][node][edge])]
-                    longest = [b if b > a else a for a, b in zip(longest, t)]
-            return longest
-        totals = self._flow_totals(
-            placement,
-            [0.0] * trials,
-            lambda t, hops, e: [x + h + e for x, h in zip(t, hops)],
-            lambda t, hops: [x + h for x, h in zip(t, hops)],
-        )
+            add_exec = lambda t, e: [x + e for x in t]
+            larger = lambda t, s: [b if b > a else a for a, b in zip(t, s)]
+            return self._longest(placement, start, add_hops, add_exec, larger)
+        totals = self._flow_totals(placement, start, lambda t, hops, e: [x + h + e for x, h in zip(t, hops)], add_hops)
         if not totals:
-            return [0.0] * trials
+            return start
         return [aggregate_times(aggregate, column) for column in zip(*totals)]
 
     def _meet_flow_cap(self) -> None:
@@ -377,22 +374,6 @@ class CompiledInstance(_GraphIndex):
         if not self.under_flow_cap:
             _check_flow_cap(self.flow_count)
             self.under_flow_cap.append(True)
-
-    def _finish_at(self, aid: str, node: str, placement: Placement, finish: Dict[str, float]) -> float:
-        """P(aid) with aid on node: the largest P(u) + hop over its
-        predecessors u, placed by placement, or the request hop at a source;
-        then plus aid's execution."""
-        preds = self.preds[aid]
-        if preds:
-            out_rows = self.out_rows
-            t = -math.inf
-            for u in preds:
-                s = finish[u] + out_rows[u][placement[u]][node]
-                if s > t:
-                    t = s
-        else:
-            t = 0.0 + self.in_rows[aid][node]  # flow_time's start: 0.0, never -0.0
-        return t + self.exec_s[(aid, node)]
 
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
@@ -755,8 +736,10 @@ class _Search:
         """Price assigning aid to node without applying it.
 
         Returns (primary, memory, rank, node, state): the child's bound, then
-        what _assign writes, (P or F of aid, agg).  Under max_flow P is the
-        longest-path pass's sum at aid, one term per predecessor, and agg the
+        what _assign writes, (P or F of aid, agg).  Under max_flow P is
+        _longest's P(aid) over floats: the largest P(u) + hop over aid's
+        predecessors u, or 0.0 + the request hop at a source, then + exec
+        (a hop within one node is added as its 0.0, not skipped), and agg the
         larger of the parent's and P + B(aid, node), which bounds every flow
         through aid (see the module docstring).  Otherwise F is the sum over
         the paths to aid of their time through aid's exec, and agg trades
@@ -766,18 +749,26 @@ class _Search:
         paths run on, priced through aid on node.
         """
         ctx = self.ctx
-        assignment = self.assignment
+        assignment, finish, out_rows = self.assignment, self.finish, ctx.out_rows
+        preds = ctx.preds[aid]
         if self.longest:
-            t = ctx._finish_at(aid, node, assignment, self.finish)
+            if preds:
+                t = -math.inf
+                for u in preds:
+                    s = finish[u] + out_rows[u][assignment[u]][node]
+                    if s > t:
+                        t = s
+            else:
+                t = 0.0 + ctx.in_rows[aid][node]  # flow_time's start: 0.0, never -0.0
+            t += ctx.exec_s[(aid, node)]
             bound = t + self.completion[aid][node]
             agg = time_bound = bound if bound > self.agg else self.agg
         else:
             e = ctx.exec_s[(aid, node)]
             paths_in, w = ctx.paths_in, ctx.paths_out[aid]
             agg = self.agg
-            preds = ctx.preds[aid]
             if preds:
-                finish, out_rows, edge_bound = self.finish, ctx.out_rows, self.edge_bound[aid]
+                edge_bound = self.edge_bound[aid]
                 t = 0.0
                 for u in preds:
                     y, f, count = assignment[u], finish[u], paths_in[u]

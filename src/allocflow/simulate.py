@@ -254,8 +254,6 @@ class GenParams:
     layers: Optional[int] = None  # None -> depth grows with log2(n)
     edge_prob: Optional[float] = None  # None -> min(0.6, 5 / n)
     exec_range: Tuple[float, float] = (1.0, 5.0)
-    region_bits_range: Tuple[int, int] = (8, 10**6)
-    processing_bits_range: Tuple[int, int] = (0, 10**7)
     link_seconds_range: Tuple[float, float] = (0.5, 2.0)
     delay_prob: float = 0.0
     sigma_range: Tuple[float, float] = (0.0, 0.5)
@@ -323,11 +321,11 @@ def random_instance(n: int, params: Optional[GenParams] = None, seed: int = 0) -
 
     for aid in ids:
         out_region = f"r_{aid}"
-        regions[out_region] = MemoryRegion(out_region, rng.randint(*params.region_bits_range))
+        regions[out_region] = MemoryRegion(out_region, rng.randint(8, 10**6))
         inputs = {f"r_{p}" for p in sorted(preds[aid])}
         if not preds[aid]:
             ext = f"x_{aid}"
-            regions[ext] = MemoryRegion(ext, rng.randint(*params.region_bits_range))
+            regions[ext] = MemoryRegion(ext, rng.randint(8, 10**6))
             inputs = {ext}
         draws = sorted(rng.uniform(*params.exec_range) for _ in range(3))
         if not params.tier_ordering:
@@ -342,7 +340,7 @@ def random_instance(n: int, params: Optional[GenParams] = None, seed: int = 0) -
             memory=MemoryProfile(
                 inputs=frozenset(inputs),
                 outputs=frozenset({out_region}),
-                processing_bits=rng.randint(*params.processing_bits_range),
+                processing_bits=rng.randint(0, 10**7),
                 growth_per_step=growth,
             ),
             space_rank=rng.randint(0, max(1, n)),

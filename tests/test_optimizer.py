@@ -44,7 +44,7 @@ from allocflow.optimizer import (
     solve_bruteforce,
     warm_start,
 )
-from allocflow.simulate import GenParams, monte_carlo_compare, random_instance
+from allocflow.simulate import GenParams, MethodStats, monte_carlo_compare, random_instance
 from allocflow.timing import aggregate_times, flow_time, overall_time
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
@@ -425,15 +425,19 @@ def test_explored_node_accounting(dataset_d2):
     flat_exec=st.booleans(),
     same_links=st.booleans(),
     per_byte=st.booleans(),
+    allowed_seed=st.one_of(st.none(), st.integers(0, 10**6)),
 )
 def test_branch_bound_matches_bruteforce_under_ties(
-    seed, n, fog, cloud, kind, aggregate, include_return_hop, zero_regions, flat_exec, same_links, per_byte
+    seed, n, fog, cloud, kind, aggregate, include_return_hop, zero_regions, flat_exec, same_links, per_byte,
+    allowed_seed,
 ):
     """Ties on the primary objective and on memory are settled by the lex
     tuple; the generators force them: zero-size regions and no processing
     memory (every placement ties on memory), one execution time on every
     tier, and one cost on every link.  per_byte charges most links per
-    byte, so hops and routes depend on the payload and are keyed by it."""
+    byte, so hops and routes depend on the payload and are keyed by it.
+    allowed_seed, when drawn, restricts each algorithm to the robot or to a
+    random non-empty subset of the nodes, or leaves it free."""
     data = _relabelled(seed, n, fog, cloud)
     data["options"]["time_aggregate"] = aggregate
     if zero_regions:
@@ -451,6 +455,15 @@ def test_branch_bound_matches_bruteforce_under_ties(
         rng = random.Random(seed)
         for link in data["comm"]:
             link["per_byte_seconds"] = rng.choice((0.0, 1e-6, 1e-5))
+    if allowed_seed is not None:
+        rng = random.Random(allowed_seed)
+        node_ids = [node["id"] for node in data["nodes"]]
+        for alg in data["algorithms"]:
+            pick = rng.randrange(3)
+            if pick == 0:
+                alg["allowed_locations"] = ["e"]
+            elif pick == 1:
+                alg["allowed_locations"] = rng.sample(node_ids, rng.randint(1, len(node_ids)))
     inst = instance_from_dict(data)
     objective = Objective(kind)
     expect = solve_bruteforce(inst, objective, include_return_hop=include_return_hop)
@@ -1277,7 +1290,10 @@ def test_empty_instance_solves_to_nothing():
     path: the empty placement, 0 nodes explored, a zero CostPoint and no
     flow, under every objective and aggregate, with and without the return
     hop, whether the instance has nodes, only an edge node or nothing.
-    Brute force answers the same, and scatter lists no placement."""
+    Brute force answers the same, and scatter lists no placement.  The
+    Monte-Carlo path times the empty placement at 0.0 under one delay
+    realization or many, and compares all-zero costs and empty placements,
+    with fixed placements and with a search per trial."""
     instances = [
         random_instance(0, GenParams(), seed=0),
         instance_from_dict({}),
@@ -1294,6 +1310,16 @@ def test_empty_instance_solves_to_nothing():
             assert result.per_flow == []
         assert evaluate(inst, {}, objective, {}, include_return_hop) == CostPoint(0.0, 0.0, 0.0)
         assert scatter(inst, objective) == []
+    zero = MethodStats(0.0, 0.0, 0.0, 0.0)
+    for inst, aggregate in itertools.product(instances, TIME_AGGREGATES):
+        inst.options.time_aggregate = aggregate
+        compiled = compile_instance(inst)
+        assert compiled.priced().time_of({}, aggregate) == 0.0
+        assert compiled.priced_over([{}, {}]).times_of({}, aggregate, 2) == [0.0, 0.0]
+        for resolve_per_trial in (False, True):
+            stats = monte_carlo_compare(inst, trials=3, resolve_per_trial=resolve_per_trial)
+            assert (stats.ours, stats.baseline, stats.win_rate) == (zero, zero, 1.0)
+            assert (stats.ours_placement, stats.baseline_placement) == ({}, {})
 
 
 def test_a_compile_reads_the_flow_cap_once(monkeypatch):

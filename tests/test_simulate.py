@@ -395,7 +395,7 @@ def test_column_pricing_equals_resolve_per_realization():
                 for bits in (0, 8, 12_345):
                     want = [comm.resolve(src, dst, bits, d) for d in realizations]
                     assert repr(comm.resolve_over(src, dst, bits, columns, 4)) == repr(want)
-        assert max(len(list(comm._legs(u, v, 0))) for u in nodes for v in nodes) >= 2
+        assert max(comm._route(u, v, 0, 0, lambda links, *_: links + 1) for u in nodes for v in nodes) >= 2
     over = compile_instance(inst).priced_over(realizations)
     for aid, rows in over.out_rows.items():
         for src in sorted(inst.nodes):
