@@ -103,34 +103,36 @@ def _read(path: str) -> str:
         raise ProblemFormatError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
-def _load(path: str) -> ProblemInstance:
-    return parse_problem(_read(path))
-
-
-def _load_placement(instance: ProblemInstance, path: Optional[str]) -> Dict[str, str]:
-    """Placement mapping from a JSON file; everything on the edge if omitted."""
-    if path is None:
-        edge = instance.edge_node_id()
-        return {aid: edge for aid in instance.algorithms}
-    text = _read(path)
-    try:
-        raw = decode_json(text)
-    except ProblemFormatError as exc:
-        syntax = exc.__cause__
-        if isinstance(syntax, json.JSONDecodeError):  # this file's syntax errors give no detail
-            raise ProblemFormatError(f"{path}: syntax error at line {syntax.lineno} column {syntax.colno}") from syntax
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
-    ):
-        raise ProblemFormatError(f"{path}: placement must map algorithm ids to node ids")
-    return raw
-
-
-def _check_valid(instance: ProblemInstance) -> None:
+def _load_valid(path: str) -> ProblemInstance:
+    """The instance in the file at path; ProblemFormatError, naming every
+    violation, unless validate passes it."""
+    instance = parse_problem(_read(path))
     report = validate(instance)
     if not report.ok:
         raise ProblemFormatError("; ".join(report.lines()))
+    return instance
+
+
+def _load_placement(instance: ProblemInstance, path: Optional[str]) -> Dict[str, str]:
+    """Placement mapping from a JSON file, everything on the edge if omitted;
+    InfeasibleError unless check_placement passes it."""
+    if path is None:
+        edge = instance.edge_node_id()
+        placement = {aid: edge for aid in instance.algorithms}
+    else:
+        text = _read(path)
+        try:
+            placement = decode_json(text)
+        except ProblemFormatError as exc:
+            syntax = exc.__cause__
+            if isinstance(syntax, json.JSONDecodeError):  # this file's syntax errors give no detail
+                at = f"line {syntax.lineno} column {syntax.colno}"
+                raise ProblemFormatError(f"{path}: syntax error at {at}") from syntax
+            raise ProblemFormatError(f"{path}: {exc}") from exc
+        if not isinstance(placement, dict) or not all(isinstance(x, str) for pair in placement.items() for x in pair):
+            raise ProblemFormatError(f"{path}: placement must map algorithm ids to node ids")
+    check_placement(instance, placement)
+    return placement
 
 
 def _objective(args) -> Objective:
@@ -143,7 +145,7 @@ def _objective(args) -> Objective:
 
 def cmd_validate(args) -> int:
     try:
-        instance = _load(args.file)
+        instance = parse_problem(_read(args.file))
     except ProblemFormatError as exc:
         print(f"invalid: {_one_line(str(exc))}", file=sys.stderr)
         return 1
@@ -156,8 +158,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_flows(args) -> int:
-    instance = _load(args.file)
-    _check_valid(instance)
+    instance = _load_valid(args.file)
     if args.count_only:
         _emit(f"{count_flows(instance.graph)}\n", args.out)
         return 0
@@ -166,14 +167,10 @@ def cmd_flows(args) -> int:
 
 
 def cmd_time(args) -> int:
-    instance = _load(args.file)
-    _check_valid(instance)
+    instance = _load_valid(args.file)
     placement = _load_placement(instance, args.placement)
-    check_placement(instance, placement)
     aggregate = AGGREGATE_NAMES[args.aggregate] if args.aggregate else instance.options.time_aggregate
-    timings = [
-        flow_time(instance, flow, placement) for flow in all_flows(instance.graph)
-    ]
+    timings = [flow_time(instance, flow, placement) for flow in all_flows(instance.graph)]
     rows = [("flow", "request_s", "exec_s", "inter_s", "return_s", "total_s")]
     for t in timings:
         seconds = [t.segment_sum(kind) for kind in ("request-hop", "exec", "inter-hop", "return-hop")]
@@ -185,10 +182,8 @@ def cmd_time(args) -> int:
 
 
 def cmd_memory(args) -> int:
-    instance = _load(args.file)
-    _check_valid(instance)
+    instance = _load_valid(args.file)
     placement = _load_placement(instance, args.placement)
-    check_placement(instance, placement)
     mode = "peak" if args.peak else "sum"
     partition = step_partition(instance.graph, all_flows(instance.graph)) if args.peak else None
     rows = [("location", "bytes")]
@@ -200,8 +195,7 @@ def cmd_memory(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = _load(args.file)
-    _check_valid(instance)
+    instance = _load_valid(args.file)
     if args.method == "baseline":
         result = solve_baseline(instance, oracle=args.oracle)
     elif args.oracle:
@@ -225,8 +219,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    instance = _load(args.file)
-    _check_valid(instance)
+    instance = _load_valid(args.file)
     points = scatter(instance, _objective(args), max_points=args.max_points)
     rows = [("placement_lex_index", "memory_mb", "time_s", "distance", "on_front")]
     for p in points:
@@ -237,8 +230,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    instance = _load(args.file)
-    _check_valid(instance)
+    instance = _load_valid(args.file)
     stats = monte_carlo_compare(
         instance,
         trials=args.trials,

@@ -10,19 +10,27 @@
   one edge node, three fog nodes, and two cloud VMs with measured per-message
   transfer times and folded-normal delays.
 - cyclic_invalid: a three-algorithm dependency cycle, for validation demos.
+
+Every call builds its instance from fresh lists and dicts, so a caller may
+change what it gets without changing the next call's.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 MB = 8 * 1024 * 1024  # bits per megabyte
 
 
 def _node(nid: str, tier: str) -> dict:
     return {"id": nid, "tier": tier}
+
+
+def _three_tiers() -> List[dict]:
+    """One node per tier: e on the edge, f on fog, c on cloud."""
+    return [_node("e", "edge"), _node("f", "fog"), _node("c", "cloud")]
 
 
 def _link(u: str, v: str, seconds: float, mu: Optional[float] = None, sigma: Optional[float] = None) -> dict:
@@ -32,52 +40,61 @@ def _link(u: str, v: str, seconds: float, mu: Optional[float] = None, sigma: Opt
     return entry
 
 
-def single_sort() -> dict:
-    """Sort 5 s on the robot, 3.33 s on fog, 1 s on cloud; transfers 1.5/3 s."""
+def _both_ways(u: str, v: str, seconds: float, *delay: float) -> List[dict]:
+    """The links u -> v and v -> u, each of seconds, plus delay (mu, sigma) if given."""
+    return [_link(u, v, seconds, *delay), _link(v, u, seconds, *delay)]
+
+
+def _chain(seconds: float, *delay: float) -> List[dict]:
+    """The robot-fog-cloud chain: e <-> f and f <-> c, each as _both_ways."""
+    return _both_ways("e", "f", seconds, *delay) + _both_ways("f", "c", seconds, *delay)
+
+
+def _algorithm(
+    aid: str,
+    seconds: Sequence[float],
+    inputs: Sequence[str] = (),
+    outputs: Sequence[str] = (),
+    processing_bits: int = 0,
+    rank: int = 0,
+    label: Optional[str] = None,
+) -> dict:
+    """One algorithm entry from its (edge, fog, cloud) execution seconds; a
+    space_label appears only if label is given."""
+    entry = {
+        "id": aid,
+        "exec_time": dict(zip(("edge", "fog", "cloud"), seconds)),
+        "memory": {"inputs": list(inputs), "outputs": list(outputs), "processing_bits": processing_bits},
+        "space_rank": rank,
+    }
+    if label is not None:
+        entry["space_label"] = label
+    return entry
+
+
+def _instance(
+    nodes: List[dict], algorithms: List[dict], comm: List[dict], regions: Sequence[dict] = (), edges: Sequence[tuple] = ()
+) -> dict:
+    """The instance document, each dependency edge a fresh [from, to] list."""
     return {
-        "nodes": [_node("e", "edge"), _node("f", "fog"), _node("c", "cloud")],
-        "regions": [],
-        "algorithms": [
-            {
-                "id": "sort",
-                "exec_time": {"edge": 5.0, "fog": 5.0 / 1.5, "cloud": 1.0},
-                "memory": {"inputs": [], "outputs": [], "processing_bits": 0},
-                "space_rank": 0,
-            }
-        ],
-        "edges": [],
-        "comm": [
-            _link("e", "f", 1.5),
-            _link("f", "e", 1.5),
-            _link("e", "c", 3.0),
-            _link("c", "e", 3.0),
-        ],
+        "nodes": nodes,
+        "regions": list(regions),
+        "algorithms": algorithms,
+        "edges": [list(edge) for edge in edges],
+        "comm": comm,
         "options": {},
     }
+
+
+def single_sort() -> dict:
+    """Sort 5 s on the robot, 3.33 s on fog, 1 s on cloud; transfers 1.5/3 s."""
+    links = _both_ways("e", "f", 1.5) + _both_ways("e", "c", 3.0)
+    return _instance(_three_tiers(), [_algorithm("sort", (5.0, 5.0 / 1.5, 1.0))], links)
 
 
 def sort_tradeoff(x: float = 1.0) -> dict:
     """Sort 5/2/1 s on edge/fog/cloud; x s per hop between neighbouring tiers."""
-    return {
-        "nodes": [_node("e", "edge"), _node("f", "fog"), _node("c", "cloud")],
-        "regions": [],
-        "algorithms": [
-            {
-                "id": "sort",
-                "exec_time": {"edge": 5.0, "fog": 2.0, "cloud": 1.0},
-                "memory": {"inputs": [], "outputs": [], "processing_bits": 0},
-                "space_rank": 0,
-            }
-        ],
-        "edges": [],
-        "comm": [
-            _link("e", "f", x),
-            _link("f", "e", x),
-            _link("f", "c", x),
-            _link("c", "f", x),
-        ],
-        "options": {},
-    }
+    return _instance(_three_tiers(), [_algorithm("sort", (5.0, 2.0, 1.0))], _chain(x))
 
 
 def dataset_pipeline(d: float = 2.0, jitter_sigma: float = 0.0) -> dict:
@@ -86,49 +103,16 @@ def dataset_pipeline(d: float = 2.0, jitter_sigma: float = 0.0) -> dict:
     Execution seconds (edge/fog/cloud): dataset 0/0/0, stage_a 2/1/0.5,
     stage_b 4/2/1, stage_c 6/3/1.5.  Processing footprints 300/50/100 MB.
     """
-    mu_sigma = (0.0, jitter_sigma) if jitter_sigma else (None, None)
-    return {
-        "nodes": [_node("e", "edge"), _node("f", "fog"), _node("c", "cloud")],
-        "regions": [{"id": "dataset", "size_bits": 500 * MB}],
-        "algorithms": [
-            {
-                "id": "data",
-                "exec_time": {"edge": 0.0, "fog": 0.0, "cloud": 0.0},
-                "memory": {"inputs": [], "outputs": ["dataset"], "processing_bits": 0},
-                "space_rank": 0,
-                "space_label": "O(1)",
-            },
-            {
-                "id": "stage_a",
-                "exec_time": {"edge": 2.0, "fog": 1.0, "cloud": 0.5},
-                "memory": {"inputs": ["dataset"], "outputs": [], "processing_bits": 300 * MB},
-                "space_rank": 3,
-                "space_label": "O(n^2)",
-            },
-            {
-                "id": "stage_b",
-                "exec_time": {"edge": 4.0, "fog": 2.0, "cloud": 1.0},
-                "memory": {"inputs": ["dataset"], "outputs": [], "processing_bits": 50 * MB},
-                "space_rank": 1,
-                "space_label": "O(n)",
-            },
-            {
-                "id": "stage_c",
-                "exec_time": {"edge": 6.0, "fog": 3.0, "cloud": 1.5},
-                "memory": {"inputs": [], "outputs": [], "processing_bits": 100 * MB},
-                "space_rank": 2,
-                "space_label": "O(n log n)",
-            },
-        ],
-        "edges": [["data", "stage_a"], ["data", "stage_b"], ["stage_a", "stage_c"]],
-        "comm": [
-            _link("e", "f", d, *mu_sigma),
-            _link("f", "e", d, *mu_sigma),
-            _link("f", "c", d, *mu_sigma),
-            _link("c", "f", d, *mu_sigma),
-        ],
-        "options": {},
-    }
+    delay = (0.0, jitter_sigma) if jitter_sigma else ()
+    algorithms = [
+        _algorithm("data", (0.0, 0.0, 0.0), outputs=["dataset"], label="O(1)"),
+        _algorithm("stage_a", (2.0, 1.0, 0.5), ["dataset"], processing_bits=300 * MB, rank=3, label="O(n^2)"),
+        _algorithm("stage_b", (4.0, 2.0, 1.0), ["dataset"], processing_bits=50 * MB, rank=1, label="O(n)"),
+        _algorithm("stage_c", (6.0, 3.0, 1.5), processing_bits=100 * MB, rank=2, label="O(n log n)"),
+    ]
+    regions = [{"id": "dataset", "size_bits": 500 * MB}]
+    edges = [("data", "stage_a"), ("data", "stage_b"), ("stage_a", "stage_c")]
+    return _instance(_three_tiers(), algorithms, _chain(d, *delay), regions, edges)
 
 
 def dataset_jitter() -> dict:
@@ -158,81 +142,26 @@ _PIPELINE_STAGES = {
     "A7": (1.09e-3, 4.01e-3, 2.7e-4, 4718592, 4718592, 8010779, "O(n)", 2),
 }
 
-_PIPELINE_EDGES = [
-    ["A1", "A2"],
-    ["A2", "A3"],
-    ["A2", "A4"],
-    ["A3", "A6"],
-    ["A4", "A5"],
-    ["A5", "A6"],
-    ["A6", "A7"],
-]
+_PIPELINE_EDGES = (("A1", "A2"), ("A2", "A3"), ("A2", "A4"), ("A3", "A6"), ("A4", "A5"), ("A5", "A6"), ("A6", "A7"))
 
 
 def vision_pipeline() -> dict:
     """Seven-stage feature/database pipeline over 1 edge, 3 fog, 2 cloud nodes."""
-    nodes = [
-        _node("e", "edge"),
-        _node("f1", "fog"),
-        _node("f2", "fog"),
-        _node("f3", "fog"),
-        _node("c1", "cloud"),
-        _node("c2", "cloud"),
-    ]
-    tier = {n["id"]: n["tier"] for n in nodes}
-
+    nodes = [_node("e", "edge"), *(_node(f"f{i}", "fog") for i in (1, 2, 3)), *(_node(f"c{i}", "cloud") for i in (1, 2))]
     regions: List[dict] = []
     algorithms: List[dict] = []
-    for aid, (edge_s, fog_s, cloud_s, in_bits, out_bits, pr_bytes, label, rank) in _PIPELINE_STAGES.items():
-        regions.append({"id": f"in_{aid}", "size_bits": in_bits})
-        regions.append({"id": f"out_{aid}", "size_bits": out_bits})
-        algorithms.append(
-            {
-                "id": aid,
-                "exec_time": {"edge": edge_s, "fog": fog_s, "cloud": cloud_s},
-                "memory": {
-                    "inputs": [f"in_{aid}"],
-                    "outputs": [f"out_{aid}"],
-                    "processing_bits": pr_bytes * 8,
-                },
-                "space_rank": rank,
-                "space_label": label,
-            }
-        )
-
-    comm = []
-    for u in sorted(tier):
-        for v in sorted(tier):
-            if u == v:
-                continue
-            params = _TIER_LINKS.get((tier[u], tier[v]))
-            if params is None:
-                continue
-            base, mu, sigma = params
-            comm.append(_link(u, v, base, mu, sigma))
-
-    return {
-        "nodes": nodes,
-        "regions": sorted(regions, key=lambda r: r["id"]),
-        "algorithms": algorithms,
-        "edges": _PIPELINE_EDGES,
-        "comm": comm,
-        "options": {},
-    }
+    for aid, (*seconds, in_bits, out_bits, pr_bytes, label, rank) in _PIPELINE_STAGES.items():
+        regions += [{"id": f"in_{aid}", "size_bits": in_bits}, {"id": f"out_{aid}", "size_bits": out_bits}]
+        algorithms.append(_algorithm(aid, seconds, [f"in_{aid}"], [f"out_{aid}"], pr_bytes * 8, rank, label))
+    tier = {n["id"]: n["tier"] for n in nodes}
+    pairs = [(u, v) for u in sorted(tier) for v in sorted(tier) if u != v and (tier[u], tier[v]) in _TIER_LINKS]
+    comm = [_link(u, v, *_TIER_LINKS[tier[u], tier[v]]) for u, v in pairs]
+    return _instance(nodes, algorithms, comm, sorted(regions, key=lambda r: r["id"]), _PIPELINE_EDGES)
 
 
 def cyclic_invalid() -> dict:
-    return {
-        "nodes": [_node("e", "edge")],
-        "regions": [],
-        "algorithms": [
-            {"id": aid, "exec_time": {"edge": 1.0}, "memory": {}, "space_rank": 0}
-            for aid in ("A", "B", "C")
-        ],
-        "edges": [["A", "B"], ["B", "C"], ["C", "A"]],
-        "comm": [],
-        "options": {},
-    }
+    algorithms = [{"id": aid, "exec_time": {"edge": 1.0}, "memory": {}, "space_rank": 0} for aid in ("A", "B", "C")]
+    return _instance([_node("e", "edge")], algorithms, [], edges=[("A", "B"), ("B", "C"), ("C", "A")])
 
 
 def bundled() -> Dict[str, dict]:

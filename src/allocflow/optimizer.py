@@ -5,93 +5,28 @@ weighted Euclidean distance from the origin (memory in MB, time in seconds).
 Optima are exact; ties break first toward minimum robot memory, then toward
 the lexicographically smallest placement under the node order cloud nodes by
 id, fog nodes by id, edge node last (deepest offload wins a dead heat).
+Branch and bound returns brute force's tie-broken optimum whatever its
+incumbent, but for a completion faster than the incumbent by less than a
+rounding slack that loses on (memory, lex); see _Search._children.
 
-Branch and bound orders placements by the key (primary objective, robot
-memory, lex tuple) and descends a child only if its bound on that key is
-below the incumbent's.  The bound has three parts: a time bound (the time so
-far plus the completion bound C, see below), the robot memory already
-committed, and the lex tuple with every unassigned algorithm on its
-lowest-rank allowed node.  Flow times and robot memory only grow as
-algorithms are assigned, and no completion's lex tuple is lower entry by
-entry.  The time bound is admissible in exact arithmetic only: it adds terms
-in another order than a completion's time, so in floats it may exceed it by
-a few ulps.  The search therefore treats a primary bound within a rounding
-slack above the incumbent's as a tie (see _Search._children), which makes
-its answer brute force's tie-broken optimum whatever the incumbent, but for
-a completion faster than the incumbent by less than the slack that loses on
-(memory, lex).
-
-The search keeps one incremental state under every aggregate, plus an
-_EdgeMemory refcount of the regions on the robot: one float per assigned
-algorithm and agg, one running aggregate of the bounds, which starts at the
-sources' start bounds.  A child costs its in-degree, never its flow count.
-Under max_flow it is _longest's P(v), added in _Search._child (the largest
-P(u) + hop over v's predecessors u, or 0.0 + the request hop at a source,
-then + exec), and agg the running maximum.  A child for v on node y is
-bounded by max(agg, P(v) + B(v, y)); a stale bound stays a valid lower
-bound, so agg needs no rescan, and a leaf's time is the maximum over sinks
-of P(s) + B(s, y).  Under total_flows and mean_flows it is F(v), the sum over
-the paths from a source to v of their time through v's exec, and agg the
-running sum: assigning v trades the bound term of each edge into v for v's
-own (see _Search._child), and a leaf takes its exact time from time_of.
-_Search._child prices a child once; _assign applies exactly what it priced.
-A solve builds one _Search.  warm_start gives it its incumbent by a first
-dive down that state, the least child at every depth, and _Search._leaf
-scores every leaf from the state, the dive's too.  The walk keeps an explicit
-stack of per-depth child generators, so its depth is not bounded by the
-recursion limit.  _primary is the one primary-objective computation.
-
-One backward pass per search (_completion, run by _Search.__init__) builds
-the bound for every aggregate, per dependency edge (v, s) and node y of v:
-E(v, y, s), the least over s's nodes z of w * (hop(y -> z) + exec(s, z)) +
-C(s, z), and C(v, y) combining v's edges.  Under max_flow w = 1 and C =
-max_s E = B, and nothing per edge is kept.  Under the sum aggregates w is
-the number of paths from s to a sink, C = sum_s E, and E is kept for trades.
-
-Flows are counted, not enumerated: a CompiledInstance extends the graph's
-lattice._GraphIndex (successors, predecessors, topological order, path
-counts and the flows' sources), built in one pass.  The path counts weigh
-the sum aggregates' bound and give the search its rounding slack and the
-mean's divisor.  Under the sum aggregates time_of takes every flow's total
-from one depth-first walk over the flows' prefixes (_flow_totals), which
-builds no list of flows; a compile reads the flow cap on its first walk.
-Only AllocationResult.per_flow enumerates the flows, on first read, so a
-solve, evaluate and the Monte-Carlo comparison enumerate none.
-
-Hops are read from rows: one per (payload, source node) and delay
-realization, mapping a destination node to seconds and resolving a missing
-one on first use, so a pair no placement uses is never resolved.  A hop
-depends on its payload only through per-byte link costs; with no such link,
-CommModel.payload_key keys every payload as 0, and routes and rows are
-shared by all payloads.  The rule is read from the links.
-
-One evaluator prices every placement: compile_instance builds an instance's
-delay-independent tables once, CompiledInstance.priced adds hop rows per
-delay realization, and memory.robot_memory_bits gives robot memory.  Under
-max_flow, CompiledInstance.time_of is one longest-path pass over the DAG in
-topological order (_longest), touching each dependency edge once instead of
-each flow position; it equals the maximum over flows bit for bit, because
-the flows are the source-to-sink paths and rounded addition is monotone.
-total_flows and mean_flows add per-flow totals, which one walk
-(_flow_totals) times in the order of timing.flow_time (which times the
-reported per_flow); so does their search.  CompiledInstance.priced_over
-holds each hop as a list over many delay realizations, priced by resolve's
-route walk over one delay column per link (CommModel.resolve_over), and
-times_of runs time_of's pass or walk once over all of them: each takes its
-start value and arithmetic as arguments, floats or lists added entry by
-entry in the same order.  Every _longest pass skips a hop within one node:
-it adds 0.0 to a sum never -0.0.
-
-A compile also holds the instance's facts that every caller reads: its
-allowed nodes (effective_allowed), the lex order and the node ranks.  A
-SolveContext is a priced compile plus an objective and the aggregate it
-reads.  A solve is three steps: a context (build_context, or _context over
-a priced compile), the search (_search, whose _Search builds the bound) and
-_finish, which costs the answer at the memory and time its leaf scored and
-keeps the instance, delays and return hop per_flow reads, not the context.
-The Monte-Carlo comparison runs the first two on one compiled instance.
-Brute force and scatter build a context, no search: both price each
-placement of _placements through _price, as evaluate does.
+Where each mechanism lives:
+- compile_instance builds an instance's delay-independent tables on the
+  graph index they extend (lattice._GraphIndex); CompiledInstance.priced
+  and priced_over add the hop rows of one or many delay realizations.
+- One evaluator: CompiledInstance.time_of gives a placement's time (_longest
+  under max_flow, _flow_totals under the sum aggregates; times_of runs
+  either over many realizations at once), memory.robot_memory_bits its
+  memory, and _price both.  Only AllocationResult.per_flow enumerates flows,
+  on first read, so a solve, evaluate and the Monte-Carlo comparison list none.
+- A solve is three steps: a SolveContext (build_context, or _context over a
+  priced compile), the search (_search, one _Search) and _finish, which
+  costs the answer at the memory and time its leaf scored.  The Monte-Carlo
+  comparison runs the first two on one compiled instance.  Brute force and
+  scatter build no search: they price each placement of _placements through
+  _price, as evaluate does.
+- _Search keeps one incremental state under every aggregate: _completion
+  builds its bound, _child prices a child, _assign applies it, _leaf scores
+  a leaf, warm_start dives for the first incumbent, and run walks the tree.
 """
 
 from __future__ import annotations
@@ -205,7 +140,9 @@ class _Lazy(dict):
 @dataclass
 class CompiledInstance(_GraphIndex):
     """The graph's index and the other delay-independent tables of one
-    instance, plus the hop rows of one delay realization once priced."""
+    instance, plus the hop rows of one delay realization once priced.  The
+    index's path counts weigh the sum aggregates' bound and give the search
+    its rounding slack and the mean's divisor."""
 
     instance: ProblemInstance
     edge_id: str
@@ -252,6 +189,9 @@ class CompiledInstance(_GraphIndex):
         )
 
     def _with_hops(self, hop, include_return_hop: bool) -> CompiledInstance:
+        """These tables with fresh rows of hop(src, dst, payload bits), one
+        row per payload key and source node: without a per-byte link every
+        payload keys as 0 (CommModel.payload_key), so all share one row."""
         key = self.instance.comm.payload_key
         rows = _Lazy(lambda bits: _Lazy(lambda src: _Lazy(lambda dst: hop(src, dst, bits))))
         return replace(
@@ -269,31 +209,27 @@ class CompiledInstance(_GraphIndex):
         return tuple([self.node_rank[placement[aid]] for aid in self.sorted_ids])
 
     def time_of(self, placement: Placement, aggregate: str) -> float:
-        """Overall seconds of a placement under an aggregate of its flows.
-
-        max_flow is one longest-path pass over the DAG in topological order
-        (_longest) instead of one walk per flow: P(v) is the maximum over
-        predecessors u of P(u) plus the hop from u's node to v's, or the
-        request hop at a source, then plus v's execution; a sink adds its
-        return hop, and the result is the largest sink's.  The flows are the
-        source-to-sink paths, each sum is kept in timing.flow_time's order
-        (less the hops within one node, which add 0.0), and rounded addition
-        is monotone (x <= y gives x + c <= y + c), so the maximum commutes with
-        every addition and equals the largest flow's total bit for bit.
-        total_flows and mean_flows aggregate the per-flow totals of
-        _flow_totals, in all_flows' order, which fixes their floats."""
+        """Overall seconds of a placement under an aggregate of its flows:
+        the largest flow's by _longest under max_flow; under total_flows and
+        mean_flows the aggregate of _flow_totals' per-flow totals, in
+        all_flows' order, which fixes their floats."""
         if aggregate == "max_flow":
             return self._longest(placement, 0.0, add, add, max)
         return aggregate_times(aggregate, self._flow_totals(placement))
 
     def _longest(self, placement: Placement, start, add_hop, add_exec, larger):
         """The largest flow's seconds by one longest-path pass in topological
-        order: P(v) is the larger, the first on a tie, over v's predecessors u
-        of add_hop(P(u), hop), or add_hop(start, request hop) at a source,
-        then add_exec(P(v), exec); a sink adds its return hop if it counts,
-        and the result is the larger over start and the sinks.  A hop within
-        one node is skipped: it costs 0.0, no sum here is -0.0, and x + 0.0
-        is x.  time_of passes floats: 0.0, add, add and max."""
+        order, which touches each dependency edge once instead of each flow
+        position: P(v) is the larger, the first on a tie, over v's
+        predecessors u of add_hop(P(u), hop), or add_hop(start, request hop)
+        at a source, then add_exec(P(v), exec); a sink adds its return hop if
+        it counts, and the result is the larger over start and the sinks.
+        The flows are the source-to-sink paths, each sum is kept in
+        timing.flow_time's order, and rounded addition is monotone (x <= y
+        gives x + c <= y + c), so the maximum commutes with every addition
+        and equals the largest flow's total bit for bit.  A hop within one
+        node is skipped: it costs 0.0, no sum here is -0.0, and x + 0.0 is x.
+        time_of passes floats: 0.0, add, add and max."""
         in_rows, out_rows, exec_s, edge = self.in_rows, self.out_rows, self.exec_s, self.edge_id
         finish = {}
         longest = start  # every sum starts at start, so no flow ends below it
@@ -317,17 +253,17 @@ class CompiledInstance(_GraphIndex):
         self, placement: Placement, start=0.0, add_step=lambda t, hop, e: t + hop + e, add_return=add
     ) -> List:
         """Each flow's seconds, in all_flows' order, by one depth-first walk
-        over the flows' prefixes: a prefix's running total, start, then
-        add_step(total, hop, exec) at each algorithm, and at a sink
-        add_return(total, return hop) when the return hop counts, is shared
-        by every flow that starts with it, so each flow gets the same
-        additions in the same order as timing.flow_time, and the walk visits
-        v once per path to it (paths_in), not once per flow through it.  The
+        over the flows' prefixes, which lists no flow: a prefix's running
+        total, start, then add_step(total, hop, exec) at each algorithm, and
+        at a sink add_return(total, return hop) when the return hop counts, is
+        shared by every flow that starts with it, so each flow gets the same
+        additions in the same order as timing.flow_time, and the walk visits v
+        once per path to it (paths_in), not once per flow through it.  The
         defaults add floats: (total + hop) + exec, then total + return hop,
-        which is flow_time's order.  times_of passes a list over the trials
-        and the same two additions made entry by entry, so each entry keeps
-        that order.  Raises CapExceededError past the flow cap, as all_flows
-        does, before walking."""
+        which is flow_time's order.  times_of passes a list over the trials and
+        the same two additions made entry by entry, so each entry keeps that
+        order.  Raises CapExceededError past the flow cap, as all_flows does,
+        before walking."""
         self._meet_flow_cap()
         succs, exec_s, out_rows, edge = self.succs, self.exec_s, self.out_rows, self.edge_id
         totals = []
@@ -484,14 +420,17 @@ def _completion(
     c: CompiledInstance, longest: bool
 ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, Dict[str, float]]], Dict[str, float]]:
     """C, E and the start bounds of _Search, in one backward pass over c's
-    allowed nodes; longest (max_flow) keeps no E and weighs no term by a path
-    count.
+    allowed nodes, once per search; longest (max_flow) keeps no E and weighs
+    no term by a path count.  Each is a dict keyed by algorithm, then node:
+    C[v][y], E[s][v][y] and, per source, its start bound.
 
     For each dependency edge (v, s) and node y of v, E(v, y, s) is the least
-    over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z), and C(v, y)
-    combines v's edges: under max_flow w = 1 and C = max_s E, which is B;
-    under the sum aggregates w = c.paths_out[s], the number of paths that
-    take the hop and the exec, and C = sum_s E.  A source's start bound is the
+    over s's nodes z of w * (hop(y -> z) + exec(s, z)) + C(s, z): the share
+    of C(v, y) that the paths through (v, s) carry.  C(v, y) combines v's
+    edges: under max_flow w = 1 and C = max_s E, which is B; under the sum
+    aggregates w = c.paths_out[s], the number of paths that take the hop and
+    the exec, C = sum_s E, and E is kept for _Search._child's trades.  At a
+    sink C is its return hop, 0.0 without.  A source's start bound is the
     least over its nodes z of w * (request hop + exec(v, z)) + C(v, z), w =
     1 under max_flow and paths_out[v] otherwise.
 
@@ -550,7 +489,8 @@ def _completion(
 
 def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
     """The objective's value, the first component of the placement key; equal
-    to primary_value of make_cost's CostPoint."""
+    to primary_value of make_cost's CostPoint.  The search computes its
+    primary objective here only."""
     kind = ctx.objective.kind
     if kind == "min_memory":
         return mem_bits / 8.0
@@ -661,19 +601,11 @@ class _Search:
     def __init__(self, ctx: SolveContext):
         self.ctx = ctx
         self.longest = ctx.aggregate == "max_flow"
-        # completion[alg][node], C: a bound on the rest of the paths from alg
-        # to a sink once alg has run on node.  Under max_flow it is B, the
-        # rest of the longest one; under total_flows and mean_flows the sum
-        # over them, each counted once.  At a sink, its return hop (0.0
-        # without).  edge_bound[s][u][y] = E(u, y, s), the share of C(u, y)
-        # that the paths through the dependency edge (u, s) carry (the sum
-        # aggregates only; empty under max_flow).  start_bound: per source,
-        # its bound before any assignment, the least over its nodes of
-        # (request hop + exec) times paths_out (1 under max_flow) + C.
         self.completion, self.edge_bound, self.start_bound = _completion(ctx, self.longest)
         # agg, the running aggregate of the bounds, starts from the sources'
         # start bounds: under max_flow their maximum (bounds only grow under
-        # _assign, so it needs no rescan), otherwise their sum (see _child)
+        # _assign, so a stale one stays a valid lower bound and agg needs no
+        # rescan), otherwise their sum (see _child)
         bounds = self.start_bound.values()
         self.agg = max(bounds, default=0.0) if self.longest else sum(bounds)
         self.finish: Dict[str, float] = {}  # P(v) or F(v) per assigned algorithm
@@ -733,7 +665,8 @@ class _Search:
     # -- incremental state -------------------------------------------------
 
     def _child(self, aid: str, node: str) -> Tuple:
-        """Price assigning aid to node without applying it.
+        """Price assigning aid to node without applying it, at a cost of
+        aid's in-degree, never its flow count.
 
         Returns (primary, memory, rank, node, state): the child's bound, then
         what _assign writes, (P or F of aid, agg).  Under max_flow P is
@@ -741,12 +674,12 @@ class _Search:
         predecessors u, or 0.0 + the request hop at a source, then + exec
         (a hop within one node is added as its 0.0, not skipped), and agg the
         larger of the parent's and P + B(aid, node), which bounds every flow
-        through aid (see the module docstring).  Otherwise F is the sum over
-        the paths to aid of their time through aid's exec, and agg trades
-        the term of each inbound edge (u, aid), F(u) paths_out(aid) +
-        paths_in(u) E(u, y_u, aid) (at a source, its start bound), for aid's
-        own, F paths_out(aid) + paths_in(aid) C(aid, node): the flows those
-        paths run on, priced through aid on node.
+        through aid.  Otherwise F is the sum over the paths to aid of their
+        time through aid's exec, and agg trades the term of each inbound edge
+        (u, aid), F(u) paths_out(aid) + paths_in(u) E(u, y_u, aid) (at a
+        source, its start bound), for aid's own, F paths_out(aid) +
+        paths_in(aid) C(aid, node): the flows those paths run on, priced
+        through aid on node.
         """
         ctx = self.ctx
         assignment, finish, out_rows = self.assignment, self.finish, ctx.out_rows
@@ -788,7 +721,7 @@ class _Search:
         return primary, mem_bits, ctx.node_rank[node], node, (t, agg)
 
     def _assign(self, aid: str, node: str, state: Tuple) -> None:
-        """Apply a child priced by _child."""
+        """Apply exactly what _child priced, so a child is priced once."""
         self.finish[aid], self.agg = state
         if node == self.ctx.edge_id:
             self.memory.add(aid)
@@ -819,7 +752,9 @@ class _Search:
     # -- search ------------------------------------------------------------
 
     def run(self) -> Tuple[Placement, int]:
-        """Search from warm_start's incumbent; return the optimum and the search nodes explored."""
+        """Search from warm_start's incumbent; return the optimum and the search
+        nodes explored.  The walk keeps an explicit stack of per-depth child
+        generators, so its depth is not bounded by the recursion limit."""
         stack = [self._children(0)]
         while stack:
             if next(stack[-1], False):

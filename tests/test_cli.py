@@ -283,6 +283,17 @@ def test_placement_on_a_forbidden_node_is_one_error_line(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("command", ["time", "memory"])
+def test_default_placement_on_a_forbidden_node_is_one_error_line(tmp_path, capsys, command):
+    """Without --placement every algorithm runs on the edge, which is
+    checked as a placement file is."""
+    data = fixtures.dataset_pipeline(2.0)
+    data["algorithms"][1]["allowed_locations"] = ["c", "f"]
+    rc, out, err = run(capsys, command, write_instance(tmp_path, data))
+    assert (rc, out) == (1, "")
+    assert err == "error: algorithm stage_a may not run on 'e' (allowed: c, f)\n"
+
+
+@pytest.mark.parametrize("command", ["time", "memory"])
 def test_placement_naming_an_unknown_algorithm_is_one_error_line(tmp_path, capsys, command):
     path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
     placement = tmp_path / "placement.json"
@@ -540,6 +551,16 @@ def test_bench_takes_node_counts_from_zero(flag, capsys):
         main(["bench", "--sizes", "3", flag, "-1"])
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--wm", "--wt"])
+@pytest.mark.parametrize("weight", ["0", "-1", "nan"])
+def test_solve_rejects_a_weight_that_is_not_positive(flag, weight, tmp_path, capsys):
+    path = write_instance(tmp_path, fixtures.dataset_pipeline(2.0))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, flag, weight])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be > 0" in capsys.readouterr().err
 
 
 def test_solve_out_that_cannot_be_written_is_one_error_line(tmp_path, capsys):

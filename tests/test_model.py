@@ -737,13 +737,46 @@ def test_deeply_nested_json_is_a_format_error():
 # Round trips
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.bundled()))
+def rich_doc(seed, aggregate="max_flow"):
+    """A random instance document with every optional part the bundled
+    fixtures lack: exec overrides, restricted allowed_locations, a per-byte
+    link, link delays and an algorithm whose memory grows (so it may run on
+    a cloud node only)."""
+    inst = random_instance(5, GenParams(fog_nodes=2, cloud_nodes=2, delay_prob=0.5), seed=seed)
+    doc = instance_to_dict(inst)
+    rng = random.Random(seed)
+    first, second, *_, last = doc["algorithms"]
+    first["exec_time"]["overrides"] = {"f1": rng.uniform(0.0, 0.5), "c2": rng.uniform(2.0, 4.0)}
+    second["allowed_locations"] = ["c1", "e", "f2"]
+    last["memory"]["growth_per_step"]["processing"] = 8 * rng.randint(1, 100)
+    doc["comm"][0]["per_byte_seconds"] = rng.uniform(1e-7, 1e-6)
+    doc["comm"][-1]["delay"] = {"mu": rng.uniform(0.0, 0.5), "sigma": rng.uniform(0.1, 1.0)}
+    doc["options"]["time_aggregate"] = aggregate
+    return doc
+
+
+def _round_trip_docs():
+    return {**fixtures.bundled(), **{f"rich_{seed}": rich_doc(seed) for seed in range(3)}}
+
+
+@pytest.mark.parametrize("name", sorted(_round_trip_docs()))
 def test_serialize_parse_round_trip(name):
-    instance = instance_from_dict(fixtures.bundled()[name])
+    instance = instance_from_dict(_round_trip_docs()[name])
     text = serialize_problem(instance)
     again = parse_problem(text)
     assert instance_to_dict(again) == instance_to_dict(instance)
     assert serialize_problem(again) == text
+
+
+def test_rich_instances_serialize_every_optional_part():
+    for seed in range(3):
+        doc = instance_to_dict(instance_from_dict(rich_doc(seed)))
+        assert doc["algorithms"][0]["exec_time"]["overrides"].keys() == {"c2", "f1"}
+        assert doc["algorithms"][1]["allowed_locations"] == ["c1", "e", "f2"]
+        assert doc["algorithms"][-1]["memory"]["growth_per_step"]["processing"] > 0
+        assert sum("per_byte_seconds" in link for link in doc["comm"]) == 1
+        assert any("delay" in link for link in doc["comm"])
+        assert validate(instance_from_dict(doc)).ok
 
 
 def test_serialized_form_is_stable_json():

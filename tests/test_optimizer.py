@@ -46,6 +46,7 @@ from allocflow.optimizer import (
 )
 from allocflow.simulate import GenParams, MethodStats, monte_carlo_compare, random_instance
 from allocflow.timing import aggregate_times, flow_time, overall_time
+from test_model import rich_doc
 
 FOG_TIME = 1.5 + 5.0 / 1.5 + 1.5
 
@@ -391,6 +392,34 @@ def test_branch_bound_matches_without_return_hop():
         got = solve_branch_bound(inst, Objective("min_time_max"), include_return_hop=False)
         assert got.placement == expect.placement
         assert got.cost == expect.cost
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rich_instances_solve_and_evaluate_as_the_references(seed):
+    """Exec overrides, restricted allowed_locations, a per-byte link, delays
+    and memory growth: branch and bound equals brute force, and evaluate
+    equals the flow_time reference, under each aggregate."""
+    inst = instance_from_dict(rich_doc(seed, TIME_AGGREGATES[seed % len(TIME_AGGREGATES)]))
+    for kind in OBJECTIVES:
+        expect = solve_bruteforce(inst, Objective(kind))
+        got = solve_branch_bound(inst, Objective(kind))
+        assert (got.placement, got.cost) == (expect.placement, expect.cost), kind
+    rng = random.Random(seed)
+    allowed = effective_allowed(inst)
+    for _ in range(5):
+        placement = {aid: rng.choice(allowed[aid]) for aid in sorted(inst.algorithms)}
+        delays = {pair: rng.uniform(0.0, 2.0) for pair in sorted(inst.comm.links) if rng.random() < 0.7}
+        for realization in (None, delays):
+            assert evaluate(inst, placement, delays=realization) == reference_cost(inst, placement, realization, True)
+
+
+@pytest.mark.parametrize("solve", [solve_branch_bound, solve_bruteforce, scatter, monte_carlo_compare])
+def test_an_algorithm_with_no_feasible_location_is_refused(solve):
+    """Every algorithm grows, so it may run on a cloud node only, and there is none."""
+    inst = random_instance(4, GenParams(cloud_nodes=0, unbounded_prob=1.0), seed=1)
+    with pytest.raises(InfeasibleError) as raised:
+        solve(inst)
+    assert str(raised.value) == "algorithm a01 has no feasible location"
 
 
 def test_explored_node_accounting(dataset_d2):
