@@ -561,7 +561,7 @@ def _bits(value, owner: str, name: str) -> int:
     # memory is priced in floats, which hold every count up to 2**53 exactly
     if not 0 <= value <= 2**53:
         _fail(owner, name, f"negative size {_shown(value)}" if value < 0 else "size exceeds 2**53 bits")
-    return value
+    return int(value)  # an int subclass in range reads as a plain int
 
 
 def _id(value, owner: str, name: str) -> str:

@@ -25,8 +25,9 @@ Where each mechanism lives:
   scatter build no search: they price each placement of _placements through
   _price, as evaluate does.
 - _Search keeps one incremental state under every aggregate: _completion
-  builds its bound, _child prices a child, _assign applies it, _leaf scores
-  a leaf, warm_start dives for the first incumbent, and run walks the tree.
+  builds its bound, _price_children prices all of a search node's children
+  in one call, _assign applies one, _leaf scores a leaf, warm_start dives
+  for the first incumbent, and run walks the tree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from operator import add
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .lattice import _check_flow_cap, _graph_index, _GraphIndex, all_flows
 from .memory import robot_memory_bits
@@ -151,7 +152,7 @@ class CompiledInstance(_GraphIndex):
     node_rank: Dict[str, int]
     # [True] once a sum-aggregate walk met the flow cap; every copy shares it
     under_flow_cap: List[bool]
-    exec_s: Dict[Tuple[str, str], float]  # (alg, node) -> seconds
+    exec_s: Dict[str, Dict[str, float]]  # alg -> node -> seconds
     input_bits: Dict[str, int]
     output_bits: Dict[str, int]
     all_output_regions: frozenset
@@ -242,7 +243,7 @@ class CompiledInstance(_GraphIndex):
                 y = placement[u]
                 s = finish[u] if y == node else add_hop(finish[u], out_rows[u][y][node])
                 t = larger(t, s) if i else s
-            finish[aid] = t = add_exec(t, exec_s[(aid, node)])
+            finish[aid] = t = add_exec(t, exec_s[aid][node])
             if not self.succs[aid]:  # a sink
                 if self.include_return_hop and node != edge:
                     t = add_hop(t, out_rows[aid][node][edge])
@@ -277,7 +278,7 @@ class CompiledInstance(_GraphIndex):
                 pending.pop()
                 continue
             node = placement[v]
-            t = add_step(t, (self.in_rows[v] if row is None else row)[node], exec_s[(v, node)])
+            t = add_step(t, (self.in_rows[v] if row is None else row)[node], exec_s[v][node])
             row = out_rows[v][node]
             if succs[v]:
                 pending.append((iter(succs[v]), t, row))
@@ -315,14 +316,15 @@ class CompiledInstance(_GraphIndex):
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     """An instance's delay-independent tables, with no hop rows until priced.
     An algorithm may have no allowed node; _context refuses to solve it."""
-    exec_s: Dict[Tuple[str, str], float] = {}
+    exec_s: Dict[str, Dict[str, float]] = {}
     input_bits: Dict[str, int] = {}
     output_bits: Dict[str, int] = {}
     for aid, spec in instance.algorithms.items():
         # every timed node, not only allowed ones: unchecked placements may use any
+        exec_s[aid] = row = {}
         for nid, node in instance.nodes.items():
             if nid in spec.node_overrides or node.tier in spec.exec_time:
-                exec_s[(aid, nid)] = spec.exec_time_at(node)
+                row[nid] = spec.exec_time_at(node)
         input_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.inputs))
         output_bits[aid] = sum(instance.region_bits(r) for r in sorted(spec.memory.outputs))
     return CompiledInstance(
@@ -390,11 +392,12 @@ def _price(c: CompiledInstance, placement: Placement, aggregate: str) -> Tuple[i
 
 @dataclass
 class SolveContext(CompiledInstance):
-    """A priced compiled instance under one objective, and the time aggregate
-    that objective reads."""
+    """A priced compiled instance under one objective, the time aggregate
+    that objective reads, and its primary value (see _primary)."""
 
     objective: Objective
     aggregate: str
+    primary: Callable[[float, int], float]
 
 
 def build_context(
@@ -413,7 +416,8 @@ def _context(priced: CompiledInstance, objective: Objective) -> SolveContext:
     for aid, nodes in priced.allowed.items():
         if not nodes:
             raise InfeasibleError(f"algorithm {aid} has no feasible location")
-    return SolveContext(**vars(priced), objective=objective, aggregate=_aggregate_for(priced.instance, objective))
+    aggregate, primary = _aggregate_for(priced.instance, objective), _primary(priced.instance, objective)
+    return SolveContext(**vars(priced), objective=objective, aggregate=aggregate, primary=primary)
 
 
 def _completion(
@@ -429,10 +433,11 @@ def _completion(
     of C(v, y) that the paths through (v, s) carry.  C(v, y) combines v's
     edges: under max_flow w = 1 and C = max_s E, which is B; under the sum
     aggregates w = c.paths_out[s], the number of paths that take the hop and
-    the exec, C = sum_s E, and E is kept for _Search._child's trades.  At a
-    sink C is its return hop, 0.0 without.  A source's start bound is the
-    least over its nodes z of w * (request hop + exec(v, z)) + C(v, z), w =
-    1 under max_flow and paths_out[v] otherwise.
+    the exec, C = sum_s E, and E is kept for the trades that
+    _Search._price_children prices.  At a sink C is its return hop, 0.0
+    without.  A source's start bound is the least over its nodes z of w *
+    (request hop + exec(v, z)) + C(v, z), w = 1 under max_flow and
+    paths_out[v] otherwise.
 
     Every completion's paths run through each successor on some node, so in
     exact arithmetic C(v, y) is at most the rest of every completion that
@@ -463,7 +468,7 @@ def _completion(
             table = tables.get((s, payload, ys))
             if table is None:
                 later = tuple(completion[s].values())  # keyed by allowed[s], in its order
-                execs = [(z, exec_s[(s, z)]) for z in allowed[s]]
+                execs = [(z, exec_s[s][z]) for z in allowed[s]]
                 w = 1 if longest else paths_out[s]  # 1 * x is x
                 table = tables[(s, payload, ys)] = {}
                 for y in ys:
@@ -481,29 +486,29 @@ def _completion(
     start_bound = {}
     for v in c.order:
         if not c.preds[v]:
-            row, w = c.in_rows[v], 1 if longest else paths_out[v]
-            steps = [w * (row[z] + exec_s[(v, z)]) for z in allowed[v]]
+            row, execs, w = c.in_rows[v], exec_s[v], 1 if longest else paths_out[v]
+            steps = [w * (row[z] + execs[z]) for z in allowed[v]]
             start_bound[v] = min(map(add, steps, completion[v].values()))
     return completion, edge_bound, start_bound
 
 
-def _primary(ctx: SolveContext, time_s: float, mem_bits: int) -> float:
-    """The objective's value, the first component of the placement key; equal
-    to primary_value of make_cost's CostPoint.  The search computes its
-    primary objective here only."""
-    kind = ctx.objective.kind
-    if kind == "min_memory":
-        return mem_bits / 8.0
-    if kind in ("min_time_max", "min_time_total"):
-        return time_s
-    w_m, w_t = _weights(ctx.instance, ctx.objective)
-    return math.hypot(w_m * (mem_bits / MB_BITS), w_t * time_s)
+def _primary(instance: ProblemInstance, objective: Objective) -> Callable[[float, int], float]:
+    """The objective's value of (time_s, mem_bits), the first component of
+    the placement key, with its weights read once; equal to primary_value of
+    make_cost's CostPoint.  Every solve computes its primary objective here
+    only, through SolveContext.primary."""
+    if objective.kind == "min_memory":
+        return lambda time_s, mem_bits: mem_bits / 8.0
+    if objective.kind in ("min_time_max", "min_time_total"):
+        return lambda time_s, mem_bits: time_s
+    w_m, w_t = _weights(instance, objective)
+    return lambda time_s, mem_bits: math.hypot(w_m * (mem_bits / MB_BITS), w_t * time_s)
 
 
 def _placement_key(ctx: SolveContext, placement: Placement) -> Tuple[Tuple, float]:
     """The key (primary, memory, lex tuple) and time of a placement, from scratch."""
     mem_bits, time_s = _price(ctx, placement, ctx.aggregate)
-    return (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)), time_s
+    return (ctx.primary(time_s, mem_bits), mem_bits, ctx.lex_tuple(placement)), time_s
 
 
 def _finish(ctx: SolveContext, placement: Placement, explored: int, mem_bits: int, time_s: float, delays):
@@ -605,10 +610,11 @@ class _Search:
         # agg, the running aggregate of the bounds, starts from the sources'
         # start bounds: under max_flow their maximum (bounds only grow under
         # _assign, so a stale one stays a valid lower bound and agg needs no
-        # rescan), otherwise their sum (see _child)
+        # rescan), otherwise their sum (see _price_children)
         bounds = self.start_bound.values()
         self.agg = max(bounds, default=0.0) if self.longest else sum(bounds)
         self.finish: Dict[str, float] = {}  # P(v) or F(v) per assigned algorithm
+        self.hop_row: Dict[str, Dict[str, float]] = {}  # out_rows[v][y_v] per assigned algorithm v
         self.sinks = [aid for aid in ctx.order if not ctx.succs[aid]]
         self.memory = _EdgeMemory(ctx)
         self.assignment: Placement = {}
@@ -664,65 +670,72 @@ class _Search:
 
     # -- incremental state -------------------------------------------------
 
-    def _child(self, aid: str, node: str) -> Tuple:
-        """Price assigning aid to node without applying it, at a cost of
-        aid's in-degree, never its flow count.
-
-        Returns (primary, memory, rank, node, state): the child's bound, then
-        what _assign writes, (P or F of aid, agg).  Under max_flow P is
-        _longest's P(aid) over floats: the largest P(u) + hop over aid's
-        predecessors u, or 0.0 + the request hop at a source, then + exec
-        (a hop within one node is added as its 0.0, not skipped), and agg the
-        larger of the parent's and P + B(aid, node), which bounds every flow
-        through aid.  Otherwise F is the sum over the paths to aid of their
-        time through aid's exec, and agg trades the term of each inbound edge
-        (u, aid), F(u) paths_out(aid) + paths_in(u) E(u, y_u, aid) (at a
-        source, its start bound), for aid's own, F paths_out(aid) +
-        paths_in(aid) C(aid, node): the flows those paths run on, priced
-        through aid on node.
+    def _price_children(self, aid: str, nodes: Tuple[str, ...]) -> List[Tuple]:
+        """Price assigning aid to each of nodes without applying it, at a cost
+        per child of aid's in-degree, never its flow count: what every child
+        reads is loaded once per call.  Returns per node, in nodes' order,
+        (primary, memory, rank, node, state): the child's bound, then what
+        _assign writes, (P or F of aid, agg).  Under max_flow P is _longest's
+        P(aid) over floats: the largest P(u) + hop over aid's predecessors u,
+        or 0.0 + the request hop at a source, then + exec (a hop within one
+        node is added as its 0.0, not skipped), and agg the larger of the
+        parent's and P + B(aid, node), which bounds every flow through aid.
+        Otherwise F is the sum over the paths to aid of their time through
+        aid's exec, and agg trades the term of each inbound edge (u, aid),
+        F(u) paths_out(aid) + paths_in(u) E(u, y_u, aid) (at a source, its
+        start bound), for aid's own, F paths_out(aid) + paths_in(aid) C(aid,
+        node): the flows those paths run on, priced through aid on node.  The
+        inbound terms are the same for every child, so they come off agg
+        once, in the order of aid's predecessors.
         """
-        ctx = self.ctx
-        assignment, finish, out_rows = self.assignment, self.finish, ctx.out_rows
-        preds = ctx.preds[aid]
-        if self.longest:
-            if preds:
-                t = -math.inf
-                for u in preds:
-                    s = finish[u] + out_rows[u][assignment[u]][node]
-                    if s > t:
-                        t = s
-            else:
-                t = 0.0 + ctx.in_rows[aid][node]  # flow_time's start: 0.0, never -0.0
-            t += ctx.exec_s[(aid, node)]
-            bound = t + self.completion[aid][node]
-            agg = time_bound = bound if bound > self.agg else self.agg
+        ctx, finish, hop_row = self.ctx, self.finish, self.hop_row
+        preds, longest, agg = ctx.preds[aid], self.longest, self.agg
+        execs, later, request = ctx.exec_s[aid], self.completion[aid], ctx.in_rows[aid]
+        if longest:
+            loaded = [(finish[u], hop_row[u]) for u in preds]
         else:
-            e = ctx.exec_s[(aid, node)]
-            paths_in, w = ctx.paths_in, ctx.paths_out[aid]
-            agg = self.agg
-            if preds:
-                edge_bound = self.edge_bound[aid]
-                t = 0.0
-                for u in preds:
-                    y, f, count = assignment[u], finish[u], paths_in[u]
-                    t += f + count * out_rows[u][y][node]
-                    agg -= f * w + count * edge_bound[u][y]
-                t += paths_in[aid] * e
-            else:
-                t = ctx.in_rows[aid][node] + e
+            paths_in, w, edge_bound = ctx.paths_in, ctx.paths_out[aid], self.edge_bound[aid]
+            count_in, total = paths_in[aid], ctx.aggregate == "total_flows"
+            loaded = [(finish[u], paths_in[u], hop_row[u]) for u in preds]
+            for u, (f, count, _) in zip(preds, loaded):
+                agg -= f * w + count * edge_bound[u][self.assignment[u]]
+            if not preds:
                 agg -= self.start_bound[aid]
-            agg += t * w + paths_in[aid] * self.completion[aid][node]
-            time_bound = agg if ctx.aggregate == "total_flows" else agg / ctx.flow_count
-
-        mem_bits = self.memory.bits
-        if node == ctx.edge_id:
-            mem_bits += self.memory.gain(aid)
-        primary = _primary(ctx, time_bound, mem_bits)
-        return primary, mem_bits, ctx.node_rank[node], node, (t, agg)
+        edge, memory, primary, rank = ctx.edge_id, self.memory.bits, ctx.primary, ctx.node_rank
+        on_edge = memory + self.memory.gain(aid) if edge in nodes else memory
+        children = []
+        for node in nodes:
+            if longest:
+                if loaded:
+                    t = -math.inf
+                    for f, row in loaded:
+                        s = f + row[node]
+                        if s > t:
+                            t = s
+                else:
+                    t = 0.0 + request[node]  # flow_time's start: 0.0, never -0.0
+                t += execs[node]
+                bound = t + later[node]
+                child_agg = time_bound = bound if bound > agg else agg
+            else:
+                if loaded:
+                    t = 0.0
+                    for f, count, row in loaded:
+                        t += f + count * row[node]
+                    t += count_in * execs[node]
+                else:
+                    t = request[node] + execs[node]
+                child_agg = agg + (t * w + count_in * later[node])
+                time_bound = child_agg if total else child_agg / ctx.flow_count
+            mem_bits = on_edge if node == edge else memory
+            children.append((primary(time_bound, mem_bits), mem_bits, rank[node], node, (t, child_agg)))
+        return children
 
     def _assign(self, aid: str, node: str, state: Tuple) -> None:
-        """Apply exactly what _child priced, so a child is priced once."""
+        """Apply exactly what _price_children priced, so a child is priced
+        once, and record aid's outbound hop row from node."""
         self.finish[aid], self.agg = state
+        self.hop_row[aid] = self.ctx.out_rows[aid][node]
         if node == self.ctx.edge_id:
             self.memory.add(aid)
         self.assignment[aid] = node
@@ -745,7 +758,7 @@ class _Search:
     def _leaf(self) -> None:
         """The full assignment, with its key and time, becomes the incumbent if first (the dive's) or better."""
         ctx, time_s, mem_bits = self.ctx, self._leaf_time(), self.memory.bits
-        key = (_primary(ctx, time_s, mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
+        key = (ctx.primary(time_s, mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
         if self.best_key is None or key < self.best_key:
             self.best_key, self.best_time, self.best_placement = key, time_s, dict(self.assignment)
 
@@ -776,7 +789,8 @@ class _Search:
         lex_lb = self.lex_lb
         floor = lex_lb[slot]
         # rank is unique per node, so the sort never compares past it
-        children = sorted(self._child(aid, node) for node in ctx.allowed[aid])
+        children = self._price_children(aid, ctx.allowed[aid])
+        children.sort()
         agg = self.agg
         for primary, mem_bits, rank, node, state in children:
             # Descend only if the bound (primary, mem, lex_lb) beats the
@@ -812,13 +826,14 @@ class _Search:
 def warm_start(search: _Search, nodes: Dict[str, Tuple[str, ...]]) -> None:
     """The search's first dive, uncounted, which gives its incumbent: each
     algorithm in branching order takes its least child over nodes[aid] by
-    _child's key (bound, memory, rank), _leaf scores the leaf, and the dive is
-    undone.  One node per algorithm starts the search from that placement;
-    only its effort depends on the incumbent (see the module docstring)."""
+    the key _price_children gives (bound, memory, rank), _leaf scores the
+    leaf, and the dive is undone.  One node per algorithm starts the search
+    from that placement; only its effort depends on the incumbent (see the
+    module docstring)."""
     order, agg = search.ctx.order, search.agg
     for aid in order:
         # rank is unique per node, so min never compares past it
-        _, _, _, node, state = min(search._child(aid, nid) for nid in nodes[aid])
+        _, _, _, node, state = min(search._price_children(aid, nodes[aid]))
         search._assign(aid, node, state)
     search._leaf()
     for aid in order:  # nothing reads agg between these, and the last sets it back

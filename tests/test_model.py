@@ -21,6 +21,7 @@ from allocflow.model import (
     CommModel,
     CommUnreachableError,
     DelaySpec,
+    InfeasibleError,
     LocationNode,
     MemoryProfile,
     ProblemFormatError,
@@ -298,6 +299,24 @@ def test_region_bits_must_be_integer():
     data["regions"] = [{"id": "r", "size_bits": 7.5}]
     with pytest.raises(ProblemFormatError, match="integer bit count"):
         instance_from_dict(data)
+
+
+def test_int_subclass_bit_counts_read_as_plain_ints():
+    """A bit count given as an int subclass passes the reader's range check
+    and reads back as a plain int, at each of the reader's bit counts."""
+
+    class Bits(int):
+        pass
+
+    data = minimal()
+    data["regions"] = [{"id": "r", "size_bits": Bits(64)}]
+    growth = {"inputs": Bits(1), "processing": Bits(2), "outputs": Bits(3)}
+    data["algorithms"][0]["memory"] = {"inputs": ["r"], "processing_bits": Bits(8), "growth_per_step": growth}
+    inst = instance_from_dict(data)
+    memory = inst.algorithms["a"].memory
+    counts = [inst.regions["r"].size_bits, memory.processing_bits, *memory.growth_per_step]
+    assert counts == [64, 8, 1, 2, 3]
+    assert [type(count) for count in counts] == [int] * 5
 
 
 def test_exec_override_unknown_node_rejected():
@@ -921,6 +940,32 @@ def test_two_edge_nodes_reported():
     ]
     report = validate(instance_from_dict(data))
     assert any(v.kind == "single-robot" for v in report.violations)
+
+
+def test_edge_node_id_needs_exactly_one_edge_node():
+    """An unvalidated instance with no edge node or two fails edge_node_id,
+    which evaluate and the solvers call, with InfeasibleError."""
+    data = minimal()
+    data["nodes"][0]["tier"] = "fog"
+    with pytest.raises(InfeasibleError) as none:
+        instance_from_dict(data).edge_node_id()
+    assert str(none.value) == "expected exactly one edge node, found 0"
+    data = minimal()
+    data["nodes"].append({"id": "e2", "tier": "edge"})
+    with pytest.raises(InfeasibleError) as two:
+        instance_from_dict(data).edge_node_id()
+    assert str(two.value) == "expected exactly one edge node, found 2"
+
+
+def test_exec_time_at_a_node_without_a_time_raises_key_error():
+    """exec_time_at a node with no override and no time for its tier raises
+    KeyError naming the algorithm and the node."""
+    data = minimal()
+    data["nodes"].append({"id": "f", "tier": "fog"})
+    inst = instance_from_dict(data)
+    with pytest.raises(KeyError) as missing:
+        inst.algorithms["a"].exec_time_at(inst.nodes["f"])
+    assert missing.value.args == ("algorithm 'a' has no execution time for node 'f'",)
 
 
 def test_missing_exec_time_reported():

@@ -34,11 +34,12 @@ from allocflow.optimizer import (
     Objective,
     _Search,
     _placement_key,
-    _primary,
     build_context,
     compile_instance,
     evaluate,
+    make_cost,
     pareto_front,
+    primary_value,
     scatter,
     solve_branch_bound,
     solve_bruteforce,
@@ -111,6 +112,25 @@ def test_evaluate_rejects_forbidden_node():
 def test_evaluate_empty_instance():
     inst = random_instance(0, GenParams(), seed=0)
     assert evaluate(inst, {}) == CostPoint(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVES)
+def test_search_primary_is_primary_value_of_make_cost(kind):
+    """The primary function a solve binds once per context, SolveContext.primary,
+    equals primary_value of make_cost's CostPoint by repr, for each objective,
+    with the weights read from the instance options and from the Objective;
+    so does the primary of a solve's answer."""
+    inst = random_instance(6, GenParams(fog_nodes=2), seed=4)
+    inst.options.memory_weight, inst.options.time_weight = 0.3, 1.7
+    rng = random.Random(kind)
+    for objective in (Objective(kind), Objective(kind, memory_weight=2.5, time_weight=0.125)):
+        ctx = build_context(inst, objective)
+        for _ in range(200):
+            mem_bits, time_s = rng.randrange(2**40), rng.uniform(0.0, 1e3)
+            want = primary_value(objective, make_cost(inst, objective, mem_bits, time_s))
+            assert repr(ctx.primary(time_s, mem_bits)) == repr(want)
+        result = solve_branch_bound(inst, objective)
+        assert repr(_placement_key(ctx, result.placement)[0][0]) == repr(primary_value(objective, result.cost))
 
 
 def reference_cost(inst, placement, delays, include_return_hop):
@@ -692,7 +712,7 @@ def _reference_bound(ctx, resolve, exec_s=None, paths_out=None):
         for s in succs[v]:
             shares[v, s] = {
                 y: min(
-                    weight(s) * (resolve(y, z, payload) + exec_s[(s, z)]) + completion[s][z] for z in ctx.allowed[s]
+                    weight(s) * (resolve(y, z, payload) + exec_s[s][z]) + completion[s][z] for z in ctx.allowed[s]
                 )
                 for y in ctx.allowed[v]
             }
@@ -706,7 +726,7 @@ def _reference_bound(ctx, resolve, exec_s=None, paths_out=None):
                     completion[v][y] += shares[v, s][y]
     start = {
         v: min(
-            weight(v) * (resolve(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[(v, z)]) + completion[v][z]
+            weight(v) * (resolve(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[v][z]) + completion[v][z]
             for z in ctx.allowed[v]
         )
         for v in ctx.order
@@ -739,7 +759,7 @@ def _reference_finish(ctx, placement, resolve, exec_s=None):
             t = max(finish[u] + resolve(placement[u], node, ctx.output_bits[u]) for u in preds)
         else:
             t = resolve(ctx.edge_id, node, ctx.input_bits[v])  # never -0.0, so 0.0 + t is t
-        finish[v] = t + exec_s[(v, node)]
+        finish[v] = t + exec_s[v][node]
     return finish
 
 
@@ -759,9 +779,9 @@ def _reference_flow_sums(ctx, placement, resolve, paths_in, exec_s=None):
             t = 0
             for u in preds:
                 t += sums[u] + paths_in[u] * resolve(placement[u], node, ctx.output_bits[u])
-            t += paths_in[v] * exec_s[(v, node)]
+            t += paths_in[v] * exec_s[v][node]
         else:
-            t = resolve(ctx.edge_id, node, ctx.input_bits[v]) + exec_s[(v, node)]
+            t = resolve(ctx.edge_id, node, ctx.input_bits[v]) + exec_s[v][node]
         sums[v] = t
     return sums
 
@@ -784,16 +804,18 @@ class _BoundSpy(_Search):
         if self.children + self.leaves >= self.budget:
             raise _Checked
 
-    def _child(self, aid, node):
+    def _price_children(self, aid, nodes):
         self._spend()
         ctx = self.ctx
-        primary, mem_bits, _, _, (_, time_bound) = child = super()._child(aid, node)
-        finish = _reference_finish(ctx, {**self.assignment, aid: node}, self.resolve)
-        want = max(self.agg, finish[aid] + self.reference[aid][node])
-        assert repr(time_bound) == repr(want)
-        assert repr(primary) == repr(_primary(ctx, want, mem_bits))
-        self.children += 1
-        return child
+        children = super()._price_children(aid, nodes)
+        assert [child[3] for child in children] == list(nodes)
+        for primary, mem_bits, _, node, (_, time_bound) in children:
+            finish = _reference_finish(ctx, {**self.assignment, aid: node}, self.resolve)
+            want = max(self.agg, finish[aid] + self.reference[aid][node])
+            assert repr(time_bound) == repr(want)
+            assert repr(primary) == repr(ctx.primary(want, mem_bits))
+            self.children += 1
+        return children
 
     def _leaf_time(self):
         self._spend()
@@ -878,10 +900,10 @@ def test_max_flow_completion_bound_is_admissible(seed, n, include_return_hop):
     params = GenParams(edge_prob=0.6, delay_prob=0.6)
     ctx, _, resolve = _jittered(seed, n, params, "min_distance", include_return_hop)
     exact = lambda src, dst, payload: Fraction(resolve(src, dst, payload))
-    exec_s = {key: Fraction(t) for key, t in ctx.exec_s.items()}
+    exec_s = {aid: {z: Fraction(t) for z, t in row.items()} for aid, row in ctx.exec_s.items()}
     completion, _, _ = _reference_bound(ctx, exact, exec_s)
     lowest = max(
-        min((exact(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[(v, z)]) + completion[v][z] for z in ctx.allowed[v])
+        min((exact(ctx.edge_id, z, ctx.input_bits[v]) + exec_s[v][z]) + completion[v][z] for z in ctx.allowed[v])
         for v in ctx.order
         if not ctx.preds[v]
     )
@@ -915,7 +937,7 @@ def test_sum_completion_bound_is_admissible(seed, n, aggregate, include_return_h
     params = GenParams(edge_prob=0.6, delay_prob=0.6)
     ctx, _, resolve = _jittered(seed, n, params, "min_distance", include_return_hop, aggregate)
     exact = lambda src, dst, payload: Fraction(resolve(src, dst, payload))
-    exec_s = {key: Fraction(t) for key, t in ctx.exec_s.items()}
+    exec_s = {aid: {z: Fraction(t) for z, t in row.items()} for aid, row in ctx.exec_s.items()}
     paths_in, paths_out = _reference_path_counts(ctx)
     assert (ctx.paths_in, ctx.paths_out) == (paths_in, paths_out)
     completion, shares, start = _reference_bound(ctx, exact, exec_s, paths_out)
@@ -928,7 +950,7 @@ def test_sum_completion_bound_is_admissible(seed, n, aggregate, include_return_h
         for flow in flows:
             src, payload = ctx.edge_id, ctx.input_bits[flow[0]]
             for aid in flow:
-                total += exact(src, placement[aid], payload) + exec_s[(aid, placement[aid])]
+                total += exact(src, placement[aid], payload) + exec_s[aid][placement[aid]]
                 src, payload = placement[aid], ctx.output_bits[aid]
             if include_return_hop:
                 total += exact(src, ctx.edge_id, payload)
@@ -999,7 +1021,7 @@ def _per_flow_tails(ctx):
             nxt = suffix[pos + 1]
             suffix[pos] = {
                 src: min(
-                    rows[src][nid] + ctx.exec_s[(aid, nid)] + nxt[nid]
+                    rows[src][nid] + ctx.exec_s[aid][nid] + nxt[nid]
                     for nid in ctx.allowed[aid]
                 )
                 for src in sources
@@ -1046,7 +1068,7 @@ def _reference_dive(ctx, resolve):
                 child_agg += sums[aid] * w + paths_in[aid] * completion[aid][node]
                 time_bound = child_agg if ctx.aggregate == "total_flows" else child_agg / len(flows)
             mem_bits = robot_memory_bits(ctx.instance, trial)
-            key = (_primary(ctx, time_bound, mem_bits), mem_bits, ctx.node_rank[node])
+            key = (ctx.primary(time_bound, mem_bits), mem_bits, ctx.node_rank[node])
             children.append((key, node, child_agg))
         _, placement[aid], agg = min(children)
     return placement
