@@ -11,10 +11,12 @@ baseline_overall restores at every sink.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from .model import ProblemInstance
-from .optimizer import AllocationResult, Objective, evaluate, solve_branch_bound, solve_bruteforce
+from .optimizer import AllocationResult, CompiledInstance, Objective, SolveContext, _context, evaluate
+from .optimizer import solve_branch_bound, solve_bruteforce
 from .timing import Placement
 
 _END_TIME = Objective(kind="min_time_max")
@@ -28,6 +30,11 @@ def solve_baseline(
     """Exact end-time optimum; result.cost.time_seconds is the end time."""
     solver = solve_bruteforce if oracle else solve_branch_bound
     return solver(instance, objective=_END_TIME, include_return_hop=False, delays=delays)
+
+
+def _end_time_context(priced: CompiledInstance) -> SolveContext:
+    """The comparator's SolveContext on a priced compile: the end-time objective, no return hop."""
+    return _context(replace(priced, include_return_hop=False), _END_TIME)
 
 
 def baseline_overall(

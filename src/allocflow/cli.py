@@ -23,6 +23,7 @@ from .baseline import baseline_overall, solve_baseline
 from .lattice import all_flows, count_flows, flow_cap
 from .memory import location_memory, robot_memory, step_partition
 from .model import (
+    NOT_FINITE,
     CapExceededError,
     CommUnreachableError,
     InfeasibleError,
@@ -61,9 +62,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _cannot_write(path: str, exc: OSError) -> ProblemFormatError:
     """The one-line error for a failed write, as _read reports a failed read."""
     return ProblemFormatError(f"cannot write {exc.filename or path}: {exc.strerror}")
-
-
-NOT_FINITE = "result is not finite: a time or memory sum overflows"
 
 
 def _emit_json(obj, out: Optional[str]) -> None:

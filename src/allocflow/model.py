@@ -27,6 +27,9 @@ class ProblemFormatError(ValueError):
     """Raised when instance text cannot be parsed into a ProblemInstance."""
 
 
+NOT_FINITE = "result is not finite: a time or memory sum overflows"
+
+
 class CommUnreachableError(ValueError):
     """Raised when no declared link path connects a requested node pair."""
 

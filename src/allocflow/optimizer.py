@@ -150,8 +150,6 @@ class CompiledInstance(_GraphIndex):
     allowed: Dict[str, Tuple[str, ...]]  # effective_allowed: in node tie-break order
     sorted_ids: List[str]  # tie-break order for lex tuples
     node_rank: Dict[str, int]
-    # [True] once a sum-aggregate walk met the flow cap; every copy shares it
-    under_flow_cap: List[bool]
     exec_s: Dict[str, Dict[str, float]]  # alg -> node -> seconds
     input_bits: Dict[str, int]
     output_bits: Dict[str, int]
@@ -265,7 +263,7 @@ class CompiledInstance(_GraphIndex):
         the same two additions made entry by entry, so each entry keeps that
         order.  Raises CapExceededError past the flow cap, as all_flows does,
         before walking."""
-        self._meet_flow_cap()
+        _check_flow_cap(self.flow_count)
         succs, exec_s, out_rows, edge = self.succs, self.exec_s, self.out_rows, self.edge_id
         totals = []
         # (successors left, the prefix's total, the hop row from its last
@@ -305,13 +303,6 @@ class CompiledInstance(_GraphIndex):
             return start
         return [aggregate_times(aggregate, column) for column in zip(*totals)]
 
-    def _meet_flow_cap(self) -> None:
-        """lattice._check_flow_cap of the flow count until it first passes, so
-        a compile reads the cap on its first sum-aggregate walk only."""
-        if not self.under_flow_cap:
-            _check_flow_cap(self.flow_count)
-            self.under_flow_cap.append(True)
-
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     """An instance's delay-independent tables, with no hop rows until priced.
@@ -334,7 +325,6 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         allowed=effective_allowed(instance),
         sorted_ids=sorted(instance.algorithms),
         node_rank={nid: i for i, nid in enumerate(node_order(instance))},
-        under_flow_cap=[],
         exec_s=exec_s,
         input_bits=input_bits,
         output_bits=output_bits,

@@ -1,8 +1,9 @@
 """Stochastic-delay simulation, random instances, and scaling benchmarks.
 
 The Monte-Carlo comparison compiles its instance once, for both searches and
-every trial.  With fixed placements it prices each hop once over all trials
-and times each distinct placement over all trials in one pass (see
+every trial, and takes each method's robot memory from its search.  With
+fixed placements it prices each hop once over all trials and times each
+distinct placement over all trials in one pass (see
 optimizer.CompiledInstance.times_of); under max_flow that pass is one
 longest path over the dependency graph.  Its statistics come from each
 trial's time and robot memory as plain floats, equal to what CostPoints
@@ -19,8 +20,9 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .baseline import _END_TIME
+from .baseline import _end_time_context
 from .model import (
+    NOT_FINITE,
     CommLink,
     CommModel,
     DelaySpec,
@@ -34,21 +36,17 @@ from .model import (
     ProblemInstance,
     Tier,
 )
-from .memory import robot_memory_bits
 from .optimizer import (
-    MB_BITS,
     CompiledInstance,
     Objective,
-    _aggregate_for,
+    SolveContext,
     _context,
-    _price,
+    _primary,
     _search,
-    _weights,
     compile_instance,
     evaluate,  # unused here; perfbench's tracer test reads simulate.evaluate
     solve_branch_bound,
 )
-from .timing import Placement
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -133,12 +131,12 @@ def _method_stats(
     before its root, which can differ in the last bit and overflows when
     the distances spread by about 1e154; nonnegative distances have a
     finite standard deviation, which this gives.)"""
-    w_m, w_t = _weights(instance, objective)
-    distances = [math.hypot(w_m * (m / MB_BITS), w_t * t) for m, t in zip(mem_bits, times)]
+    distance = _primary(instance, objective)
+    distances = [distance(t, m) for m, t in zip(mem_bits, times)]
     # an overflowing time sum comes from the input, so it is a
     # ProblemFormatError; as_integer_ratio would fail on inf or nan
     if not all(map(math.isfinite, distances)):
-        raise ProblemFormatError("result is not finite: a time or memory sum overflows")
+        raise ProblemFormatError(NOT_FINITE)
     scaled = _scaled(distances)
     if mem_bits.count(mem_bits[0]) == len(mem_bits):
         mean_memory = mem_bits[0] / 8.0  # the exact mean of equal values
@@ -171,14 +169,15 @@ def monte_carlo_compare(
     The instance is compiled once: both searches (ours, and the end-time
     baseline's without the return hop) run on contexts built from it.  Every
     trial's delays are drawn first, by one generator reseeded as
-    trial_rng(seed, trial).  With fixed placements each placement's robot
-    memory is computed once (delays never change it), each hop either
-    placement uses is priced once over per-link delay columns into a list
-    that both share (priced_over), and each distinct placement is timed over
-    all trials in one pass (times_of), whose entry per trial equals a pass
-    over that trial alone.  With resolve_per_trial each trial searches on
-    the compiled instance priced under its delays: ours costs the memory and
-    time its search scored it at, and the baseline's placement is priced
+    trial_rng(seed, trial).  Each method's robot memory is the memory its
+    search scored, in every trial (delays never change it), so no placement
+    is priced for memory.  With fixed placements each hop either placement
+    uses is priced once over per-link delay columns into a list that both
+    share (priced_over), and each distinct placement is timed over all
+    trials in one pass (times_of), whose entry per trial equals a pass over
+    that trial alone.  With resolve_per_trial each trial searches on the
+    compiled instance priced under its delays: ours costs the memory and
+    time its search scored it at, and the baseline's placement is timed
     with its return hop unless it is ours.  Equal costs are summarized once,
     into two MethodStats, exactly in integers (_method_stats), equal bit for
     bit to the statistics module's over make_cost's CostPoints from Python
@@ -188,7 +187,6 @@ def monte_carlo_compare(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     objective = Objective("min_distance")
-    aggregate = _aggregate_for(instance, objective)
     rng = random.Random(0)  # reseeded per trial; any seed spares Random() its read of OS entropy
     realizations = []
     for trial in range(trials):
@@ -197,35 +195,32 @@ def monte_carlo_compare(
 
     compiled = compile_instance(instance)
 
-    def optima(priced: CompiledInstance) -> Tuple[tuple, tuple]:
-        """Ours and the baseline's searches with hops as priced, each
-        (placement, explored, memory bits, time) as _search returns it: the
-        placements solve_branch_bound and solve_baseline return."""
-        return (
-            _search(_context(priced, objective)),
-            _search(_context(replace(priced, include_return_hop=False), _END_TIME)),
-        )
+    def optima(priced: CompiledInstance) -> Tuple[SolveContext, tuple, tuple]:
+        """Ours' SolveContext with hops as priced, then ours and the baseline's
+        searches so priced, each (placement, explored, memory bits, time) as
+        _search returns it: solve_branch_bound's and solve_baseline's."""
+        ctx = _context(priced, objective)
+        return ctx, _search(ctx), _search(_end_time_context(priced))
 
     def once(pair: tuple, cost) -> tuple:
         """cost of each of the pair, computed once if they are equal."""
         first = cost(pair[0])
         return first, first if pair[1] == pair[0] else cost(pair[1])
 
-    (ours, *_), (base, *_) = optima(compiled.priced())
+    ctx, (ours, _, ours_bits, _), (base, _, base_bits, _) = optima(compiled.priced())
+    aggregate = ctx.aggregate
     # per method, its robot memory bits and its time in each trial
     if resolve_per_trial:
         costs = []  # per trial, per method, (memory bits, time)
         for delays in realizations:
-            priced = compiled.priced(delays)
-            (mine, _, *scored), (theirs, *_) = optima(priced)
-            # ours as its search scored it; the baseline's search left out the return hop, so price it
-            costs.append((scored, scored if theirs == mine else _price(priced, theirs, aggregate)))
+            ctx, (mine, _, *scored), (theirs, _, bits, _) = optima(compiled.priced(delays))
+            # ours as its search scored it; the baseline's search left out the return hop, so time it
+            costs.append((scored, scored if theirs == mine else (bits, ctx.time_of(theirs, aggregate))))
         columns = [tuple(zip(*method)) for method in zip(*costs)]
     else:
         over = compiled.priced_over(realizations)
-        columns = once(
-            (ours, base), lambda p: ([robot_memory_bits(instance, p)] * trials, over.times_of(p, aggregate, trials))
-        )
+        pair = (ours, ours_bits), (base, base_bits)
+        columns = once(pair, lambda p: ([p[1]] * trials, over.times_of(p[0], aggregate, trials)))
 
     summaries = once(columns, lambda column: _method_stats(instance, objective, *column))
     (ours_stats, ours_distances), (base_stats, base_distances) = summaries

@@ -436,18 +436,19 @@ def test_each_trial_draws_its_own_stream(monkeypatch):
 def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkeypatch):
     """When ours equals the baseline's placement (seed 1), the comparison
     times it once and summarizes it once; the report still equals the
-    per-trial reference, and each method keeps its own MethodStats.  With
-    fixed placements each distinct one gets its robot memory once.  With
+    per-trial reference, and each method keeps its own MethodStats.  Each
+    method's robot memory is the memory its search scored, which delays
+    never change, so no path calls robot_memory_bits; the reference's
+    evaluate and the pins still check every reported memory.  With
     resolve_per_trial ours costs what its search scored it at, so a trial
-    prices only a baseline placement that differs from ours: one robot
-    memory and one time_of (the searches price none under max_flow)."""
+    times only a baseline placement that differs from ours: one time_of
+    (the searches time none under max_flow)."""
     from allocflow import optimizer, simulate
 
     calls = dict.fromkeys(["times_of", "_method_stats", "robot_memory_bits", "time_of"], 0)
     for owner, name in (
         (optimizer.CompiledInstance, "times_of"),
         (simulate, "_method_stats"),
-        (simulate, "robot_memory_bits"),
         (optimizer, "robot_memory_bits"),
         (optimizer.CompiledInstance, "time_of"),
     ):
@@ -469,9 +470,9 @@ def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkey
     if resolve_per_trial:
         assert len(found) == 2 + 2 * 12
         differ = sum(ours[0] != base[0] for ours, base in zip(found[2::2], found[3::2]))
-        priced = {"times_of": 0, "robot_memory_bits": differ, "time_of": differ}
+        priced = {"times_of": 0, "robot_memory_bits": 0, "time_of": differ}
     else:
-        priced = {"times_of": 2 - same, "robot_memory_bits": 2 - same, "time_of": 0}
+        priced = {"times_of": 2 - same, "robot_memory_bits": 0, "time_of": 0}
     assert compared == dict(priced, _method_stats=2 - same)
 
 
