@@ -12,9 +12,7 @@ file back.  It fails if a mutant's old string no longer occurs exactly once
 (the code has moved: update or drop the mutant) or if the subset passes on
 a mutant (it survives).  The working tree is never edited.
 
-Example:
-  python scripts/mutants.py              # every mutant
-  python scripts/mutants.py lex_lb_last  # the named ones
+Run it as `python scripts/mutants.py`.
 """
 
 from __future__ import annotations
@@ -160,32 +158,26 @@ def run(copy: Path, mutant: Mutant) -> Optional[str]:
     return None
 
 
-def main(argv: Sequence[str]) -> int:
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in known]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(known)}", file=sys.stderr)
-        return 2
-    chosen = [known[name] for name in argv] or MUTANTS
+def main() -> int:
     ignored = shutil.ignore_patterns(".git", ".hypothesis", "__pycache__", ".pytest_cache", ".benchmarks")
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=ignored)
         # a subset that fails on the unmutated code would kill every mutant
-        clean = pytest(copy, sorted({test for mutant in chosen for test in mutant.tests}))
+        clean = pytest(copy, sorted({test for mutant in MUTANTS for test in mutant.tests}))
         if clean.returncode != 0:
             print(f"the named tests fail on the unmutated code:\n{clean.stdout}")
             return 1
         failures = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             started = time.perf_counter()
             why = run(copy, mutant)
             seconds = time.perf_counter() - started
             print(f"{mutant.name}: {'killed' if why is None else 'FAILED, ' + why} ({seconds:.1f} s)", flush=True)
             failures += why is not None
-    print(f"{failures} of {len(chosen)} mutants not killed")
+    print(f"{failures} of {len(MUTANTS)} mutants not killed")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -445,6 +445,8 @@ def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkey
     (the searches time none under max_flow)."""
     from allocflow import optimizer, simulate
 
+    # memory is priced only through optimizer's binding, counted below
+    assert "robot_memory_bits" not in vars(simulate)
     calls = dict.fromkeys(["times_of", "_method_stats", "robot_memory_bits", "time_of"], 0)
     for owner, name in (
         (optimizer.CompiledInstance, "times_of"),
