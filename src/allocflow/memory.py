@@ -93,7 +93,7 @@ def step_partition(
             if all(q in removed for q in preds[aid]):
                 fronts[aid] = graph.algorithms[aid].space_rank
         if not fronts:
-            raise RuntimeError("step partition stalled; graph/flows inconsistent")
+            raise ValueError("step partition stalled; graph/flows inconsistent")
         min_rank = min(fronts.values())
         step = tuple(sorted(aid for aid, r in fronts.items() if r == min_rank))
         steps.append(step)

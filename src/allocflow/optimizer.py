@@ -16,8 +16,10 @@ Where each mechanism lives:
 - One evaluator: CompiledInstance.time_of gives a placement's time (_longest
   under max_flow, _flow_totals under the sum aggregates; times_of runs
   either over many realizations at once), memory.robot_memory_bits its
-  memory, and _price both.  Only AllocationResult.per_flow enumerates flows,
-  on first read, so a solve, evaluate and the Monte-Carlo comparison list none.
+  memory, and _price both.  Every time reported or compared is time_of's
+  (per_flow's is timing.flow_time's), a search leaf's too: the search's
+  bounds only bound.  Only AllocationResult.per_flow enumerates flows, on
+  first read, so a solve, evaluate and the Monte-Carlo comparison list none.
 - A solve is three steps: a SolveContext (build_context, or _context over a
   priced compile), the search (_search, one _Search) and _finish, which
   costs the answer at the memory and time its leaf scored.  The Monte-Carlo
@@ -605,7 +607,6 @@ class _Search:
         self.agg = max(bounds, default=0.0) if self.longest else sum(bounds)
         self.finish: Dict[str, float] = {}  # P(v) or F(v) per assigned algorithm
         self.hop_row: Dict[str, Dict[str, float]] = {}  # out_rows[v][y_v] per assigned algorithm v
-        self.sinks = [aid for aid in ctx.order if not ctx.succs[aid]]
         self.memory = _EdgeMemory(ctx)
         self.assignment: Placement = {}
         # lex_lb: the lex tuple with every unassigned algorithm on its
@@ -665,11 +666,11 @@ class _Search:
         per child of aid's in-degree, never its flow count: what every child
         reads is loaded once per call.  Returns per node, in nodes' order,
         (primary, memory, rank, node, state): the child's bound, then what
-        _assign writes, (P or F of aid, agg).  Under max_flow P is _longest's
-        P(aid) over floats: the largest P(u) + hop over aid's predecessors u,
-        or 0.0 + the request hop at a source, then + exec (a hop within one
-        node is added as its 0.0, not skipped), and agg the larger of the
-        parent's and P + B(aid, node), which bounds every flow through aid.
+        _assign writes, (P or F of aid, agg).  Under max_flow P is aid's
+        longest-path finish: the largest P(u) + hop over aid's predecessors
+        u, or the request hop at a source, then + exec, and agg the larger
+        of the parent's and P + B(aid, node), which bounds every flow
+        through aid.
         Otherwise F is the sum over the paths to aid of their time through
         aid's exec, and agg trades the term of each inbound edge (u, aid),
         F(u) paths_out(aid) + paths_in(u) E(u, y_u, aid) (at a source, its
@@ -703,7 +704,7 @@ class _Search:
                         if s > t:
                             t = s
                 else:
-                    t = 0.0 + request[node]  # flow_time's start: 0.0, never -0.0
+                    t = request[node]
                 t += execs[node]
                 bound = t + later[node]
                 child_agg = time_bound = bound if bound > agg else agg
@@ -737,17 +738,12 @@ class _Search:
         if self.assignment.pop(aid) == self.ctx.edge_id:
             self.memory.remove(aid)
 
-    def _leaf_time(self) -> float:
-        """The time of the placement once every algorithm is assigned."""
-        if self.longest:
-            # every flow ends at a sink s, whose B(s, y) is its return hop
-            assignment, completion = self.assignment, self.completion
-            return max((self.finish[s] + completion[s][assignment[s]] for s in self.sinks), default=0.0)
-        return self.ctx.time_of(self.assignment, self.ctx.aggregate)
-
     def _leaf(self) -> None:
-        """The full assignment, with its key and time, becomes the incumbent if first (the dive's) or better."""
-        ctx, time_s, mem_bits = self.ctx, self._leaf_time(), self.memory.bits
+        """The full assignment, with its key and time (time_of's, so a weaker
+        bound changes the search's effort, never its answer), becomes the
+        incumbent if first (the dive's) or better."""
+        ctx, mem_bits = self.ctx, self.memory.bits
+        time_s = ctx.time_of(self.assignment, ctx.aggregate)
         key = (ctx.primary(time_s, mem_bits), mem_bits, ctx.lex_tuple(self.assignment))
         if self.best_key is None or key < self.best_key:
             self.best_key, self.best_time, self.best_placement = key, time_s, dict(self.assignment)

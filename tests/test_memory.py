@@ -17,7 +17,7 @@ from allocflow.memory import (
     robot_memory_bits,
     step_partition,
 )
-from allocflow.model import MemoryProfile, MemoryRegion, unbounded_restrictions
+from allocflow.model import AlgorithmSpec, DependencyGraph, MemoryProfile, MemoryRegion, unbounded_restrictions
 from allocflow.simulate import GenParams, random_instance
 
 MB = 8 * 1024 * 1024
@@ -148,6 +148,15 @@ def test_vision_partition(vision):
 def test_partition_requires_covering_flows(dataset_d2):
     with pytest.raises(ValueError, match="missing \\['stage_b'\\]"):
         step_partition(dataset_d2.graph, [("data", "stage_a", "stage_c")])
+
+
+def test_partition_refuses_flows_that_contradict_the_graph():
+    """Flows that cover every algorithm but contradict the graph's order
+    stall the partition: that is the caller's input, as a flow that misses
+    an algorithm is."""
+    graph = DependencyGraph({aid: AlgorithmSpec(aid) for aid in "abc"}, (("a", "b"), ("b", "c")))
+    with pytest.raises(ValueError, match="step partition stalled"):
+        step_partition(graph, [("c", "a"), ("b",)])
 
 
 def test_partition_is_a_partition():

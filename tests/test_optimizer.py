@@ -789,8 +789,8 @@ def _reference_flow_sums(ctx, placement, resolve, paths_in, exec_s=None):
 class _BoundSpy(_Search):
     """Checks every max_flow child bound and leaf time against references
     built from resolve: a child's time bound must be the larger of its
-    parent's and P(v) + B(v, node), and a leaf's time the largest flow
-    total, compared by repr."""
+    parent's and P(v) + B(v, node), and the time _leaf scores a leaf at the
+    largest flow total, compared by repr."""
 
     def __init__(self, ctx, resolve, delays, budget):
         super().__init__(ctx)
@@ -817,15 +817,18 @@ class _BoundSpy(_Search):
             self.children += 1
         return children
 
-    def _leaf_time(self):
+    def _leaf(self):
         self._spend()
         ctx = self.ctx
-        got = super()._leaf_time()
+        incumbent = self.best_key, self.best_time, self.best_placement
+        self.best_key = None  # so _leaf records this leaf's time
+        super()._leaf()
         totals = [flow_time(ctx.instance, f, self.assignment, self.delays, ctx.include_return_hop).total
                   for f in all_flows(ctx.instance.graph)]
-        assert repr(got) == repr(max(totals))
+        assert repr(self.best_time) == repr(max(totals))
         self.leaves += 1
-        return got
+        if incumbent[0] is not None and not self.best_key < incumbent[0]:
+            self.best_key, self.best_time, self.best_placement = incumbent
 
 
 def _jittered(seed, n, params, kind, include_return_hop, aggregate="max_flow"):
@@ -881,7 +884,7 @@ def test_max_flow_child_bound_is_the_longest_path_plus_the_completion_bound(
         spy.run()
     except _Checked:
         pass
-    assert spy.children >= len(ctx.allowed[ctx.order[0]])
+    assert spy.children >= len(ctx.allowed[ctx.order[0]]) and spy.leaves >= 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -1151,8 +1154,8 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     per flow.  Under max_flow there are no per-edge tables, and a solve
     walks no flow.  A solve builds one _Search, whose warm start is
     its own first dive, and prices nothing outside its leaf scorer: no
-    robot_memory_bits, and time_of only for the leaves it scores under the
-    sum aggregates, none under max_flow.  The bound belongs to the search:
+    robot_memory_bits, and one time_of per leaf it scores under every
+    aggregate, the dive's included.  The bound belongs to the search:
     brute force, scatter and evaluate build no _Search and run no
     _completion pass, and every entry point reads effective_allowed once,
     through its compile."""
@@ -1208,12 +1211,12 @@ def test_no_aggregate_builds_per_flow_state(kind, monkeypatch):
     assert solved["_completion"] == solved["effective_allowed"] == 1
     assert solved["all_flows"] == 0 and read["all_flows"] == 1
     assert solved["flow_time"] == 0 and read["flow_time"] == len(timings)
+    assert timed[: solved["time_of"]] == leaves  # one time_of per leaf, the dive's included
     if kind == "min_distance":
         assert search.edge_bound == {}
-        assert solved["walks"] == solved["time_of"] == 0
+        assert solved["walks"] == 0
     else:
         assert sorted((u, s) for s in search.edge_bound for u in search.edge_bound[s]) == sorted(inst.graph.edges)
-        assert timed[: solved["time_of"]] == leaves  # one time_of per leaf, the dive's included
         assert walks[: solved["walks"]] == leaves  # and one walk per time_of
 
     small = random_instance(5, GenParams(fog_nodes=2, delay_prob=0.5), seed=3)  # 4**5 placements

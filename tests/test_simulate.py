@@ -192,16 +192,26 @@ def reference_comparison(inst, trials, seed, resolve_per_trial):
 
 
 @pytest.mark.parametrize(
-    "fog, cloud, aggregate, seed",
-    [(1, 1, "max_flow", 3), (2, 1, "total_flows", 8), (0, 2, "mean_flows", 5), (3, 2, "max_flow", 11)],
+    "fog, cloud, aggregate, seed, tier_ordering",
+    [
+        (1, 1, "max_flow", 3, True),
+        (2, 1, "total_flows", 8, True),
+        (0, 2, "mean_flows", 5, True),
+        (3, 2, "max_flow", 11, True),
+        (1, 1, "max_flow", 3, False),
+    ],
 )
-def test_monte_carlo_matches_per_trial_evaluate(fog, cloud, aggregate, seed):
-    params = GenParams(fog_nodes=fog, cloud_nodes=cloud, delay_prob=0.7)
+def test_monte_carlo_matches_per_trial_evaluate(fog, cloud, aggregate, seed, tier_ordering):
+    """Without tier ordering (the last case) ours' and the baseline's
+    placements hold different robot memory, so each column must report its own."""
+    params = GenParams(fog_nodes=fog, cloud_nodes=cloud, delay_prob=0.7, tier_ordering=tier_ordering)
     inst = random_instance(9, params, seed=seed)
     inst.options.time_aggregate = aggregate
     assert any(link.delay is not None for link in inst.comm.links.values())
     stats = monte_carlo_compare(inst, trials=15, seed=seed)
     assert stats.to_dict() == reference_comparison(inst, 15, seed, resolve_per_trial=False)
+    if not tier_ordering:
+        assert stats.ours.mean_memory != stats.baseline.mean_memory
 
 
 def test_monte_carlo_resolve_per_trial_matches_reference():
@@ -441,8 +451,9 @@ def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkey
     never change, so no path calls robot_memory_bits; the reference's
     evaluate and the pins still check every reported memory.  With
     resolve_per_trial ours costs what its search scored it at, so a trial
-    times only a baseline placement that differs from ours: one time_of
-    (the searches time none under max_flow)."""
+    times only a baseline placement that differs from ours: one time_of.
+    Every search times each leaf it scores by one time_of, and each search
+    here scores one leaf, its dive's: 2, 26, 2 and 38 time_of calls in all."""
     from allocflow import optimizer, simulate
 
     # memory is priced only through optimizer's binding, counted below
@@ -462,19 +473,23 @@ def test_a_shared_placement_is_priced_once(seed, same, resolve_per_trial, monkey
     found = []  # each search's answer: the fixed pair, then one pair per trial
     search = simulate._search
     monkeypatch.setattr(simulate, "_search", lambda ctx: found.append(search(ctx)) or found[-1])
+    leaves = []
+    leaf = optimizer._Search._leaf
+    monkeypatch.setattr(optimizer._Search, "_leaf", lambda self: leaves.append(1) or leaf(self))
     inst = random_instance(6, GenParams(delay_prob=0.8), seed=seed)
     assert inst.options.time_aggregate == "max_flow"
     stats = monte_carlo_compare(inst, trials=12, seed=3, resolve_per_trial=resolve_per_trial)
-    compared = dict(calls)
+    compared, scored = dict(calls), len(leaves)
     assert (stats.ours_placement == stats.baseline_placement) is same
     assert stats.to_dict() == reference_comparison(inst, 12, 3, resolve_per_trial)
     assert stats.baseline is not stats.ours
     if resolve_per_trial:
         assert len(found) == 2 + 2 * 12
         differ = sum(ours[0] != base[0] for ours, base in zip(found[2::2], found[3::2]))
-        priced = {"times_of": 0, "robot_memory_bits": 0, "time_of": differ}
+        priced = {"times_of": 0, "robot_memory_bits": 0, "time_of": scored + differ}
     else:
-        priced = {"times_of": 2 - same, "robot_memory_bits": 0, "time_of": 0}
+        priced = {"times_of": 2 - same, "robot_memory_bits": 0, "time_of": scored}
+    assert scored == len(found)
     assert compared == dict(priced, _method_stats=2 - same)
 
 
